@@ -567,6 +567,14 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error() {
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(FaultPlan::from_json(&deep).is_err());
+        let deep_field = format!("{{\"partitions\": {deep}}}");
+        assert!(FaultPlan::from_json(&deep_field).is_err());
+    }
+
+    #[test]
     fn kind_names_round_trip() {
         for kind in FaultKind::ALL {
             assert_eq!(FaultKind::from_name(kind.name()), Some(kind));

@@ -1,11 +1,12 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no crates.io access, so the workspace vendors
-//! a compact serde replacement sufficient for this project: a JSON-shaped
-//! [`Value`] tree, [`Serialize`]/[`Deserialize`] traits defined over it,
-//! and `#[derive(Serialize, Deserialize)]` macros (re-exported from the
-//! sibling `serde_derive` shim). `serde_json` (also vendored) renders and
-//! parses the tree.
+//! a compact serde replacement sufficient for this project: a
+//! [`Serialize`] trait that writes JSON straight into a [`Serializer`], a
+//! [`Deserialize`] trait that reads a JSON-shaped [`Value`] tree, and
+//! `#[derive(Serialize, Deserialize)]` macros (re-exported from the sibling
+//! `serde_derive` shim). `serde_json` (also vendored) drives the writer
+//! and parses text into the tree.
 //!
 //! ## Data model
 //!
@@ -17,14 +18,15 @@
 //! * `Option` -> value or `null`; absent struct fields deserialize to `None`
 //!
 //! The `#[serde(with = "module")]` field attribute is supported; the named
-//! module must provide `to_value(&T) -> Value` and
-//! `from_value(&Value) -> Result<T, DeError>`.
+//! module must provide
+//! `serialize(&T, &mut Serializer) -> Result<(), DeError>`, which writes
+//! exactly one JSON value, and `from_value(&Value) -> Result<T, DeError>`.
 
 mod de;
 mod ser;
 mod value;
 
 pub use de::{field, DeError, Deserialize};
-pub use ser::Serialize;
+pub use ser::{Serialize, Serializer};
 pub use serde_derive::{Deserialize, Serialize};
 pub use value::Value;

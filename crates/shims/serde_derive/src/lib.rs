@@ -8,7 +8,11 @@
 //!   several fields as an array
 //! * enums whose variants are all unit variants (variant-name strings)
 //! * the `#[serde(with = "module")]` field attribute: the module must
-//!   provide `to_value(&T) -> Value` and `from_value(&Value) -> Result<T>`
+//!   provide `serialize(&T, &mut Serializer) -> Result<(), DeError>`
+//!   (writing exactly one JSON value) and `from_value(&Value) -> Result<T>`
+//!
+//! `Serialize` writes straight into the `serde::Serializer`; newtypes and
+//! unit enums also implement `write_key`, so they can key a map.
 //!
 //! Anything else (generics, lifetimes, data-carrying enum variants) is a
 //! compile error pointing here, so unsupported shapes fail fast instead of
@@ -275,69 +279,72 @@ fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }
 
-/// Derives `serde::Serialize` (the vendored, value-tree flavor).
+/// Derives `serde::Serialize` (the vendored, streaming flavor).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = match parse_item(input) {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    // `body` writes the value into `s`; `key` (newtypes and unit enums
+    // only) is the `write_key` method letting the type key a map.
+    let (name, body, key) = match shape {
         Shape::Named { name, fields } => {
-            let mut pushes = String::new();
+            let mut body = String::from("s.begin_object();\n");
             for f in &fields {
-                let expr = match &f.with {
-                    Some(path) => format!("{path}::to_value(&self.{})", f.name),
-                    None => format!("::serde::Serialize::to_value(&self.{})", f.name),
-                };
-                pushes.push_str(&format!(
-                    "(::std::string::String::from(\"{}\"), {expr}),",
-                    f.name
-                ));
+                body.push_str(&match &f.with {
+                    Some(path) => {
+                        format!(
+                            "s.key(\"{0}\");\n{path}::serialize(&self.{0}, s)?;\n",
+                            f.name
+                        )
+                    }
+                    None => format!("s.field(\"{0}\", &self.{0})?;\n", f.name),
+                });
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Object(::std::vec![{pushes}])\n\
-                     }}\n\
-                 }}"
-            )
+            body.push_str("s.end_object();\n::std::result::Result::Ok(())");
+            (name, body, String::new())
         }
+        Shape::Tuple { name, arity: 1 } => (
+            name,
+            "::serde::Serialize::serialize(&self.0, s)".to_string(),
+            "fn write_key(&self, out: &mut ::std::string::String) {\n\
+                 ::serde::Serialize::write_key(&self.0, out)\n\
+             }"
+            .to_string(),
+        ),
         Shape::Tuple { name, arity } => {
-            let body = if arity == 1 {
-                "::serde::Serialize::to_value(&self.0)".to_string()
-            } else {
-                let items: Vec<String> = (0..arity)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                format!("::serde::Value::Array(::std::vec![{}])", items.join(","))
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
+            let mut body = String::from("s.begin_array();\n");
+            for i in 0..arity {
+                body.push_str(&format!("s.element(&self.{i})?;\n"));
+            }
+            body.push_str("s.end_array();\n::std::result::Result::Ok(())");
+            (name, body, String::new())
         }
         Shape::UnitEnum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| {
-                    format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\"))"
-                    )
-                })
+                .map(|v| format!("{name}::{v} => \"{v}\""))
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
-                 }}",
-                arms.join(",")
+            let text = format!("match self {{ {} }}", arms.join(","));
+            (
+                name,
+                format!("s.write_str({text});\n::std::result::Result::Ok(())"),
+                format!("fn write_key(&self, out: &mut ::std::string::String) {{ out.push_str({text}) }}"),
             )
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize(&self, s: &mut ::serde::Serializer)\n\
+                 -> ::std::result::Result<(), ::serde::DeError> {{\n\
+                 {body}\n\
+             }}\n\
+             {key}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
 }
 
 /// Derives `serde::Deserialize` (the vendored, value-tree flavor).

@@ -1,11 +1,11 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Renders and parses JSON against the vendored serde shim's [`Value`]
-//! tree. Numbers round-trip exactly: integers are emitted verbatim and
-//! floats use Rust's shortest round-trippable `Display` form.
+//! Serialization streams through the vendored serde shim's [`Serializer`];
+//! parsing builds its [`Value`] tree. Numbers round-trip exactly: integers
+//! are emitted verbatim and floats use Rust's shortest round-trippable
+//! `Display` form. Both directions are linear in the document size.
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::Write as _;
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 pub use serde::Value as JsonValue;
 
@@ -15,6 +15,10 @@ pub type Error = DeError;
 /// A `Result` alias matching upstream's shape.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest nesting of arrays and objects [`parse`] accepts, as in upstream
+/// `serde_json`; deeper input is an error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serializes `value` to a compact JSON string.
 ///
 /// # Errors
@@ -22,9 +26,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Returns an error if the value contains a non-finite float (JSON has no
 /// representation for NaN or infinities).
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0)?;
-    Ok(out)
+    let mut s = Serializer::compact();
+    value.serialize(&mut s)?;
+    Ok(s.into_string())
 }
 
 /// Serializes `value` to pretty-printed JSON (two-space indent).
@@ -33,9 +37,9 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// Returns an error if the value contains a non-finite float.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0)?;
-    Ok(out)
+    let mut s = Serializer::pretty();
+    value.serialize(&mut s)?;
+    Ok(s.into_string())
 }
 
 /// Parses a value of type `T` from a JSON string.
@@ -48,114 +52,17 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     T::from_value(&value)
 }
 
-/// Escapes and writes a JSON string literal.
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) -> Result<()> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(DeError::msg("cannot serialize non-finite float as JSON"));
-            }
-            // Rust's Display for f64 is the shortest string that parses
-            // back to the same value; integral floats gain a `.0` so the
-            // number re-parses as a float.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                let _ = write!(out, "{f:.1}");
-            } else {
-                let _ = write!(out, "{f}");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_value(item, out, indent, depth + 1)?;
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1)?;
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns an error describing the first syntax problem encountered.
+/// Returns an error describing the first syntax problem encountered,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value> {
     let bytes = s.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(DeError::msg(format!(
@@ -207,10 +114,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value> {
+    /// Parses one value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(DeError::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ))),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -224,7 +136,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value> {
+    fn object(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
@@ -238,7 +150,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             entries.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -257,7 +169,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value> {
+    fn array(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -267,7 +179,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -289,13 +201,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let s = std::str::from_utf8(&rest[..run])
+                .map_err(|_| DeError::msg("invalid UTF-8 in string"))?;
+            out.push_str(s);
+            self.pos += run;
             match self.peek() {
                 None => return Err(DeError::msg("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: an escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -336,15 +259,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| DeError::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -422,7 +336,7 @@ mod tests {
 
     #[test]
     fn floats_round_trip_exactly() {
-        for f in [0.1, 1.0 / 3.0, 1e-12, 6.02e23, -0.0, 12.5, 3.0] {
+        for f in [0.1f64, 1.0 / 3.0, 1e-12, 6.02e23, -0.0, 12.5, 3.0] {
             let json = to_string(&f).unwrap();
             let back: f64 = from_str(&json).unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{f} via {json}");
@@ -473,5 +387,77 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    fn parse_str(json: &str) -> Result<String> {
+        from_str(json)
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_whole() {
+        // 1-, 2-, 3- and 4-byte UTF-8 sequences inside one run.
+        assert_eq!(parse_str("\"aé€😀z\"").unwrap(), "aé€😀z");
+        assert_eq!(parse_str("\"😀\"").unwrap(), "😀");
+        assert_eq!(parse_str("\"\"").unwrap(), "");
+    }
+
+    #[test]
+    fn escapes_next_to_raw_runs() {
+        assert_eq!(parse_str(r#""a\"é\u00e9b""#).unwrap(), "a\"ééb");
+        assert_eq!(parse_str(r#""\\€\n\t\/""#).unwrap(), "\\€\n\t/");
+        assert_eq!(parse_str(r#""\u20ac€\u20ac""#).unwrap(), "€€€");
+    }
+
+    #[test]
+    fn surrogate_pairs() {
+        assert_eq!(parse_str(r#""\ud83d\ude00x""#).unwrap(), "😀x");
+        assert_eq!(parse_str(r#""é\uD83D\uDE00é""#).unwrap(), "é😀é");
+        assert!(parse_str(r#""\ud83d""#).is_err());
+        assert!(parse_str(r#""\ud83dx""#).is_err());
+        assert!(parse_str(r#""\ud83d\u0041""#).is_err());
+    }
+
+    #[test]
+    fn bad_strings_are_errors() {
+        let long = format!("\"{}", "é".repeat(10_000));
+        assert_eq!(parse(&long), Err(DeError::msg("unterminated string")));
+        assert_eq!(parse("\"ab\\"), Err(DeError::msg("invalid escape None")));
+        assert!(parse(r#""\q""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u12g4""#).is_err());
+    }
+
+    #[test]
+    fn string_parsing_is_linear() {
+        let chunk = "abcdefghijklmnopqrstuvwxyzé€😀\\n\\u00e9";
+        let reps = (4 << 20) / chunk.len() + 1;
+        let doc = format!("[\"{}\"]", chunk.repeat(reps));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        // The old per-character scan re-validated the rest of the
+        // document each time: about 10^13 byte checks for this input.
+        let secs = start.elapsed().as_secs_f64();
+        assert!(secs < 1.0, "4 MB string took {secs:.2} s");
+        let decoded = "abcdefghijklmnopqrstuvwxyzé€😀\né";
+        assert_eq!(
+            v.as_array().unwrap()[0].as_str(),
+            Some(&*decoded.repeat(reps))
+        );
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&nested(200_000)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(200_000), "}".repeat(200_000));
+        assert!(parse(&objects).is_err());
+        let mixed = format!(
+            "{}null{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&mixed).is_ok());
     }
 }

@@ -133,13 +133,19 @@ impl SimReport {
 /// be strings, so the map round-trips through a sequence of triples.
 mod tuple_key_map {
     use gfair_types::{GenId, UserId};
-    use serde::{DeError, Deserialize, Serialize, Value};
+    use serde::{DeError, Deserialize, Serializer, Value};
     use std::collections::BTreeMap;
 
-    pub fn to_value(map: &BTreeMap<(UserId, GenId), f64>) -> Value {
-        let entries: Vec<(UserId, GenId, f64)> =
-            map.iter().map(|(&(u, g), &v)| (u, g, v)).collect();
-        entries.to_value()
+    pub fn serialize(
+        map: &BTreeMap<(UserId, GenId), f64>,
+        s: &mut Serializer,
+    ) -> Result<(), DeError> {
+        s.begin_array();
+        for (&(u, g), v) in map {
+            s.element(&(u, g, v))?;
+        }
+        s.end_array();
+        Ok(())
     }
 
     pub fn from_value(v: &Value) -> Result<BTreeMap<(UserId, GenId), f64>, DeError> {
@@ -206,8 +212,19 @@ mod tests {
         let mut r = empty_report();
         r.user_gen_gpu_secs
             .insert((UserId::new(1), gfair_types::GenId::new(2)), 12.5);
+        r.user_gen_gpu_secs
+            .insert((UserId::new(0), gfair_types::GenId::new(1)), 3.0);
         r.gpu_secs_used = 12.5;
         let json = serde_json::to_string(&r).expect("report serializes");
+        assert_eq!(
+            json,
+            "{\"scheduler\":\"test\",\"end\":100000000,\"rounds\":0,\"jobs\":{},\
+             \"user_gpu_secs\":{},\"user_base_secs\":{},\
+             \"user_gen_gpu_secs\":[[0,1,3.0],[1,2,12.5]],\"server_gpu_secs\":{},\
+             \"timeseries\":[],\"migrations\":0,\"migration_outage\":0,\
+             \"gpu_secs_used\":12.5,\"gpu_secs_capacity\":0.0,\"profile_reports\":0,\
+             \"stale_migrations\":0,\"migration_failures\":0,\"obs\":null}"
+        );
         let back: SimReport = serde_json::from_str(&json).expect("report deserializes");
         assert_eq!(back, r);
     }

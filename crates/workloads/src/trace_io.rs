@@ -60,8 +60,7 @@ mod tests {
             assert_eq!(a.user, b.user);
             assert_eq!(a.gang, b.gang);
             assert_eq!(a.arrival, b.arrival);
-            // JSON round-trips of f64 may drift by an ulp in the formatter.
-            assert!((a.service_secs - b.service_secs).abs() <= a.service_secs * 1e-12);
+            assert_eq!(a.service_secs.to_bits(), b.service_secs.to_bits());
             assert_eq!(a.model.name, b.model.name);
             assert_eq!(a.model.rates, b.model.rates);
         }
@@ -76,6 +75,15 @@ mod tests {
     fn load_malformed_json_errors() {
         let path = tmp("malformed");
         fs::write(&path, "{not json").unwrap();
+        let res = load_trace(&path);
+        fs::remove_file(&path).ok();
+        assert!(res.is_err());
+    }
+
+    #[test]
+    fn load_hostile_nesting_errors() {
+        let path = tmp("nesting");
+        fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
         let res = load_trace(&path);
         fs::remove_file(&path).ok();
         assert!(res.is_err());

@@ -21,6 +21,11 @@ cargo build --release
 echo "### cargo test"
 cargo test --workspace -q
 
+echo "### shim tests"
+# Cargo.toml excludes the vendored shims from the workspace, so
+# `--workspace` never runs their own tests; name them explicitly.
+cargo test -q -p serde -p serde_json -p serde_derive -p rand -p rand_chacha -p proptest -p criterion
+
 echo "### cargo doc (deny warnings: types, obs, faults, sim, core, metrics, policies)"
 # These crates carry #![warn(missing_docs)]; deny rustdoc warnings so
 # public-API doc gaps fail the gate instead of rotting.
