@@ -1,10 +1,5 @@
-//! The central Gandiva_fair scheduler.
-//!
-//! Orchestrates everything: placement of arriving jobs, per-round gang
-//! scheduling through the per-server local schedulers (via the shared
-//! `RoundPlanner`), periodic entitlement refresh + trading
-//! (the [`TicketTrading`] allocation policy), and periodic migration-based
-//! balancing.
+//! The Gandiva_fair scheduler: the paper's [`TicketTrading`] economy run by
+//! the shared [`PolicyScheduler`] driver.
 //!
 //! ## Decision flow per round
 //!
@@ -12,45 +7,24 @@
 //!    interval elapsed; re-run the trading market on refresh.
 //! 2. If the balance interval elapsed, plan migrations (profiling /
 //!    realization / spreading passes).
-//! 3. Sync every local scheduler with residency (excluding jobs that are
+//! 3. Re-issue failed migrations whose backoff expired, then re-place
+//!    pending jobs.
+//! 4. Sync every local scheduler with residency (excluding jobs that are
 //!    about to migrate) and with user weights = the user's post-trade
-//!    entitlement on that server's generation.
-//! 4. Collect each server's gang-aware stride selection into the round plan.
+//!    entitlement on that server's generation, and collect each server's
+//!    gang-aware stride selection into the round plan.
 //!
-//! Relative to the generic [`crate::PolicyScheduler`] driver, this scheduler
-//! adds the migration retry machinery (exponential backoff, generation
-//! re-targeting) that the gfair experiments measure.
+//! [`TicketTrading`] is the one built-in policy that opts into the driver's
+//! migration retry ([`crate::AllocPolicy::retries_migrations`]): exponential
+//! backoff and generation re-targeting, bounded by
+//! `GfairConfig::max_migration_retries`.
 
-use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
-use crate::entitlement::Entitlements;
-use crate::inputs::PolicyInputs;
-use crate::placement::{Placer, TIE_BREAK_LOAD};
-use crate::planner::RoundPlanner;
-use crate::policy::{record_profile_report, AllocPolicy, PolicyRound, TicketTrading};
-use crate::profiler::Profiler;
-use crate::trade::Trade;
-use gfair_obs::{Obs, Rejection, SharedObs, TraceEvent, UserShare};
-use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
-use gfair_types::{GenId, JobId, JobState, MigrationFailReason, ServerId, SimTime, UserId};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use crate::policy::{PolicyScheduler, TicketTrading};
 
-/// Recovery bookkeeping for one job whose migration (or queued placement)
-/// failed: how many attempts have failed, when the next one may be issued,
-/// and which generation the failed move was targeting.
-#[derive(Debug, Clone, Copy)]
-struct RetryState {
-    /// Failed attempts observed so far in this recovery episode.
-    attempts: u32,
-    /// Earliest time the next attempt may be issued (exponential backoff).
-    next_try: SimTime,
-    /// Generation the failed move was targeting; the retry re-targets the
-    /// least-loaded reachable server of this generation.
-    gen: GenId,
-}
-
-/// The Gandiva_fair cluster scheduler.
+/// The Gandiva_fair cluster scheduler: [`PolicyScheduler`] driving
+/// [`TicketTrading`]. The type only names that combination; it has no
+/// values, and [`GandivaFair::new`] returns the driver itself.
 ///
 /// # Examples
 ///
@@ -67,482 +41,13 @@ struct RetryState {
 /// let report = sim.run(&mut sched).unwrap();
 /// ```
 #[derive(Debug)]
-pub struct GandivaFair {
-    cfg: GfairConfig,
-    name: &'static str,
-    profiler: Option<Profiler>,
-    ent: Option<Entitlements>,
-    /// Shared per-server stride planning (locals, weight caches, pool).
-    planner: RoundPlanner,
-    /// Shared placement logic with in-flight demand tracking.
-    placer: Placer,
-    /// Active-user signature the current entitlements were computed from.
-    active_sig: Vec<(UserId, u64)>,
-    next_trade: SimTime,
-    next_balance: SimTime,
-    /// The entitlement + trading allocation policy.
-    policy: TicketTrading,
-    /// Jobs whose migration failed and is being retried with backoff.
-    retry: BTreeMap<JobId, RetryState>,
-    /// Dense per-user policy inputs (demand, speedups), refreshed
-    /// incrementally from the cluster-index aggregates each epoch.
-    inputs: PolicyInputs,
-    /// Observability pipeline: trade and profile-convergence events plus
-    /// self-profiling spans for the hot phases. Share the simulation's
-    /// instance via [`GandivaFair::with_obs`] to get one unified trace.
-    obs: SharedObs,
-}
+pub enum GandivaFair {}
 
 impl GandivaFair {
     /// Creates the scheduler with the given policy configuration.
-    pub fn new(cfg: GfairConfig) -> Self {
-        GandivaFair {
-            cfg,
-            name: "gandiva-fair",
-            profiler: None,
-            ent: None,
-            planner: RoundPlanner::new(),
-            placer: Placer::new(),
-            active_sig: Vec::new(),
-            next_trade: SimTime::ZERO,
-            next_balance: SimTime::ZERO,
-            policy: TicketTrading::new(&cfg),
-            retry: BTreeMap::new(),
-            inputs: PolicyInputs::new(),
-            obs: Arc::new(Obs::new()),
-        }
-    }
-
-    /// Overrides the report name (used by ablation variants).
-    pub fn with_name(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
-    }
-
-    /// Attaches a shared observability pipeline. Pass the same instance to
-    /// `Simulation::with_obs` so scheduler-side events (trades, profile
-    /// convergence) and engine-side events land in one ordered trace.
-    pub fn with_obs(mut self, obs: SharedObs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Trades executed so far, with timestamps.
-    pub fn trades(&self) -> &[(SimTime, Trade)] {
-        self.policy.trades()
-    }
-
-    /// The profiler's current state (None before the first round).
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
-    }
-
-    /// The current entitlements (None before the first round).
-    pub fn entitlements(&self) -> Option<&Entitlements> {
-        self.ent.as_ref()
-    }
-
-    /// Lazily builds the profiler and shared planning state.
-    fn ensure_init(&mut self, view: &SimView<'_>) {
-        if self.profiler.is_none() {
-            self.profiler = Some(Profiler::new(
-                view.cluster().catalog.len(),
-                self.cfg.min_profile_samples,
-            ));
-        }
-        self.planner
-            .ensure_init(view, self.cfg.gang_policy, self.cfg.planning_workers);
-        self.placer.ensure_capacity(view);
-        self.inputs.ensure_init(view);
-    }
-
-    /// Recomputes base entitlements, re-runs the market and pushes the
-    /// derived weights into the planner.
-    ///
-    /// The dense inputs are refreshed incrementally from the cluster-index
-    /// aggregates; in debug builds every refresh is differential-checked
-    /// against the from-scratch map builders ([`PolicyInputs::audit`]).
-    fn refresh_entitlements(&mut self, view: &SimView<'_>, active: Vec<(UserId, u64)>) {
-        let profiler = self.profiler.as_ref().expect("initialized");
-        self.inputs.refresh(view, profiler);
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.inputs.audit(view, profiler, None) {
-            panic!("dense policy inputs diverged from from-scratch oracle: {e}");
-        }
-        let round = PolicyRound {
-            view,
-            now: view.now(),
-            active: &active,
-            inputs: &self.inputs,
-            obs: &self.obs,
-        };
-        let ent = self.policy.allocate(&round);
-        self.planner
-            .refresh_weights(view, &ent, self.cfg.min_weight);
-        self.ent = Some(ent);
-        self.active_sig = active;
-    }
-
-    /// Re-issues failed migrations whose backoff window has expired.
-    ///
-    /// Pending jobs (restore failures, stranded mid-flight) are left to the
-    /// placement path, which honors the same backoff; in-flight jobs wait
-    /// for their `MigrationDone`; resident jobs already sitting on the
-    /// generation the failed move was targeting count as recovered.
-    fn plan_retries(&mut self, view: &SimView<'_>, actions: &mut Vec<Action>) {
-        if self.retry.is_empty() {
-            return;
-        }
-        let now = view.now();
-        let planned: BTreeSet<JobId> = actions
-            .iter()
-            .map(|a| match a {
-                Action::Migrate { job, .. } | Action::Place { job, .. } => *job,
-            })
-            .collect();
-        let due: Vec<(JobId, RetryState)> = self
-            .retry
-            .iter()
-            .filter(|(_, r)| r.next_try <= now)
-            .map(|(&j, &r)| (j, r))
-            .collect();
-        for (job, state) in due {
-            let Some(info) = view.job(job) else {
-                self.retry.remove(&job);
-                continue;
-            };
-            match info.state {
-                JobState::Finished => {
-                    self.retry.remove(&job);
-                }
-                // The placement path owns pending jobs; in-flight jobs are
-                // resolved by their MigrationDone (or the next failure).
-                JobState::Pending | JobState::Migrating => {}
-                JobState::Resident => {
-                    let cur = info.server.expect("resident job has a server");
-                    if view.cluster().server(cur).gen == state.gen {
-                        // The job already sits where the failed move was
-                        // headed (e.g. the balancer got there first).
-                        self.retry.remove(&job);
-                        continue;
-                    }
-                    if planned.contains(&job) {
-                        continue;
-                    }
-                    let want_why = self.obs.why();
-                    let (target, considered, too_narrow, candidates) =
-                        self.placer.pick_least_loaded(
-                            view,
-                            info.gang,
-                            view.reachable_servers_of_gen(state.gen),
-                            want_why,
-                        );
-                    if let Some(to) = target {
-                        if to != cur {
-                            if want_why {
-                                let mut rejected = Vec::new();
-                                if too_narrow > 0 {
-                                    rejected.push(Rejection {
-                                        reason: "gang_too_wide_for_server".into(),
-                                        count: too_narrow,
-                                    });
-                                }
-                                self.obs.emit(TraceEvent::Decision {
-                                    t: now,
-                                    decision: "retry".to_string(),
-                                    job: Some(job),
-                                    user: Some(info.user),
-                                    chosen: format!(
-                                        "migrate to server:{} (gen:{}, attempt {})",
-                                        to.index(),
-                                        state.gen.index(),
-                                        state.attempts + 1
-                                    ),
-                                    tie_break: TIE_BREAK_LOAD.to_string(),
-                                    considered,
-                                    candidates,
-                                    rejected,
-                                });
-                            }
-                            actions.push(Action::Migrate { job, to });
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ClusterScheduler for GandivaFair {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_job_arrival(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
-        self.ensure_init(view);
-        let info = view.job(job).expect("arriving job is known");
-        let want_why = self.obs.why();
-        let (target, why) = self.placer.choose_server_explained(
-            view,
-            self.ent.as_ref(),
-            info.user,
-            info.gang,
-            want_why,
-        );
-        if let Some(why) = why {
-            self.obs.emit(TraceEvent::Decision {
-                t: view.now(),
-                decision: "placement".to_string(),
-                job: Some(job),
-                user: Some(info.user),
-                chosen: why.chosen,
-                tie_break: why.tie_break.to_string(),
-                considered: why.considered,
-                candidates: why.candidates,
-                rejected: why.rejected,
-            });
-        }
-        match target {
-            Some(server) => {
-                self.placer.note_placement(view, server, info.gang);
-                vec![Action::Place { job, server }]
-            }
-            // Unplaceable gangs are rejected at simulation construction, so
-            // this only happens for an empty cluster.
-            None => Vec::new(),
-        }
-    }
-
-    fn on_profile_report(&mut self, view: &SimView<'_>, report: &ProfileReport) -> Vec<Action> {
-        self.ensure_init(view);
-        let profiler = self.profiler.as_mut().expect("initialized");
-        record_profile_report(profiler, &self.obs, view, report);
-        Vec::new()
-    }
-
-    fn on_migration_failed(
-        &mut self,
-        view: &SimView<'_>,
-        job: JobId,
-        to: ServerId,
-        _reason: MigrationFailReason,
-    ) -> Vec<Action> {
-        self.ensure_init(view);
-        let state = view.job(job).map(|j| j.state);
-        if state.is_none() || state == Some(JobState::Finished) {
-            self.retry.remove(&job);
-            return Vec::new();
-        }
-        let entry = self.retry.entry(job).or_insert(RetryState {
-            attempts: 0,
-            next_try: SimTime::ZERO,
-            gen: GenId::new(0),
-        });
-        entry.attempts += 1;
-        if entry.attempts > self.cfg.max_migration_retries {
-            // Retry budget exhausted: leave the job where the failure put
-            // it. Resident jobs stay at the source; pending jobs fall to
-            // the ordinary placement path with no backoff gate.
-            self.retry.remove(&job);
-            self.obs.inc("migration_retries_abandoned", 1);
-            return Vec::new();
-        }
-        let shift = (entry.attempts - 1).min(16);
-        entry.next_try = view.now() + self.cfg.backoff_base * (1u64 << shift);
-        entry.gen = view.cluster().server(to).gen;
-        Vec::new()
-    }
-
-    fn on_migration_done(&mut self, _view: &SimView<'_>, job: JobId) -> Vec<Action> {
-        // A landed migration ends any recovery episode for the job.
-        self.retry.remove(&job);
-        Vec::new()
-    }
-
-    fn on_partition_heal(&mut self, view: &SimView<'_>, server: ServerId) -> Vec<Action> {
-        self.ensure_init(view);
-        // Reconcile: re-sync entitlements cluster-wide (clearing the active
-        // signature forces a refresh at the next round) and re-validate the
-        // healed server's residency against the local scheduler's
-        // last-known membership. The next sync() repairs any drift; the
-        // Reconcile event records how much there was.
-        self.active_sig.clear();
-        let local_jobs = self.planner.jobs_on(server);
-        let actual: BTreeSet<JobId> = view.resident(server).collect();
-        let drift = local_jobs.symmetric_difference(&actual).count() as u32;
-        let users_resynced = self
-            .ent
-            .as_ref()
-            .map(|e| e.users().count() as u32)
-            .unwrap_or(0);
-        self.obs.emit(TraceEvent::Reconcile {
-            t: view.now(),
-            server,
-            users_resynced,
-            jobs_revalidated: actual.len() as u32,
-            drift,
-        });
-        Vec::new()
-    }
-
-    fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
-        self.ensure_init(view);
-        // Queued placements were applied before this callback.
-        self.placer.reset();
-        let now = view.now();
-
-        // 1. Entitlements: refresh on churn or on the trade timer.
-        let active = self.inputs.active_signature(view);
-        let trade_due = now >= self.next_trade;
-        let refreshed = trade_due || active != self.active_sig || self.ent.is_none();
-        if refreshed {
-            self.refresh_entitlements(view, active);
-            if trade_due {
-                self.next_trade = now + view.config().trade_interval;
-            }
-        }
-
-        // 2. Balancing.
-        let mut actions = Vec::new();
-        if self.cfg.balancing && now >= self.next_balance {
-            let ent = self.ent.as_ref().expect("refreshed above");
-            let profiler = self.profiler.as_ref().expect("initialized");
-            actions = plan_migrations_traced(&self.obs, view, ent, profiler, &self.cfg);
-            self.next_balance = now + view.config().balance_interval;
-        }
-        // 3. Recovery: re-issue failed migrations whose backoff expired.
-        self.plan_retries(view, &mut actions);
-
-        // 4. Retry jobs whose placement failed earlier (e.g. every fitting
-        // server was down at arrival time). Jobs in a backoff window after
-        // a failed migration wait until their retry is due; once placed,
-        // the placement path owns them and the retry entry is dropped.
-        let retries: Vec<(JobId, UserId, u32)> = view
-            .pending_jobs()
-            .filter(|j| {
-                self.retry
-                    .get(&j.id)
-                    .map(|r| r.next_try <= now)
-                    .unwrap_or(true)
-            })
-            .map(|j| (j.id, j.user, j.gang))
-            .collect();
-        let want_why = self.obs.why();
-        for (job, user, gang) in retries {
-            let (target, why) =
-                self.placer
-                    .choose_server_explained(view, self.ent.as_ref(), user, gang, want_why);
-            if let Some(server) = target {
-                self.retry.remove(&job);
-                // Emit only on success: an unplaceable job would otherwise
-                // flood the trace with one identical decision per round.
-                if let Some(why) = why {
-                    self.obs.emit(TraceEvent::Decision {
-                        t: now,
-                        decision: "retry".to_string(),
-                        job: Some(job),
-                        user: Some(user),
-                        chosen: why.chosen,
-                        tie_break: why.tie_break.to_string(),
-                        considered: why.considered,
-                        candidates: why.candidates,
-                        rejected: why.rejected,
-                    });
-                }
-                actions.push(Action::Place { job, server });
-            }
-        }
-
-        // 5. Sync locals and collect per-server selections. Jobs involved
-        // in this round's actions (migrating away or just being placed) are
-        // excluded from the run sets.
-        let departing: BTreeSet<JobId> = actions
-            .iter()
-            .map(|a| match a {
-                Action::Migrate { job, .. } | Action::Place { job, .. } => *job,
-            })
-            .collect();
-        let run = self.planner.plan_runs(
-            view,
-            &departing,
-            self.cfg.min_weight,
-            refreshed,
-            self.cfg.lazy_planning,
-            &self.obs,
-        );
-        RoundPlan { run, actions }
-    }
-
-    fn next_decision_time(&self) -> Option<SimTime> {
-        // Epoch timers and retry backoffs are the only internal clocks that
-        // can change a plan with otherwise-unchanged inputs. A past retry
-        // deadline (job waiting in a non-retryable state) keeps the minimum
-        // in the past, which makes the engine's horizon collapse to zero —
-        // conservative, never wrong.
-        let mut t = self.next_trade;
-        if self.cfg.balancing {
-            t = t.min(self.next_balance);
-        }
-        for r in self.retry.values() {
-            t = t.min(r.next_try);
-        }
-        Some(t)
-    }
-
-    fn probe_fast_forward(&mut self, view: &SimView<'_>, plan: &RoundPlan, k: u64) -> u64 {
-        if !self.cfg.fast_forward || k == 0 || self.planner.is_empty() {
-            return 0;
-        }
-        // Anything that would steer the next plan_round down a different
-        // path declines: a pending job could be placed, an epoch timer could
-        // fire, a due retry could re-enter the planning flow. The engine
-        // already bounds k by next_decision_time, so these are defensive.
-        if view.pending_jobs().next().is_some() {
-            return 0;
-        }
-        let now = view.now();
-        if now >= self.next_trade {
-            return 0;
-        }
-        if self.cfg.balancing && now >= self.next_balance {
-            return 0;
-        }
-        if self.retry.values().any(|r| r.next_try <= now) {
-            return 0;
-        }
-        // All-or-nothing across servers: the replayable horizon is the
-        // minimum over every local scheduler's differential check against
-        // the cached plan (absent servers must reproduce an empty
-        // selection).
-        self.planner.probe(&plan.run, k)
-    }
-
-    fn commit_fast_forward(&mut self, j: u64) {
-        self.planner.commit(j);
-    }
-
-    fn user_shares(&self, _view: &SimView<'_>) -> Vec<UserShare> {
-        let Some(ent) = &self.ent else {
-            return Vec::new();
-        };
-        // The user's effective priority is the best (lowest) stride pass
-        // among their jobs anywhere in the cluster. Lazily-settled locals
-        // hold intentionally stale passes between settles, so passes are
-        // folded only for traced runs — where planning is always eager and
-        // they are exact. (0.0 is the schema's "no pass exposed" value, and
-        // auditing keys off tickets alone.)
-        let min_pass = if self.obs.tracing() {
-            self.planner.fold_min_passes()
-        } else {
-            BTreeMap::new()
-        };
-        ent.users()
-            .map(|user| UserShare {
-                user,
-                tickets: ent.gpus_of(user),
-                pass: min_pass.get(&user).copied().unwrap_or(0.0),
-            })
-            .collect()
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(cfg: GfairConfig) -> PolicyScheduler<TicketTrading> {
+        PolicyScheduler::new(TicketTrading::new(&cfg), cfg)
     }
 }
 
@@ -550,7 +55,9 @@ impl ClusterScheduler for GandivaFair {
 mod tests {
     use super::*;
     use gfair_sim::Simulation;
-    use gfair_types::{ClusterSpec, JobSpec, ModelProfile, SimConfig, UserSpec};
+    use gfair_types::{
+        ClusterSpec, GenId, JobId, JobSpec, ModelProfile, SimConfig, SimTime, UserId, UserSpec,
+    };
     use std::sync::Arc;
 
     fn mono_model() -> Arc<ModelProfile> {

@@ -18,7 +18,7 @@
 //! demand-weighted speedup fold, the per-user ρ̂ max — is bit-identical to
 //! the from-scratch path. [`PolicyInputs::audit`] *is* that from-scratch
 //! path: it rebuilds the maps and compares them against the dense state
-//! bit-for-bit; the drivers run it after every refresh in debug builds, so
+//! bit-for-bit; the driver runs it after every refresh in debug builds, so
 //! the whole test suite doubles as the differential oracle.
 
 use crate::profiler::Profiler;

@@ -19,16 +19,18 @@
 //!   by relocating jobs to the generations their owners are entitled to,
 //!   and visit unprofiled generations so the profiler can learn.
 //!
-//! The central scheduler in [`central`] wires these into the
-//! [`gfair_sim::ClusterScheduler`] interface.
+//! The generic [`PolicyScheduler`] driver in [`policy`] wires these into
+//! the [`gfair_sim::ClusterScheduler`] interface; [`GandivaFair::new`] (in
+//! [`central`]) builds it around the paper's allocation rule.
 //!
 //! ## The policy boundary
 //!
 //! The machinery above is policy-agnostic: placement, per-server stride
-//! planning, balancing and fast-forward live behind [`policy::AllocPolicy`]
-//! — a per-epoch allocation rule — driven by the generic
-//! [`PolicyScheduler`]. [`GandivaFair`] runs the paper's entitlement +
-//! trading rule ([`TicketTrading`]) through the same shared planner;
+//! planning, balancing, migration retry and fast-forward live behind
+//! [`policy::AllocPolicy`] — a per-epoch allocation rule — driven by the
+//! generic [`PolicyScheduler`]. [`GandivaFair`] is that driver running the
+//! paper's entitlement + trading rule ([`TicketTrading`]), the one policy
+//! that also retries failed migrations;
 //! alternative fairness formulations (Gavel-style water-filling,
 //! Themis-style finish-time fairness) plug in from the `gfair-policies`
 //! crate. See `POLICIES.md` at the repo root for the catalogue.

@@ -6,8 +6,8 @@
 //! per-generation speedups and (optionally) their finish-time-fairness ρ,
 //! how many GPUs of each generation is each user entitled to right now?*
 //! [`AllocPolicy`] is exactly that question; everything else — placement,
-//! per-server stride planning, migration-based balancing, degraded-mode
-//! handling, fast-forward — is common machinery provided by
+//! per-server stride planning, migration-based balancing, migration retry,
+//! degraded-mode handling, fast-forward — is common machinery provided by
 //! [`PolicyScheduler`] (the generic driver) on top of the shared
 //! `RoundPlanner` and `Placer` internals.
 //!
@@ -28,48 +28,35 @@
 //! cannot change its future decisions. Opting in is sound iff the policy's
 //! allocation depends only on inputs the driver refreshes at epoch
 //! boundaries — the driver never fast-forwards across an epoch boundary,
-//! a pending job, or a due balancing pass.
+//! a pending job, a due balancing pass, or a due migration retry.
+//!
+//! ## Migration retry opt-in
+//!
+//! [`AllocPolicy::retries_migrations`] defaults to `false`. For a policy
+//! that opts in, each failed migration arms a bounded retry: attempt *n*
+//! waits `backoff_base · 2^(n-1)`, and after `max_migration_retries`
+//! failures the job is left where the failure put it. A still-resident job
+//! is re-sent to the least-loaded reachable server of the generation the
+//! failed move targeted; a pending job waits out its backoff before the
+//! round's pending scan re-places it. Without the opt-in, pending jobs are
+//! re-placed at the next round and resident ones wait for the next
+//! balancing pass. Either way only the pending scan places pending jobs.
 
 use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
 use crate::entitlement::Entitlements;
 use crate::inputs::PolicyInputs;
-use crate::placement::Placer;
+use crate::placement::{Placer, TIE_BREAK_LOAD};
 use crate::planner::RoundPlanner;
 use crate::profiler::Profiler;
 use crate::trade::{run_market_traced, Trade};
-use gfair_obs::{Obs, SharedObs, TraceEvent, UserShare};
+use gfair_obs::{Obs, Rejection, SharedObs, TraceEvent, UserShare};
 use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
-use gfair_types::{JobId, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId};
+use gfair_types::{
+    GenId, JobId, JobState, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Feeds a profile observation into the estimator, announcing the inferred
-/// rate once per (model, generation) when the estimate first crosses the
-/// sample threshold.
-pub(crate) fn record_profile_report(
-    profiler: &mut Profiler,
-    obs: &SharedObs,
-    view: &SimView<'_>,
-    report: &ProfileReport,
-) {
-    if let Some(info) = view.job(report.job) {
-        let converged = profiler.record(&info.model, report.gen, report.rate);
-        if converged {
-            // The estimate just crossed the sample threshold: announce
-            // the inferred rate once per (model, generation).
-            obs.emit(TraceEvent::ProfileInferred {
-                t: view.now(),
-                model: info.model.to_string(),
-                gen: report.gen,
-                rate: profiler
-                    .rate(&info.model, report.gen)
-                    .expect("just recorded"),
-                samples: profiler.samples(&info.model, report.gen),
-            });
-        }
-    }
-}
 
 /// Everything an allocation policy may consult for one epoch decision.
 ///
@@ -127,14 +114,19 @@ pub trait AllocPolicy {
     fn wants_rho(&self) -> bool {
         false
     }
+
+    /// Whether the driver retries failed migrations with exponential
+    /// backoff (see the module docs). Defaults to `false`.
+    fn retries_migrations(&self) -> bool {
+        false
+    }
 }
 
 /// The paper's allocation policy: ticket-proportional entitlements per
 /// generation, then the big/small trading market on top.
 ///
-/// This is [`crate::GandivaFair`]'s economy behind the [`AllocPolicy`]
-/// boundary; the full gfair scheduler composes it with retry backoff and
-/// the shared driver machinery.
+/// [`crate::GandivaFair::new`] runs it on [`PolicyScheduler`]; it is the
+/// one built-in policy that retries failed migrations.
 #[derive(Debug)]
 pub struct TicketTrading {
     trading: bool,
@@ -160,7 +152,7 @@ impl TicketTrading {
 
 impl AllocPolicy for TicketTrading {
     fn name(&self) -> &'static str {
-        "gfair"
+        "gandiva-fair"
     }
 
     fn allocate(&mut self, round: &PolicyRound<'_>) -> Entitlements {
@@ -188,6 +180,24 @@ impl AllocPolicy for TicketTrading {
     fn fast_forward_ok(&self) -> bool {
         true
     }
+
+    fn retries_migrations(&self) -> bool {
+        true
+    }
+}
+
+/// Recovery bookkeeping for one job whose migration (or queued placement)
+/// failed: how many attempts have failed, when the next one may be issued,
+/// and which generation the failed move was targeting.
+#[derive(Debug, Clone, Copy)]
+struct RetryState {
+    /// Failed attempts observed so far in this recovery episode.
+    attempts: u32,
+    /// Earliest time the next attempt may be issued (exponential backoff).
+    next_try: SimTime,
+    /// Generation the failed move was targeting; the retry re-targets the
+    /// least-loaded reachable server of this generation.
+    gen: GenId,
 }
 
 /// Generic round driver: runs any [`AllocPolicy`] as a full
@@ -197,8 +207,8 @@ impl AllocPolicy for TicketTrading {
 /// the placer, per-server stride planning via the shared planner,
 /// migration-based balancing toward the policy's entitlements, pending-job
 /// re-placement after outages, epoch timers, optional online ρ̂ accounting,
-/// and fast-forward probing — so a policy implementation is nothing but its
-/// allocation rule.
+/// optional migration retry, and fast-forward probing — so a policy
+/// implementation is nothing but its allocation rule.
 ///
 /// # Examples
 ///
@@ -230,6 +240,9 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     active_sig: Vec<(UserId, u64)>,
     next_epoch: SimTime,
     next_balance: SimTime,
+    /// Jobs whose migration failed and is being retried with backoff.
+    /// Stays empty unless the policy retries migrations.
+    retry: BTreeMap<JobId, RetryState>,
     /// Quantum length in integer microseconds, cached at init so that
     /// [`ClusterScheduler::commit_fast_forward`] (which has no view) can
     /// account skipped service exactly.
@@ -263,6 +276,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             active_sig: Vec::new(),
             next_epoch: SimTime::ZERO,
             next_balance: SimTime::ZERO,
+            retry: BTreeMap::new(),
             quantum_micros: 0,
             sched_micros: Vec::new(),
             last_plan_jobs: Vec::new(),
@@ -287,6 +301,11 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
     /// The current entitlements (None before the first round).
     pub fn entitlements(&self) -> Option<&Entitlements> {
         self.ent.as_ref()
+    }
+
+    /// The profiler's current state (None before the first round).
+    pub fn profiler(&self) -> Option<&Profiler> {
+        self.profiler.as_ref()
     }
 
     /// Lazily builds the profiler, planner and placer from the cluster.
@@ -348,6 +367,102 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
         self.ent = Some(ent);
         self.active_sig = active;
     }
+
+    /// Re-issues failed migrations whose backoff window has expired.
+    ///
+    /// Pending jobs (restore failures, stranded mid-flight) are left to the
+    /// placement path, which honors the same backoff; in-flight jobs wait
+    /// for their `MigrationDone`; resident jobs already sitting on the
+    /// generation the failed move was targeting count as recovered.
+    fn plan_retries(&mut self, view: &SimView<'_>, actions: &mut Vec<Action>) {
+        if self.retry.is_empty() {
+            return;
+        }
+        let now = view.now();
+        let planned: BTreeSet<JobId> = actions
+            .iter()
+            .map(|a| match a {
+                Action::Migrate { job, .. } | Action::Place { job, .. } => *job,
+            })
+            .collect();
+        let due: Vec<(JobId, RetryState)> = self
+            .retry
+            .iter()
+            .filter(|(_, r)| r.next_try <= now)
+            .map(|(&j, &r)| (j, r))
+            .collect();
+        for (job, state) in due {
+            let Some(info) = view.job(job) else {
+                self.retry.remove(&job);
+                continue;
+            };
+            match info.state {
+                JobState::Finished => {
+                    self.retry.remove(&job);
+                }
+                // The placement path owns pending jobs; in-flight jobs are
+                // resolved by their MigrationDone (or the next failure).
+                JobState::Pending | JobState::Migrating => {}
+                JobState::Resident => {
+                    let cur = info.server.expect("resident job has a server");
+                    if view.cluster().server(cur).gen == state.gen {
+                        // The job already sits where the failed move was
+                        // headed (e.g. the balancer got there first).
+                        self.retry.remove(&job);
+                        continue;
+                    }
+                    if planned.contains(&job) {
+                        continue;
+                    }
+                    let want_why = self.obs.why();
+                    let (target, considered, too_narrow, candidates) =
+                        self.placer.pick_least_loaded(
+                            view,
+                            info.gang,
+                            view.reachable_servers_of_gen(state.gen),
+                            want_why,
+                        );
+                    if let Some(to) = target {
+                        if to != cur {
+                            if want_why {
+                                let mut rejected = Vec::new();
+                                if too_narrow > 0 {
+                                    rejected.push(Rejection {
+                                        reason: "gang_too_wide_for_server".into(),
+                                        count: too_narrow,
+                                    });
+                                }
+                                self.obs.emit(TraceEvent::Decision {
+                                    t: now,
+                                    decision: "retry".to_string(),
+                                    job: Some(job),
+                                    user: Some(info.user),
+                                    chosen: format!(
+                                        "migrate to server:{} (gen:{}, attempt {})",
+                                        to.index(),
+                                        state.gen.index(),
+                                        state.attempts + 1
+                                    ),
+                                    tie_break: TIE_BREAK_LOAD.to_string(),
+                                    considered,
+                                    candidates,
+                                    rejected,
+                                });
+                            }
+                            actions.push(Action::Migrate { job, to });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl PolicyScheduler<TicketTrading> {
+    /// Trades executed so far, with timestamps.
+    pub fn trades(&self) -> &[(SimTime, Trade)] {
+        self.policy.trades()
+    }
 }
 
 impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
@@ -393,15 +508,29 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
     fn on_profile_report(&mut self, view: &SimView<'_>, report: &ProfileReport) -> Vec<Action> {
         self.ensure_init(view);
         let profiler = self.profiler.as_mut().expect("initialized");
-        record_profile_report(profiler, &self.obs, view, report);
+        if let Some(info) = view.job(report.job) {
+            if profiler.record(&info.model, report.gen, report.rate) {
+                // The estimate just crossed the sample threshold: announce
+                // the inferred rate once per (model, generation).
+                self.obs.emit(TraceEvent::ProfileInferred {
+                    t: view.now(),
+                    model: info.model.to_string(),
+                    gen: report.gen,
+                    rate: profiler
+                        .rate(&info.model, report.gen)
+                        .expect("just recorded"),
+                    samples: profiler.samples(&info.model, report.gen),
+                });
+            }
+        }
         Vec::new()
     }
 
     fn on_migration_failed(
         &mut self,
-        _view: &SimView<'_>,
-        _job: JobId,
-        _to: ServerId,
+        view: &SimView<'_>,
+        job: JobId,
+        to: ServerId,
         _reason: MigrationFailReason,
     ) -> Vec<Action> {
         // No immediate retry: `plan_round` re-places every pending job each
@@ -409,9 +538,41 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         // trait default (re-dispatch through `on_job_arrival`) would queue a
         // second placement that races the round plan's — whichever lands
         // first leaves the other targeting a now-resident job, which the
-        // engine rejects as a scheduler bug. Still-resident jobs (checkpoint
-        // failure, unreachable target) are re-examined by the next balancing
-        // pass.
+        // engine rejects as a scheduler bug. A retrying policy only arms a
+        // backoff here; otherwise still-resident jobs (checkpoint failure,
+        // unreachable target) are re-examined by the next balancing pass.
+        if !self.policy.retries_migrations() {
+            return Vec::new();
+        }
+        self.ensure_init(view);
+        let state = view.job(job).map(|j| j.state);
+        if state.is_none() || state == Some(JobState::Finished) {
+            self.retry.remove(&job);
+            return Vec::new();
+        }
+        let entry = self.retry.entry(job).or_insert(RetryState {
+            attempts: 0,
+            next_try: SimTime::ZERO,
+            gen: GenId::new(0),
+        });
+        entry.attempts += 1;
+        if entry.attempts > self.cfg.max_migration_retries {
+            // Retry budget exhausted: leave the job where the failure put
+            // it. Resident jobs stay at the source; pending jobs fall to
+            // the ordinary placement path with no backoff gate.
+            self.retry.remove(&job);
+            self.obs.inc("migration_retries_abandoned", 1);
+            return Vec::new();
+        }
+        let shift = (entry.attempts - 1).min(16);
+        entry.next_try = view.now() + self.cfg.backoff_base * (1u64 << shift);
+        entry.gen = view.cluster().server(to).gen;
+        Vec::new()
+    }
+
+    fn on_migration_done(&mut self, _view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        // A landed migration ends any recovery episode for the job.
+        self.retry.remove(&job);
         Vec::new()
     }
 
@@ -467,11 +628,21 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             actions = plan_migrations_traced(&self.obs, view, ent, profiler, &self.cfg);
             self.next_balance = now + view.config().balance_interval;
         }
+        // 3. Recovery: re-issue failed migrations whose backoff expired.
+        self.plan_retries(view, &mut actions);
 
-        // 3. Re-place pending jobs (deferred arrivals, outage evictions,
-        // stranded restores).
+        // 4. Re-place pending jobs (deferred arrivals, outage evictions,
+        // stranded restores). Jobs in a backoff window after a failed
+        // migration wait until their retry is due; once placed, the
+        // placement path owns them and the retry entry is dropped.
         let retries: Vec<(JobId, UserId, u32)> = view
             .pending_jobs()
+            .filter(|j| {
+                self.retry
+                    .get(&j.id)
+                    .map(|r| r.next_try <= now)
+                    .unwrap_or(true)
+            })
             .map(|j| (j.id, j.user, j.gang))
             .collect();
         let want_why = self.obs.why();
@@ -480,6 +651,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
                 self.placer
                     .choose_server_explained(view, self.ent.as_ref(), user, gang, want_why);
             if let Some(server) = target {
+                self.retry.remove(&job);
                 // Emit only on success: an unplaceable job would otherwise
                 // flood the trace with one identical decision per round.
                 if let Some(why) = why {
@@ -499,7 +671,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             }
         }
 
-        // 4. Sync locals and collect per-server selections. Jobs involved
+        // 5. Sync locals and collect per-server selections. Jobs involved
         // in this round's actions (migrating away or just being placed) are
         // excluded from the run sets.
         let departing: BTreeSet<JobId> = actions
@@ -517,7 +689,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             &self.obs,
         );
 
-        // 5. Service accounting for ρ̂: every scheduled job accrues one
+        // 6. Service accounting for ρ̂: every scheduled job accrues one
         // quantum (integer micros, replayed exactly on fast-forward). One
         // resize to the round's max job index, not one per job.
         if self.policy.wants_rho() {
@@ -544,11 +716,17 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
     }
 
     fn next_decision_time(&self) -> Option<SimTime> {
-        // Epoch timers are the only internal clocks that can change a plan
-        // with otherwise-unchanged inputs.
+        // Epoch timers and retry backoffs are the only internal clocks that
+        // can change a plan with otherwise-unchanged inputs. A past retry
+        // deadline (job waiting in a non-retryable state) keeps the minimum
+        // in the past, which makes the engine's horizon collapse to zero —
+        // conservative, never wrong.
         let mut t = self.next_epoch;
         if self.cfg.balancing {
             t = t.min(self.next_balance);
+        }
+        for r in self.retry.values() {
+            t = t.min(r.next_try);
         }
         Some(t)
     }
@@ -563,8 +741,9 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         }
         // Anything that would steer the next plan_round down a different
         // path declines: a pending job could be placed, an epoch timer
-        // could fire. The engine already bounds k by next_decision_time,
-        // so these are defensive.
+        // could fire, a due retry could re-enter the planning flow. The
+        // engine already bounds k by next_decision_time, so these are
+        // defensive.
         if view.pending_jobs().next().is_some() {
             return 0;
         }
@@ -575,6 +754,13 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         if self.cfg.balancing && now >= self.next_balance {
             return 0;
         }
+        if self.retry.values().any(|r| r.next_try <= now) {
+            return 0;
+        }
+        // All-or-nothing across servers: the replayable horizon is the
+        // minimum over every local scheduler's differential check against
+        // the cached plan (absent servers must reproduce an empty
+        // selection).
         self.planner.probe(&plan.run, k)
     }
 

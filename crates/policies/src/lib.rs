@@ -91,8 +91,7 @@ mod tests {
         for id in PolicyId::ALL {
             let cfg = GfairConfig::default().with_policy(id);
             let sched = build_policy(cfg, std::sync::Arc::new(gfair_obs::Obs::new()));
-            // The gfair policy id maps to the full GandivaFair scheduler,
-            // which keeps its historical report name.
+            // The gfair policy reports the historical scheduler name.
             let expected = match id {
                 PolicyId::Gfair => "gandiva-fair",
                 _ => id.name(),

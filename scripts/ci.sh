@@ -61,14 +61,21 @@ cargo run --release -p gfair-bench --bin bench_sim -- \
     --verify --only 5000gpu --policy gfair
 
 echo "### equivalence gate (5000 GPUs, policy zoo)"
-# The same optimized-vs-naive byte comparison for the competitor policies
-# behind the PolicyScheduler driver: the batched water-filler and the
-# partial-selection Themis auction must be exactly the algorithms they
-# replaced, under faults included.
+# The same optimized-vs-naive byte comparison for the competitor policies,
+# which share gfair's PolicyScheduler driver but not its migration retry:
+# the batched water-filler and the partial-selection Themis auction must be
+# exactly the algorithms they replaced, under faults included.
 cargo run --release -p gfair-bench --bin bench_sim -- \
     --verify --only 5000gpu --policy gavel-hetero
 cargo run --release -p gfair-bench --bin bench_sim -- \
     --verify --only 5000gpu --policy themis-ftf
+
+echo "### repo benchmark smoke (all four workloads, 1/50 size)"
+# About 1/50 of each BENCHMARK.json workload, all three policies: checks
+# the auditor, the accounting identities and that report digests match
+# across repetitions. Writes only under target/.
+cargo run --release -p gfair-bench --bin benchmark -- --smoke \
+    --out target/benchmark/smoke.json
 
 echo "### throughput regression gate (5000 GPUs, best of 3, all policies)"
 # Re-measures the 5000-GPU scale three times per policy (gfair plus the

@@ -18,8 +18,10 @@
 //!   --median-mins <x>        median job service demand       (default 60)
 //!   --seed <n>               RNG seed                        (default 42)
 //!   --horizon-hours <h>      stop after h simulated hours    (default: run to completion)
-//!   --no-trading             disable the trading market (gandiva-fair only)
-//!   --no-balancing           disable migration-based balancing (gandiva-fair only)
+//!   --no-trading             disable the trading market (gandiva-fair and
+//!                            --policy gfair only)
+//!   --no-balancing           disable migration-based balancing (gandiva-fair
+//!                            and every --policy)
 //!   --save-trace <path>      write the generated trace as JSON
 //!   --load-trace <path>      replay a trace saved earlier (overrides generation)
 //!   --json <path>            write the full SimReport as JSON
@@ -33,8 +35,8 @@
 //!                            (see examples/faults.json)
 //!   --fault-seed <n>         override the plan's randomization seed
 //!   --planning-workers <n>   round-planning threads: 0 auto, 1 sequential
-//!                            (gandiva-fair only; plans are byte-identical
-//!                            at any setting)
+//!                            (gandiva-fair and every --policy; plans are
+//!                            byte-identical at any setting)
 //! ```
 //!
 //! The online invariant auditor is always on: every run re-derives cluster
@@ -73,6 +75,25 @@ impl Args {
                 .map_err(|_| format!("invalid value for {key}: {v}")),
         }
     }
+
+    /// Reads a number that must be finite and greater than zero.
+    fn positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.parsed(key, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("{key} must be a finite number > 0, got {v}"))
+        }
+    }
+}
+
+/// Converts whole simulated hours to an instant, rejecting hour counts
+/// whose microsecond value does not fit in a `SimTime`.
+fn hours_to_time(hours: u64, key: &str) -> Result<SimTime, String> {
+    hours
+        .checked_mul(SimTime::from_secs(3600).as_micros())
+        .map(SimTime::from_micros)
+        .ok_or_else(|| format!("{key}: {hours} hours is out of range"))
 }
 
 fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
@@ -102,7 +123,7 @@ fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
 }
 
 /// Parses `--fail <server>@<down-hours>[-<up-hours>]`, e.g. `0@2-5`.
-fn parse_failure(spec: &str) -> Result<(ServerId, u64, Option<u64>), String> {
+fn parse_failure(spec: &str) -> Result<(ServerId, SimTime, Option<SimTime>), String> {
     let (server, when) = spec
         .split_once('@')
         .ok_or_else(|| format!("expected --fail <server>@<down-hours>[-<up-hours>], got {spec}"))?;
@@ -124,11 +145,11 @@ fn parse_failure(spec: &str) -> Result<(ServerId, u64, Option<u64>), String> {
             if u <= down {
                 return Err("--fail: recovery hour must be after failure hour".into());
             }
-            Some(u)
+            Some(hours_to_time(u, "--fail")?)
         }
         None => None,
     };
-    Ok((ServerId::new(server), down, up))
+    Ok((ServerId::new(server), hours_to_time(down, "--fail")?, up))
 }
 
 fn make_scheduler(
@@ -206,8 +227,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         None => {
             let mut params = PhillyParams::default();
             params.num_jobs = args.parsed("--jobs", 200usize)?;
-            params.jobs_per_hour = args.parsed("--jobs-per-hour", 60.0f64)?;
-            params.median_service_mins = args.parsed("--median-mins", 60.0f64)?;
+            params.jobs_per_hour = args.positive("--jobs-per-hour", 60.0)?;
+            params.median_service_mins = args.positive("--median-mins", 60.0)?;
             // Gangs must fit the widest server: zero out infeasible sizes.
             let max_gang = cluster.max_gang();
             for (i, size) in [1u32, 2, 4, 8].iter().enumerate() {
@@ -244,6 +265,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
+    let horizon = match args.value_of("--horizon-hours") {
+        Some(h) => {
+            let hours: u64 = h.parse().map_err(|_| "bad --horizon-hours")?;
+            Some(hours_to_time(hours, "--horizon-hours")?)
+        }
+        None => None,
+    };
     let mut sim = Simulation::new(
         cluster,
         users.clone(),
@@ -252,10 +280,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?
     .with_obs(Arc::clone(&obs));
-    if let Some((server, down_hours, up_hours)) = failure {
-        sim = sim.with_server_failure(server, SimTime::from_secs(down_hours * 3600));
-        if let Some(up) = up_hours {
-            sim = sim.with_server_recovery(server, SimTime::from_secs(up * 3600));
+    if let Some((server, down, up)) = failure {
+        sim = sim.with_server_failure(server, down);
+        if let Some(up) = up {
+            sim = sim.with_server_recovery(server, up);
         }
     }
     match args.value_of("--faults") {
@@ -277,11 +305,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             }
         }
     }
-    let report = match args.value_of("--horizon-hours") {
-        Some(h) => {
-            let hours: u64 = h.parse().map_err(|_| "bad --horizon-hours")?;
-            sim.run_until(scheduler.as_mut(), SimTime::from_secs(hours * 3600))
-        }
+    let report = match horizon {
+        Some(t) => sim.run_until(scheduler.as_mut(), t),
         None => sim.run(scheduler.as_mut()),
     }
     .map_err(|e| e.to_string())?;
@@ -486,8 +511,10 @@ SIMULATE OPTIONS:
   --median-mins <x>     median job service demand   (default 60)
   --seed <n>            RNG seed                    (default 42)
   --horizon-hours <h>   stop after h simulated hours
-  --no-trading          disable the trading market  (gandiva-fair)
-  --no-balancing        disable migration balancing (gandiva-fair)
+  --no-trading          disable the trading market  (gandiva-fair and
+                        --policy gfair only)
+  --no-balancing        disable migration balancing (gandiva-fair and
+                        every --policy)
   --save-trace <path>   write the generated trace as JSON
   --load-trace <path>   replay a previously saved trace
   --json <path>         write the full report as JSON
@@ -502,8 +529,8 @@ SIMULATE OPTIONS:
                         (see examples/faults.json)
   --fault-seed <n>      override the fault plan's randomization seed
   --planning-workers <n>  round-planning threads: 0 auto, 1 sequential
-                        (gandiva-fair; plans are byte-identical at any
-                        setting)
+                        (gandiva-fair and every --policy; plans are
+                        byte-identical at any setting)
 
 The invariant auditor always runs: gang atomicity, GPU overcommit,
 residency, ticket conservation, migration lifecycle, and conservation

@@ -1,0 +1,52 @@
+//! Command-line input checks: an out-of-range number given to
+//! `gfair simulate` must end the run with exit code 1 and an error that
+//! names the option, before any simulation starts.
+
+use std::process::Command;
+
+/// Runs `gfair simulate --jobs 5` plus `args`; returns the exit code and
+/// stderr.
+fn simulate(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_gfair"))
+        .args(["simulate", "--jobs", "5"])
+        .args(args)
+        .output()
+        .expect("run the gfair binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn bad_numbers_exit_1_with_a_named_error() {
+    // u64::MAX hours overflows once converted to microseconds.
+    let max = u64::MAX.to_string();
+    let fail_down = format!("0@{max}");
+    let fail_up = format!("0@1-{max}");
+    let cases: [(&[&str], &str); 9] = [
+        (&["--jobs-per-hour", "0"], "--jobs-per-hour"),
+        (&["--jobs-per-hour", "-3"], "--jobs-per-hour"),
+        (&["--jobs-per-hour", "NaN"], "--jobs-per-hour"),
+        (&["--jobs-per-hour", "inf"], "--jobs-per-hour"),
+        (&["--median-mins", "-1"], "--median-mins"),
+        (&["--median-mins", "NaN"], "--median-mins"),
+        (&["--horizon-hours", &max], "--horizon-hours"),
+        (&["--fail", &fail_down], "--fail"),
+        (&["--fail", &fail_up], "--fail"),
+    ];
+    for (args, option) in cases {
+        let (code, stderr) = simulate(args);
+        assert_eq!(code, Some(1), "{args:?} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(option),
+            "{args:?} must name {option} in its error; stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn in_range_numbers_still_run() {
+    let (code, stderr) = simulate(&["--jobs-per-hour", "0.5", "--horizon-hours", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+}

@@ -6,7 +6,8 @@
 //!    reports and JSONL traces, at any `planning_workers` setting. Fault
 //!    draws are keyed on `(seed, job, attempt)`, never on event
 //!    interleaving, so parallel planning cannot perturb them.
-//! 2. **Recovery** — failed migrations are retried with backoff and jobs
+//! 2. **Recovery** — failed migrations are retried with backoff (gfair
+//!    only; the other policies re-place or re-balance instead) and jobs
 //!    survive checkpoint failures, restore failures, partitions, and
 //!    flapping servers; the online auditor (migration lifecycle, ticket
 //!    conservation across heals) stays clean throughout.
@@ -209,6 +210,54 @@ fn partition_heal_restores_shares() {
             (share_c - share_f).abs() < 0.05,
             "share of {user} drifted: clean {share_c:.3} vs faulted {share_f:.3}"
         );
+    }
+}
+
+/// Retry exhaustion, per policy: with every checkpoint failing, gfair gives
+/// up on each move after two retries and counts it, while gavel-hetero and
+/// themis-ftf never arm a retry. Every policy keeps the auditor clean and
+/// finishes every job.
+#[test]
+fn retry_exhaustion_is_counted_for_gfair_only() {
+    for policy in PolicyId::ALL {
+        let users = UserSpec::equal_users(4, 100);
+        let mut params = PhillyParams::default();
+        params.num_jobs = 40;
+        params.jobs_per_hour = 120.0;
+        params.median_service_mins = 30.0;
+        let trace = TraceBuilder::new(params, 3).build(&users);
+        let n_jobs = trace.len();
+        let obs: SharedObs = Arc::new(Obs::new());
+        let plan = FaultPlan::none()
+            .with_seed(3)
+            .with_migration_fail_rates(1.0, 0.0);
+        let sim = Simulation::new(
+            ClusterSpec::paper_testbed(),
+            users,
+            trace,
+            SimConfig::default().with_seed(3),
+        )
+        .unwrap()
+        .with_faults(plan)
+        .with_obs(Arc::clone(&obs));
+        let cfg = GfairConfig::default()
+            .with_policy(policy)
+            .with_migration_retry(2, SimDuration::from_secs(60));
+        let mut sched = build_policy(cfg, Arc::clone(&obs));
+        let report = sim.run(sched.as_mut()).expect("clean run");
+        let summary = report.obs.as_ref().expect("obs attached");
+        assert_eq!(summary.violations, 0, "{policy}: auditor violations");
+        assert!(
+            report.migration_failures > 0,
+            "{policy}: no migration failed"
+        );
+        assert_eq!(report.finished_jobs(), n_jobs, "{policy}: a job was lost");
+        let abandoned = summary.counters.get("migration_retries_abandoned").copied();
+        if policy == PolicyId::Gfair {
+            assert!(abandoned.unwrap_or(0) > 0, "gfair never exhausted a retry");
+        } else {
+            assert_eq!(abandoned, None, "{policy} must not retry migrations");
+        }
     }
 }
 
