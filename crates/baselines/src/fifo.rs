@@ -25,11 +25,6 @@ impl Fifo {
         Self::default()
     }
 
-    /// Jobs currently waiting for GPUs.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Starts queued jobs in strict FIFO order while the head fits.
     fn drain(&mut self, view: &SimView<'_>) -> Vec<Action> {
         let mut actions = Vec::new();

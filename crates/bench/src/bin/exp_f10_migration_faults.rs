@@ -21,7 +21,7 @@ use gfair_metrics::fairness::{jain_index, normalized_shares};
 use gfair_metrics::Table;
 use gfair_obs::{Obs, SharedObs};
 use gfair_sim::{SimReport, Simulation};
-use gfair_types::{SimDuration, SimTime, UserSpec};
+use gfair_types::{SimTime, UserSpec};
 use gfair_workloads::{PhillyParams, TraceBuilder};
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ fn run(fail_rate: f64, retries: u32, seed: u64) -> (SimReport, u64) {
             .with_migration_fail_rates(fail_rate / 2.0, fail_rate / 2.0);
         sim = sim.with_faults(plan);
     }
-    let cfg = GfairConfig::default().with_migration_retry(retries, SimDuration::from_secs(60));
+    let cfg = GfairConfig::default().with_migration_retries(retries);
     let mut sched = GandivaFair::new(cfg).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))

@@ -20,7 +20,7 @@
 //!    surplus jobs move toward servers where they are under-represented.
 //! 4. **Load spreading** — within each generation, move the biggest
 //!    eligible job from the most- to the least-loaded server while the
-//!    spread exceeds the threshold and the move strictly helps.
+//!    spread exceeds `LOAD_SPREAD` and the move strictly helps.
 //!
 //! Every pass honors the per-job migration cooldown and never plans two
 //! moves for the same job in one tick.
@@ -43,6 +43,10 @@ const TIE_BREAK_LOAD: &str = "least projected load, then lowest server id";
 
 /// Cap on the scored candidates carried in one migration decision.
 const MAX_WHY_CANDIDATES: usize = 8;
+
+/// Load-spread threshold of pass 4: a generation is rebalanced only while
+/// its most- and least-loaded servers differ by more than this.
+const LOAD_SPREAD: f64 = 0.25;
 
 /// Provenance for one planned migration: which pass chose it, what the
 /// endpoints were, and which alternatives were scored. Paired 1:1 with the
@@ -80,7 +84,7 @@ fn plan_migrations_explained(
     cfg: &GfairConfig,
     want_why: bool,
 ) -> (Vec<Action>, Vec<MoveWhy>) {
-    let mut planner = Planner::new(view, cfg, want_why);
+    let mut planner = Planner::new(view, want_why);
     if cfg.profiling_migrations {
         planner.profiling_pass(profiler);
     }
@@ -131,7 +135,6 @@ pub fn plan_migrations_traced(
 /// Working state for one balancing tick.
 struct Planner<'a, 'v> {
     view: &'a SimView<'v>,
-    cfg: &'a GfairConfig,
     now: SimTime,
     budget: u32,
     /// Jobs already scheduled to move this tick.
@@ -148,10 +151,9 @@ struct Planner<'a, 'v> {
 }
 
 impl<'a, 'v> Planner<'a, 'v> {
-    fn new(view: &'a SimView<'v>, cfg: &'a GfairConfig, want_why: bool) -> Self {
+    fn new(view: &'a SimView<'v>, want_why: bool) -> Self {
         Planner {
             view,
-            cfg,
             now: view.now(),
             budget: view.config().max_migrations_per_tick,
             moved: BTreeSet::new(),
@@ -582,7 +584,7 @@ impl<'a, 'v> Planner<'a, 'v> {
                 let lo = self
                     .extreme_in_gen(gen, 0, false)
                     .expect("guard ensures ≥ 2 reachable servers");
-                if self.load(hi) - self.load(lo) <= self.cfg.load_spread {
+                if self.load(hi) - self.load(lo) <= LOAD_SPREAD {
                     break;
                 }
                 // Biggest eligible job on `hi` whose move strictly helps:

@@ -2,9 +2,13 @@
 //!
 //! Intervals, the quantum, the trade price strategy and the RNG seed live in
 //! the shared [`gfair_types::SimConfig`]; this struct holds the policy
-//! toggles (used by the ablation experiments) and tuning constants.
+//! choice, the mechanism toggles (used by the ablation experiments), the
+//! retry budget, the performance switches and the Themis auction knobs.
+//! Tuning values no caller varies are private constants where they are
+//! read: the trade margin, profile-trust threshold and retry backoff base
+//! in `policy.rs`, the stride-weight floor in `planner.rs` and the load
+//! spread in `balance.rs`.
 
-use gfair_stride::GangPolicy;
 use gfair_types::SimDuration;
 use std::fmt;
 
@@ -52,7 +56,7 @@ impl fmt::Display for PolicyId {
     }
 }
 
-/// Policy toggles and tuning constants for [`crate::GandivaFair`].
+/// Policy choice, toggles and knobs for [`crate::GandivaFair`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GfairConfig {
     /// Which allocation policy drives scheduling. The default is the
@@ -68,22 +72,6 @@ pub struct GfairConfig {
     /// Migrate jobs to unprofiled generations so the profiler can learn
     /// cross-generation rates (requires `balancing`).
     pub profiling_migrations: bool,
-    /// Gang scheduling policy used by the per-server local schedulers.
-    /// The ablations swap in the naive variants.
-    pub gang_policy: GangPolicy,
-    /// Load-spread threshold: migrate only when a server's load exceeds the
-    /// generation mean by more than this.
-    pub load_spread: f64,
-    /// Minimum speedup gap between buyer and seller before a trade fires
-    /// (filters profiling noise).
-    pub trade_margin: f64,
-    /// Floor for a user's per-server stride weight. A user who traded away
-    /// an entire generation still gets a vanishing — but nonzero — weight so
-    /// stranded jobs cannot deadlock.
-    pub min_weight: f64,
-    /// Minimum profile samples per (model, generation) before the estimate
-    /// is considered trustworthy for trading.
-    pub min_profile_samples: u64,
     /// Worker threads for per-server round planning: `0` sizes the pool from
     /// the machine's available parallelism, `1` forces the sequential path,
     /// higher values pin the fan-out width. Per-server planning is
@@ -94,11 +82,9 @@ pub struct GfairConfig {
     /// Maximum times a failed migration is retried before the job is left
     /// where the failure stranded it (resident at the source for checkpoint
     /// failures, pending for restore failures — the placement path then
-    /// owns it). `0` disables retries entirely.
+    /// owns it). `0` disables retries entirely. Attempt `n` waits
+    /// 60 s · 2^(n-1) of exponential backoff.
     pub max_migration_retries: u32,
-    /// Base delay of the exponential backoff between migration retries:
-    /// attempt `n` waits `backoff_base * 2^(n-1)`.
-    pub backoff_base: SimDuration,
     /// Allow the engine to replay a cached round plan across quiescent
     /// quanta in one analytic step (see `DESIGN.md`, "Quiescence
     /// fast-forward"). Purely a performance knob: reports and traces are
@@ -127,14 +113,8 @@ impl Default for GfairConfig {
             trading: true,
             balancing: true,
             profiling_migrations: true,
-            gang_policy: GangPolicy::GangAware,
-            load_spread: 0.25,
-            trade_margin: 0.2,
-            min_weight: 1e-3,
-            min_profile_samples: 2,
             planning_workers: 0,
             max_migration_retries: 3,
-            backoff_base: SimDuration::from_secs(60),
             fast_forward: true,
             lazy_planning: true,
             themis_lease: SimDuration::from_mins(10),
@@ -171,12 +151,6 @@ impl GfairConfig {
         self
     }
 
-    /// Overrides the gang policy (builder-style, used by ablations).
-    pub fn with_gang_policy(mut self, policy: GangPolicy) -> Self {
-        self.gang_policy = policy;
-        self
-    }
-
     /// Overrides the planning worker count (builder-style): `0` = auto,
     /// `1` = sequential, `n > 1` = fan out across up to `n` threads.
     pub fn with_planning_workers(mut self, workers: usize) -> Self {
@@ -184,12 +158,10 @@ impl GfairConfig {
         self
     }
 
-    /// Overrides the migration retry policy (builder-style): at most
-    /// `retries` attempts after the first failure, spaced by exponential
-    /// backoff starting at `base`.
-    pub fn with_migration_retry(mut self, retries: u32, base: SimDuration) -> Self {
+    /// Overrides the migration retry budget (builder-style): at most
+    /// `retries` attempts after the first failure.
+    pub fn with_migration_retries(mut self, retries: u32) -> Self {
         self.max_migration_retries = retries;
-        self.backoff_base = base;
         self
     }
 
@@ -218,7 +190,6 @@ mod tests {
     fn default_enables_all_mechanisms() {
         let c = GfairConfig::default();
         assert!(c.trading && c.balancing && c.profiling_migrations);
-        assert_eq!(c.gang_policy, GangPolicy::GangAware);
         assert_eq!(c.policy, PolicyId::Gfair);
     }
 
@@ -248,13 +219,10 @@ mod tests {
         let c = GfairConfig::default().without_balancing();
         assert!(!c.balancing);
         assert!(!c.profiling_migrations);
-        let c = GfairConfig::default().with_gang_policy(GangPolicy::StrictNoBackfill);
-        assert_eq!(c.gang_policy, GangPolicy::StrictNoBackfill);
         let c = GfairConfig::default().with_planning_workers(4);
         assert_eq!(c.planning_workers, 4);
-        let c = GfairConfig::default().with_migration_retry(5, SimDuration::from_secs(30));
+        let c = GfairConfig::default().with_migration_retries(5);
         assert_eq!(c.max_migration_retries, 5);
-        assert_eq!(c.backoff_base, SimDuration::from_secs(30));
         assert!(GfairConfig::default().fast_forward);
         let c = GfairConfig::default().without_fast_forward();
         assert!(!c.fast_forward);

@@ -32,11 +32,12 @@ pub struct LocalScheduler {
 }
 
 impl LocalScheduler {
-    /// Creates the local scheduler for `server` with `capacity` GPUs.
-    pub fn new(server: ServerId, capacity: u32, policy: GangPolicy) -> Self {
+    /// Creates the local scheduler for `server` with `capacity` GPUs,
+    /// packing gangs with the paper's gang-aware stride.
+    pub fn new(server: ServerId, capacity: u32) -> Self {
         LocalScheduler {
             server,
-            split: SplitStride::new(capacity, policy),
+            split: SplitStride::new(capacity, GangPolicy::GangAware),
             desired: Vec::new(),
             present: Vec::new(),
             user_scratch: Vec::new(),
@@ -236,7 +237,7 @@ mod tests {
         )
         .unwrap();
         let mut sched = OneServer {
-            local: LocalScheduler::new(ServerId::new(0), 1, GangPolicy::GangAware),
+            local: LocalScheduler::new(ServerId::new(0), 1),
             weights: vec![(UserId::new(0), 300.0), (UserId::new(1), 100.0)],
         };
         let report = sim.run(&mut sched).unwrap();
@@ -259,7 +260,7 @@ mod tests {
         // as departing never appears in a plan.
         // (Direct construction of SimView is engine-internal, so this is a
         // compile-level guarantee exercised by central.rs tests.)
-        let local = LocalScheduler::new(ServerId::new(3), 4, GangPolicy::GangAware);
+        let local = LocalScheduler::new(ServerId::new(3), 4);
         assert_eq!(local.server(), ServerId::new(3));
         assert_eq!(local.num_jobs(), 0);
     }

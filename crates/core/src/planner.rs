@@ -52,7 +52,6 @@ use crate::local::LocalScheduler;
 use crate::pool::WorkerPool;
 use gfair_obs::{Phase, SharedObs};
 use gfair_sim::SimView;
-use gfair_stride::GangPolicy;
 use gfair_types::{JobId, ServerId, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -63,6 +62,11 @@ use std::sync::Arc;
 /// replay amortizing to O(1) per round — while contended servers break the
 /// probe early and settle at their natural reorder cadence.
 const QUIESCENT_SPAN: u64 = 4096;
+
+/// Floor for a user's per-server stride weight. A user who traded away an
+/// entire generation still gets a vanishing — but nonzero — weight there,
+/// so stranded jobs cannot deadlock.
+const MIN_WEIGHT: f64 = 1e-3;
 
 /// Floor for the adaptive per-settle probe budget (see
 /// [`RoundPlanner::plan_runs_lazy`]). The probe replays the stride scan
@@ -159,11 +163,11 @@ impl RoundPlanner {
 
     /// Lazily builds the local schedulers from the cluster and resolves the
     /// worker count.
-    pub fn ensure_init(&mut self, view: &SimView<'_>, gang_policy: GangPolicy, configured: usize) {
+    pub fn ensure_init(&mut self, view: &SimView<'_>, configured: usize) {
         if self.locals.is_empty() {
             for s in &view.cluster().servers {
                 self.locals
-                    .insert(s.id, LocalScheduler::new(s.id, s.num_gpus, gang_policy));
+                    .insert(s.id, LocalScheduler::new(s.id, s.num_gpus));
             }
             // Lazy-settling state: every server starts unsettled (valid
             // through round 0), so the first planned round settles them all.
@@ -201,7 +205,7 @@ impl RoundPlanner {
     /// first snapshotting the pre-refresh weights for servers that are
     /// unreachable right now (they keep planning on what they last
     /// received).
-    pub fn refresh_weights(&mut self, view: &SimView<'_>, ent: &Entitlements, min_weight: f64) {
+    pub fn refresh_weights(&mut self, view: &SimView<'_>, ent: &Entitlements) {
         // Servers that cannot be reached right now keep the weights they
         // last received: snapshot those (the pre-refresh per-gen vectors)
         // before rebuilding the cache, unless an earlier refresh already
@@ -222,7 +226,7 @@ impl RoundPlanner {
         for gen in view.cluster().catalog.ids() {
             gen_weights[gen.index()] = ent
                 .users()
-                .map(|u| (u, ent.get(u, gen).max(min_weight)))
+                .map(|u| (u, ent.get(u, gen).max(MIN_WEIGHT)))
                 .collect();
         }
         self.changed_gens = gen_weights
@@ -249,7 +253,6 @@ impl RoundPlanner {
         &mut self,
         view: &SimView<'_>,
         departing: &BTreeSet<JobId>,
-        min_weight: f64,
         refreshed: bool,
         lazy_cfg: bool,
         obs: &SharedObs,
@@ -272,7 +275,7 @@ impl RoundPlanner {
             keep
         });
         if lazy {
-            return self.plan_runs_lazy(view, departing, min_weight, refreshed, &dropped, obs);
+            return self.plan_runs_lazy(view, departing, refreshed, &dropped, obs);
         }
         let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
         let workers = self.workers.max(1);
@@ -318,7 +321,7 @@ impl RoundPlanner {
                     local.sync(
                         view,
                         departing,
-                        |u| weight_lookup(weights, u).unwrap_or(min_weight),
+                        |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
                         weight_dirty(server),
                     );
                     let selected = local.plan();
@@ -351,7 +354,7 @@ impl RoundPlanner {
                                 local.sync(
                                     view,
                                     departing,
-                                    |u| weight_lookup(weights, u).unwrap_or(min_weight),
+                                    |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
                                     weight_dirty(*server),
                                 );
                                 (*server, local.plan())
@@ -380,7 +383,6 @@ impl RoundPlanner {
         &mut self,
         view: &SimView<'_>,
         departing: &BTreeSet<JobId>,
-        min_weight: f64,
         refreshed: bool,
         dropped: &BTreeSet<ServerId>,
         obs: &SharedObs,
@@ -470,7 +472,7 @@ impl RoundPlanner {
                 local.sync(
                     view,
                     departing,
-                    |u| weight_lookup(weights, u).unwrap_or(min_weight),
+                    |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
                     weight_dirty(server),
                 );
                 let selected = local.plan();

@@ -34,13 +34,14 @@
 //!
 //! [`AllocPolicy::retries_migrations`] defaults to `false`. For a policy
 //! that opts in, each failed migration arms a bounded retry: attempt *n*
-//! waits `backoff_base · 2^(n-1)`, and after `max_migration_retries`
-//! failures the job is left where the failure put it. A still-resident job
-//! is re-sent to the least-loaded reachable server of the generation the
-//! failed move targeted; a pending job waits out its backoff before the
-//! round's pending scan re-places it. Without the opt-in, pending jobs are
-//! re-placed at the next round and resident ones wait for the next
-//! balancing pass. Either way only the pending scan places pending jobs.
+//! waits 60 s · 2^(n-1) (`BACKOFF_BASE`), and after
+//! `max_migration_retries` failures the job is left where the failure put
+//! it. A still-resident job is re-sent to the least-loaded reachable server
+//! of the generation the failed move targeted; a pending job waits out its
+//! backoff before the round's pending scan re-places it. Without the
+//! opt-in, pending jobs are re-placed at the next round and resident ones
+//! wait for the next balancing pass. Either way only the pending scan
+//! places pending jobs.
 
 use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
@@ -57,6 +58,18 @@ use gfair_types::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Minimum buyer-minus-seller speedup gap before a trade fires (filters
+/// profiling noise).
+const TRADE_MARGIN: f64 = 0.2;
+
+/// Minimum profile samples per (model, generation) before the estimate is
+/// trusted for trading.
+const MIN_PROFILE_SAMPLES: u64 = 2;
+
+/// Base delay of the exponential backoff between migration retries:
+/// attempt `n` waits `BACKOFF_BASE * 2^(n-1)`.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(60);
 
 /// Everything an allocation policy may consult for one epoch decision.
 ///
@@ -130,16 +143,14 @@ pub trait AllocPolicy {
 #[derive(Debug)]
 pub struct TicketTrading {
     trading: bool,
-    margin: f64,
     trade_log: Vec<(SimTime, Trade)>,
 }
 
 impl TicketTrading {
-    /// Creates the policy from the gfair toggles (trading on/off, margin).
+    /// Creates the policy from the gfair trading toggle.
     pub fn new(cfg: &GfairConfig) -> Self {
         TicketTrading {
             trading: cfg.trading,
-            margin: cfg.trade_margin,
             trade_log: Vec::new(),
         }
     }
@@ -165,7 +176,7 @@ impl AllocPolicy for TicketTrading {
                 &mut ent,
                 round.inputs,
                 round.view.config().price_strategy,
-                self.margin,
+                TRADE_MARGIN,
             );
             self.trade_log
                 .extend(trades.into_iter().map(|t| (round.now, t)));
@@ -313,11 +324,10 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
         if self.profiler.is_none() {
             self.profiler = Some(Profiler::new(
                 view.cluster().catalog.len(),
-                self.cfg.min_profile_samples,
+                MIN_PROFILE_SAMPLES,
             ));
         }
-        self.planner
-            .ensure_init(view, self.cfg.gang_policy, self.cfg.planning_workers);
+        self.planner.ensure_init(view, self.cfg.planning_workers);
         self.placer.ensure_capacity(view);
         self.inputs.ensure_init(view);
         if self.quantum_micros == 0 {
@@ -362,8 +372,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             obs: &self.obs,
         };
         let ent = self.policy.allocate(&round);
-        self.planner
-            .refresh_weights(view, &ent, self.cfg.min_weight);
+        self.planner.refresh_weights(view, &ent);
         self.ent = Some(ent);
         self.active_sig = active;
     }
@@ -565,7 +574,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             return Vec::new();
         }
         let shift = (entry.attempts - 1).min(16);
-        entry.next_try = view.now() + self.cfg.backoff_base * (1u64 << shift);
+        entry.next_try = view.now() + BACKOFF_BASE * (1u64 << shift);
         entry.gen = view.cluster().server(to).gen;
         Vec::new()
     }
@@ -683,7 +692,6 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         let run = self.planner.plan_runs(
             view,
             &departing,
-            self.cfg.min_weight,
             refreshed,
             self.cfg.lazy_planning,
             &self.obs,

@@ -195,11 +195,6 @@ impl Auditor {
         Auditor::default()
     }
 
-    /// Total physical GPUs learned from the stream.
-    pub fn cluster_gpus(&self) -> u32 {
-        self.capacity.iter().sum()
-    }
-
     /// Grows `v` so index `i` exists, then hands out the slot.
     fn slot<T: Default + Clone>(v: &mut Vec<T>, i: usize) -> &mut T {
         if v.len() <= i {

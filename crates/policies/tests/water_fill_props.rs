@@ -172,7 +172,7 @@ proptest! {
 
     /// Batching never weakens the max-min transfer property: the batched
     /// solver's output (including its returned throughputs) satisfies the
-    /// same discrete max-min criterion the reference greedy guarantees —
+    /// same discrete max-min condition the reference greedy guarantees —
     /// no granted GPU can move to an unsaturated user without leaving its
     /// holder no better off.
     #[test]

@@ -68,14 +68,6 @@ impl<'a> SimView<'a> {
             .filter(move |s| !self.down.contains(&s.id))
     }
 
-    /// Online servers of one generation, in id order.
-    pub fn up_servers_of_gen(
-        &self,
-        gen: gfair_types::GenId,
-    ) -> impl Iterator<Item = &'a ServerSpec> + '_ {
-        self.up_servers().filter(move |s| s.gen == gen)
-    }
-
     /// True if `server` is online *and* the central scheduler can reach its
     /// local scheduler (no active network partition).
     ///
@@ -185,11 +177,6 @@ impl<'a> SimView<'a> {
     /// Total GPUs on online servers, in O(1).
     pub fn gpus_up(&self) -> u32 {
         self.gpus_up
-    }
-
-    /// Total GPUs demanded by `user`'s active jobs (sum of gang widths).
-    pub fn user_gpu_demand(&self, user: UserId) -> u64 {
-        self.index.user_demand.get(&user).copied().unwrap_or(0)
     }
 
     /// Per-user total GPU demand over active jobs, in user-id order. Users

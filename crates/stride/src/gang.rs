@@ -239,8 +239,8 @@ impl<K: Copy + Ord> GangScheduler<K> {
         }
     }
 
-    /// Changes a client's tickets, rescaling pending pass debt (see
-    /// [`crate::classic::StrideScheduler::set_tickets`]).
+    /// Changes a client's tickets, rescaling its pending pass debt so the
+    /// change takes effect smoothly (Waldspurger's ticket modulation).
     ///
     /// # Panics
     ///
@@ -701,6 +701,63 @@ mod tests {
     #[should_panic(expected = "capacity must be at least one GPU")]
     fn zero_capacity_panics() {
         let _ = GangScheduler::<u32>::new(0, GangPolicy::GangAware);
+    }
+
+    #[test]
+    #[should_panic(expected = "client joined twice")]
+    fn double_join_panics() {
+        let mut g = GangScheduler::new(4, GangPolicy::GangAware);
+        g.join(1, 100.0, 1);
+        g.join(1, 100.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn zero_tickets_panics() {
+        let mut g = GangScheduler::new(4, GangPolicy::GangAware);
+        g.join(1, 0.0, 1);
+    }
+
+    #[test]
+    fn ticket_modulation_rescales_debt() {
+        let mut g = GangScheduler::new(1, GangPolicy::GangAware);
+        g.join(1, 100.0, 1);
+        let remain_before = g.pass_of(1).unwrap() - g.global_pass;
+        g.set_tickets(1, 200.0);
+        let remain_after = g.pass_of(1).unwrap() - g.global_pass;
+        // Doubling tickets halves the stride and thus halves pending debt.
+        assert!((remain_after - remain_before / 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn lag_is_bounded_by_one_quantum() {
+        // Width-1 clients on a 1-GPU server are classic stride, which
+        // guarantees |service - entitlement| <= 1 quantum.
+        let mut g = GangScheduler::new(1, GangPolicy::GangAware);
+        g.join(1, 300.0, 1);
+        g.join(2, 100.0, 1);
+        let mut got1 = 0usize;
+        for round in 1..=400usize {
+            let out = g.plan_round();
+            assert_eq!(out.selected.len(), 1);
+            if out.selected[0] == 1 {
+                got1 += 1;
+            }
+            let e1 = round as f64 * 0.75;
+            assert!(
+                (got1 as f64 - e1).abs() <= 1.0 + 1e-9,
+                "lag exceeded at round {round}: got {got1}, expected {e1}"
+            );
+        }
+    }
+
+    #[test]
+    fn ties_break_deterministically_by_key() {
+        let mut g = GangScheduler::new(1, GangPolicy::GangAware);
+        g.join(5, 100.0, 1);
+        g.join(3, 100.0, 1);
+        // Both start with identical pass; the smaller key must win.
+        assert_eq!(g.plan_round().selected, vec![3]);
     }
 
     #[test]

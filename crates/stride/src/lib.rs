@@ -3,16 +3,16 @@
 //! This crate implements the algorithmic heart of the Gandiva_fair
 //! reproduction:
 //!
-//! * [`classic`] — textbook stride scheduling (Waldspurger & Weihl) with
-//!   dynamic client join/leave and ticket modulation.
 //! * [`lottery`] — randomized lottery scheduling, the probabilistic cousin of
 //!   stride, used as a fairness-variance baseline.
 //! * [`gang`] — **gang-aware stride scheduling**, the paper's core local
 //!   scheduler: gangs (multi-GPU jobs) are packed onto a server's GPUs in
 //!   pass order each quantum, and a client's pass advances in proportion to
 //!   the *GPU-time* it consumed (gang width × quantum / tickets), yielding
-//!   ticket-proportional GPU-time across gangs of different widths. Two
-//!   deliberately naive variants ([`gang::GangPolicy::JobLevelStride`] and
+//!   ticket-proportional GPU-time across gangs of different widths. With
+//!   width-1 clients on a 1-GPU server it is textbook stride scheduling
+//!   (Waldspurger & Weihl), ticket modulation included. Two deliberately
+//!   naive variants ([`gang::GangPolicy::JobLevelStride`] and
 //!   [`gang::GangPolicy::StrictNoBackfill`]) reproduce the failure modes the
 //!   paper motivates against.
 //! * [`split`] — split (hierarchical) stride: user-level fairness first, then
@@ -22,12 +22,10 @@
 //! The schedulers are generic over the client key so they can arbitrate jobs,
 //! users, or anything `Copy + Ord`.
 
-pub mod classic;
 pub mod gang;
 pub mod lottery;
 pub mod split;
 
-pub use classic::StrideScheduler;
 pub use gang::{GangPolicy, GangScheduler, RoundOutcome};
 pub use lottery::LotteryScheduler;
 pub use split::SplitStride;

@@ -236,16 +236,15 @@ mod tests {
             .sum::<f64>()
             / windows as f64;
 
-        let mut s = crate::StrideScheduler::new();
-        s.join(0u32, 100.0);
-        s.join(1u32, 100.0);
+        // Width-1 clients on a 1-GPU server: classic stride.
+        let mut s = crate::GangScheduler::new(1, crate::GangPolicy::GangAware);
+        s.join(0u32, 100.0, 1);
+        s.join(1u32, 100.0, 1);
         let mut stride_shares = Vec::new();
         for _ in 0..windows {
             let mut wins0 = 0;
             for _ in 0..per_window {
-                let k = s.pick().unwrap();
-                s.run(k, 1.0);
-                if k == 0 {
+                if s.plan_round().selected == vec![0] {
                     wins0 += 1;
                 }
             }

@@ -253,14 +253,6 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
         self.users.keys().copied()
     }
 
-    /// Jobs of user `u`, in key order.
-    pub fn jobs_of(&self, u: U) -> Vec<J> {
-        self.users
-            .get(&u)
-            .map(|e| e.jobs.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Re-divides a user's weight equally among their current jobs.
     fn reexchange(&mut self, u: U) {
         let Some(entry) = self.users.get(&u) else {

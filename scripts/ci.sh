@@ -24,21 +24,21 @@ cargo test --workspace -q
 echo "### shim tests"
 # Cargo.toml excludes the vendored shims from the workspace, so
 # `--workspace` never runs their own tests; name them explicitly.
-cargo test -q -p serde -p serde_json -p serde_derive -p rand -p rand_chacha -p proptest -p criterion
+cargo test -q -p serde -p serde_json -p serde_derive -p rand -p rand_chacha -p proptest
 
-echo "### cargo doc (deny warnings: types, obs, faults, sim, core, metrics, policies)"
-# These crates carry #![warn(missing_docs)]; deny rustdoc warnings so
-# public-API doc gaps fail the gate instead of rotting.
+echo "### cargo doc (deny warnings: library crates)"
+# Deny rustdoc warnings so public-API doc gaps (in the crates that carry
+# #![warn(missing_docs)]) and stale intra-doc links fail the gate instead
+# of rotting.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p gfair-types -p gfair-obs -p gfair-faults \
-    -p gfair-sim -p gfair-core -p gfair-metrics -p gfair-policies
+    -p gfair-sim -p gfair-core -p gfair-metrics -p gfair-policies \
+    -p gfair-stride -p gfair-baselines -p gfair-workloads
 
 echo "### bench smoke"
-# Criterion micro-benches in test mode (one iteration, no measurement) and a
-# quick pass of the simulator throughput bench. The JSON goes under target/
-# so CI never dirties the tracked BENCH_sim.json baseline; regenerate that
-# deliberately with scripts/bench.sh.
-cargo bench --workspace -- --test
+# A quick pass of the simulator throughput bench. The JSON goes under
+# target/ so CI never dirties the tracked BENCH_sim.json baseline;
+# regenerate that deliberately with scripts/bench.sh.
 cargo run --release -p gfair-bench --bin bench_sim -- --quick \
     --out target/BENCH_sim.quick.json
 

@@ -242,7 +242,7 @@ fn retry_exhaustion_is_counted_for_gfair_only() {
         .with_obs(Arc::clone(&obs));
         let cfg = GfairConfig::default()
             .with_policy(policy)
-            .with_migration_retry(2, SimDuration::from_secs(60));
+            .with_migration_retries(2);
         let mut sched = build_policy(cfg, Arc::clone(&obs));
         let report = sim.run(sched.as_mut()).expect("clean run");
         let summary = report.obs.as_ref().expect("obs attached");
