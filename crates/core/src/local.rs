@@ -17,9 +17,9 @@ pub struct LocalScheduler {
     server: ServerId,
     split: SplitStride<UserId, JobId>,
     /// Scratch buffers reused across rounds by [`sync`](Self::sync): sorted
-    /// target residency, current membership, and present users. `sync` runs
-    /// once per server per quantum, so retaining capacity here removes three
-    /// heap allocations per server from every round.
+    /// target residency, current membership, and users with jobs here.
+    /// `sync` runs once per server per quantum, so retaining capacity here
+    /// removes three heap allocations per server from every round.
     desired: Vec<JobId>,
     present: Vec<JobId>,
     user_scratch: Vec<UserId>,
@@ -74,6 +74,12 @@ impl LocalScheduler {
     /// be re-derived to exactly their current values — so it returns
     /// immediately. This fast path carries most rounds at scale: only the
     /// few servers an arrival, finish or migration touched re-derive.
+    ///
+    /// Past the fast path, the cost follows the residency delta: departed
+    /// jobs are removed, newcomers are added with their user's current
+    /// weight, and only when `weights_dirty` are the weights of users with
+    /// jobs here refreshed. A user with no job here keeps a stale weight
+    /// until it adds a job again, which re-applies the current one.
     pub fn sync(
         &mut self,
         view: &SimView<'_>,
@@ -114,12 +120,26 @@ impl LocalScheduler {
             self.split.set_user_weight(info.user, w.max(1e-6));
             self.split.add_job(info.user, j, info.gang);
         }
-        // Refresh weights of all present users (entitlements may have moved).
-        let users = &mut self.user_scratch;
-        users.clear();
-        users.extend(self.split.users());
-        for &u in users.iter() {
-            self.split.set_user_weight(u, weight_of(u).max(1e-6));
+        if weights_dirty {
+            // Entitlements may have moved: refresh every user with a job here.
+            let users = &mut self.user_scratch;
+            users.clear();
+            users.extend(self.split.active_users());
+            for &u in users.iter() {
+                self.split.set_user_weight(u, weight_of(u).max(1e-6));
+            }
+        } else {
+            // Oracle for the caller's dirtiness report: clean weights promise
+            // that every user planning here already holds its current weight.
+            #[cfg(debug_assertions)]
+            for u in self.split.active_users() {
+                assert_eq!(
+                    self.split.user_weight(u),
+                    Some(weight_of(u).max(1e-6)),
+                    "{u} plans on a stale weight on {}: weights_dirty was under-reported",
+                    self.server
+                );
+            }
         }
         // With departing jobs excluded, membership differs from the resident
         // set, so the version cannot vouch for this state next round.

@@ -23,11 +23,10 @@
 //! no starvation, while still backfilling smaller jobs.
 
 use crate::STRIDE1;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Pass value as a totally ordered key (`f64::total_cmp` semantics), so
-/// runnable clients can live in a sorted structure keyed by `(pass, key)` —
-/// the exact order [`GangScheduler::plan_round`] scans in.
+/// runnable clients can be kept sorted by `(pass, key)` — the exact order
+/// [`GangScheduler::plan_round`] scans in.
 #[derive(Debug, Clone, Copy)]
 struct Pass(f64);
 
@@ -68,6 +67,17 @@ pub enum GangPolicy {
     StrictNoBackfill,
 }
 
+impl GangPolicy {
+    /// Quanta a scheduled round adds to the pass of a client `width` GPUs
+    /// wide, in units of its stride.
+    fn quanta(self, width: u32) -> f64 {
+        match self {
+            GangPolicy::JobLevelStride => 1.0,
+            GangPolicy::GangAware | GangPolicy::StrictNoBackfill => width as f64,
+        }
+    }
+}
+
 /// Per-client gang bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct GangClient {
@@ -81,6 +91,12 @@ impl GangClient {
     fn stride(&self) -> f64 {
         STRIDE1 / self.tickets
     }
+}
+
+/// Index of client `k` in the key-sorted client table (`Err` holds the
+/// insertion point).
+fn slot<K: Ord>(clients: &[(K, GangClient)], k: K) -> Result<usize, usize> {
+    clients.binary_search_by(|(c, _)| c.cmp(&k))
 }
 
 /// Outcome of planning one scheduling round.
@@ -121,13 +137,16 @@ pub struct RoundOutcome<K> {
 pub struct GangScheduler<K> {
     capacity: u32,
     policy: GangPolicy,
-    clients: BTreeMap<K, GangClient>,
-    /// Runnable clients keyed by `(pass, key)` — the scan order of
+    /// Registered clients, sorted by key and found by binary search. A
+    /// server holds a handful of jobs, so a join or leave is a memmove over
+    /// a few entries rather than a walk over tree nodes.
+    clients: Vec<(K, GangClient)>,
+    /// Runnable clients sorted by `(pass, key)` — the scan order of
     /// [`plan_round`](Self::plan_round). Kept in lockstep with `clients`:
     /// contains exactly the runnable ones, under their current pass. A round
-    /// then reads the order off the tree and re-keys only the clients whose
-    /// pass advanced, instead of re-sorting the full client set.
-    order: BTreeSet<(Pass, K)>,
+    /// then reads the order off this table and re-keys only the clients
+    /// whose pass advanced, instead of re-sorting the full client set.
+    order: Vec<(Pass, K)>,
     global_pass: f64,
     total_tickets: f64,
 }
@@ -143,8 +162,8 @@ impl<K: Copy + Ord> GangScheduler<K> {
         GangScheduler {
             capacity,
             policy,
-            clients: BTreeMap::new(),
-            order: BTreeSet::new(),
+            clients: Vec::new(),
+            order: Vec::new(),
             global_pass: 0.0,
             total_tickets: 0.0,
         }
@@ -170,19 +189,41 @@ impl<K: Copy + Ord> GangScheduler<K> {
         self.clients.is_empty()
     }
 
+    fn client(&self, k: K) -> Option<&GangClient> {
+        slot(&self.clients, k).ok().map(|i| &self.clients[i].1)
+    }
+
     /// Gang width of a client, if registered.
     pub fn width_of(&self, k: K) -> Option<u32> {
-        self.clients.get(&k).map(|c| c.width)
+        self.client(k).map(|c| c.width)
     }
 
     /// Pass value of a client, if registered.
     pub fn pass_of(&self, k: K) -> Option<f64> {
-        self.clients.get(&k).map(|c| c.pass)
+        self.client(k).map(|c| c.pass)
     }
 
     /// Tickets of a client, if registered.
     pub fn tickets_of(&self, k: K) -> Option<f64> {
-        self.clients.get(&k).map(|c| c.tickets)
+        self.client(k).map(|c| c.tickets)
+    }
+
+    /// Inserts runnable client `k` into the scan order under `pass`.
+    fn order_insert(&mut self, pass: f64, k: K) {
+        let i = self
+            .order
+            .binary_search(&(Pass(pass), k))
+            .expect_err("client ordered twice");
+        self.order.insert(i, (Pass(pass), k));
+    }
+
+    /// Removes runnable client `k`, ordered under `pass`, from the scan order.
+    fn order_remove(&mut self, pass: f64, k: K) {
+        let i = self
+            .order
+            .binary_search(&(Pass(pass), k))
+            .expect("runnable client is ordered");
+        self.order.remove(i);
     }
 
     /// Total tickets across registered clients.
@@ -208,35 +249,34 @@ impl<K: Copy + Ord> GangScheduler<K> {
             self.capacity
         );
         let pass = self.global_pass + STRIDE1 / tickets;
-        let prev = self.clients.insert(
-            k,
-            GangClient {
-                tickets,
-                width,
-                pass,
-                runnable: true,
-            },
-        );
-        assert!(prev.is_none(), "client joined twice");
-        self.order.insert((Pass(pass), k));
+        let Err(i) = slot(&self.clients, k) else {
+            panic!("client joined twice");
+        };
+        let client = GangClient {
+            tickets,
+            width,
+            pass,
+            runnable: true,
+        };
+        self.clients.insert(i, (k, client));
+        self.order_insert(pass, k);
         self.total_tickets += tickets;
     }
 
     /// Removes a client. Returns true if it was registered.
     pub fn leave(&mut self, k: K) -> bool {
-        match self.clients.remove(&k) {
-            Some(c) => {
-                if c.runnable {
-                    self.order.remove(&(Pass(c.pass), k));
-                }
-                self.total_tickets -= c.tickets;
-                if self.clients.is_empty() {
-                    self.total_tickets = 0.0;
-                }
-                true
-            }
-            None => false,
+        let Ok(i) = slot(&self.clients, k) else {
+            return false;
+        };
+        let (_, c) = self.clients.remove(i);
+        if c.runnable {
+            self.order_remove(c.pass, k);
         }
+        self.total_tickets -= c.tickets;
+        if self.clients.is_empty() {
+            self.total_tickets = 0.0;
+        }
+        true
     }
 
     /// Changes a client's tickets, rescaling its pending pass debt so the
@@ -251,7 +291,8 @@ impl<K: Copy + Ord> GangScheduler<K> {
             "tickets must be positive and finite, got {tickets}"
         );
         let global = self.global_pass;
-        let c = self.clients.get_mut(&k).expect("unknown client");
+        let i = slot(&self.clients, k).expect("unknown client");
+        let c = &mut self.clients[i].1;
         if tickets == c.tickets {
             // An unchanged ticket count must be a true no-op: re-deriving the
             // pass through `global + (pass - global)` is not an f64 identity
@@ -266,8 +307,8 @@ impl<K: Copy + Ord> GangScheduler<K> {
         c.pass = global + scaled;
         let new_pass = c.pass;
         if runnable {
-            self.order.remove(&(Pass(old_pass), k));
-            self.order.insert((Pass(new_pass), k));
+            self.order_remove(old_pass, k);
+            self.order_insert(new_pass, k);
         }
     }
 
@@ -279,16 +320,17 @@ impl<K: Copy + Ord> GangScheduler<K> {
     ///
     /// Panics if the client is unknown.
     pub fn set_runnable(&mut self, k: K, runnable: bool) {
-        let c = self.clients.get_mut(&k).expect("unknown client");
+        let i = slot(&self.clients, k).expect("unknown client");
+        let c = &mut self.clients[i].1;
         if c.runnable == runnable {
             return;
         }
         c.runnable = runnable;
         let pass = c.pass;
         if runnable {
-            self.order.insert((Pass(pass), k));
+            self.order_insert(pass, k);
         } else {
-            self.order.remove(&(Pass(pass), k));
+            self.order_remove(pass, k);
         }
     }
 
@@ -303,7 +345,7 @@ impl<K: Copy + Ord> GangScheduler<K> {
         let mut free = self.capacity;
         let mut selected = Vec::new();
         for &(_, k) in &self.order {
-            let width = self.clients[&k].width;
+            let width = self.client(k).expect("ordered client exists").width;
             if width <= free {
                 selected.push(k);
                 free -= width;
@@ -323,17 +365,14 @@ impl<K: Copy + Ord> GangScheduler<K> {
         // the order index (a skipped client's pass — and key — is unchanged).
         let mut used = 0u32;
         for &k in &selected {
-            let c = self.clients.get_mut(&k).expect("selected client exists");
-            let quanta = match self.policy {
-                GangPolicy::JobLevelStride => 1.0,
-                GangPolicy::GangAware | GangPolicy::StrictNoBackfill => c.width as f64,
-            };
+            let i = slot(&self.clients, k).expect("selected client exists");
+            let c = &mut self.clients[i].1;
             let old_pass = c.pass;
-            c.pass += c.stride() * quanta;
+            c.pass += c.stride() * self.policy.quanta(c.width);
             let new_pass = c.pass;
             used += c.width;
-            self.order.remove(&(Pass(old_pass), k));
-            self.order.insert((Pass(new_pass), k));
+            self.order_remove(old_pass, k);
+            self.order_insert(new_pass, k);
         }
         // Advance global virtual time by the GPU-quanta actually dispensed.
         if self.total_tickets > 0.0 && used > 0 {
@@ -384,13 +423,9 @@ impl<K: Copy + Ord> GangScheduler<K> {
             if key != exp {
                 return 0;
             }
-            let c = &self.clients[&key];
+            let c = self.client(key).expect("ordered client exists");
             width += c.width as u64;
-            let quanta = match self.policy {
-                GangPolicy::JobLevelStride => 1.0,
-                GangPolicy::GangAware | GangPolicy::StrictNoBackfill => c.width as f64,
-            };
-            entries.push((pass, c.stride() * quanta, key));
+            entries.push((pass, c.stride() * self.policy.quanta(c.width), key));
         }
         if width > self.capacity as u64 {
             // Contended server: skipped clients sink toward the minimum and
@@ -430,24 +465,22 @@ impl<K: Copy + Ord> GangScheduler<K> {
         if j == 0 || self.order.is_empty() {
             return;
         }
-        let keys: Vec<K> = self.order.iter().map(|&(_, k)| k).collect();
+        // Advance every runnable client in place. Within a granted span the
+        // scan order survives each round, so the table stays sorted; the
+        // sort only restores the invariant if the caller broke the
+        // precondition, and is a linear check otherwise.
         let mut used = 0u32;
-        for k in keys {
-            let c = self.clients.get_mut(&k).expect("ordered client exists");
-            let quanta = match self.policy {
-                GangPolicy::JobLevelStride => 1.0,
-                GangPolicy::GangAware | GangPolicy::StrictNoBackfill => c.width as f64,
-            };
-            let delta = c.stride() * quanta;
-            let old_pass = c.pass;
+        for e in self.order.iter_mut() {
+            let i = slot(&self.clients, e.1).expect("ordered client exists");
+            let c = &mut self.clients[i].1;
+            let delta = c.stride() * self.policy.quanta(c.width);
             for _ in 0..j {
                 c.pass += delta;
             }
-            let new_pass = c.pass;
+            e.0 = Pass(c.pass);
             used += c.width;
-            self.order.remove(&(Pass(old_pass), k));
-            self.order.insert((Pass(new_pass), k));
         }
+        self.order.sort_unstable();
         if self.total_tickets > 0.0 && used > 0 {
             let delta = STRIDE1 * used as f64 / self.total_tickets;
             for _ in 0..j {
@@ -460,7 +493,7 @@ impl<K: Copy + Ord> GangScheduler<K> {
     pub fn iter(&self) -> impl Iterator<Item = (K, f64, u32, f64)> + '_ {
         self.clients
             .iter()
-            .map(|(k, c)| (*k, c.tickets, c.width, c.pass))
+            .map(|&(k, c)| (k, c.tickets, c.width, c.pass))
     }
 }
 
@@ -1069,6 +1102,164 @@ mod proptests {
             prop_assert_eq!(a.global_pass.to_bits(), b.global_pass.to_bits());
             // And the next naive round agrees on both sides.
             prop_assert_eq!(a.plan_round().selected, b.plan_round().selected);
+        }
+
+        /// Differential oracle for the sorted tables: random join, leave,
+        /// ticket, runnability, planning and fast-forward sequences must
+        /// select in the same order, and leave bit-identical passes, as a
+        /// reference that re-sorts every client by `(pass, key)` each round.
+        #[test]
+        fn sorted_tables_match_a_resorting_reference(
+            ops in proptest::collection::vec(
+                (0u32..10, 0u32..8, 1u32..500, 1u32..9, proptest::bool::ANY, 0u64..40),
+                1..120,
+            ),
+            capacity in 1u32..12,
+            policy_ix in 0usize..3,
+        ) {
+            let policy = [
+                GangPolicy::GangAware,
+                GangPolicy::JobLevelStride,
+                GangPolicy::StrictNoBackfill,
+            ][policy_ix];
+            let mut g = GangScheduler::new(capacity, policy);
+            let mut r = Reference { capacity, policy, clients: Vec::new(), global_pass: 0.0, total_tickets: 0.0 };
+            let mut cached: Vec<u32> = Vec::new();
+            for (step, &(kind, key, tickets, width, flag, k)) in ops.iter().enumerate() {
+                let known = r.clients.iter().any(|c| c.0 == key);
+                let tickets = tickets as f64 + 0.5;
+                match kind {
+                    0 if !known => {
+                        let width = width.min(capacity);
+                        g.join(key, tickets, width);
+                        r.join(key, tickets, width);
+                    }
+                    1 => prop_assert_eq!(g.leave(key), r.leave(key)),
+                    2 if known => {
+                        g.set_tickets(key, tickets);
+                        r.set_tickets(key, tickets);
+                    }
+                    3 if known => {
+                        g.set_runnable(key, flag);
+                        r.set_runnable(key, flag);
+                    }
+                    4..=6 => {
+                        cached = g.plan_round().selected;
+                        prop_assert_eq!(&cached, &r.plan_round(), "step {}", step);
+                    }
+                    7..=9 => {
+                        let j = g.quiescent_rounds(&cached, k);
+                        prop_assert!(j <= k);
+                        g.fast_forward(j);
+                        for _ in 0..j {
+                            prop_assert_eq!(&r.plan_round(), &cached, "step {}", step);
+                        }
+                    }
+                    _ => {}
+                }
+                let got: Vec<_> = g.iter().map(|(c, t, w, p)| (c, t.to_bits(), w, p.to_bits())).collect();
+                let want: Vec<_> = r.clients.iter().map(|&(c, t, w, p, _)| (c, t.to_bits(), w, p.to_bits())).collect();
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!(g.global_pass.to_bits(), r.global_pass.to_bits(), "step {}", step);
+                prop_assert_eq!(g.total_tickets.to_bits(), r.total_tickets.to_bits(), "step {}", step);
+                let order: Vec<_> = g.order.iter().map(|&(Pass(p), c)| (p.to_bits(), c)).collect();
+                let want: Vec<_> = r.scan_order().iter().map(|&i| (r.clients[i].3.to_bits(), r.clients[i].0)).collect();
+                prop_assert_eq!(order, want, "step {}", step);
+            }
+        }
+    }
+
+    /// The gang scheduler restated without sorted tables: clients in a
+    /// key-sorted list of `(key, tickets, width, pass, runnable)`, and every
+    /// round re-sorts the runnable ones by `(pass, key)`. Float operations
+    /// are written out in the same sequence as [`GangScheduler`]'s.
+    struct Reference {
+        capacity: u32,
+        policy: GangPolicy,
+        clients: Vec<(u32, f64, u32, f64, bool)>,
+        global_pass: f64,
+        total_tickets: f64,
+    }
+
+    impl Reference {
+        fn at(&self, key: u32) -> Option<usize> {
+            self.clients.iter().position(|c| c.0 == key)
+        }
+
+        fn join(&mut self, key: u32, tickets: f64, width: u32) {
+            let pass = self.global_pass + STRIDE1 / tickets;
+            self.clients.push((key, tickets, width, pass, true));
+            self.clients.sort_by_key(|c| c.0);
+            self.total_tickets += tickets;
+        }
+
+        fn leave(&mut self, key: u32) -> bool {
+            let Some(i) = self.at(key) else {
+                return false;
+            };
+            let c = self.clients.remove(i);
+            self.total_tickets -= c.1;
+            if self.clients.is_empty() {
+                self.total_tickets = 0.0;
+            }
+            true
+        }
+
+        fn set_tickets(&mut self, key: u32, tickets: f64) {
+            let global = self.global_pass;
+            let i = self.at(key).unwrap();
+            let c = &mut self.clients[i];
+            if tickets == c.1 {
+                return;
+            }
+            let scaled = (c.3 - global) * (c.1 / tickets);
+            self.total_tickets += tickets - c.1;
+            c.1 = tickets;
+            c.3 = global + scaled;
+        }
+
+        fn set_runnable(&mut self, key: u32, runnable: bool) {
+            let i = self.at(key).unwrap();
+            self.clients[i].4 = runnable;
+        }
+
+        /// Indices of the runnable clients in `(pass, key)` order.
+        fn scan_order(&self) -> Vec<usize> {
+            let mut ix: Vec<usize> = (0..self.clients.len())
+                .filter(|&i| self.clients[i].4)
+                .collect();
+            ix.sort_by(|&a, &b| {
+                let (ca, cb) = (self.clients[a], self.clients[b]);
+                ca.3.total_cmp(&cb.3).then(ca.0.cmp(&cb.0))
+            });
+            ix
+        }
+
+        fn plan_round(&mut self) -> Vec<u32> {
+            let mut free = self.capacity;
+            let mut picked = Vec::new();
+            for i in self.scan_order() {
+                let width = self.clients[i].2;
+                if width <= free {
+                    picked.push(i);
+                    free -= width;
+                    if free == 0 {
+                        break;
+                    }
+                } else if self.policy == GangPolicy::StrictNoBackfill {
+                    break;
+                }
+            }
+            let mut used = 0u32;
+            for &i in &picked {
+                let c = &mut self.clients[i];
+                c.3 += STRIDE1 / c.1 * self.policy.quanta(c.2);
+                used += c.2;
+            }
+            if self.total_tickets > 0.0 && used > 0 {
+                self.global_pass += STRIDE1 * used as f64 / self.total_tickets;
+            }
+            picked.iter().map(|&i| self.clients[i].0).collect()
         }
     }
 }

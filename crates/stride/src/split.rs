@@ -13,12 +13,12 @@
 //! take effect smoothly.
 
 use crate::gang::{GangPolicy, GangScheduler, RoundOutcome};
-use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 struct UserEntry<J> {
     weight: f64,
-    jobs: BTreeSet<J>,
+    /// The user's jobs here, sorted.
+    jobs: Vec<J>,
 }
 
 /// A two-level proportional-share gang scheduler: users, then jobs.
@@ -51,8 +51,12 @@ struct UserEntry<J> {
 #[derive(Debug, Clone)]
 pub struct SplitStride<U, J> {
     inner: GangScheduler<J>,
-    users: BTreeMap<U, UserEntry<J>>,
-    job_user: BTreeMap<J, U>,
+    /// Users with a weight, sorted by key and found by binary search. A
+    /// user keeps its entry (and its last weight) after its last job here
+    /// leaves.
+    users: Vec<(U, UserEntry<J>)>,
+    /// Owning user of every registered job, sorted by job key.
+    job_user: Vec<(J, U)>,
 }
 
 impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
@@ -60,9 +64,19 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
     pub fn new(capacity: u32, policy: GangPolicy) -> Self {
         SplitStride {
             inner: GangScheduler::new(capacity, policy),
-            users: BTreeMap::new(),
-            job_user: BTreeMap::new(),
+            users: Vec::new(),
+            job_user: Vec::new(),
         }
+    }
+
+    /// Index of user `u` in the user table (`Err` holds the insertion point).
+    fn user_slot(&self, u: U) -> Result<usize, usize> {
+        self.users.binary_search_by(|(k, _)| k.cmp(&u))
+    }
+
+    /// Index of job `j` in the job table (`Err` holds the insertion point).
+    fn job_slot(&self, j: J) -> Result<usize, usize> {
+        self.job_user.binary_search_by(|(k, _)| k.cmp(&j))
     }
 
     /// Server GPU capacity.
@@ -91,23 +105,30 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
             weight.is_finite() && weight > 0.0,
             "user weight must be positive and finite, got {weight}"
         );
-        if self.users.get(&u).map(|e| e.weight) == Some(weight) {
+        let i = match self.user_slot(u) {
             // Re-applying the current weight re-derives the same per-job
-            // share, so the exchange is a no-op; skip the allocation and the
-            // per-job ticket refresh entirely.
-            return;
-        }
-        let entry = self.users.entry(u).or_insert_with(|| UserEntry {
-            weight,
-            jobs: BTreeSet::new(),
-        });
-        entry.weight = weight;
-        self.reexchange(u);
+            // share, so the exchange is a no-op; skip the per-job ticket
+            // refresh entirely.
+            Ok(i) if self.users[i].1.weight == weight => return,
+            Ok(i) => i,
+            Err(i) => {
+                let entry = UserEntry {
+                    weight,
+                    jobs: Vec::new(),
+                };
+                self.users.insert(i, (u, entry));
+                i
+            }
+        };
+        self.users[i].1.weight = weight;
+        self.reexchange(i);
     }
 
-    /// Current weight of a user, if known.
+    /// Current weight of a user, if known. A user without jobs here keeps
+    /// the weight it last held, which callers may leave stale until it adds
+    /// a job again.
     pub fn user_weight(&self, u: U) -> Option<f64> {
-        self.users.get(&u).map(|e| e.weight)
+        self.user_slot(u).ok().map(|i| self.users[i].1.weight)
     }
 
     /// Adds a job of `width` GPUs for user `u`.
@@ -119,49 +140,54 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
     /// Panics if the user has no weight, the job is already present, or the
     /// gang does not fit the server.
     pub fn add_job(&mut self, u: U, j: J, width: u32) {
-        assert!(
-            self.users.contains_key(&u),
-            "set_user_weight must be called before add_job"
-        );
-        assert!(
-            !self.job_user.contains_key(&j),
-            "job added twice to split stride"
-        );
-        let entry = self.users.get_mut(&u).expect("user exists");
-        entry.jobs.insert(j);
+        let Ok(ui) = self.user_slot(u) else {
+            panic!("set_user_weight must be called before add_job");
+        };
+        let Err(ji) = self.job_slot(j) else {
+            panic!("job added twice to split stride");
+        };
+        let entry = &mut self.users[ui].1;
+        let at = entry
+            .jobs
+            .binary_search(&j)
+            .expect_err("a new job is not listed yet");
+        entry.jobs.insert(at, j);
         let share = entry.weight / entry.jobs.len() as f64;
         self.inner.join(j, share, width);
-        self.job_user.insert(j, u);
-        self.reexchange(u);
+        self.job_user.insert(ji, (j, u));
+        self.reexchange(ui);
     }
 
     /// Removes a job. Returns true if it was present. The owning user's
     /// remaining jobs absorb its tickets; a user left with no jobs keeps its
     /// weight and simply stops competing (work conservation).
     pub fn remove_job(&mut self, j: J) -> bool {
-        let Some(u) = self.job_user.remove(&j) else {
+        let Ok(ji) = self.job_slot(j) else {
             return false;
         };
+        let (_, u) = self.job_user.remove(ji);
         self.inner.leave(j);
-        if let Some(entry) = self.users.get_mut(&u) {
-            entry.jobs.remove(&j);
-        }
-        self.reexchange(u);
+        let ui = self.user_slot(u).expect("job owner has an entry");
+        let jobs = &mut self.users[ui].1.jobs;
+        let at = jobs.binary_search(&j).expect("job listed under its owner");
+        jobs.remove(at);
+        self.reexchange(ui);
         true
     }
 
     /// Removes a user and all of their jobs. Returns the number of jobs
     /// removed.
     pub fn remove_user(&mut self, u: U) -> usize {
-        let Some(entry) = self.users.remove(&u) else {
+        let Ok(ui) = self.user_slot(u) else {
             return 0;
         };
-        let n = entry.jobs.len();
-        for j in entry.jobs {
+        let (_, entry) = self.users.remove(ui);
+        for &j in &entry.jobs {
             self.inner.leave(j);
-            self.job_user.remove(&j);
+            let ji = self.job_slot(j).expect("listed job is registered");
+            self.job_user.remove(ji);
         }
-        n
+        entry.jobs.len()
     }
 
     /// Marks a job runnable or suspended.
@@ -175,7 +201,7 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
 
     /// The user owning job `j`, if registered.
     pub fn user_of(&self, j: J) -> Option<U> {
-        self.job_user.get(&j).copied()
+        self.job_slot(j).ok().map(|i| self.job_user[i].1)
     }
 
     /// Gang width of job `j`, if registered.
@@ -197,8 +223,13 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
     /// among their registered jobs (lower pass runs sooner). `None` for
     /// unknown users or users with no jobs here.
     pub fn user_pass(&self, u: U) -> Option<f64> {
-        self.users
-            .get(&u)?
+        let i = self.user_slot(u).ok()?;
+        self.min_pass(&self.users[i].1)
+    }
+
+    /// Minimum pass among `entry`'s jobs, `None` when it has none.
+    fn min_pass(&self, entry: &UserEntry<J>) -> Option<f64> {
+        entry
             .jobs
             .iter()
             .filter_map(|&j| self.inner.pass_of(j))
@@ -210,14 +241,9 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
     /// [`user_pass`](Self::user_pass) would report. One walk over the user
     /// table, for callers that need every user's pass rather than one.
     pub fn for_each_user_pass(&self, mut f: impl FnMut(U, f64)) {
-        for (&u, entry) in &self.users {
-            if let Some(pass) = entry
-                .jobs
-                .iter()
-                .filter_map(|&j| self.inner.pass_of(j))
-                .min_by(f64::total_cmp)
-            {
-                f(u, pass);
+        for (u, entry) in &self.users {
+            if let Some(pass) = self.min_pass(entry) {
+                f(*u, pass);
             }
         }
     }
@@ -245,25 +271,26 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
 
     /// All registered jobs, in key order.
     pub fn jobs(&self) -> impl Iterator<Item = J> + '_ {
-        self.job_user.keys().copied()
+        self.job_user.iter().map(|&(j, _)| j)
     }
 
-    /// All users with a weight, in key order.
-    pub fn users(&self) -> impl Iterator<Item = U> + '_ {
-        self.users.keys().copied()
+    /// Users with at least one registered job, in key order.
+    pub fn active_users(&self) -> impl Iterator<Item = U> + '_ {
+        self.users
+            .iter()
+            .filter(|(_, e)| !e.jobs.is_empty())
+            .map(|&(u, _)| u)
     }
 
-    /// Re-divides a user's weight equally among their current jobs.
-    fn reexchange(&mut self, u: U) {
-        let Some(entry) = self.users.get(&u) else {
-            return;
-        };
+    /// Re-divides the weight of the user at table index `ui` equally among
+    /// their current jobs.
+    fn reexchange(&mut self, ui: usize) {
+        let entry = &self.users[ui].1;
         if entry.jobs.is_empty() {
             return;
         }
         let share = entry.weight / entry.jobs.len() as f64;
-        let jobs: Vec<J> = entry.jobs.iter().copied().collect();
-        for j in jobs {
+        for &j in &entry.jobs {
             self.inner.set_tickets(j, share);
         }
     }
@@ -393,6 +420,29 @@ mod tests {
         // The user can come back without resetting the weight.
         s.add_job(0, 2, 1);
         assert_eq!(s.job_tickets(2), Some(100.0));
+    }
+
+    #[test]
+    fn jobless_user_readding_a_job_uses_the_new_weight() {
+        let mut s = SplitStride::new(4, GangPolicy::GangAware);
+        s.set_user_weight(0, 100.0);
+        s.set_user_weight(1, 100.0);
+        s.add_job(0, 1, 1);
+        s.add_job(1, 2, 1);
+        assert!(s.remove_job(1));
+        assert_eq!(s.active_users().collect::<Vec<_>>(), vec![1]);
+        // Weights move while user 0 has no job here: a caller refreshes only
+        // users with jobs, so user 0 keeps its stale weight...
+        s.set_user_weight(1, 40.0);
+        assert_eq!(s.user_weight(0), Some(100.0));
+        // ...until it adds a job again, which applies the current weight.
+        s.set_user_weight(0, 250.0);
+        s.add_job(0, 3, 1);
+        s.add_job(0, 4, 1);
+        assert_eq!(s.job_tickets(3), Some(125.0));
+        assert_eq!(s.job_tickets(4), Some(125.0));
+        assert_eq!(s.job_tickets(2), Some(40.0));
+        assert_eq!(s.active_users().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

@@ -73,8 +73,11 @@ cargo run --release -p gfair-bench --bin bench_sim -- \
 echo "### repo benchmark smoke (all four workloads, 1/50 size)"
 # About 1/50 of each BENCHMARK.json workload, all three policies: checks
 # the auditor, the accounting identities and that report digests match
-# across repetitions. Writes only under target/.
-cargo run --release -p gfair-bench --bin benchmark -- --smoke \
+# across repetitions. Runs BENCHMARK.json's own command, so CI builds the
+# standalone benchmark package exactly as the benchmark pipeline does (its
+# lockfile and target directory are gitignored). Results go under target/.
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke \
     --out target/benchmark/smoke.json
 
 echo "### throughput regression gate (5000 GPUs, best of 3, all policies)"

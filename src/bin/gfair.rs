@@ -265,6 +265,37 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
+    let faults = match args.value_of("--faults") {
+        Some(path) => {
+            let json = std::fs::read_to_string(path)
+                .map_err(|e| format!("reading fault plan {path}: {e}"))?;
+            let mut plan = FaultPlan::from_json(&json)
+                .map_err(|e| format!("parsing fault plan {path}: {e}"))?;
+            if let Some(seed) = args.value_of("--fault-seed") {
+                plan.seed = seed
+                    .parse()
+                    .map_err(|_| format!("invalid value for --fault-seed: {seed}"))?;
+            }
+            let servers = plan
+                .partitions
+                .iter()
+                .map(|p| ("partition", p.server))
+                .chain(plan.flaps.iter().map(|f| ("flap", f.server)));
+            for (what, server) in servers {
+                if server.index() >= cluster.servers.len() {
+                    return Err(format!(
+                        "fault plan {path}: {what} of unknown server {server} (the cluster has {} servers)",
+                        cluster.servers.len()
+                    ));
+                }
+            }
+            Some(plan)
+        }
+        None if args.value_of("--fault-seed").is_some() => {
+            return Err("--fault-seed requires --faults <plan.json>".into());
+        }
+        None => None,
+    };
     let horizon = match args.value_of("--horizon-hours") {
         Some(h) => {
             let hours: u64 = h.parse().map_err(|_| "bad --horizon-hours")?;
@@ -286,24 +317,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             sim = sim.with_server_recovery(server, up);
         }
     }
-    match args.value_of("--faults") {
-        Some(path) => {
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading fault plan {path}: {e}"))?;
-            let mut plan = FaultPlan::from_json(&json)
-                .map_err(|e| format!("parsing fault plan {path}: {e}"))?;
-            if let Some(seed) = args.value_of("--fault-seed") {
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| format!("invalid value for --fault-seed: {seed}"))?;
-            }
-            sim = sim.with_faults(plan);
-        }
-        None => {
-            if args.value_of("--fault-seed").is_some() {
-                return Err("--fault-seed requires --faults <plan.json>".into());
-            }
-        }
+    if let Some(plan) = faults {
+        sim = sim.with_faults(plan);
     }
     let report = match horizon {
         Some(t) => sim.run_until(scheduler.as_mut(), t),

@@ -1,6 +1,7 @@
-//! Command-line input checks: an out-of-range number given to
-//! `gfair simulate` must end the run with exit code 1 and an error that
-//! names the option, before any simulation starts.
+//! Command-line input checks: an out-of-range number, or a fault plan that
+//! names a server the cluster lacks, given to `gfair simulate` must end the
+//! run with exit code 1 and an error that names the option, before any
+//! simulation starts.
 
 use std::process::Command;
 
@@ -49,4 +50,31 @@ fn bad_numbers_exit_1_with_a_named_error() {
 fn in_range_numbers_still_run() {
     let (code, stderr) = simulate(&["--jobs-per-hour", "0.5", "--horizon-hours", "1"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn fault_plan_naming_an_unknown_server_exits_1() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let cases = [
+        (
+            "partition",
+            r#"{"partitions": [{"server": 9, "from_secs": 60, "until_secs": 120}]}"#,
+        ),
+        (
+            "flap",
+            r#"{"flaps": [{"server": 9, "first_fail_secs": 60, "down_secs": 60, "up_secs": 60, "cycles": 1}]}"#,
+        ),
+    ];
+    for (what, plan) in cases {
+        let path = format!("{dir}/unknown_server_{what}.json");
+        std::fs::write(&path, plan).expect("write the fault plan");
+        let (code, stderr) = simulate(&["--cluster", "homogeneous:2x4", "--faults", &path]);
+        assert_eq!(code, Some(1), "{what} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: fault plan")
+                && stderr.contains(what)
+                && stderr.contains("unknown server S9"),
+            "{what} must name the unknown server; stderr: {stderr}"
+        );
+    }
 }
