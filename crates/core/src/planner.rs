@@ -559,25 +559,26 @@ impl RoundPlanner {
         }
     }
 
-    /// Folds the best (lowest) stride pass per user across all servers, for
-    /// [`gfair_sim::ClusterScheduler::user_shares`] reporting. One pass over
-    /// the locals instead of scanning every server once per entitled user —
-    /// locals dominate users at bench scale, so this turns a
-    /// users × servers sweep into servers + users.
-    pub fn fold_min_passes(&self) -> BTreeMap<UserId, f64> {
-        let mut min_pass: BTreeMap<UserId, f64> = BTreeMap::new();
+    /// Folds the best (lowest) stride pass per user across all servers into
+    /// `min_pass`, indexed by `UserId::index()` (`None` for a user with no
+    /// job on any server), for [`gfair_sim::ClusterScheduler::user_shares`]
+    /// reporting. One pass over the locals instead of scanning every server
+    /// once per entitled user — locals dominate users at bench scale, so
+    /// this turns a users × servers sweep into servers + users. The caller
+    /// reuses the vector across rounds, so the fold does not allocate.
+    pub fn fold_min_passes(&self, min_pass: &mut Vec<Option<f64>>) {
+        min_pass.clear();
         for local in self.locals.values() {
             local.for_each_user_pass(|u, p| {
-                min_pass
-                    .entry(u)
-                    .and_modify(|m| {
-                        if p.total_cmp(m).is_lt() {
-                            *m = p;
-                        }
-                    })
-                    .or_insert(p);
+                let i = u.index();
+                if min_pass.len() <= i {
+                    min_pass.resize(i + 1, None);
+                }
+                match &mut min_pass[i] {
+                    Some(m) if !p.total_cmp(m).is_lt() => {}
+                    slot => *slot = Some(p),
+                }
             });
         }
-        min_pass
     }
 }

@@ -56,6 +56,7 @@ use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
 use gfair_types::{
     GenId, JobId, JobState, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId,
 };
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -269,6 +270,10 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     /// Dense per-user policy inputs (demand, speedups, ρ̂), refreshed
     /// incrementally from the cluster-index aggregates each epoch.
     inputs: PolicyInputs,
+    /// Per-user minimum stride pass scratch for traced
+    /// [`ClusterScheduler::user_shares`] calls, indexed by
+    /// `UserId::index()` and reused across rounds.
+    min_pass: RefCell<Vec<Option<f64>>>,
     /// Observability pipeline; share the simulation's instance via
     /// [`PolicyScheduler::with_obs`] to get one unified trace.
     obs: SharedObs,
@@ -292,6 +297,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             sched_micros: Vec::new(),
             last_plan_jobs: Vec::new(),
             inputs: PolicyInputs::new(),
+            min_pass: RefCell::new(Vec::new()),
             obs: Arc::new(Obs::new()),
         }
     }
@@ -795,16 +801,17 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         // folded only for traced runs — where planning is always eager and
         // they are exact. (0.0 is the schema's "no pass exposed" value, and
         // auditing keys off tickets alone.)
-        let min_pass = if self.obs.tracing() {
-            self.planner.fold_min_passes()
+        let mut min_pass = self.min_pass.borrow_mut();
+        if self.obs.tracing() {
+            self.planner.fold_min_passes(&mut min_pass);
         } else {
-            BTreeMap::new()
-        };
+            min_pass.clear();
+        }
         ent.users()
             .map(|user| UserShare {
                 user,
                 tickets: ent.gpus_of(user),
-                pass: min_pass.get(&user).copied().unwrap_or(0.0),
+                pass: min_pass.get(user.index()).copied().flatten().unwrap_or(0.0),
             })
             .collect()
     }

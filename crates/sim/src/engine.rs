@@ -32,8 +32,8 @@ use crate::view::SimView;
 use gfair_faults::{FaultInjector, FaultPlan, MigrationFault};
 use gfair_obs::{Obs, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
 use gfair_types::{
-    ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, Result, ServerId,
-    SimConfig, SimDuration, SimTime, UserSpec,
+    ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, ModelProfile, Result,
+    ServerId, SimConfig, SimDuration, SimTime, UserSpec,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -44,13 +44,19 @@ use std::sync::Arc;
 /// jobs from spinning forever in [`Simulation::run`].
 const MAX_ROUNDS: u64 = 10_000_000;
 
+/// Headroom for sparse ids: job and user ids index dense tables, so
+/// [`Simulation::new`] accepts an id only below twice the number of jobs
+/// (or users) plus this many slots.
+const ID_SLACK: usize = 1 << 16;
+
 /// A configured simulation, ready to run one scheduling policy.
 pub struct Simulation {
     cluster: ClusterSpec,
     users: Vec<UserSpec>,
     config: SimConfig,
     jobs: JobTable,
-    residents: BTreeMap<ServerId, BTreeSet<JobId>>,
+    /// Id-sorted resident jobs per server, indexed by `ServerId::index()`.
+    residents: Vec<Vec<JobId>>,
     /// Materialized indexes over `jobs`/`residents`, updated on every state
     /// transition so view queries run in O(answer); see [`crate::index`].
     index: ClusterIndex,
@@ -100,6 +106,14 @@ pub struct Simulation {
     acct_user_gen_gpu_secs: Vec<f64>,
     acct_server_gpu_secs: Vec<f64>,
     num_gens: usize,
+    /// Per-(job, generation) tables, flattened as
+    /// `job.index() * num_gens + gen.index()`: runtime accumulated since
+    /// the last profile report for that generation, and GPU-seconds
+    /// consumed (gang x wall time; folded into each job's report map in
+    /// [`finalize`](Self::finalize), where a generation belongs to the map
+    /// iff its GPU-seconds are positive).
+    stint: Vec<SimDuration>,
+    job_gen_gpu_secs: Vec<f64>,
     /// Round-stamp per job (by `JobId::index()`) marking it as having run in
     /// the previous round: a scheduled job whose stamp is stale pays the
     /// suspend/resume overhead before making progress. `warm_serial` starts
@@ -135,8 +149,12 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`GfairError::InvalidConfig`] if the config fails validation,
-    /// a job's gang fits no server, a job references an unknown user, or a
-    /// job's model does not cover the cluster's generation catalog.
+    /// a job's gang is zero or fits no server, a job references an unknown
+    /// user, a job's model does not cover the cluster's generation catalog,
+    /// or a job or user id is too sparse. Ids index dense tables, so every
+    /// job id must be below `2 × trace.len() + 65536` and every user id
+    /// below `2 × users.len() + 65536`: a table can then never be far
+    /// larger than the input.
     pub fn new(
         cluster: ClusterSpec,
         users: Vec<UserSpec>,
@@ -148,18 +166,78 @@ impl Simulation {
             return Err(GfairError::InvalidConfig(problems.join("; ")));
         }
         let max_gang = cluster.max_gang();
-        let user_ids: BTreeSet<_> = users.iter().map(|u| u.id).collect();
+        let user_limit = 2 * users.len() + ID_SLACK;
+        if let Some(u) = users.iter().find(|u| u.id.index() >= user_limit) {
+            return Err(GfairError::InvalidConfig(format!(
+                "user id {} is too sparse for {} users (ids must be below {user_limit})",
+                u.id,
+                users.len()
+            )));
+        }
+        let num_users = users.iter().map(|u| u.id.index() + 1).max().unwrap_or(0);
+        let mut known_user = vec![false; num_users];
+        for u in &users {
+            known_user[u.id.index()] = true;
+        }
+        // Intern model names: one shared `Arc<str>` per distinct name,
+        // ranked in `str` order. Each job's name is looked up once, borrowed
+        // from the trace (no string is copied per job), and numbered in
+        // first-seen order; `rank_of` then maps that number to the rank.
+        // Generated traces share one profile `Arc` per model, so a short
+        // memo keyed by that pointer answers most lookups without comparing
+        // strings. It stops growing at `MEMO` entries, which bounds the miss
+        // cost for traces whose jobs each own their profile.
+        const MEMO: usize = 32;
+        let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
+        let first_seen: Vec<u32> = {
+            let mut memo: Vec<(&Arc<ModelProfile>, u32)> = Vec::with_capacity(MEMO);
+            (trace.iter())
+                .map(|s| {
+                    if let Some(&(_, id)) = memo.iter().find(|(m, _)| Arc::ptr_eq(m, &s.model)) {
+                        return id;
+                    }
+                    let next = seen.len() as u32;
+                    let id = *seen.entry(s.model.name.as_str()).or_insert(next);
+                    if memo.len() < MEMO {
+                        memo.push((&s.model, id));
+                    }
+                    id
+                })
+                .collect()
+        };
+        let mut rank_of = vec![0u32; seen.len()];
+        let models: Vec<Arc<str>> = (seen.into_iter().enumerate())
+            .map(|(rank, (name, first))| {
+                rank_of[first as usize] = rank as u32;
+                Arc::from(name)
+            })
+            .collect();
+        let trace_len = trace.len();
+        let job_limit = 2 * trace_len + ID_SLACK;
+        let mut job_slots = 0;
         let mut queue = EventQueue::new();
         let mut jobs = JobTable::new();
         let mut arrivals = Vec::new();
-        for spec in trace {
+        for (spec, first) in trace.into_iter().zip(first_seen) {
+            if spec.id.index() >= job_limit {
+                return Err(GfairError::InvalidConfig(format!(
+                    "job id {} is too sparse for a trace of {trace_len} jobs (ids must be below {job_limit})",
+                    spec.id
+                )));
+            }
+            if spec.gang == 0 {
+                return Err(GfairError::InvalidConfig(format!(
+                    "job {} has gang 0 (a job needs at least one GPU)",
+                    spec.id
+                )));
+            }
             if spec.gang > max_gang {
                 return Err(GfairError::InvalidConfig(format!(
                     "job {} gang {} exceeds the widest server ({max_gang} GPUs)",
                     spec.id, spec.gang
                 )));
             }
-            if !user_ids.contains(&spec.user) {
+            if !known_user.get(spec.user.index()).copied().unwrap_or(false) {
                 return Err(GfairError::InvalidConfig(format!(
                     "job {} references unknown user {}",
                     spec.id, spec.user
@@ -174,7 +252,13 @@ impl Simulation {
                 )));
             }
             arrivals.push((spec.arrival, EventKind::Arrival(spec.id)));
-            if jobs.insert(spec.id, JobRt::new(spec)).is_some() {
+            job_slots = job_slots.max(spec.id.index() + 1);
+            let rank = rank_of[first as usize];
+            let model = Arc::clone(&models[rank as usize]);
+            if jobs
+                .insert(spec.id, JobRt::new(spec, model, rank))
+                .is_some()
+            {
                 return Err(GfairError::InvalidConfig(
                     "duplicate job id in trace".to_string(),
                 ));
@@ -183,12 +267,8 @@ impl Simulation {
         // Stage the trace instead of front-loading the heap: the heap then
         // only carries the live working set (finishes, migrations, rounds).
         queue.stage(arrivals);
-        let residents: BTreeMap<ServerId, BTreeSet<JobId>> = cluster
-            .servers
-            .iter()
-            .map(|s| (s.id, BTreeSet::new()))
-            .collect();
-        let index = ClusterIndex::new(&cluster);
+        let index = ClusterIndex::new(&cluster, num_users, models);
+        let residents = vec![Vec::new(); index.demand.len()];
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let num_gens = cluster.catalog.len().max(1);
         let gpus_up = cluster.servers.iter().map(|s| s.num_gpus).sum();
@@ -227,6 +307,8 @@ impl Simulation {
             acct_user_gen_gpu_secs: Vec::new(),
             acct_server_gpu_secs: Vec::new(),
             num_gens,
+            stint: vec![SimDuration::ZERO; job_slots * num_gens],
+            job_gen_gpu_secs: vec![0.0; job_slots * num_gens],
             warm_stamp: Vec::new(),
             dup_stamp: Vec::new(),
             warm_serial: 1,
@@ -447,7 +529,7 @@ impl Simulation {
         {
             let j = &self.jobs[job];
             self.index
-                .on_arrive(job, j.info.user, j.info.gang, &j.info.model);
+                .on_arrive(job, j.info.user, j.info.gang, j.model_rank);
             self.obs.emit(TraceEvent::JobArrive {
                 t: self.now,
                 job,
@@ -468,16 +550,14 @@ impl Simulation {
             j.info.state = JobState::Finished;
             j.finish = Some(self.now);
             if let Some(server) = j.info.server {
-                if let Some(set) = self.residents.get_mut(&server) {
-                    if set.remove(&job) {
-                        self.index.sub_demand(server, j.info.gang);
-                    }
+                if remove_sorted(&mut self.residents[server.index()], job) {
+                    self.index.sub_demand(server, j.info.gang);
                 }
                 self.index.unassign(j.info.user, server, j.info.gang);
             }
             j.info.server = None;
             self.index
-                .on_finish(job, j.info.user, j.info.gang, &j.info.model);
+                .on_finish(job, j.info.user, j.info.gang, j.model_rank);
             j.info.user
         };
         self.obs.emit(TraceEvent::JobFinish {
@@ -522,10 +602,7 @@ impl Simulation {
             } else {
                 j.info.state = JobState::Resident;
                 j.info.last_migration = Some(self.now);
-                self.residents
-                    .get_mut(&dst)
-                    .expect("destination exists")
-                    .insert(job);
+                insert_sorted(&mut self.residents[dst.index()], job);
                 self.index.add_demand(dst, j.info.gang);
                 Outcome::Landed(dst, j.info.gang)
             }
@@ -564,13 +641,7 @@ impl Simulation {
             self.unreachable += 1;
         }
         self.gpus_up -= self.cluster.server(server).num_gpus;
-        let evicted: Vec<JobId> = self
-            .residents
-            .get_mut(&server)
-            .map(std::mem::take)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+        let evicted = std::mem::take(&mut self.residents[server.index()]);
         for &job in &evicted {
             let j = self.jobs.get_mut(job).expect("resident job is known");
             j.info.state = JobState::Pending;
@@ -739,10 +810,7 @@ impl Simulation {
                 j.info.state = JobState::Resident;
                 j.info.server = Some(server);
                 let gang = j.info.gang;
-                self.residents
-                    .get_mut(&server)
-                    .expect("server exists")
-                    .insert(job);
+                insert_sorted(&mut self.residents[server.index()], job);
                 self.index.on_place(job, server, gang);
                 self.index.assign(j.info.user, server, gang);
                 self.obs.emit(TraceEvent::Placement {
@@ -849,10 +917,7 @@ impl Simulation {
                     None => {}
                 }
                 j.migrating_from = Some(src);
-                self.residents
-                    .get_mut(&src)
-                    .expect("source exists")
-                    .remove(&job);
+                remove_sorted(&mut self.residents[src.index()], job);
                 self.index.sub_demand(src, j.info.gang);
                 self.index.unassign(j.info.user, src, j.info.gang);
                 self.index.assign(j.info.user, to, j.info.gang);
@@ -1151,7 +1216,7 @@ impl Simulation {
                 // (c) Quanta until the profile stint crosses its length
                 // (each replayed quantum adds exactly one full quantum of
                 // productive time; the jobs are warm, overhead is zero).
-                let s0 = rec.stint.get(&gen).copied().unwrap_or(SimDuration::ZERO);
+                let s0 = self.stint[job.index() * self.num_gens + gen.index()];
                 let to_report = stint_len_us.saturating_sub(s0.as_micros());
                 j = j.min(to_report.div_ceil(q_us));
                 // (d) Quanta until the job finishes, mirroring `accrue`'s
@@ -1293,10 +1358,11 @@ impl Simulation {
         let gpu_secs = gang * run_secs;
         let base_secs = gang * progress_secs * rate;
         let user = j.info.user;
-        *j.gpu_secs_by_gen.entry(gen).or_insert(0.0) += gpu_secs;
+        let slot = job.index() * self.num_gens + gen.index();
+        self.job_gen_gpu_secs[slot] += gpu_secs;
 
         // Profiling stints (only productive time counts toward a stint).
-        let stint = j.stint.entry(gen).or_insert(SimDuration::ZERO);
+        let stint = &mut self.stint[slot];
         *stint += run.saturating_sub(overhead);
         while *stint >= stint_len {
             *stint -= stint_len;
@@ -1401,10 +1467,17 @@ impl Simulation {
             .filter(|(_, v)| **v > 0.0)
             .map(|(i, v)| (ServerId::new(i as u32), *v))
             .collect();
+        let num_gens = self.num_gens;
+        let job_gen_gpu_secs = &self.job_gen_gpu_secs;
         let jobs = self
             .jobs
             .into_iter()
             .map(|(id, j)| {
+                let row = &job_gen_gpu_secs[id.index() * num_gens..][..num_gens];
+                let gpu_secs_by_gen = (row.iter().enumerate())
+                    .filter(|(_, &v)| v > 0.0)
+                    .map(|(g, &v)| (gfair_types::GenId::new(g as u32), v))
+                    .collect();
                 (
                     id,
                     JobRecord {
@@ -1416,7 +1489,7 @@ impl Simulation {
                         arrival: j.spec.arrival,
                         first_run: j.first_run,
                         finish: j.finish,
-                        gpu_secs_by_gen: j.gpu_secs_by_gen,
+                        gpu_secs_by_gen,
                         migrations: j.migrations,
                     },
                 )
@@ -1453,6 +1526,24 @@ fn bump(v: &mut Vec<f64>, i: usize, d: f64) {
         v.resize(i + 1, 0.0);
     }
     v[i] += d;
+}
+
+/// Inserts `job` into an id-sorted resident list (a no-op if present).
+fn insert_sorted(list: &mut Vec<JobId>, job: JobId) {
+    if let Err(pos) = list.binary_search(&job) {
+        list.insert(pos, job);
+    }
+}
+
+/// Removes `job` from an id-sorted resident list; false if it was absent.
+fn remove_sorted(list: &mut Vec<JobId>, job: JobId) -> bool {
+    match list.binary_search(&job) {
+        Ok(pos) => {
+            list.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 /// Grows `v` so index `i` exists, then hands out the slot.

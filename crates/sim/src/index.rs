@@ -9,33 +9,39 @@
 //!
 //! ## Invariants
 //!
-//! With `J` the engine's job table and `R` its residency map:
+//! With `J` the engine's job table and `R[s]` server `s`'s id-sorted
+//! resident list. Users are indexed by `UserId::index()` and models by their
+//! rank among the trace's distinct model names in `str` order (`models[r]` is
+//! rank `r`'s interned name), so every per-user or per-model table below is a
+//! vector, not a tree:
 //!
 //! * `arrived` — jobs whose `Arrival` event has fired. Monotone; jobs with a
 //!   future arrival are never present.
 //! * `active` — `{ j ∈ arrived : J[j].state.is_active() }`.
 //! * `pending` — `{ j ∈ arrived : J[j].state == Pending }`.
-//! * `by_user[u]` — `{ j ∈ active : J[j].user == u }`; users with no active
-//!   job carry no entry, so the key set *is* the active-user set.
+//! * `by_user[u]` — `{ j ∈ active : J[j].user == u }`; a user is active iff
+//!   its set is non-empty.
 //! * `demand[s]` — `Σ gang(j) for j ∈ R[s]`; every server has an entry.
-//! * `user_demand[u]` — `Σ gang(j) for j ∈ by_user[u]`; entries are removed
-//!   at zero, so the key set matches `by_user`'s.
-//! * `user_model_gang[(u, m)]` — `Σ gang(j)` over active jobs of user `u`
-//!   running model `m`; removed at zero.
-//! * `model_active[m]` — active jobs running model `m`; removed when empty.
-//! * `user_gen_assigned[(u, g)]` / `user_server_assigned[(u, s)]` —
+//! * `user_demand[u]` — `Σ gang(j) for j ∈ by_user[u]`; zero exactly for
+//!   inactive users, because every gang is at least 1.
+//! * `user_model_gang[u]` — `(r, Σ gang(j))` over active jobs of user `u`
+//!   running the model of rank `r`, sorted by rank, with no zero entries.
+//! * `model_active[r]` — active jobs running the model of rank `r`.
+//! * `user_gen_assigned[u * num_gens + g]` / `user_server_assigned[u]` —
 //!   `Σ gang(j)` over active jobs of `u` with `J[j].server` set, grouped by
-//!   the server's generation / the server itself. A migrating job counts
-//!   toward its *destination* (its `server` field), mirroring what
-//!   schedulers see; removed at zero.
+//!   the server's generation / the server itself (the latter as a
+//!   server-sorted `(server, gpus)` list with no zero entries). A migrating
+//!   job counts toward its *destination* (its `server` field), mirroring
+//!   what schedulers see.
 //! * `gen_load[g]` — the servers of generation `g` ordered by
 //!   (resident-load, id) ascending, where the load key is the exact f64
 //!   bits of `demand/gpus` (non-negative f64 bits order like the values),
 //!   so an ordered scan visits servers in the same order a least-loaded
 //!   min-scan with `f64::total_cmp` would.
 //!
-//! [`ClusterIndex::verify`] re-derives all of this from scratch and is the
-//! oracle for the differential property tests.
+//! [`ClusterIndex::verify`] re-derives all of this from scratch into
+//! `BTreeMap`s keyed by id and model name, and is the oracle for the
+//! differential property tests.
 //!
 //! The index also keeps a bounded *dirty ring* of residency changes: every
 //! demand bump appends the server to a fixed-capacity ring, and consumers
@@ -57,6 +63,26 @@ fn load_key(demand: u32, gpus: u32) -> u64 {
     (demand as f64 / gpus as f64).to_bits()
 }
 
+/// Adds `gpus` to `key`'s entry of a key-sorted table, inserting it if absent.
+fn add_sorted<K: Ord + Copy>(table: &mut Vec<(K, u64)>, key: K, gpus: u64) {
+    match table.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => table[i].1 += gpus,
+        Err(i) => table.insert(i, (key, gpus)),
+    }
+}
+
+/// Subtracts `gpus` from `key`'s entry of a key-sorted table, removing the
+/// entry when it reaches zero.
+fn sub_sorted<K: Ord + Copy>(table: &mut Vec<(K, u64)>, key: K, gpus: u64) {
+    if let Ok(i) = table.binary_search_by_key(&key, |&(k, _)| k) {
+        let d = &mut table[i].1;
+        *d = d.saturating_sub(gpus);
+        if *d == 0 {
+            table.remove(i);
+        }
+    }
+}
+
 /// Incrementally maintained indexes over jobs and residency.
 #[derive(Debug, Default)]
 pub(crate) struct ClusterIndex {
@@ -66,9 +92,9 @@ pub(crate) struct ClusterIndex {
     pub(crate) active: BTreeSet<JobId>,
     /// Arrived jobs awaiting placement.
     pub(crate) pending: BTreeSet<JobId>,
-    /// Active jobs per user; empty sets are removed, so the key set is
-    /// exactly the set of users with at least one active job.
-    pub(crate) by_user: BTreeMap<UserId, BTreeSet<JobId>>,
+    /// Active jobs per user, indexed by `UserId::index()`; a user with no
+    /// active job has an empty set.
+    pub(crate) by_user: Vec<BTreeSet<JobId>>,
     /// GPUs demanded by resident jobs, per server (sum of gang widths),
     /// indexed by `ServerId::index()` — server ids are dense, and this sits
     /// on the placement hot path where a tree lookup per candidate server
@@ -81,17 +107,26 @@ pub(crate) struct ClusterIndex {
     /// changes rather than deriving state, so [`ClusterIndex::verify`] has
     /// no oracle for it.
     pub(crate) res_version: Vec<u64>,
-    /// Total GPUs demanded per active user (sum of active gang widths).
-    pub(crate) user_demand: BTreeMap<UserId, u64>,
-    /// GPUs demanded per (user, model) over active jobs.
-    pub(crate) user_model_gang: BTreeMap<(UserId, Arc<str>), u64>,
-    /// Active jobs per model.
-    pub(crate) model_active: BTreeMap<Arc<str>, BTreeSet<JobId>>,
-    /// GPUs of `user`'s placed jobs per generation (placed = `server` set,
-    /// so a migrating job counts toward its destination's generation).
-    pub(crate) user_gen_assigned: BTreeMap<(UserId, GenId), u64>,
-    /// GPUs of `user`'s placed jobs per server.
-    pub(crate) user_server_assigned: BTreeMap<(UserId, ServerId), u64>,
+    /// Total GPUs demanded per user over active jobs, indexed by
+    /// `UserId::index()`.
+    pub(crate) user_demand: Vec<u64>,
+    /// The trace's distinct model names in `str` order; a model's position
+    /// here is its rank, which keys the per-model tables.
+    pub(crate) models: Vec<Arc<str>>,
+    /// GPUs demanded per user over active jobs, split by model: one
+    /// rank-sorted `(rank, gpus)` list per `UserId::index()`.
+    pub(crate) user_model_gang: Vec<Vec<(u32, u64)>>,
+    /// Active jobs per model, indexed by model rank.
+    pub(crate) model_active: Vec<BTreeSet<JobId>>,
+    /// Number of generations: the row width of `user_gen_assigned`.
+    pub(crate) num_gens: usize,
+    /// GPUs of each user's placed jobs per generation (placed = `server`
+    /// set, so a migrating job counts toward its destination's generation),
+    /// flattened as `user.index() * num_gens + gen.index()`.
+    pub(crate) user_gen_assigned: Vec<u64>,
+    /// GPUs of each user's placed jobs per server: one server-sorted
+    /// `(server, gpus)` list per `UserId::index()`.
+    pub(crate) user_server_assigned: Vec<Vec<(ServerId, u64)>>,
     /// Servers of each generation ordered by (resident load, id), indexed
     /// by `GenId::index()`; each element is `(load_key, server)`.
     pub(crate) gen_load: Vec<BTreeSet<(u64, ServerId)>>,
@@ -107,8 +142,11 @@ pub(crate) struct ClusterIndex {
 }
 
 impl ClusterIndex {
-    /// Creates an index for `cluster`, all empty.
-    pub(crate) fn new(cluster: &ClusterSpec) -> Self {
+    /// Creates an empty index for `cluster`, `num_users` user slots (one
+    /// past the largest user id) and the interned model names `models`,
+    /// which must be in `str` order.
+    pub(crate) fn new(cluster: &ClusterSpec, num_users: usize, models: Vec<Arc<str>>) -> Self {
+        debug_assert!(models.is_sorted_by(|a, b| a < b), "models unsorted");
         let len = cluster
             .servers
             .iter()
@@ -126,8 +164,16 @@ impl ClusterIndex {
             gen_load[s.gen.index()].insert((load_key(0, s.num_gpus), s.id));
         }
         ClusterIndex {
+            by_user: vec![BTreeSet::new(); num_users],
             demand: vec![0; len],
             res_version: vec![0; len],
+            user_demand: vec![0; num_users],
+            user_model_gang: vec![Vec::new(); num_users],
+            model_active: vec![BTreeSet::new(); models.len()],
+            models,
+            num_gens,
+            user_gen_assigned: vec![0; num_users * num_gens],
+            user_server_assigned: vec![Vec::new(); num_users],
             gen_load,
             server_gen,
             server_gpus,
@@ -141,51 +187,27 @@ impl ClusterIndex {
     }
 
     /// A job's arrival event fired: it becomes visible and starts pending.
-    pub(crate) fn on_arrive(&mut self, job: JobId, user: UserId, gang: u32, model: &Arc<str>) {
+    pub(crate) fn on_arrive(&mut self, job: JobId, user: UserId, gang: u32, model: u32) {
         self.arrived.insert(job);
         self.active.insert(job);
         self.pending.insert(job);
-        self.by_user.entry(user).or_default().insert(job);
-        *self.user_demand.entry(user).or_insert(0) += u64::from(gang);
-        *self
-            .user_model_gang
-            .entry((user, Arc::clone(model)))
-            .or_insert(0) += u64::from(gang);
-        self.model_active
-            .entry(Arc::clone(model))
-            .or_default()
-            .insert(job);
+        let u = user.index();
+        self.by_user[u].insert(job);
+        self.user_demand[u] += u64::from(gang);
+        add_sorted(&mut self.user_model_gang[u], model, u64::from(gang));
+        self.model_active[model as usize].insert(job);
     }
 
     /// A job finished (from any active state; evicted jobs can finish while
     /// pending).
-    pub(crate) fn on_finish(&mut self, job: JobId, user: UserId, gang: u32, model: &Arc<str>) {
+    pub(crate) fn on_finish(&mut self, job: JobId, user: UserId, gang: u32, model: u32) {
         self.active.remove(&job);
         self.pending.remove(&job);
-        if let Some(set) = self.by_user.get_mut(&user) {
-            set.remove(&job);
-            if set.is_empty() {
-                self.by_user.remove(&user);
-            }
-        }
-        if let Some(d) = self.user_demand.get_mut(&user) {
-            *d = d.saturating_sub(u64::from(gang));
-            if *d == 0 {
-                self.user_demand.remove(&user);
-            }
-        }
-        if let Some(d) = self.user_model_gang.get_mut(&(user, Arc::clone(model))) {
-            *d = d.saturating_sub(u64::from(gang));
-            if *d == 0 {
-                self.user_model_gang.remove(&(user, Arc::clone(model)));
-            }
-        }
-        if let Some(set) = self.model_active.get_mut(model) {
-            set.remove(&job);
-            if set.is_empty() {
-                self.model_active.remove(model);
-            }
-        }
+        let u = user.index();
+        self.by_user[u].remove(&job);
+        self.user_demand[u] = self.user_demand[u].saturating_sub(u64::from(gang));
+        sub_sorted(&mut self.user_model_gang[u], model, u64::from(gang));
+        self.model_active[model as usize].remove(&job);
     }
 
     /// A pending job became resident on `server`.
@@ -203,27 +225,25 @@ impl ClusterIndex {
     /// A job's `server` field was set to `server` (placement, or a migration
     /// departure pointing it at the destination).
     pub(crate) fn assign(&mut self, user: UserId, server: ServerId, gang: u32) {
-        let gen = self.server_gen[server.index()];
-        *self.user_gen_assigned.entry((user, gen)).or_insert(0) += u64::from(gang);
-        *self.user_server_assigned.entry((user, server)).or_insert(0) += u64::from(gang);
+        let slot = user.index() * self.num_gens + self.server_gen[server.index()].index();
+        self.user_gen_assigned[slot] += u64::from(gang);
+        add_sorted(
+            &mut self.user_server_assigned[user.index()],
+            server,
+            u64::from(gang),
+        );
     }
 
     /// A job's `server` field stopped pointing at `server` (finish, eviction
     /// or migration departure).
     pub(crate) fn unassign(&mut self, user: UserId, server: ServerId, gang: u32) {
-        let gen = self.server_gen[server.index()];
-        if let Some(d) = self.user_gen_assigned.get_mut(&(user, gen)) {
-            *d = d.saturating_sub(u64::from(gang));
-            if *d == 0 {
-                self.user_gen_assigned.remove(&(user, gen));
-            }
-        }
-        if let Some(d) = self.user_server_assigned.get_mut(&(user, server)) {
-            *d = d.saturating_sub(u64::from(gang));
-            if *d == 0 {
-                self.user_server_assigned.remove(&(user, server));
-            }
-        }
+        let slot = user.index() * self.num_gens + self.server_gen[server.index()].index();
+        self.user_gen_assigned[slot] = self.user_gen_assigned[slot].saturating_sub(u64::from(gang));
+        sub_sorted(
+            &mut self.user_server_assigned[user.index()],
+            server,
+            u64::from(gang),
+        );
     }
 
     /// Records a residency change on `server` in the dirty ring.
@@ -274,12 +294,15 @@ impl ClusterIndex {
     /// Recomputes every index from scratch and compares: the differential
     /// oracle. `arrived` is authoritative (only the event loop knows which
     /// arrivals fired), so it is sanity-checked against job metadata and the
-    /// derived sets are recomputed relative to it.
+    /// derived sets are recomputed relative to it. The naive side builds
+    /// `BTreeMap`s keyed by id and model name; the dense tables are read
+    /// back into the same shape, so a wrong rank, a stale zero entry or an
+    /// unsorted list shows up as a divergence.
     pub(crate) fn verify(
         &self,
         now: gfair_types::SimTime,
         jobs: &JobTable,
-        residents: &BTreeMap<ServerId, BTreeSet<JobId>>,
+        residents: &[Vec<JobId>],
     ) -> Result<(), String> {
         // Sanity: arrivals never fire early, and any job that has changed
         // state, run, or finished must have arrived.
@@ -303,6 +326,12 @@ impl ClusterIndex {
         let mut user_server_assigned: BTreeMap<(UserId, ServerId), u64> = BTreeMap::new();
         for &id in &self.arrived {
             let j = jobs.get(id).ok_or_else(|| format!("unknown job {id}"))?;
+            if self.models.get(j.model_rank as usize) != Some(&j.info.model) {
+                return Err(format!(
+                    "job {id} model {} has the wrong rank {}",
+                    j.info.model, j.model_rank
+                ));
+            }
             if j.info.state.is_active() {
                 active.insert(id);
                 by_user.entry(j.info.user).or_default().insert(id);
@@ -338,45 +367,88 @@ impl ClusterIndex {
                 self.pending
             ));
         }
-        if by_user != self.by_user {
+        // The dense tables, read back as maps.
+        let user = |u: usize| UserId::new(u as u32);
+        let dense_by_user: BTreeMap<UserId, BTreeSet<JobId>> = (self.by_user.iter().enumerate())
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(u, set)| (user(u), set.clone()))
+            .collect();
+        if by_user != dense_by_user {
             return Err(format!(
-                "by_user index diverged: naive {by_user:?} vs index {:?}",
-                self.by_user
+                "by_user index diverged: naive {by_user:?} vs index {dense_by_user:?}"
             ));
         }
-        if user_demand != self.user_demand {
+        let dense_user_demand: BTreeMap<UserId, u64> = (self.user_demand.iter().enumerate())
+            .filter(|(_, &d)| d > 0)
+            .map(|(u, &d)| (user(u), d))
+            .collect();
+        if user_demand != dense_user_demand {
             return Err(format!(
-                "user_demand index diverged: naive {user_demand:?} vs index {:?}",
-                self.user_demand
+                "user_demand index diverged: naive {user_demand:?} vs index {dense_user_demand:?}"
             ));
         }
-        if user_model_gang != self.user_model_gang {
+        let mut dense_user_model_gang: BTreeMap<(UserId, Arc<str>), u64> = BTreeMap::new();
+        for (u, table) in self.user_model_gang.iter().enumerate() {
+            if !table.is_sorted_by(|a, b| a.0 < b.0) {
+                return Err(format!("user_model_gang of {} is not rank-sorted", user(u)));
+            }
+            for &(r, d) in table {
+                let model = Arc::clone(&self.models[r as usize]);
+                dense_user_model_gang.insert((user(u), model), d);
+            }
+        }
+        if user_model_gang != dense_user_model_gang {
             return Err(format!(
-                "user_model_gang index diverged: naive {user_model_gang:?} vs index {:?}",
-                self.user_model_gang
+                "user_model_gang index diverged: naive {user_model_gang:?} vs index {dense_user_model_gang:?}"
             ));
         }
-        if model_active != self.model_active {
+        let dense_model_active: BTreeMap<Arc<str>, BTreeSet<JobId>> =
+            (self.models.iter().zip(&self.model_active))
+                .filter(|(_, set)| !set.is_empty())
+                .map(|(m, set)| (Arc::clone(m), set.clone()))
+                .collect();
+        if model_active != dense_model_active {
             return Err(format!(
-                "model_active index diverged: naive {model_active:?} vs index {:?}",
-                self.model_active
+                "model_active index diverged: naive {model_active:?} vs index {dense_model_active:?}"
             ));
         }
-        if user_gen_assigned != self.user_gen_assigned {
+        let dense_user_gen_assigned: BTreeMap<(UserId, GenId), u64> =
+            (self.user_gen_assigned.iter().enumerate())
+                .filter(|(_, &d)| d > 0)
+                .map(|(i, &d)| {
+                    let gen = GenId::new((i % self.num_gens) as u32);
+                    ((user(i / self.num_gens), gen), d)
+                })
+                .collect();
+        if user_gen_assigned != dense_user_gen_assigned {
             return Err(format!(
-                "user_gen_assigned index diverged: naive {user_gen_assigned:?} vs index {:?}",
-                self.user_gen_assigned
+                "user_gen_assigned index diverged: naive {user_gen_assigned:?} vs index {dense_user_gen_assigned:?}"
             ));
         }
-        if user_server_assigned != self.user_server_assigned {
+        let mut dense_user_server_assigned: BTreeMap<(UserId, ServerId), u64> = BTreeMap::new();
+        for (u, table) in self.user_server_assigned.iter().enumerate() {
+            if !table.is_sorted_by(|a, b| a.0 < b.0) {
+                return Err(format!(
+                    "user_server_assigned of {} is not server-sorted",
+                    user(u)
+                ));
+            }
+            for &(s, d) in table {
+                dense_user_server_assigned.insert((user(u), s), d);
+            }
+        }
+        if user_server_assigned != dense_user_server_assigned {
             return Err(format!(
-                "user_server_assigned diverged: naive {user_server_assigned:?} vs index {:?}",
-                self.user_server_assigned
+                "user_server_assigned diverged: naive {user_server_assigned:?} vs index {dense_user_server_assigned:?}"
             ));
         }
         let mut demand = vec![0u32; self.demand.len()];
-        for (&s, set) in residents {
-            demand[s.index()] = set.iter().map(|&id| jobs[id].info.gang).sum::<u32>();
+        for (s, list) in residents.iter().enumerate() {
+            if !list.is_sorted_by(|a, b| a < b) {
+                let s = ServerId::new(s as u32);
+                return Err(format!("residents of server {s} are not id-sorted"));
+            }
+            demand[s] = list.iter().map(|&id| jobs[id].info.gang).sum::<u32>();
         }
         if demand != self.demand {
             return Err(format!(

@@ -53,11 +53,9 @@ pub(crate) struct JobRt {
     pub first_run: Option<SimTime>,
     /// Completion time, when finished.
     pub finish: Option<SimTime>,
-    /// Runtime accumulated per generation since the last profile report for
-    /// that generation.
-    pub stint: BTreeMap<GenId, SimDuration>,
-    /// GPU-seconds consumed per generation (gang x wall time).
-    pub gpu_secs_by_gen: BTreeMap<GenId, f64>,
+    /// Rank of the job's model among the trace's distinct model names in
+    /// `str` order (the cluster index keys its per-model tables by it).
+    pub model_rank: u32,
     /// Number of times this job was migrated.
     pub migrations: u32,
     /// Migration attempts started, successful or not (keys the fault
@@ -71,13 +69,14 @@ pub(crate) struct JobRt {
 }
 
 impl JobRt {
-    /// Creates runtime state for a newly arrived job.
-    pub fn new(spec: JobSpec) -> Self {
+    /// Creates runtime state for a newly arrived job whose model name is
+    /// interned as `model`, rank `model_rank` in `str` order.
+    pub fn new(spec: JobSpec, model: Arc<str>, model_rank: u32) -> Self {
         let info = JobInfo {
             id: spec.id,
             user: spec.user,
             gang: spec.gang,
-            model: Arc::from(spec.model.name.as_str()),
+            model,
             migration_cost: spec.model.migration_cost(),
             arrival: spec.arrival,
             state: JobState::Pending,
@@ -91,8 +90,7 @@ impl JobRt {
             finishing: false,
             first_run: None,
             finish: None,
-            stint: BTreeMap::new(),
-            gpu_secs_by_gen: BTreeMap::new(),
+            model_rank,
             migrations: 0,
             attempts: 0,
             restore_fail: false,
@@ -233,14 +231,18 @@ mod tests {
             "ResNet-50",
             vec![1.0, 2.0, 4.0],
         ));
-        JobRt::new(JobSpec::new(
-            JobId::new(1),
-            UserId::new(2),
-            model,
-            4,
-            3600.0,
-            SimTime::from_secs(100),
-        ))
+        JobRt::new(
+            JobSpec::new(
+                JobId::new(1),
+                UserId::new(2),
+                model,
+                4,
+                3600.0,
+                SimTime::from_secs(100),
+            ),
+            Arc::from("ResNet-50"),
+            0,
+        )
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::job::{JobInfo, JobTable};
 use gfair_types::{
     ClusterSpec, GenId, JobId, ServerId, ServerSpec, SimConfig, SimTime, UserId, UserSpec,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Read-only snapshot of simulation state at a callback.
@@ -22,7 +22,8 @@ pub struct SimView<'a> {
     pub(crate) cluster: &'a ClusterSpec,
     pub(crate) users: &'a [UserSpec],
     pub(crate) jobs: &'a JobTable,
-    pub(crate) residents: &'a BTreeMap<ServerId, BTreeSet<JobId>>,
+    /// Id-sorted resident jobs, indexed by `ServerId::index()`.
+    pub(crate) residents: &'a [Vec<JobId>],
     pub(crate) index: &'a ClusterIndex,
     pub(crate) down: &'a BTreeSet<ServerId>,
     pub(crate) partitioned: &'a BTreeSet<ServerId>,
@@ -124,7 +125,7 @@ impl<'a> SimView<'a> {
     /// Ids of jobs resident on `server`, in id order.
     pub fn resident(&self, server: ServerId) -> impl Iterator<Item = JobId> + '_ {
         self.residents
-            .get(&server)
+            .get(server.index())
             .into_iter()
             .flat_map(|s| s.iter().copied())
     }
@@ -155,7 +156,10 @@ impl<'a> SimView<'a> {
 
     /// Users that currently have at least one active job, in id order.
     pub fn active_users(&self) -> Vec<UserId> {
-        self.index.by_user.keys().copied().collect()
+        (self.index.by_user.iter().enumerate())
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(u, _)| UserId::new(u as u32))
+            .collect()
     }
 
     /// Active jobs belonging to `user`, in id order.
@@ -163,7 +167,7 @@ impl<'a> SimView<'a> {
         let jobs = self.jobs;
         self.index
             .by_user
-            .get(&user)
+            .get(user.index())
             .into_iter()
             .flat_map(move |set| set.iter().map(move |&id| &jobs[id].info))
     }
@@ -182,34 +186,44 @@ impl<'a> SimView<'a> {
     /// Per-user total GPU demand over active jobs, in user-id order. Users
     /// with no active job are absent.
     pub fn user_demands(&self) -> impl Iterator<Item = (UserId, u64)> + 'a {
-        self.index.user_demand.iter().map(|(&u, &d)| (u, d))
+        (self.index.user_demand.iter().enumerate())
+            .filter(|(_, &d)| d > 0)
+            .map(|(u, &d)| (UserId::new(u as u32), d))
     }
 
     /// Per-(user, model) GPU demand over active jobs, in (user-id, model)
     /// order. Zero entries are absent.
     pub fn user_model_demands(&self) -> impl Iterator<Item = (UserId, &'a Arc<str>, u64)> + 'a {
-        self.index
-            .user_model_gang
-            .iter()
-            .map(|((u, m), &d)| (*u, m, d))
+        let models = &self.index.models;
+        (self.index.user_model_gang.iter().enumerate()).flat_map(move |(u, table)| {
+            table
+                .iter()
+                .map(move |&(r, d)| (UserId::new(u as u32), &models[r as usize], d))
+        })
     }
 
     /// GPUs of `user`'s placed jobs (jobs with a server assigned, including
     /// in-flight migrations toward their destination) on generation `gen`.
     pub fn user_gen_assigned(&self, user: UserId, gen: GenId) -> u64 {
-        self.index
-            .user_gen_assigned
-            .get(&(user, gen))
+        let gens = self.index.num_gens;
+        if gen.index() >= gens {
+            return 0;
+        }
+        (self.index.user_gen_assigned)
+            .get(user.index() * gens + gen.index())
             .copied()
             .unwrap_or(0)
     }
 
     /// GPUs of `user`'s placed jobs on `server`.
     pub fn user_server_assigned(&self, user: UserId, server: ServerId) -> u64 {
-        self.index
-            .user_server_assigned
-            .get(&(user, server))
-            .copied()
+        let table = self.index.user_server_assigned.get(user.index());
+        table
+            .and_then(|t| {
+                t.binary_search_by_key(&server, |&(s, _)| s)
+                    .ok()
+                    .map(|i| t[i].1)
+            })
             .unwrap_or(0)
     }
 
@@ -222,16 +236,17 @@ impl<'a> SimView<'a> {
         &self,
         user: UserId,
     ) -> impl Iterator<Item = (ServerId, u64)> + 'a {
-        self.index
-            .user_server_assigned
-            .range((user, ServerId::new(0))..=(user, ServerId::new(u32::MAX)))
-            .map(|(&(_, s), &d)| (s, d))
+        (self.index.user_server_assigned)
+            .get(user.index())
+            .into_iter()
+            .flat_map(|table| table.iter().copied())
     }
 
     /// Models with at least one active job and those jobs' ids, in model
     /// order.
     pub fn active_models(&self) -> impl Iterator<Item = (&'a Arc<str>, &'a BTreeSet<JobId>)> + 'a {
-        self.index.model_active.iter()
+        (self.index.models.iter().zip(&self.index.model_active))
+            .filter(|(_, jobs)| !jobs.is_empty())
     }
 
     /// Servers of `gen` in ascending (resident load, id) order — the order a

@@ -467,6 +467,34 @@ fn unknown_user_in_trace_is_rejected() {
 }
 
 #[test]
+fn zero_gang_in_trace_is_rejected_at_construction() {
+    // `JobSpec::new` refuses a zero gang, but a deserialized trace can
+    // carry one.
+    let m = mono_model();
+    let mut zero = job(0, 0, &m, 1, 100.0, 0);
+    zero.gang = 0;
+    let trace = vec![zero];
+    let err = Simulation::new(mono_cluster(4), users(1), trace, config()).unwrap_err();
+    assert!(matches!(err, GfairError::InvalidConfig(_)));
+}
+
+#[test]
+fn sparse_ids_are_rejected_past_the_documented_bound() {
+    // One job and one user: ids must be below 2 * 1 + 65536.
+    let m = mono_model();
+    let build = |job_id: u32, user_id: u32| {
+        let users = vec![UserSpec::new(UserId::new(user_id), "u", 100)];
+        let trace = vec![job(job_id, user_id, &m, 1, 100.0, 0)];
+        Simulation::new(mono_cluster(1), users, trace, config())
+    };
+    assert!(build(65_537, 65_537).is_ok());
+    for (job_id, user_id) in [(65_538, 0), (0, 65_538), (u32::MAX, 0)] {
+        let err = build(job_id, user_id).unwrap_err();
+        assert!(matches!(err, GfairError::InvalidConfig(_)), "{err}");
+    }
+}
+
+#[test]
 fn model_missing_generations_is_rejected() {
     let narrow = Arc::new(ModelProfile::with_default_overheads("narrow", vec![1.0]));
     let trace = vec![job(0, 0, &narrow, 1, 100.0, 0)];

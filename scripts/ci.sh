@@ -75,10 +75,13 @@ echo "### repo benchmark smoke (all four workloads, 1/50 size)"
 # the auditor, the accounting identities and that report digests match
 # across repetitions. Runs BENCHMARK.json's own command, so CI builds the
 # standalone benchmark package exactly as the benchmark pipeline does (its
-# lockfile and target directory are gitignored). Results go under target/.
+# lockfile and target directory are gitignored). `--trace 1` alternates
+# untraced and traced repetitions, so the per-layer path runs too and the
+# traced children's report digests must equal the untraced ones. Results go
+# under target/.
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke \
-    --out target/benchmark/smoke.json
+    --trace 1 --out target/benchmark/smoke.json
 
 echo "### throughput regression gate (5000 GPUs, best of 3, all policies)"
 # Re-measures the 5000-GPU scale three times per policy (gfair plus the

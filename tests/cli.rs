@@ -1,7 +1,7 @@
-//! Command-line input checks: an out-of-range number, or a fault plan that
-//! names a server the cluster lacks, given to `gfair simulate` must end the
-//! run with exit code 1 and an error that names the option, before any
-//! simulation starts.
+//! Command-line input checks: an out-of-range number, a fault plan that
+//! names a server the cluster lacks, or a hostile trace given to
+//! `gfair simulate` must end the run with exit code 1 and an error that
+//! names the problem, before any simulation starts.
 
 use std::process::Command;
 
@@ -75,6 +75,37 @@ fn fault_plan_naming_an_unknown_server_exits_1() {
                 && stderr.contains(what)
                 && stderr.contains("unknown server S9"),
             "{what} must name the unknown server; stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn hostile_trace_exits_1_instead_of_crashing() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let trace = |id: u64, gang: u32| {
+        format!(
+            r#"[{{"id": {id}, "user": 0, "model": {{"name": "ResNet-50", "rates": [1.0, 2.0, 3.0], "checkpoint": 1000000, "restore": 1000000}}, "gang": {gang}, "service_secs": 600.0, "arrival": 0}}]"#
+        )
+    };
+    // A zero gang used to panic mid-run in the stride scheduler; a huge
+    // job id used to abort on a terabyte-sized table allocation.
+    let cases = [
+        ("zero_gang", trace(0, 0), "job J0 has gang 0"),
+        (
+            "sparse_id",
+            trace(4_000_000_000, 1),
+            "job id J4000000000 is too sparse",
+        ),
+    ];
+    for (what, json, message) in cases {
+        let path = format!("{dir}/hostile_{what}.json");
+        std::fs::write(&path, json).expect("write the trace");
+        let (code, stderr) =
+            simulate(&["--cluster", "paper", "--users", "4", "--load-trace", &path]);
+        assert_eq!(code, Some(1), "{what} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(message),
+            "{what} must say \"{message}\"; stderr: {stderr}"
         );
     }
 }

@@ -11,9 +11,10 @@
 
 use gfair::prelude::*;
 use gfair::sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
-use gfair::types::JobState;
+use gfair::types::{GenId, JobState};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Wraps a scheduler, validating every view it is handed.
 struct Audited<S>(S);
@@ -68,6 +69,83 @@ impl<S> Audited<S> {
                 .map(|j| j.id)
                 .collect();
             assert_eq!(of_user, naive_of, "jobs_of_user({u}) diverged");
+        }
+        Self::check_aggregates(view);
+    }
+
+    /// The aggregate queries the policies read, each against a naive
+    /// derivation over `active_jobs()`. Every comparison is between
+    /// vectors, so the order must match as well as the values.
+    fn check_aggregates(view: &SimView<'_>) {
+        let mut demands: BTreeMap<UserId, u64> = BTreeMap::new();
+        let mut model_demands: BTreeMap<(UserId, String), u64> = BTreeMap::new();
+        let mut models: BTreeMap<String, Vec<JobId>> = BTreeMap::new();
+        let mut gen_assigned: BTreeMap<(UserId, GenId), u64> = BTreeMap::new();
+        let mut server_assigned: BTreeMap<UserId, BTreeMap<ServerId, u64>> = BTreeMap::new();
+        for j in view.active_jobs() {
+            let gang = u64::from(j.gang);
+            *demands.entry(j.user).or_insert(0) += gang;
+            *model_demands
+                .entry((j.user, j.model.to_string()))
+                .or_insert(0) += gang;
+            models.entry(j.model.to_string()).or_default().push(j.id);
+            if let Some(s) = j.server {
+                let gen = view.cluster().server(s).gen;
+                *gen_assigned.entry((j.user, gen)).or_insert(0) += gang;
+                *server_assigned
+                    .entry(j.user)
+                    .or_default()
+                    .entry(s)
+                    .or_insert(0) += gang;
+            }
+        }
+        let got: Vec<(UserId, u64)> = view.user_demands().collect();
+        let naive: Vec<(UserId, u64)> = demands.into_iter().collect();
+        assert_eq!(got, naive, "user_demands diverged");
+        let got: Vec<(UserId, String, u64)> = view
+            .user_model_demands()
+            .map(|(u, m, d)| (u, m.to_string(), d))
+            .collect();
+        let naive: Vec<(UserId, String, u64)> = model_demands
+            .into_iter()
+            .map(|((u, m), d)| (u, m, d))
+            .collect();
+        assert_eq!(got, naive, "user_model_demands diverged");
+        let got: Vec<(String, Vec<JobId>)> = view
+            .active_models()
+            .map(|(m, jobs)| (m.to_string(), jobs.iter().copied().collect()))
+            .collect();
+        let naive: Vec<(String, Vec<JobId>)> = models.into_iter().collect();
+        assert_eq!(got, naive, "active_models diverged");
+        for user in view.users() {
+            let u = user.id;
+            for gen in view.cluster().catalog.ids() {
+                let naive = gen_assigned.get(&(u, gen)).copied().unwrap_or(0);
+                assert_eq!(
+                    view.user_gen_assigned(u, gen),
+                    naive,
+                    "user_gen_assigned({u}, {gen:?}) diverged"
+                );
+            }
+            let got: Vec<(ServerId, u64)> = view.user_server_assignments(u).collect();
+            let naive: Vec<(ServerId, u64)> = server_assigned
+                .get(&u)
+                .map(|m| m.iter().map(|(&s, &d)| (s, d)).collect())
+                .unwrap_or_default();
+            assert_eq!(got, naive, "user_server_assignments({u}) diverged");
+            for s in &view.cluster().servers {
+                let naive = server_assigned
+                    .get(&u)
+                    .and_then(|m| m.get(&s.id))
+                    .copied()
+                    .unwrap_or(0);
+                assert_eq!(
+                    view.user_server_assigned(u, s.id),
+                    naive,
+                    "user_server_assigned({u}, {}) diverged",
+                    s.id
+                );
+            }
         }
     }
 }
@@ -179,6 +257,57 @@ proptest! {
         .unwrap()
         .with_server_failure(ServerId::new(1), fail_at)
         .with_server_recovery(ServerId::new(1), fail_at + SimDuration::from_secs(down_mins * 60));
+        let mut sched = Audited(GandivaFair::new(GfairConfig::default()));
+        let report = sim
+            .run_until(&mut sched, SimTime::from_secs(8 * 3600))
+            .expect("clean run");
+        prop_assert!(report.rounds > 0);
+    }
+
+    /// Sparse user ids and model names that first arrive in reverse name
+    /// order: the per-user tables must skip the id gaps, and the per-model
+    /// tables must still list models in name order, not arrival order.
+    #[test]
+    fn indexes_handle_sparse_users_and_out_of_order_models(
+        seed in 0u64..1000,
+        gaps in proptest::collection::vec(0u32..40, 1..5),
+        n_jobs in 5usize..40,
+    ) {
+        let cluster = ClusterSpec::build(
+            GenCatalog::k80_p100_v100(),
+            &[("K80", 2, 8), ("P100", 1, 4), ("V100", 1, 8)],
+        );
+        let mut next = 0u32;
+        let users: Vec<UserSpec> = gaps
+            .iter()
+            .map(|&gap| {
+                next += gap;
+                let id = UserId::new(next);
+                next += 1;
+                UserSpec::new(id, &format!("u{}", id.index()), 100)
+            })
+            .collect();
+        let mut params = PhillyParams::default();
+        params.num_jobs = n_jobs;
+        params.jobs_per_hour = 200.0;
+        params.median_service_mins = 15.0;
+        params.service_clamp_mins = (2.0, 60.0);
+        let mut trace = TraceBuilder::new(params, seed).build(&users);
+        // Hand out models so that the first arrivals walk the zoo in
+        // descending name order.
+        let mut descending: Vec<_> = zoo().into_iter().map(|e| e.model).collect();
+        descending.sort_by(|a, b| b.name.cmp(&a.name));
+        trace.sort_by_key(|j| (j.arrival, j.id));
+        for (i, job) in trace.iter_mut().enumerate() {
+            job.model = Arc::clone(&descending[i % descending.len()]);
+        }
+        let sim = Simulation::new(
+            cluster,
+            users,
+            trace,
+            SimConfig::default().with_seed(seed),
+        )
+        .unwrap();
         let mut sched = Audited(GandivaFair::new(GfairConfig::default()));
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(8 * 3600))
