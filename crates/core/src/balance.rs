@@ -327,7 +327,7 @@ impl<'a, 'v> Planner<'a, 'v> {
             let unprofiled = profiler.unprofiled_gens(model);
             if !unprofiled.is_empty() {
                 missing_by_model.insert(model, unprofiled);
-                probe_jobs.extend(jobs.iter().copied());
+                probe_jobs.extend(jobs.iter());
             }
         }
         if missing_by_model.is_empty() {

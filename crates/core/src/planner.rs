@@ -43,6 +43,16 @@
 //! The span cap also bounds each settle's catch-up fast-forward, so no
 //! single round pays more than `O(span)` per touched server.
 //!
+//! The per-round bookkeeping is tree-free. The servers to settle and the
+//! departing hosts are collected into reused vectors, deduplicated by a
+//! per-server round stamp, and the settle list is sorted once so servers
+//! still settle in id order. The expiry queue is a lazily invalidated
+//! min-heap of `(valid_until, server)`: a re-settle pushes a fresh entry
+//! and leaves the old one in place, and an entry counts only while it
+//! equals the server's current `valid_until`. Stale entries are dropped
+//! when they reach the top, and the heap is rebuilt from the per-server
+//! spans once it grows past [`EXPIRY_SLACK`] entries per server.
+//!
 //! Traced runs keep the eager path: `RoundPlanned` records each user's
 //! *current* minimum stride pass every round, and lazily-settled servers
 //! hold passes that are intentionally stale between settles.
@@ -53,7 +63,8 @@ use crate::pool::WorkerPool;
 use gfair_obs::{Phase, SharedObs};
 use gfair_sim::SimView;
 use gfair_types::{JobId, ServerId, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 /// Cap on the per-settle quiescence probe, and therefore on how far any
@@ -76,6 +87,12 @@ const MIN_WEIGHT: f64 = 1e-3;
 /// gap, clamped to `[QUIESCENT_MIN, QUIESCENT_SPAN]`, which grows
 /// geometrically on quiet servers and stays small on churning ones.
 const QUIESCENT_MIN: u64 = 16;
+
+/// Entries the lazy expiry heap may hold per server before it is rebuilt
+/// from the live spans. Every re-settle leaves one stale entry behind, so
+/// the rebuild's O(servers) cost is paid at most once per
+/// `(EXPIRY_SLACK - 1) × servers` settles.
+const EXPIRY_SLACK: usize = 4;
 
 /// Weight of `u` in an id-sorted per-server weight vec, if present.
 pub(crate) fn weight_lookup(weights: &[(UserId, f64)], u: UserId) -> Option<f64> {
@@ -104,8 +121,9 @@ pub(crate) fn planning_workers(configured: usize, servers: usize) -> usize {
 /// [`crate::policy::AllocPolicy`] boundary.
 #[derive(Debug, Default)]
 pub(crate) struct RoundPlanner {
-    /// One local scheduler per server, in server-id order.
-    locals: BTreeMap<ServerId, LocalScheduler>,
+    /// One local scheduler per server, indexed by `ServerId::index()`
+    /// (cluster server ids are dense indices).
+    locals: Vec<LocalScheduler>,
     /// Per-generation stride weight vectors derived from the current
     /// entitlements, indexed by `GenId::index()` and id-sorted per vector
     /// (entitlements iterate users in id order). Weights depend only on a
@@ -137,9 +155,21 @@ pub(crate) struct RoundPlanner {
     /// (lazy mode): the round the server's local state was last settled at,
     /// and the last round its cached selection is proven to reproduce.
     meta: Vec<(u64, u64)>,
-    /// `(valid_until, server)` expiry queue over `meta` — the next round any
-    /// server *must* settle is `expiry.first().0 + 1`.
-    expiry: BTreeSet<(u64, ServerId)>,
+    /// `(valid_until, server)` min-heap over `meta` — the next round any
+    /// server *must* settle is one past the smallest live entry. An entry is
+    /// live while it equals `meta[server].1`; stale ones are skipped when
+    /// they surface and the top is always live between rounds.
+    expiry: BinaryHeap<Reverse<(u64, ServerId)>>,
+    /// Servers to settle this round (lazy mode), reused across rounds.
+    to_settle: Vec<ServerId>,
+    /// Hosts of this round's departing jobs (lazy mode), reused across
+    /// rounds.
+    departing_hosts: Vec<ServerId>,
+    /// Per-server round stamps deduplicating `to_settle` and
+    /// `departing_hosts`, by `ServerId::index()`: a server is listed in
+    /// round `r` iff its stamp is `r`.
+    settle_stamp: Vec<u64>,
+    host_stamp: Vec<u64>,
     /// Consumed position in the sim index's residency dirty ring.
     dirty_cursor: u64,
     /// Last settled selection per server, nonempty selections only — the run
@@ -165,21 +195,19 @@ impl RoundPlanner {
     /// worker count.
     pub fn ensure_init(&mut self, view: &SimView<'_>, configured: usize) {
         if self.locals.is_empty() {
-            for s in &view.cluster().servers {
-                self.locals
-                    .insert(s.id, LocalScheduler::new(s.id, s.num_gpus));
-            }
+            self.locals = (view.cluster().servers.iter().enumerate())
+                .map(|(i, s)| {
+                    debug_assert_eq!(s.id.index(), i, "server ids are dense indices");
+                    LocalScheduler::new(s.id, s.num_gpus)
+                })
+                .collect();
             // Lazy-settling state: every server starts unsettled (valid
             // through round 0), so the first planned round settles them all.
-            let len = view
-                .cluster()
-                .servers
-                .iter()
-                .map(|s| s.id.index() + 1)
-                .max()
-                .unwrap_or(0);
+            let len = self.locals.len();
             self.meta = vec![(0, 0); len];
-            self.expiry = self.locals.keys().map(|&s| (0, s)).collect();
+            self.settle_stamp = vec![0; len];
+            self.host_stamp = vec![0; len];
+            self.rebuild_expiry();
         }
         if self.workers == 0 {
             self.workers = planning_workers(configured, self.locals.len());
@@ -196,7 +224,7 @@ impl RoundPlanner {
     /// for post-partition reconciliation diffs.
     pub fn jobs_on(&self, server: ServerId) -> BTreeSet<JobId> {
         self.locals
-            .get(&server)
+            .get(server.index())
             .map(|l| l.jobs().collect())
             .unwrap_or_default()
     }
@@ -316,7 +344,8 @@ impl RoundPlanner {
         let obs = Arc::clone(obs);
         obs.time(Phase::GangPacking, || {
             if workers <= 1 {
-                for (&server, local) in locals.iter_mut() {
+                for local in locals.iter_mut() {
+                    let server = local.server();
                     let weights = weights_of(server);
                     local.sync(
                         view,
@@ -337,27 +366,26 @@ impl RoundPlanner {
             // of the id-ordered server list and the merge below re-inserts
             // in that same order — the resulting plan is byte-identical to
             // the sequential path no matter the worker count.
-            let mut work: Vec<(ServerId, &mut LocalScheduler)> =
-                locals.iter_mut().map(|(&s, l)| (s, l)).collect();
-            let chunk = work.len().div_ceil(workers);
+            let chunk = locals.len().div_ceil(workers);
             let mut results: Vec<Vec<(ServerId, Vec<JobId>)>> =
-                vec![Vec::new(); work.len().div_ceil(chunk)];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = work
+                vec![Vec::new(); locals.len().div_ceil(chunk)];
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = locals
                 .chunks_mut(chunk)
                 .zip(results.iter_mut())
                 .map(|(slice, out)| {
                     Box::new(move || {
                         *out = slice
                             .iter_mut()
-                            .map(|(server, local)| {
-                                let weights = weights_of(*server);
+                            .map(|local| {
+                                let server = local.server();
+                                let weights = weights_of(server);
                                 local.sync(
                                     view,
                                     departing,
                                     |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
-                                    weight_dirty(*server),
+                                    weight_dirty(server),
                                 );
-                                (*server, local.plan())
+                                (server, local.plan())
                             })
                             .collect();
                     }) as Box<dyn FnOnce() + Send + '_>
@@ -390,9 +418,18 @@ impl RoundPlanner {
         let r = self.cur_round + 1;
         self.cur_round = r;
         let mut settle_all = false;
-        let mut to_settle: BTreeSet<ServerId> = BTreeSet::new();
+        let mut to_settle = std::mem::take(&mut self.to_settle);
+        to_settle.clear();
+        let settle_stamp = &mut self.settle_stamp;
+        let mut mark = |server: ServerId| {
+            let stamp = &mut settle_stamp[server.index()];
+            if *stamp != r {
+                *stamp = r;
+                to_settle.push(server);
+            }
+        };
         match view.residency_dirty_since(self.dirty_cursor) {
-            Some(dirty) => to_settle.extend(dirty),
+            Some(dirty) => dirty.for_each(&mut mark),
             None => settle_all = true,
         }
         self.dirty_cursor = view.residency_dirty_seq();
@@ -408,28 +445,38 @@ impl RoundPlanner {
                     .copied()
                     .unwrap_or(true)
                 {
-                    to_settle.insert(s.id);
+                    mark(s.id);
                 }
             }
         }
-        to_settle.extend(dropped.iter().copied());
+        dropped.iter().copied().for_each(&mut mark);
         // Hosts of departing jobs must exclude them from this round's
         // selection. (A job being *placed* this round has no host yet; its
         // target server turns dirty once the action applies.)
-        let mut departing_hosts: BTreeSet<ServerId> = BTreeSet::new();
+        let mut departing_hosts = std::mem::take(&mut self.departing_hosts);
+        departing_hosts.clear();
         for &j in departing {
             if let Some(server) = view.job(j).and_then(|info| info.server) {
-                departing_hosts.insert(server);
+                let stamp = &mut self.host_stamp[server.index()];
+                if *stamp != r {
+                    *stamp = r;
+                    departing_hosts.push(server);
+                    mark(server);
+                }
             }
         }
-        to_settle.extend(departing_hosts.iter().copied());
-        while let Some(&(vu, server)) = self.expiry.first() {
+        // Expired spans. Popping stale entries on the way is harmless: they
+        // no longer count.
+        while let Some(&Reverse((vu, server))) = self.expiry.peek() {
             if vu >= r {
                 break;
             }
-            self.expiry.pop_first();
-            to_settle.insert(server);
+            self.expiry.pop();
+            if self.meta[server.index()].1 == vu {
+                mark(server);
+            }
         }
+        to_settle.sort_unstable();
         let locals = &mut self.locals;
         let meta = &mut self.meta;
         let expiry = &mut self.expiry;
@@ -462,7 +509,8 @@ impl RoundPlanner {
             // Catch the local state up to the previous round (the cached
             // selection replays verbatim across the lag by the quiescence
             // guarantee), re-derive, and re-probe the new span.
-            let mut settle = |server: ServerId, local: &mut LocalScheduler| {
+            let mut settle = |local: &mut LocalScheduler| {
+                let server = local.server();
                 let m = &mut meta[server.index()];
                 let lag = (r - 1).saturating_sub(m.0);
                 if lag > 0 {
@@ -484,8 +532,7 @@ impl RoundPlanner {
                 let cap = (gap.saturating_mul(2)).clamp(QUIESCENT_MIN, QUIESCENT_SPAN);
                 let span = local.quiescent_rounds(&selected, cap);
                 let vu = r + span;
-                expiry.remove(&(m.1, server));
-                expiry.insert((vu, server));
+                expiry.push(Reverse((vu, server)));
                 *m = (r, vu);
                 if selected.is_empty() {
                     cached.remove(&server);
@@ -494,13 +541,11 @@ impl RoundPlanner {
                 }
             };
             if settle_all {
-                for (&server, local) in locals.iter_mut() {
-                    settle(server, local);
-                }
+                locals.iter_mut().for_each(&mut settle);
             } else {
                 for &server in &to_settle {
-                    if let Some(local) = locals.get_mut(&server) {
-                        settle(server, local);
+                    if let Some(local) = locals.get_mut(server.index()) {
+                        settle(local);
                     }
                 }
             }
@@ -511,13 +556,38 @@ impl RoundPlanner {
             for &server in &departing_hosts {
                 let m = &mut meta[server.index()];
                 if m.1 > r {
-                    expiry.remove(&(m.1, server));
-                    expiry.insert((r, server));
+                    expiry.push(Reverse((r, server)));
                     m.1 = r;
                 }
             }
         });
+        self.to_settle = to_settle;
+        self.departing_hosts = departing_hosts;
+        // Keep the top live so `probe` can read the minimum as is, and bound
+        // the stale entries.
+        while let Some(&Reverse((vu, server))) = self.expiry.peek() {
+            if self.meta[server.index()].1 == vu {
+                break;
+            }
+            self.expiry.pop();
+        }
+        if self.expiry.len() > EXPIRY_SLACK * self.meta.len() {
+            self.rebuild_expiry();
+        }
+        #[cfg(debug_assertions)]
+        {
+            let heap_min = self.expiry.peek().map(|&Reverse((vu, _))| vu);
+            let meta_min = self.meta.iter().map(|m| m.1).min();
+            debug_assert_eq!(heap_min, meta_min, "expiry heap diverged from meta");
+        }
         self.cached_run.clone()
+    }
+
+    /// Rebuilds the expiry heap from `meta`: one live entry per server.
+    fn rebuild_expiry(&mut self) {
+        self.expiry = (self.meta.iter().enumerate())
+            .map(|(i, m)| Reverse((m.1, ServerId::new(i as u32))))
+            .collect();
     }
 
     /// All-or-nothing fast-forward probe across servers: the replayable
@@ -525,18 +595,23 @@ impl RoundPlanner {
     /// check against the cached plan (absent servers must reproduce an empty
     /// selection). Must not mutate state.
     ///
-    /// Lazy mode answers from the expiry queue in O(1): every cached
+    /// Lazy mode answers from the expiry heap in O(1): every cached
     /// selection is proven through its `valid_until` round, so the whole
-    /// cluster replays through the earliest one.
+    /// cluster replays through the earliest one (the heap's top, which each
+    /// lazy round leaves live).
     pub fn probe(&self, run: &BTreeMap<ServerId, Vec<JobId>>, k: u64) -> u64 {
         if self.lazy == Some(true) {
             debug_assert_eq!(run, &self.cached_run, "probe against a stale plan");
-            let min_vu = self.expiry.first().map(|&(vu, _)| vu).unwrap_or(u64::MAX);
+            let min_vu = self
+                .expiry
+                .peek()
+                .map(|&Reverse((vu, _))| vu)
+                .unwrap_or(u64::MAX);
             return k.min(min_vu.saturating_sub(self.cur_round));
         }
         let mut j = k;
-        for (&server, local) in self.locals.iter() {
-            let expected = run.get(&server).map(Vec::as_slice).unwrap_or(&[]);
+        for local in &self.locals {
+            let expected = run.get(&local.server()).map(Vec::as_slice).unwrap_or(&[]);
             j = j.min(local.quiescent_rounds(expected, k));
             if j == 0 {
                 return 0;
@@ -554,7 +629,7 @@ impl RoundPlanner {
             self.cur_round += j;
             return;
         }
-        for local in self.locals.values_mut() {
+        for local in &mut self.locals {
             local.fast_forward(j);
         }
     }
@@ -568,7 +643,7 @@ impl RoundPlanner {
     /// reuses the vector across rounds, so the fold does not allocate.
     pub fn fold_min_passes(&self, min_pass: &mut Vec<Option<f64>>) {
         min_pass.clear();
-        for local in self.locals.values() {
+        for local in &self.locals {
             local.for_each_user_pass(|u, p| {
                 let i = u.index();
                 if min_pass.len() <= i {
@@ -580,5 +655,141 @@ impl RoundPlanner {
                 }
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gfair_obs::Obs;
+    use gfair_sim::{Action, ClusterScheduler, RoundPlan, Simulation};
+    use gfair_types::{ClusterSpec, JobSpec, ModelProfile, SimConfig, SimTime, UserSpec};
+
+    /// Places job `j` on server `j` and plans every round through a lazy
+    /// planner, checking the expiry heap after each round. With
+    /// `depart_all`, every job is reported departing every round: each host
+    /// settles with a fresh span and has it cut back to the current round,
+    /// so the span it settled with stays behind as a stale entry *above*
+    /// the live minimum. Otherwise the weights flip between two ticket
+    /// splits every round: every server re-settles with a span one round
+    /// later than its last, so the stale entries sit *below* the live ones
+    /// and surface at the top.
+    struct Churn {
+        planner: RoundPlanner,
+        obs: SharedObs,
+        depart_all: bool,
+        rounds: u64,
+        max_len: usize,
+    }
+
+    impl ClusterScheduler for Churn {
+        fn name(&self) -> &'static str {
+            "expiry-churn"
+        }
+
+        fn on_job_arrival(&mut self, _view: &SimView<'_>, job: JobId) -> Vec<Action> {
+            let server = ServerId::new(job.raw());
+            vec![Action::Place { job, server }]
+        }
+
+        fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
+            self.planner.ensure_init(view, 1);
+            let refresh = self.rounds == 0 || !self.depart_all;
+            if refresh {
+                let split = [
+                    (UserId::new(0), 100 + self.rounds % 2 * 100),
+                    (UserId::new(1), 100),
+                ];
+                let ent = Entitlements::base(&view.cluster().gpus_per_gen(), &split);
+                self.planner.refresh_weights(view, &ent);
+            }
+            self.rounds += 1;
+            let departing: BTreeSet<JobId> = if self.depart_all {
+                view.active_jobs().map(|j| j.id).collect()
+            } else {
+                BTreeSet::new()
+            };
+            let run = (self.planner).plan_runs(view, &departing, refresh, true, &self.obs);
+            let expiry = &self.planner.expiry;
+            let bound = EXPIRY_SLACK * view.cluster().servers.len();
+            assert!(
+                expiry.len() <= bound,
+                "heap holds {}, bound {bound}",
+                expiry.len()
+            );
+            let Some(&Reverse((vu, server))) = expiry.peek() else {
+                panic!("empty expiry heap");
+            };
+            assert_eq!(self.planner.meta[server.index()].1, vu, "stale top");
+            self.max_len = self.max_len.max(expiry.len());
+            RoundPlan {
+                run,
+                actions: Vec::new(),
+            }
+        }
+    }
+
+    /// Runs [`Churn`] on four single-job servers for six simulated hours.
+    fn churn(depart_all: bool) -> Churn {
+        let servers = 4;
+        let model = Arc::new(ModelProfile::with_default_overheads("m", vec![1.0]));
+        let trace = (0..servers)
+            .map(|j| {
+                let user = UserId::new(j % 2);
+                JobSpec::new(
+                    JobId::new(j),
+                    user,
+                    Arc::clone(&model),
+                    1,
+                    1e6,
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(servers, 4),
+            UserSpec::equal_users(2, 100),
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut churn = Churn {
+            planner: RoundPlanner::new(),
+            obs: Arc::new(Obs::new()),
+            depart_all,
+            rounds: 0,
+            max_len: 0,
+        };
+        sim.run_until(&mut churn, SimTime::from_secs(6 * 3600))
+            .unwrap();
+        assert_eq!(churn.planner.lazy, Some(true));
+        assert!(churn.rounds > 10 * QUIESCENT_MIN, "{} rounds", churn.rounds);
+        churn
+    }
+
+    #[test]
+    fn expiry_heap_compacts_within_its_bound() {
+        // Each round leaves one stale entry per server that lives for
+        // `QUIESCENT_MIN` rounds, more than the heap may hold: it must have
+        // been rebuilt to stay within the bound checked every round.
+        assert!(QUIESCENT_MIN as usize > EXPIRY_SLACK);
+        let churn = churn(true);
+        assert!(
+            churn.max_len > (EXPIRY_SLACK - 1) * 4,
+            "heap never approached its bound (max {})",
+            churn.max_len
+        );
+    }
+
+    #[test]
+    fn expiry_heap_top_stays_live_when_spans_grow() {
+        // Every round's settles leave the previous spans below the new ones;
+        // the round must pop them so the top (what `probe` reads) is live.
+        let churn = churn(false);
+        assert!(
+            churn.max_len <= 4,
+            "stale entries kept: max {}",
+            churn.max_len
+        );
     }
 }

@@ -149,12 +149,13 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`GfairError::InvalidConfig`] if the config fails validation,
-    /// a job's gang is zero or fits no server, a job references an unknown
-    /// user, a job's model does not cover the cluster's generation catalog,
-    /// or a job or user id is too sparse. Ids index dense tables, so every
-    /// job id must be below `2 × trace.len() + 65536` and every user id
-    /// below `2 × users.len() + 65536`: a table can then never be far
-    /// larger than the input.
+    /// a job's gang is zero or fits no server, a job's service demand or one
+    /// of its model's rates is not positive and finite, a job references an
+    /// unknown user, a job's model does not cover the cluster's generation
+    /// catalog, or a job or user id is too sparse. Ids index dense tables,
+    /// so every job id must be below `2 × trace.len() + 65536` and every
+    /// user id below `2 × users.len() + 65536`: a table can then never be
+    /// far larger than the input.
     pub fn new(
         cluster: ClusterSpec,
         users: Vec<UserSpec>,
@@ -241,6 +242,20 @@ impl Simulation {
                 return Err(GfairError::InvalidConfig(format!(
                     "job {} references unknown user {}",
                     spec.id, spec.user
+                )));
+            }
+            if !(spec.service_secs.is_finite() && spec.service_secs > 0.0) {
+                return Err(GfairError::InvalidConfig(format!(
+                    "job {} service_secs {} is not positive and finite",
+                    spec.id, spec.service_secs
+                )));
+            }
+            if let Some((g, rate)) =
+                (spec.model.rates.iter().enumerate()).find(|(_, r)| !(r.is_finite() && **r > 0.0))
+            {
+                return Err(GfairError::InvalidConfig(format!(
+                    "job {} model {} has rate {rate} on generation {g} (rates must be positive and finite)",
+                    spec.id, spec.model.name
                 )));
             }
             if !spec.model.covers(&cluster.catalog) {
@@ -1061,7 +1076,7 @@ impl Simulation {
             .index
             .pending
             .iter()
-            .filter(|&&id| !self.jobs[id].finishing)
+            .filter(|&id| !self.jobs[id].finishing)
             .count() as u32;
         let users = scheduler.user_shares(&self.view());
         let user_gpus = grant_by_user
@@ -1289,7 +1304,7 @@ impl Simulation {
             .index
             .pending
             .iter()
-            .filter(|&&id| !self.jobs[id].finishing)
+            .filter(|&id| !self.jobs[id].finishing)
             .count() as u32;
         self.obs.emit(TraceEvent::RoundsSkipped {
             t: span_t,

@@ -39,8 +39,14 @@
 //!   so an ordered scan visits servers in the same order a least-loaded
 //!   min-scan with `f64::total_cmp` would.
 //!
+//! Every job set here (`arrived`, `active`, `pending`, `by_user[u]`,
+//! `model_active[r]`) is a [`JobSet`]: a bitset over `JobId::index()`, so
+//! each arrival or finish updates its sets in O(1) and iteration yields
+//! ids in increasing order, the order every `SimView` job query promises.
+//!
 //! [`ClusterIndex::verify`] re-derives all of this from scratch into
-//! `BTreeMap`s keyed by id and model name, and is the oracle for the
+//! `BTreeSet`s and `BTreeMap`s keyed by id and model name, reads the dense
+//! tables and job sets back into the same shape, and is the oracle for the
 //! differential property tests.
 //!
 //! The index also keeps a bounded *dirty ring* of residency changes: every
@@ -51,6 +57,7 @@
 //! oracle for it (same as `res_version`).
 
 use crate::job::JobTable;
+use crate::jobset::JobSet;
 use gfair_types::{ClusterSpec, GenId, JobId, JobState, ServerId, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -87,14 +94,14 @@ fn sub_sorted<K: Ord + Copy>(table: &mut Vec<(K, u64)>, key: K, gpus: u64) {
 #[derive(Debug, Default)]
 pub(crate) struct ClusterIndex {
     /// Jobs whose arrival event has fired, in id order.
-    pub(crate) arrived: BTreeSet<JobId>,
+    pub(crate) arrived: JobSet,
     /// Arrived jobs that are not finished (pending, resident or migrating).
-    pub(crate) active: BTreeSet<JobId>,
+    pub(crate) active: JobSet,
     /// Arrived jobs awaiting placement.
-    pub(crate) pending: BTreeSet<JobId>,
+    pub(crate) pending: JobSet,
     /// Active jobs per user, indexed by `UserId::index()`; a user with no
     /// active job has an empty set.
-    pub(crate) by_user: Vec<BTreeSet<JobId>>,
+    pub(crate) by_user: Vec<JobSet>,
     /// GPUs demanded by resident jobs, per server (sum of gang widths),
     /// indexed by `ServerId::index()` — server ids are dense, and this sits
     /// on the placement hot path where a tree lookup per candidate server
@@ -117,7 +124,7 @@ pub(crate) struct ClusterIndex {
     /// rank-sorted `(rank, gpus)` list per `UserId::index()`.
     pub(crate) user_model_gang: Vec<Vec<(u32, u64)>>,
     /// Active jobs per model, indexed by model rank.
-    pub(crate) model_active: Vec<BTreeSet<JobId>>,
+    pub(crate) model_active: Vec<JobSet>,
     /// Number of generations: the row width of `user_gen_assigned`.
     pub(crate) num_gens: usize,
     /// GPUs of each user's placed jobs per generation (placed = `server`
@@ -164,12 +171,12 @@ impl ClusterIndex {
             gen_load[s.gen.index()].insert((load_key(0, s.num_gpus), s.id));
         }
         ClusterIndex {
-            by_user: vec![BTreeSet::new(); num_users],
+            by_user: vec![JobSet::new(); num_users],
             demand: vec![0; len],
             res_version: vec![0; len],
             user_demand: vec![0; num_users],
             user_model_gang: vec![Vec::new(); num_users],
-            model_active: vec![BTreeSet::new(); models.len()],
+            model_active: vec![JobSet::new(); models.len()],
             models,
             num_gens,
             user_gen_assigned: vec![0; num_users * num_gens],
@@ -201,18 +208,18 @@ impl ClusterIndex {
     /// A job finished (from any active state; evicted jobs can finish while
     /// pending).
     pub(crate) fn on_finish(&mut self, job: JobId, user: UserId, gang: u32, model: u32) {
-        self.active.remove(&job);
-        self.pending.remove(&job);
+        self.active.remove(job);
+        self.pending.remove(job);
         let u = user.index();
-        self.by_user[u].remove(&job);
+        self.by_user[u].remove(job);
         self.user_demand[u] = self.user_demand[u].saturating_sub(u64::from(gang));
         sub_sorted(&mut self.user_model_gang[u], model, u64::from(gang));
-        self.model_active[model as usize].remove(&job);
+        self.model_active[model as usize].remove(job);
     }
 
     /// A pending job became resident on `server`.
     pub(crate) fn on_place(&mut self, job: JobId, server: ServerId, gang: u32) {
-        self.pending.remove(&job);
+        self.pending.remove(job);
         self.add_demand(server, gang);
     }
 
@@ -307,7 +314,7 @@ impl ClusterIndex {
         // Sanity: arrivals never fire early, and any job that has changed
         // state, run, or finished must have arrived.
         for (id, j) in jobs.iter() {
-            if self.arrived.contains(&id) {
+            if self.arrived.contains(id) {
                 if j.info.arrival > now {
                     return Err(format!("job {id} marked arrived before its arrival time"));
                 }
@@ -324,7 +331,7 @@ impl ClusterIndex {
         let mut model_active: BTreeMap<Arc<str>, BTreeSet<JobId>> = BTreeMap::new();
         let mut user_gen_assigned: BTreeMap<(UserId, GenId), u64> = BTreeMap::new();
         let mut user_server_assigned: BTreeMap<(UserId, ServerId), u64> = BTreeMap::new();
-        for &id in &self.arrived {
+        for id in self.arrived.iter() {
             let j = jobs.get(id).ok_or_else(|| format!("unknown job {id}"))?;
             if self.models.get(j.model_rank as usize) != Some(&j.info.model) {
                 return Err(format!(
@@ -355,23 +362,23 @@ impl ClusterIndex {
                 pending.insert(id);
             }
         }
-        if active != self.active {
+        let dense_active: BTreeSet<JobId> = self.active.iter().collect();
+        if active != dense_active {
             return Err(format!(
-                "active index diverged: naive {active:?} vs index {:?}",
-                self.active
+                "active index diverged: naive {active:?} vs index {dense_active:?}"
             ));
         }
-        if pending != self.pending {
+        let dense_pending: BTreeSet<JobId> = self.pending.iter().collect();
+        if pending != dense_pending {
             return Err(format!(
-                "pending index diverged: naive {pending:?} vs index {:?}",
-                self.pending
+                "pending index diverged: naive {pending:?} vs index {dense_pending:?}"
             ));
         }
         // The dense tables, read back as maps.
         let user = |u: usize| UserId::new(u as u32);
         let dense_by_user: BTreeMap<UserId, BTreeSet<JobId>> = (self.by_user.iter().enumerate())
             .filter(|(_, set)| !set.is_empty())
-            .map(|(u, set)| (user(u), set.clone()))
+            .map(|(u, set)| (user(u), set.iter().collect()))
             .collect();
         if by_user != dense_by_user {
             return Err(format!(
@@ -405,7 +412,7 @@ impl ClusterIndex {
         let dense_model_active: BTreeMap<Arc<str>, BTreeSet<JobId>> =
             (self.models.iter().zip(&self.model_active))
                 .filter(|(_, set)| !set.is_empty())
-                .map(|(m, set)| (Arc::clone(m), set.clone()))
+                .map(|(m, set)| (Arc::clone(m), set.iter().collect()))
                 .collect();
         if model_active != dense_model_active {
             return Err(format!(

@@ -36,12 +36,14 @@ pub mod engine;
 pub mod event;
 mod index;
 pub mod job;
+pub mod jobset;
 pub mod report;
 pub mod sched;
 pub mod view;
 
 pub use engine::Simulation;
 pub use job::{JobInfo, JobRecord};
+pub use jobset::JobSet;
 pub use report::{SimReport, WindowSample};
 pub use sched::{Action, ClusterScheduler, ProfileReport, RoundPlan};
 pub use view::SimView;

@@ -6,6 +6,7 @@
 
 use crate::index::ClusterIndex;
 use crate::job::{JobInfo, JobTable};
+use crate::jobset::JobSet;
 use gfair_types::{
     ClusterSpec, GenId, JobId, ServerId, ServerSpec, SimConfig, SimTime, UserId, UserSpec,
 };
@@ -107,19 +108,19 @@ impl<'a> SimView<'a> {
     /// scheduler cannot see tomorrow's submissions.
     pub fn jobs(&self) -> impl Iterator<Item = &'a JobInfo> + '_ {
         let jobs = self.jobs;
-        self.index.arrived.iter().map(move |&id| &jobs[id].info)
+        self.index.arrived.iter().map(move |id| &jobs[id].info)
     }
 
     /// Jobs that have arrived and are not finished, in id order.
     pub fn active_jobs(&self) -> impl Iterator<Item = &'a JobInfo> + '_ {
         let jobs = self.jobs;
-        self.index.active.iter().map(move |&id| &jobs[id].info)
+        self.index.active.iter().map(move |id| &jobs[id].info)
     }
 
     /// Arrived jobs awaiting placement, in id order.
     pub fn pending_jobs(&self) -> impl Iterator<Item = &'a JobInfo> + '_ {
         let jobs = self.jobs;
-        self.index.pending.iter().map(move |&id| &jobs[id].info)
+        self.index.pending.iter().map(move |id| &jobs[id].info)
     }
 
     /// Ids of jobs resident on `server`, in id order.
@@ -169,7 +170,7 @@ impl<'a> SimView<'a> {
             .by_user
             .get(user.index())
             .into_iter()
-            .flat_map(move |set| set.iter().map(move |&id| &jobs[id].info))
+            .flat_map(move |set| set.iter().map(move |id| &jobs[id].info))
     }
 
     /// Number of online, reachable servers, in O(1) (maintained by the
@@ -244,7 +245,7 @@ impl<'a> SimView<'a> {
 
     /// Models with at least one active job and those jobs' ids, in model
     /// order.
-    pub fn active_models(&self) -> impl Iterator<Item = (&'a Arc<str>, &'a BTreeSet<JobId>)> + 'a {
+    pub fn active_models(&self) -> impl Iterator<Item = (&'a Arc<str>, &'a JobSet)> + 'a {
         (self.index.models.iter().zip(&self.index.model_active))
             .filter(|(_, jobs)| !jobs.is_empty())
     }

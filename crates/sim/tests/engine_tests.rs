@@ -479,6 +479,29 @@ fn zero_gang_in_trace_is_rejected_at_construction() {
 }
 
 #[test]
+fn non_positive_service_or_rates_in_trace_are_rejected_at_construction() {
+    // `JobSpec::new` and `ModelProfile::new` refuse these, but a
+    // deserialized trace can carry them.
+    let m = mono_model();
+    for service in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+        let mut bad = job(0, 0, &m, 1, 100.0, 0);
+        bad.service_secs = service;
+        let err = Simulation::new(mono_cluster(4), users(1), vec![bad], config()).unwrap_err();
+        assert!(
+            matches!(err, GfairError::InvalidConfig(_)),
+            "{service}: {err}"
+        );
+    }
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut profile = (*m).clone();
+        profile.rates = vec![rate];
+        let trace = vec![job(0, 0, &Arc::new(profile), 1, 100.0, 0)];
+        let err = Simulation::new(mono_cluster(4), users(1), trace, config()).unwrap_err();
+        assert!(matches!(err, GfairError::InvalidConfig(_)), "{rate}: {err}");
+    }
+}
+
+#[test]
 fn sparse_ids_are_rejected_past_the_documented_bound() {
     // One job and one user: ids must be below 2 * 1 + 65536.
     let m = mono_model();

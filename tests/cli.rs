@@ -82,13 +82,16 @@ fn fault_plan_naming_an_unknown_server_exits_1() {
 #[test]
 fn hostile_trace_exits_1_instead_of_crashing() {
     let dir = env!("CARGO_TARGET_TMPDIR");
-    let trace = |id: u64, gang: u32| {
+    let job = |id: u64, gang: u32, service: &str, rates: &str| {
         format!(
-            r#"[{{"id": {id}, "user": 0, "model": {{"name": "ResNet-50", "rates": [1.0, 2.0, 3.0], "checkpoint": 1000000, "restore": 1000000}}, "gang": {gang}, "service_secs": 600.0, "arrival": 0}}]"#
+            r#"[{{"id": {id}, "user": 0, "model": {{"name": "ResNet-50", "rates": {rates}, "checkpoint": 1000000, "restore": 1000000}}, "gang": {gang}, "service_secs": {service}, "arrival": 0}}]"#
         )
     };
+    let trace = |id: u64, gang: u32| job(id, gang, "600.0", "[1.0, 2.0, 3.0]");
     // A zero gang used to panic mid-run in the stride scheduler; a huge
-    // job id used to abort on a terabyte-sized table allocation.
+    // job id used to abort on a terabyte-sized table allocation; a negative
+    // service demand and all-zero rates used to panic in duration
+    // arithmetic during fast-forward and accrual.
     let cases = [
         ("zero_gang", trace(0, 0), "job J0 has gang 0"),
         (
@@ -96,12 +99,30 @@ fn hostile_trace_exits_1_instead_of_crashing() {
             trace(4_000_000_000, 1),
             "job id J4000000000 is too sparse",
         ),
+        (
+            "negative_service",
+            job(0, 1, "-5.0", "[1.0, 2.0, 3.0]"),
+            "job J0 service_secs -5 is not positive and finite",
+        ),
+        (
+            "zero_rates",
+            job(0, 1, "600.0", "[0.0, 0.0, 0.0]"),
+            "job J0 model ResNet-50 has rate 0 on generation 0",
+        ),
     ];
     for (what, json, message) in cases {
         let path = format!("{dir}/hostile_{what}.json");
         std::fs::write(&path, json).expect("write the trace");
-        let (code, stderr) =
-            simulate(&["--cluster", "paper", "--users", "4", "--load-trace", &path]);
+        let (code, stderr) = simulate(&[
+            "--cluster",
+            "paper",
+            "--users",
+            "4",
+            "--load-trace",
+            &path,
+            "--horizon-hours",
+            "2",
+        ]);
         assert_eq!(code, Some(1), "{what} must exit 1; stderr: {stderr}");
         assert!(
             stderr.starts_with("error: ") && stderr.contains(message),

@@ -41,6 +41,30 @@ impl<S> Audited<S> {
             let gpus = view.cluster().server(s.id).num_gpus;
             assert_eq!(view.server_load(s.id), naive as f64 / gpus as f64);
         }
+        // Every job iterator yields strictly increasing ids, so an order
+        // bug in the index's job sets fails here and not only in a digest.
+        let increasing = |ids: Vec<JobId>, what: &str| {
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "{what} is not strictly id-ordered: {ids:?}"
+            );
+        };
+        increasing(view.jobs().map(|j| j.id).collect(), "jobs()");
+        increasing(view.active_jobs().map(|j| j.id).collect(), "active_jobs()");
+        increasing(
+            view.pending_jobs().map(|j| j.id).collect(),
+            "pending_jobs()",
+        );
+        for u in view.active_users() {
+            increasing(
+                view.jobs_of_user(u).map(|j| j.id).collect(),
+                "jobs_of_user()",
+            );
+        }
+        for (model, jobs) in view.active_models() {
+            increasing(jobs.iter().collect(), &format!("active_models()[{model}]"));
+            assert_eq!(jobs.len(), jobs.iter().count(), "{model}: len disagrees");
+        }
         let active: Vec<JobId> = view.active_jobs().map(|j| j.id).collect();
         let naive_active: Vec<JobId> = view
             .jobs()
@@ -113,7 +137,7 @@ impl<S> Audited<S> {
         assert_eq!(got, naive, "user_model_demands diverged");
         let got: Vec<(String, Vec<JobId>)> = view
             .active_models()
-            .map(|(m, jobs)| (m.to_string(), jobs.iter().copied().collect()))
+            .map(|(m, jobs)| (m.to_string(), jobs.iter().collect()))
             .collect();
         let naive: Vec<(String, Vec<JobId>)> = models.into_iter().collect();
         assert_eq!(got, naive, "active_models diverged");
