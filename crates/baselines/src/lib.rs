@@ -16,6 +16,8 @@
 //! proportional-share alternative used to show why the paper chose
 //! deterministic stride (ablation A3).
 
+#![forbid(unsafe_code)]
+
 pub mod drf;
 pub mod fifo;
 pub mod gandiva_like;

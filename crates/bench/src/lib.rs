@@ -5,6 +5,8 @@
 //! for recorded outputs). All binaries accept `--seed <n>` and print
 //! deterministic ASCII tables.
 
+#![forbid(unsafe_code)]
+
 use gfair_core::{GfairConfig, PolicyId};
 use gfair_metrics::Table;
 use gfair_obs::{Obs, SharedObs};

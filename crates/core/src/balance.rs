@@ -4,7 +4,7 @@
 //! servers to carry comparable load — and trading only changes *numbers*
 //! until jobs actually move to the generations their owners now own. The
 //! balancer runs periodically and plans up to
-//! [`gfair_types::SimConfig::max_migrations_per_tick`] migrations, in three
+//! [`gfair_types::SimConfig::max_migrations_per_tick`] migrations, in four
 //! passes:
 //!
 //! 1. **Profiling migrations** — move one job of a model that lacks rate
@@ -30,7 +30,6 @@
 //! be delivered) and as sources (jobs there cannot be checkpointed), so
 //! balancing continues among the reachable remainder of the cluster.
 
-use crate::config::GfairConfig;
 use crate::entitlement::Entitlements;
 use crate::profiler::Profiler;
 use gfair_obs::{Candidate, Obs, Phase, TraceEvent};
@@ -64,13 +63,8 @@ struct MoveWhy {
 
 /// Plans this tick's migrations. Pure with respect to the view: the caller
 /// applies the returned actions through the simulator.
-pub fn plan_migrations(
-    view: &SimView<'_>,
-    ent: &Entitlements,
-    profiler: &Profiler,
-    cfg: &GfairConfig,
-) -> Vec<Action> {
-    plan_migrations_explained(view, ent, profiler, cfg, false).0
+pub fn plan_migrations(view: &SimView<'_>, ent: &Entitlements, profiler: &Profiler) -> Vec<Action> {
+    plan_migrations_explained(view, ent, profiler, false).0
 }
 
 /// [`plan_migrations`] plus one [`MoveWhy`] provenance record per action.
@@ -81,13 +75,10 @@ fn plan_migrations_explained(
     view: &SimView<'_>,
     ent: &Entitlements,
     profiler: &Profiler,
-    cfg: &GfairConfig,
     want_why: bool,
 ) -> (Vec<Action>, Vec<MoveWhy>) {
     let mut planner = Planner::new(view, want_why);
-    if cfg.profiling_migrations {
-        planner.profiling_pass(profiler);
-    }
+    planner.profiling_pass(profiler);
     planner.realization_pass(ent);
     planner.fairness_pass(ent);
     planner.spreading_pass();
@@ -104,11 +95,10 @@ pub fn plan_migrations_traced(
     view: &SimView<'_>,
     ent: &Entitlements,
     profiler: &Profiler,
-    cfg: &GfairConfig,
 ) -> Vec<Action> {
     let want_why = obs.tracing();
     let (actions, why) = obs.time(Phase::MigrationSearch, || {
-        plan_migrations_explained(view, ent, profiler, cfg, want_why)
+        plan_migrations_explained(view, ent, profiler, want_why)
     });
     let now = view.now();
     for w in why {

@@ -67,18 +67,10 @@ pub struct GfairConfig {
     /// Run the trading market (ablation: off reproduces "fairness without
     /// heterogeneity awareness").
     pub trading: bool,
-    /// Run migration-based load balancing.
+    /// Run migration-based load balancing, including the profiling
+    /// migrations that send jobs to generations the profiler has not yet
+    /// measured them on.
     pub balancing: bool,
-    /// Migrate jobs to unprofiled generations so the profiler can learn
-    /// cross-generation rates (requires `balancing`).
-    pub profiling_migrations: bool,
-    /// Worker threads for per-server round planning: `0` sizes the pool from
-    /// the machine's available parallelism, `1` forces the sequential path,
-    /// higher values pin the fan-out width. Per-server planning is
-    /// independent and results are merged in server-id order, so every
-    /// setting produces byte-identical plans (asserted by the determinism
-    /// tests).
-    pub planning_workers: usize,
     /// Maximum times a failed migration is retried before the job is left
     /// where the failure stranded it (resident at the source for checkpoint
     /// failures, pending for restore failures — the placement path then
@@ -112,8 +104,6 @@ impl Default for GfairConfig {
             policy: PolicyId::Gfair,
             trading: true,
             balancing: true,
-            profiling_migrations: true,
-            planning_workers: 0,
             max_migration_retries: 3,
             fast_forward: true,
             lazy_planning: true,
@@ -144,17 +134,19 @@ impl GfairConfig {
         self
     }
 
-    /// Disables load balancing and profiling migrations (builder-style).
+    /// Disables load balancing and with it profiling migrations
+    /// (builder-style).
     pub fn without_balancing(mut self) -> Self {
         self.balancing = false;
-        self.profiling_migrations = false;
         self
     }
 
-    /// Overrides the planning worker count (builder-style): `0` = auto,
-    /// `1` = sequential, `n > 1` = fan out across up to `n` threads.
-    pub fn with_planning_workers(mut self, workers: usize) -> Self {
-        self.planning_workers = workers;
+    /// Returns `self` unchanged: round planning is single-threaded, so there
+    /// is no worker count left to set. Kept only because the repository
+    /// benchmark (`crates/bench/src/bin/benchmark/workloads.rs`) still calls
+    /// it; it goes when that call does.
+    #[doc(hidden)]
+    pub fn with_planning_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn default_enables_all_mechanisms() {
         let c = GfairConfig::default();
-        assert!(c.trading && c.balancing && c.profiling_migrations);
+        assert!(c.trading && c.balancing);
         assert_eq!(c.policy, PolicyId::Gfair);
     }
 
@@ -218,9 +210,6 @@ mod tests {
         assert!(c.balancing);
         let c = GfairConfig::default().without_balancing();
         assert!(!c.balancing);
-        assert!(!c.profiling_migrations);
-        let c = GfairConfig::default().with_planning_workers(4);
-        assert_eq!(c.planning_workers, 4);
         let c = GfairConfig::default().with_migration_retries(5);
         assert_eq!(c.max_migration_retries, 5);
         assert!(GfairConfig::default().fast_forward);

@@ -35,6 +35,7 @@
 //! Themis-style finish-time fairness) plug in from the `gfair-policies`
 //! crate. See `POLICIES.md` at the repo root for the catalogue.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;
@@ -46,7 +47,6 @@ pub mod local;
 mod placement;
 mod planner;
 pub mod policy;
-mod pool;
 pub mod profiler;
 pub mod trade;
 

@@ -172,11 +172,11 @@ impl LocalScheduler {
         self.split.user_pass(user)
     }
 
-    /// Calls `f(user, pass)` for every user with jobs on this server, in
-    /// user-id order, with the same pass [`user_pass`](Self::user_pass)
-    /// reports.
-    pub fn for_each_user_pass(&self, f: impl FnMut(UserId, f64)) {
-        self.split.for_each_user_pass(f)
+    /// Calls `f(owner, pass)` for every job on this server, in job-id
+    /// order; the minimum over a user's calls is its
+    /// [`user_pass`](Self::user_pass).
+    pub fn for_each_job_pass(&self, f: impl FnMut(UserId, f64)) {
+        self.split.for_each_job_pass(f)
     }
 }
 

@@ -2,14 +2,13 @@
 //!
 //! Every policy in the zoo produces the same *kind* of output — per-user
 //! weights per GPU generation — and hands it to this planner, which owns the
-//! per-server [`LocalScheduler`]s, the per-generation weight cache, the
-//! stale-weight snapshots for unreachable servers, and the persistent
-//! planning worker pool. Because the planner is shared, every policy
-//! inherits the same guarantees for free:
+//! per-server [`LocalScheduler`]s, the per-generation weight cache and the
+//! stale-weight snapshots for unreachable servers. Because the planner is
+//! shared, every policy inherits the same guarantees for free:
 //!
-//! - **byte-determinism across worker counts** — workers take contiguous
-//!   chunks of the id-ordered server list and results merge in that same
-//!   order;
+//! - **byte-determinism** — servers are planned one after another in id
+//!   order on the calling thread, and the eager and lazy paths run the same
+//!   per-server step ([`WeightCache::sync_and_plan`]);
 //! - **graceful degradation** — a partitioned server keeps planning on the
 //!   weights it last received until it heals;
 //! - **quiescence fast-forward** — [`RoundPlanner::probe`] checks each
@@ -59,13 +58,11 @@
 
 use crate::entitlement::Entitlements;
 use crate::local::LocalScheduler;
-use crate::pool::WorkerPool;
 use gfair_obs::{Phase, SharedObs};
 use gfair_sim::SimView;
 use gfair_types::{JobId, ServerId, UserId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::Arc;
 
 /// Cap on the per-settle quiescence probe, and therefore on how far any
 /// server's stride state may lag behind the current round. Stable servers
@@ -102,19 +99,66 @@ pub(crate) fn weight_lookup(weights: &[(UserId, f64)], u: UserId) -> Option<f64>
         .map(|i| weights[i].1)
 }
 
-/// Resolves the configured planning-worker count against the machine and
-/// the number of servers: `0` means auto-size from available parallelism,
-/// and the pool never exceeds the server count (an idle worker is pure
-/// spawn overhead).
-pub(crate) fn planning_workers(configured: usize, servers: usize) -> usize {
-    let requested = if configured == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        configured
-    };
-    requested.min(servers).max(1)
+/// The weights every server plans on, kept apart from the local schedulers
+/// so a round can read them while it mutates the schedulers.
+#[derive(Debug, Default)]
+struct WeightCache {
+    /// Per-generation stride weight vectors derived from the current
+    /// entitlements, indexed by `GenId::index()` and id-sorted per vector
+    /// (entitlements iterate users in id order). Weights depend only on a
+    /// server's generation, so the cache is rebuilt once per entitlement
+    /// refresh — a few vectors — instead of once per server per round.
+    gen: Vec<Vec<(UserId, f64)>>,
+    /// Weight snapshots for servers that were unreachable at an entitlement
+    /// refresh: an unreachable server cannot receive updates, so its local
+    /// scheduler keeps running on the last weights it was sent until it is
+    /// reachable again (graceful degradation). Entries are dropped the
+    /// moment the server is reachable again.
+    stale: BTreeMap<ServerId, Vec<(UserId, f64)>>,
+    /// Which generations' weight vectors actually changed at the last
+    /// [`RoundPlanner::refresh_weights`], by `GenId::index()`. Entitlements
+    /// are re-derived every epoch but usually converge to the exact same
+    /// values, so a refresh round only needs to re-sync the servers of
+    /// generations whose vector really moved — bit-identical weights make
+    /// every downstream weight application a no-op.
+    changed_gens: Vec<bool>,
+}
+
+impl WeightCache {
+    /// One server's round step, shared by the eager and lazy paths: sync
+    /// `local` on the weights its server plans on, then plan its selection.
+    /// `refreshed` says whether the cache was rebuilt since the last round
+    /// and `dropped` holds the servers whose stale snapshot was just
+    /// dropped.
+    fn sync_and_plan(
+        &self,
+        local: &mut LocalScheduler,
+        view: &SimView<'_>,
+        departing: &BTreeSet<JobId>,
+        refreshed: bool,
+        dropped: &BTreeSet<ServerId>,
+    ) -> Vec<JobId> {
+        let server = local.server();
+        let gen = view.cluster().server(server).gen.index();
+        // Its stale snapshot while unreachable, the live per-gen vector
+        // otherwise.
+        let weights = (self.stale.get(&server))
+            .or_else(|| self.gen.get(gen))
+            .map_or(&[][..], Vec::as_slice);
+        // Whether the server's effective weights may differ from what its
+        // local scheduler last applied. Unchanged (bit-identical) vectors
+        // make the weight refresh inside `sync` a no-op, so such servers
+        // keep their version-check fast path even on refresh rounds.
+        let weight_dirty = (refreshed && self.changed_gens.get(gen).copied().unwrap_or(true))
+            || dropped.contains(&server);
+        local.sync(
+            view,
+            departing,
+            |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
+            weight_dirty,
+        );
+        local.plan()
+    }
 }
 
 /// Per-server stride planning shared by every policy behind the
@@ -124,26 +168,8 @@ pub(crate) struct RoundPlanner {
     /// One local scheduler per server, indexed by `ServerId::index()`
     /// (cluster server ids are dense indices).
     locals: Vec<LocalScheduler>,
-    /// Per-generation stride weight vectors derived from the current
-    /// entitlements, indexed by `GenId::index()` and id-sorted per vector
-    /// (entitlements iterate users in id order). Weights depend only on a
-    /// server's generation, so the cache is rebuilt once per entitlement
-    /// refresh — a few vectors — instead of once per server per round.
-    gen_weights: Vec<Vec<(UserId, f64)>>,
-    /// Weight snapshots for servers that were unreachable at an entitlement
-    /// refresh: an unreachable server cannot receive updates, so its local
-    /// scheduler keeps running on the last weights it was sent until it is
-    /// reachable again (graceful degradation). Entries are dropped the
-    /// moment the server is reachable again.
-    stale_weights: BTreeMap<ServerId, Vec<(UserId, f64)>>,
-    /// Persistent planning workers, created on the first parallel round and
-    /// reused every round thereafter (per-round thread spawns dominate the
-    /// planning phase at benchmark scale).
-    pool: Option<WorkerPool>,
-    /// Resolved planning-worker count, computed once at init:
-    /// `available_parallelism` re-reads cgroup state on every call, which is
-    /// far too slow for the per-round path.
-    workers: usize,
+    /// The weights each server plans on.
+    weights: WeightCache,
     /// Whether this planner runs the lazy-settling path, decided once at the
     /// first [`plan_runs`](Self::plan_runs) call (config allows it and no
     /// trace sink is attached). `None` until then.
@@ -175,13 +201,6 @@ pub(crate) struct RoundPlanner {
     /// Last settled selection per server, nonempty selections only — the run
     /// map lazy rounds return.
     cached_run: BTreeMap<ServerId, Vec<JobId>>,
-    /// Which generations' weight vectors actually changed at the last
-    /// [`refresh_weights`](Self::refresh_weights), by `GenId::index()`.
-    /// Entitlements are re-derived every epoch but usually converge to the
-    /// exact same values, so a refresh round only needs to re-sync the
-    /// servers of generations whose vector really moved — bit-identical
-    /// weights make every downstream weight application a no-op.
-    changed_gens: Vec<bool>,
 }
 
 impl RoundPlanner {
@@ -191,9 +210,8 @@ impl RoundPlanner {
         RoundPlanner::default()
     }
 
-    /// Lazily builds the local schedulers from the cluster and resolves the
-    /// worker count.
-    pub fn ensure_init(&mut self, view: &SimView<'_>, configured: usize) {
+    /// Lazily builds the local schedulers from the cluster.
+    pub fn ensure_init(&mut self, view: &SimView<'_>) {
         if self.locals.is_empty() {
             self.locals = (view.cluster().servers.iter().enumerate())
                 .map(|(i, s)| {
@@ -208,9 +226,6 @@ impl RoundPlanner {
             self.settle_stamp = vec![0; len];
             self.host_stamp = vec![0; len];
             self.rebuild_expiry();
-        }
-        if self.workers == 0 {
-            self.workers = planning_workers(configured, self.locals.len());
         }
     }
 
@@ -238,15 +253,12 @@ impl RoundPlanner {
         // last received: snapshot those (the pre-refresh per-gen vectors)
         // before rebuilding the cache, unless an earlier refresh already
         // recorded a snapshot for them.
-        {
-            let gen_weights = &self.gen_weights;
-            let stale = &mut self.stale_weights;
-            for s in &view.cluster().servers {
-                if !view.is_reachable(s.id) {
-                    stale.entry(s.id).or_insert_with(|| {
-                        gen_weights.get(s.gen.index()).cloned().unwrap_or_default()
-                    });
-                }
+        let cache = &mut self.weights;
+        for s in &view.cluster().servers {
+            if !view.is_reachable(s.id) {
+                let live = &cache.gen;
+                (cache.stale.entry(s.id))
+                    .or_insert_with(|| live.get(s.gen.index()).cloned().unwrap_or_default());
             }
         }
         let num_gens = view.cluster().catalog.ids().count();
@@ -257,12 +269,12 @@ impl RoundPlanner {
                 .map(|u| (u, ent.get(u, gen).max(MIN_WEIGHT)))
                 .collect();
         }
-        self.changed_gens = gen_weights
+        cache.changed_gens = gen_weights
             .iter()
             .enumerate()
-            .map(|(i, w)| self.gen_weights.get(i) != Some(w))
+            .map(|(i, w)| cache.gen.get(i) != Some(w))
             .collect();
-        self.gen_weights = gen_weights;
+        cache.gen = gen_weights;
     }
 
     /// Syncs local schedulers and collects the per-server run sets for this
@@ -272,11 +284,10 @@ impl RoundPlanner {
     ///
     /// Eager mode touches every server; lazy mode (see the module docs)
     /// settles only dirty, departing-host and span-expired servers and
-    /// serves the rest from `cached_run`. Both modes, and the sequential
-    /// (`workers == 1`) and parallel eager paths, produce byte-identical run
-    /// maps: per-server planning commutes, merges re-insert in server-id
-    /// order, and a cached selection is only reused strictly within its
-    /// proven quiescence span.
+    /// serves the rest from `cached_run`. Both modes produce byte-identical
+    /// run maps: they run the same per-server step in server-id order, and a
+    /// cached selection is only reused strictly within its proven
+    /// quiescence span.
     pub fn plan_runs(
         &mut self,
         view: &SimView<'_>,
@@ -295,7 +306,7 @@ impl RoundPlanner {
         // changes that server's effective weights, so that server counts as
         // weight-dirty just like one whose generation vector moved.
         let mut dropped: BTreeSet<ServerId> = BTreeSet::new();
-        self.stale_weights.retain(|s, _| {
+        self.weights.stale.retain(|s, _| {
             let keep = !view.is_reachable(*s);
             if !keep {
                 dropped.insert(*s);
@@ -306,95 +317,13 @@ impl RoundPlanner {
             return self.plan_runs_lazy(view, departing, refreshed, &dropped, obs);
         }
         let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
-        let workers = self.workers.max(1);
-        let pool = &mut self.pool;
-        if workers > 1 && pool.as_ref().map(WorkerPool::size) != Some(workers) {
-            *pool = Some(WorkerPool::new(workers));
-        }
         let locals = &mut self.locals;
-        let gen_weights = &self.gen_weights;
-        let stale_weights = &self.stale_weights;
-        let changed_gens = &self.changed_gens;
-        let cluster = view.cluster();
-        // The weight vector a server plans on: its stale snapshot while
-        // unreachable, the live per-gen vector otherwise.
-        let weights_of = |server: ServerId| -> &[(UserId, f64)] {
-            stale_weights
-                .get(&server)
-                .map(Vec::as_slice)
-                .unwrap_or_else(|| {
-                    gen_weights
-                        .get(cluster.server(server).gen.index())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[])
-                })
-        };
-        // Whether this server's effective weights may differ from what its
-        // local scheduler last applied. Unchanged (bit-identical) vectors
-        // make the weight refresh inside `sync` a no-op, so such servers
-        // keep their version-check fast path even on refresh rounds.
-        let weight_dirty = |server: ServerId| -> bool {
-            (refreshed
-                && changed_gens
-                    .get(cluster.server(server).gen.index())
-                    .copied()
-                    .unwrap_or(true))
-                || dropped.contains(&server)
-        };
-        let obs = Arc::clone(obs);
+        let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
-            if workers <= 1 {
-                for local in locals.iter_mut() {
-                    let server = local.server();
-                    let weights = weights_of(server);
-                    local.sync(
-                        view,
-                        departing,
-                        |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
-                        weight_dirty(server),
-                    );
-                    let selected = local.plan();
-                    if !selected.is_empty() {
-                        run.insert(server, selected);
-                    }
-                }
-                return;
-            }
-            // Parallel fan-out. Each server's local scheduler is an
-            // independent piece of state and the weight function is pure, so
-            // per-server planning commutes; workers take contiguous chunks
-            // of the id-ordered server list and the merge below re-inserts
-            // in that same order — the resulting plan is byte-identical to
-            // the sequential path no matter the worker count.
-            let chunk = locals.len().div_ceil(workers);
-            let mut results: Vec<Vec<(ServerId, Vec<JobId>)>> =
-                vec![Vec::new(); locals.len().div_ceil(chunk)];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = locals
-                .chunks_mut(chunk)
-                .zip(results.iter_mut())
-                .map(|(slice, out)| {
-                    Box::new(move || {
-                        *out = slice
-                            .iter_mut()
-                            .map(|local| {
-                                let server = local.server();
-                                let weights = weights_of(server);
-                                local.sync(
-                                    view,
-                                    departing,
-                                    |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
-                                    weight_dirty(server),
-                                );
-                                (server, local.plan())
-                            })
-                            .collect();
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.as_ref().expect("pool sized above").run(tasks);
-            for (server, selected) in results.into_iter().flatten() {
+            for local in locals.iter_mut() {
+                let selected = weights.sync_and_plan(local, view, departing, refreshed, &dropped);
                 if !selected.is_empty() {
-                    run.insert(server, selected);
+                    run.insert(local.server(), selected);
                 }
             }
         });
@@ -437,14 +366,10 @@ impl RoundPlanner {
         // weight vector actually changed, plus healed servers that just
         // dropped a stale snapshot. Refreshes that converge to bit-identical
         // vectors (the common case at steady state) dirty nothing here.
-        if refreshed && self.changed_gens.iter().any(|&c| c) {
+        let changed_gens = &self.weights.changed_gens;
+        if refreshed && changed_gens.iter().any(|&c| c) {
             for s in &view.cluster().servers {
-                if self
-                    .changed_gens
-                    .get(s.gen.index())
-                    .copied()
-                    .unwrap_or(true)
-                {
+                if changed_gens.get(s.gen.index()).copied().unwrap_or(true) {
                     mark(s.id);
                 }
             }
@@ -481,30 +406,7 @@ impl RoundPlanner {
         let meta = &mut self.meta;
         let expiry = &mut self.expiry;
         let cached = &mut self.cached_run;
-        let gen_weights = &self.gen_weights;
-        let stale_weights = &self.stale_weights;
-        let changed_gens = &self.changed_gens;
-        let cluster = view.cluster();
-        let weights_of = |server: ServerId| -> &[(UserId, f64)] {
-            stale_weights
-                .get(&server)
-                .map(Vec::as_slice)
-                .unwrap_or_else(|| {
-                    gen_weights
-                        .get(cluster.server(server).gen.index())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[])
-                })
-        };
-        let weight_dirty = |server: ServerId| -> bool {
-            (refreshed
-                && changed_gens
-                    .get(cluster.server(server).gen.index())
-                    .copied()
-                    .unwrap_or(true))
-                || dropped.contains(&server)
-        };
-        let obs = Arc::clone(obs);
+        let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
             // Catch the local state up to the previous round (the cached
             // selection replays verbatim across the lag by the quiescence
@@ -516,14 +418,7 @@ impl RoundPlanner {
                 if lag > 0 {
                     local.fast_forward(lag);
                 }
-                let weights = weights_of(server);
-                local.sync(
-                    view,
-                    departing,
-                    |u| weight_lookup(weights, u).unwrap_or(MIN_WEIGHT),
-                    weight_dirty(server),
-                );
-                let selected = local.plan();
+                let selected = weights.sync_and_plan(local, view, departing, refreshed, dropped);
                 // Adaptive probe budget: ~2x the settle-to-settle gap (see
                 // `QUIESCENT_MIN`). The budget only decides how far ahead
                 // the replay guarantee is *sought*, never how it is used, so
@@ -637,14 +532,13 @@ impl RoundPlanner {
     /// Folds the best (lowest) stride pass per user across all servers into
     /// `min_pass`, indexed by `UserId::index()` (`None` for a user with no
     /// job on any server), for [`gfair_sim::ClusterScheduler::user_shares`]
-    /// reporting. One pass over the locals instead of scanning every server
-    /// once per entitled user — locals dominate users at bench scale, so
-    /// this turns a users × servers sweep into servers + users. The caller
-    /// reuses the vector across rounds, so the fold does not allocate.
+    /// reporting. One sequential walk over every server's jobs, with no
+    /// per-user or per-job search. The caller reuses the vector across
+    /// rounds, so the fold does not allocate.
     pub fn fold_min_passes(&self, min_pass: &mut Vec<Option<f64>>) {
         min_pass.clear();
         for local in &self.locals {
-            local.for_each_user_pass(|u, p| {
+            local.for_each_job_pass(|u, p| {
                 let i = u.index();
                 if min_pass.len() <= i {
                     min_pass.resize(i + 1, None);
@@ -664,6 +558,7 @@ mod tests {
     use gfair_obs::Obs;
     use gfair_sim::{Action, ClusterScheduler, RoundPlan, Simulation};
     use gfair_types::{ClusterSpec, JobSpec, ModelProfile, SimConfig, SimTime, UserSpec};
+    use std::sync::Arc;
 
     /// Places job `j` on server `j` and plans every round through a lazy
     /// planner, checking the expiry heap after each round. With
@@ -693,7 +588,7 @@ mod tests {
         }
 
         fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
-            self.planner.ensure_init(view, 1);
+            self.planner.ensure_init(view);
             let refresh = self.rounds == 0 || !self.depart_all;
             if refresh {
                 let split = [

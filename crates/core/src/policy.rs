@@ -18,8 +18,8 @@
 //! no ambient randomness, no iteration over unordered containers. The
 //! driver guarantees the inputs themselves are deterministic (id-ordered
 //! maps, integer-microsecond ρ accounting), so policy output — and with it
-//! the whole trace — is byte-identical across planning worker counts and
-//! fast-forward settings.
+//! the whole trace — replays byte-identically from the same seed and is the
+//! same with fast-forward on or off.
 //!
 //! ## Fast-forward opt-in
 //!
@@ -333,7 +333,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
                 MIN_PROFILE_SAMPLES,
             ));
         }
-        self.planner.ensure_init(view, self.cfg.planning_workers);
+        self.planner.ensure_init(view);
         self.placer.ensure_capacity(view);
         self.inputs.ensure_init(view);
         if self.quantum_micros == 0 {
@@ -640,7 +640,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         if self.cfg.balancing && now >= self.next_balance {
             let ent = self.ent.as_ref().expect("refreshed above");
             let profiler = self.profiler.as_ref().expect("initialized");
-            actions = plan_migrations_traced(&self.obs, view, ent, profiler, &self.cfg);
+            actions = plan_migrations_traced(&self.obs, view, ent, profiler);
             self.next_balance = now + view.config().balance_interval;
         }
         // 3. Recovery: re-issue failed migrations whose backoff expired.

@@ -3,7 +3,7 @@
 //! invokes `plan_migrations` once.
 
 use gfair_core::balance::plan_migrations;
-use gfair_core::{Entitlements, GfairConfig, Profiler};
+use gfair_core::{Entitlements, Profiler};
 use gfair_sim::{Action, ClusterScheduler, RoundPlan, SimView, Simulation};
 use gfair_types::{
     ClusterSpec, GenCatalog, GenId, JobId, JobSpec, ModelProfile, ServerId, SimConfig, SimTime,
@@ -16,18 +16,16 @@ use std::sync::Arc;
 struct Harness {
     placements: Vec<(JobId, ServerId)>,
     balance_at: SimTime,
-    cfg: GfairConfig,
     ent_users: Vec<(UserId, u64)>,
     profiler: Profiler,
     planned: Option<Vec<Action>>,
 }
 
 impl Harness {
-    fn new(placements: Vec<(JobId, ServerId)>, cfg: GfairConfig) -> Self {
+    fn new(placements: Vec<(JobId, ServerId)>) -> Self {
         Harness {
             placements,
             balance_at: SimTime::from_secs(60),
-            cfg,
             ent_users: vec![(UserId::new(0), 100), (UserId::new(1), 100)],
             profiler: Profiler::new(3, 1),
             planned: None,
@@ -51,7 +49,7 @@ impl ClusterScheduler for Harness {
     fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
         if self.planned.is_none() && view.now() >= self.balance_at {
             let ent = Entitlements::base(&view.cluster().gpus_per_gen(), &self.ent_users);
-            let actions = plan_migrations(view, &ent, &self.profiler, &self.cfg);
+            let actions = plan_migrations(view, &ent, &self.profiler);
             self.planned = Some(actions.clone());
             return RoundPlan {
                 run: Default::default(),
@@ -93,12 +91,7 @@ fn spreading_moves_jobs_from_hot_to_cold_servers() {
     let cluster = ClusterSpec::homogeneous(2, 4);
     let trace: Vec<JobSpec> = (0..6).map(|i| job(i, 0, 1)).collect();
     let placements = (0..6).map(|i| (JobId::new(i), ServerId::new(0))).collect();
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let moves: Vec<_> = plan
@@ -128,12 +121,7 @@ fn balanced_servers_trigger_no_migrations() {
     let placements = (0..6)
         .map(|i| (JobId::new(i), ServerId::new(i % 2)))
         .collect();
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     assert!(plan.is_empty(), "balanced cluster must not churn: {plan:?}");
@@ -150,12 +138,7 @@ fn big_jobs_move_first() {
         (JobId::new(1), ServerId::new(0)),
         (JobId::new(2), ServerId::new(0)),
     ];
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let first = plan.iter().find_map(|a| match a {
@@ -176,11 +159,7 @@ fn profiling_pass_targets_unprofiled_generations() {
     );
     let trace = vec![job(0, 0, 1)];
     let placements = vec![(JobId::new(0), ServerId::new(0))];
-    let cfg = GfairConfig {
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster.clone(), trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let target = plan.iter().find_map(|a| match a {
@@ -210,12 +189,13 @@ fn realization_pass_moves_overconsumers_toward_entitled_generation() {
         .map(|i| (JobId::new(i), ServerId::new(1))) // V100 server
         .collect();
     placements.extend((10..14).map(|i| (JobId::new(i), ServerId::new(0))));
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
+    // Profile the model everywhere first, so the profiling pass has nothing
+    // to send and every move comes from the passes after it.
+    let model: Arc<str> = Arc::from("uni");
+    for gen in 0..3 {
+        h.profiler.record(&model, GenId::new(gen), 1.0);
+    }
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let user0_moves_to_k80 = plan.iter().any(|a| match a {
@@ -235,12 +215,7 @@ fn migration_budget_is_respected() {
     let cluster = ClusterSpec::homogeneous(4, 4);
     let trace: Vec<JobSpec> = (0..12).map(|i| job(i, 0, 1)).collect();
     let placements = (0..12).map(|i| (JobId::new(i), ServerId::new(0))).collect();
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let budget = SimConfig::default().max_migrations_per_tick as usize;
@@ -267,12 +242,7 @@ fn fairness_pass_spreads_a_users_jobs_across_servers() {
     placements.push((JobId::new(11), ServerId::new(0)));
     placements.push((JobId::new(12), ServerId::new(1)));
     placements.push((JobId::new(13), ServerId::new(1)));
-    let cfg = GfairConfig {
-        profiling_migrations: false,
-        trading: false,
-        ..GfairConfig::default()
-    };
-    let mut h = Harness::new(placements, cfg);
+    let mut h = Harness::new(placements);
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");
     let user0_to_s1 = plan.iter().any(|a| match a {

@@ -11,6 +11,7 @@
 //! * [`csv`] — CSV rendering of share time series and per-job records, for
 //!   plotting figures externally.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;

@@ -13,13 +13,14 @@
 //!   with a partial-allocation auction among the worst-off users.
 //!
 //! Every policy here satisfies the determinism obligations documented on
-//! [`gfair_core::policy`]: byte-identical traces across planning worker
-//! counts and fast-forward settings (asserted by
+//! [`gfair_core::policy`]: byte-identical same-seed replays, with
+//! fast-forward on or off (asserted by
 //! `tests/policy_determinism.rs` at the repo root). `POLICIES.md` documents
 //! each policy's model, guarantees, knobs and divergences from its source
 //! paper; its table is cross-checked against [`REGISTRY`] by a test in this
 //! crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gavel;

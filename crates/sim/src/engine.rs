@@ -149,13 +149,14 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`GfairError::InvalidConfig`] if the config fails validation,
-    /// a job's gang is zero or fits no server, a job's service demand or one
-    /// of its model's rates is not positive and finite, a job references an
-    /// unknown user, a job's model does not cover the cluster's generation
-    /// catalog, or a job or user id is too sparse. Ids index dense tables,
-    /// so every job id must be below `2 × trace.len() + 65536` and every
-    /// user id below `2 × users.len() + 65536`: a table can then never be
-    /// far larger than the input.
+    /// the cluster's GPU total does not fit in a `u32`, a job's gang is zero
+    /// or fits no server, a job's service demand or one of its model's rates
+    /// is not positive and finite, a job references an unknown user, a job's
+    /// model does not cover the cluster's generation catalog, or a job or
+    /// user id is too sparse. Ids index dense tables, so every job id must
+    /// be below `2 × trace.len() + 65536` and every user id below
+    /// `2 × users.len() + 65536`: a table can then never be far larger than
+    /// the input.
     pub fn new(
         cluster: ClusterSpec,
         users: Vec<UserSpec>,
@@ -165,6 +166,13 @@ impl Simulation {
         let problems = config.validate();
         if !problems.is_empty() {
             return Err(GfairError::InvalidConfig(problems.join("; ")));
+        }
+        if cluster.checked_total_gpus().is_none() {
+            return Err(GfairError::InvalidConfig(format!(
+                "the cluster's {} servers hold more than {} GPUs in total",
+                cluster.servers.len(),
+                u32::MAX
+            )));
         }
         let max_gang = cluster.max_gang();
         let user_limit = 2 * users.len() + ID_SLACK;

@@ -30,6 +30,7 @@
 //! seed in [`gfair_types::SimConfig`]. Two runs with the same inputs produce
 //! byte-identical reports.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

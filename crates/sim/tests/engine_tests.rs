@@ -459,6 +459,19 @@ fn oversized_gang_in_trace_is_rejected_at_construction() {
 }
 
 #[test]
+fn gpu_total_overflowing_u32_is_rejected_at_construction() {
+    // 4 × (2^30 + 1) GPUs wraps a u32 total to 4.
+    let cluster = ClusterSpec::homogeneous(4, (1 << 30) + 1);
+    assert_eq!(cluster.checked_total_gpus(), None);
+    let trace = vec![job(0, 0, &mono_model(), 1, 100.0, 0)];
+    let err = Simulation::new(cluster, users(1), trace, config()).unwrap_err();
+    assert!(
+        matches!(&err, GfairError::InvalidConfig(m) if m.contains("GPUs in total")),
+        "{err}"
+    );
+}
+
+#[test]
 fn unknown_user_in_trace_is_rejected() {
     let m = mono_model();
     let trace = vec![job(0, 7, &m, 1, 100.0, 0)];

@@ -198,6 +198,11 @@ impl<K: Copy + Ord> GangScheduler<K> {
         self.client(k).map(|c| c.width)
     }
 
+    /// Every client's key and pass, in key order.
+    pub fn passes(&self) -> impl Iterator<Item = (K, f64)> + '_ {
+        self.clients.iter().map(|(k, c)| (*k, c.pass))
+    }
+
     /// Pass value of a client, if registered.
     pub fn pass_of(&self, k: K) -> Option<f64> {
         self.client(k).map(|c| c.pass)

@@ -22,6 +22,8 @@
 //! The schedulers are generic over the client key so they can arbitrate jobs,
 //! users, or anything `Copy + Ord`.
 
+#![forbid(unsafe_code)]
+
 pub mod gang;
 pub mod lottery;
 pub mod split;

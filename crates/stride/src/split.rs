@@ -236,15 +236,15 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
             .min_by(f64::total_cmp)
     }
 
-    /// Calls `f(user, pass)` for every user with at least one registered
-    /// job here, in user order, with the same effective pass
-    /// [`user_pass`](Self::user_pass) would report. One walk over the user
-    /// table, for callers that need every user's pass rather than one.
-    pub fn for_each_user_pass(&self, mut f: impl FnMut(U, f64)) {
-        for (u, entry) in &self.users {
-            if let Some(pass) = self.min_pass(entry) {
-                f(*u, pass);
-            }
+    /// Calls `f(owner, pass)` for every registered job, in job order. The
+    /// minimum over a user's calls is its [`user_pass`](Self::user_pass).
+    /// The job table and the inner scheduler's client table hold the same
+    /// keys in the same order, so this is one sequential walk over both,
+    /// with no per-job search.
+    pub fn for_each_job_pass(&self, mut f: impl FnMut(U, f64)) {
+        for (&(j, u), (k, pass)) in self.job_user.iter().zip(self.inner.passes()) {
+            debug_assert!(j == k, "job table and client table diverged");
+            f(u, pass);
         }
     }
 
@@ -338,6 +338,33 @@ mod tests {
             .min_by(f64::total_cmp)
             .unwrap();
         assert_eq!(u, min_job);
+    }
+
+    #[test]
+    fn job_passes_fold_to_user_passes() {
+        let mut s = SplitStride::new(4, GangPolicy::GangAware);
+        s.set_user_weight(0, 100.0);
+        s.set_user_weight(1, 300.0);
+        // Job keys interleave the two users, so a fold must merge them.
+        s.add_job(1, 5, 1);
+        s.add_job(0, 3, 2);
+        s.add_job(0, 8, 1);
+        s.add_job(1, 1, 1);
+        for _ in 0..7 {
+            s.plan_round();
+            let mut jobs = Vec::new();
+            let mut min: HashMap<u32, f64> = HashMap::new();
+            s.for_each_job_pass(|u, p| {
+                jobs.push(p);
+                let m = min.entry(u).or_insert(p);
+                *m = m.min(p);
+            });
+            let expected: Vec<f64> = [1, 3, 5, 8].iter().filter_map(|&j| s.job_pass(j)).collect();
+            assert_eq!(jobs, expected, "one call per job, in job order");
+            for u in [0, 1] {
+                assert_eq!(Some(min[&u]), s.user_pass(u));
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! Everything here works on in-memory event slices so it is directly
 //! testable; [`load_events`] is the only filesystem touchpoint.
 
+#![forbid(unsafe_code)]
+
 use gfair_obs::{FairnessLedger, LedgerSummary, TraceEvent};
 use gfair_types::{JobId, UserId};
 use std::collections::BTreeMap;

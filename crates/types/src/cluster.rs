@@ -80,16 +80,38 @@ impl ClusterSpec {
         )
     }
 
+    /// Total GPUs in the cluster, or `None` when the count does not fit in
+    /// a `u32`.
+    pub fn checked_total_gpus(&self) -> Option<u32> {
+        self.servers
+            .iter()
+            .try_fold(0u32, |sum, s| sum.checked_add(s.num_gpus))
+    }
+
     /// Total GPUs in the cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count does not fit in a `u32`; `Simulation::new`
+    /// rejects such clusters.
     pub fn total_gpus(&self) -> u32 {
-        self.servers.iter().map(|s| s.num_gpus).sum()
+        self.checked_total_gpus()
+            .expect("cluster GPU total overflows u32")
     }
 
     /// GPUs per generation, keyed by generation id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a generation's count does not fit in a `u32`, which can
+    /// only happen when [`total_gpus`](Self::total_gpus) panics too.
     pub fn gpus_per_gen(&self) -> BTreeMap<GenId, u32> {
         let mut m = BTreeMap::new();
         for s in &self.servers {
-            *m.entry(s.gen).or_insert(0) += s.num_gpus;
+            let n: &mut u32 = m.entry(s.gen).or_insert(0);
+            *n = n
+                .checked_add(s.num_gpus)
+                .expect("cluster GPU total overflows u32");
         }
         m
     }

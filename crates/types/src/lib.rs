@@ -11,6 +11,7 @@
 //! primitives (`gfair-stride`) and the Gandiva_fair scheduler itself
 //! (`gfair-core`) can interoperate without depending on each other.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -14,6 +14,8 @@
 //! * [`population`] — user classes (low/high speedup preference) used by the
 //!   trading experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod models;
 pub mod philly;
 pub mod population;

@@ -33,7 +33,7 @@ echo "### cargo doc (deny warnings: library crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p gfair-types -p gfair-obs -p gfair-faults \
     -p gfair-sim -p gfair-core -p gfair-metrics -p gfair-policies \
-    -p gfair-stride -p gfair-baselines -p gfair-workloads
+    -p gfair-stride -p gfair-baselines -p gfair-workloads -p gfair-tracetool
 
 echo "### bench smoke"
 # A quick pass of the simulator throughput bench. The JSON goes under

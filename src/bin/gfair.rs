@@ -34,10 +34,10 @@
 //!   --faults <plan.json>     inject faults from a FaultPlan file
 //!                            (see examples/faults.json)
 //!   --fault-seed <n>         override the plan's randomization seed
-//!   --planning-workers <n>   round-planning threads: 0 auto, 1 sequential
-//!                            (gandiva-fair and every --policy; plans are
-//!                            byte-identical at any setting)
 //! ```
+//!
+//! `simulate` exits 1 on an option it does not know and on a value option
+//! given without a value.
 //!
 //! The online invariant auditor is always on: every run re-derives cluster
 //! state from the decision stream and aborts on gang-atomicity, overcommit,
@@ -51,20 +51,72 @@ use gfair::workloads::{load_trace, save_trace};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Minimal argv reader: `value_of("--seed")`.
-struct Args(Vec<String>);
+/// Options `simulate` reads with a value, and the ones it reads as bare
+/// flags. Anything else starting with `--` is rejected, so a mistyped option
+/// cannot silently run a different experiment.
+const VALUE_OPTIONS: [&str; 17] = [
+    "--cluster",
+    "--scheduler",
+    "--policy",
+    "--users",
+    "--jobs",
+    "--jobs-per-hour",
+    "--median-mins",
+    "--seed",
+    "--horizon-hours",
+    "--save-trace",
+    "--load-trace",
+    "--json",
+    "--trace",
+    "--trace-full",
+    "--fail",
+    "--faults",
+    "--fault-seed",
+];
+const FLAG_OPTIONS: [&str; 3] = ["--no-trading", "--no-balancing", "--obs-summary"];
+
+/// Checked `simulate` options: each value option paired with its value (a
+/// repeated option reads as its first occurrence), plus the flags given.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    flags: Vec<&'static str>,
+}
 
 impl Args {
+    /// Parses the arguments after `simulate`. Fails on an option that is
+    /// not in [`VALUE_OPTIONS`] or [`FLAG_OPTIONS`], on a stray argument,
+    /// and on a value option with nothing after it. The word after a value
+    /// option is always its value, so `--jobs-per-hour -3` reaches the
+    /// option's own range check.
+    fn parse(argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            values: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&key) = VALUE_OPTIONS.iter().find(|&&k| k == arg) {
+                let value = it.next().ok_or_else(|| format!("{key} needs a value"))?;
+                args.values.push((key, value.clone()));
+            } else if let Some(&key) = FLAG_OPTIONS.iter().find(|&&k| k == arg) {
+                args.flags.push(key);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown option: {arg} (see gfair help)"));
+            } else {
+                return Err(format!("unexpected argument: {arg} (see gfair help)"));
+            }
+        }
+        Ok(args)
+    }
+
     fn value_of(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+        (self.values.iter())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+        self.flags.contains(&key)
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -167,7 +219,6 @@ fn make_scheduler(
     if args.flag("--no-balancing") {
         cfg = cfg.without_balancing();
     }
-    cfg = cfg.with_planning_workers(args.parsed("--planning-workers", 0usize)?);
     // --policy selects an allocation policy behind the gfair machinery and
     // takes precedence over --scheduler (the baselines have no policy
     // boundary to plug into).
@@ -481,13 +532,12 @@ fn print_obs_summary(obs: &SharedObs) {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cmd = argv.first().map(String::as_str).unwrap_or("help");
-    let args = Args(argv.clone());
     match cmd {
         "zoo" => {
             cmd_zoo();
             ExitCode::SUCCESS
         }
-        "simulate" => match cmd_simulate(&args) {
+        "simulate" => match Args::parse(&argv[1..]).and_then(|args| cmd_simulate(&args)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -543,9 +593,9 @@ SIMULATE OPTIONS:
   --faults <plan.json>  inject faults from a FaultPlan file
                         (see examples/faults.json)
   --fault-seed <n>      override the fault plan's randomization seed
-  --planning-workers <n>  round-planning threads: 0 auto, 1 sequential
-                        (gandiva-fair and every --policy; plans are
-                        byte-identical at any setting)
+
+An unknown option, or a value option given without its value, is an
+error (exit 1).
 
 The invariant auditor always runs: gang atomicity, GPU overcommit,
 residency, ticket conservation, migration lifecycle, and conservation

@@ -46,6 +46,8 @@
 //! assert_eq!(report.finished_jobs(), 40);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gfair_baselines as baselines;
 pub use gfair_core as core;
 pub use gfair_faults as faults;

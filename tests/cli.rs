@@ -1,4 +1,5 @@
-//! Command-line input checks: an out-of-range number, a fault plan that
+//! Command-line input checks: an out-of-range number, an unknown option, an
+//! option missing its value, a cluster too large to count, a fault plan that
 //! names a server the cluster lacks, or a hostile trace given to
 //! `gfair simulate` must end the run with exit code 1 and an error that
 //! names the problem, before any simulation starts.
@@ -44,6 +45,47 @@ fn bad_numbers_exit_1_with_a_named_error() {
             "{args:?} must name {option} in its error; stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn unknown_or_incomplete_options_exit_1() {
+    // Ignoring a typo, a removed option, or a value option at the end would
+    // silently run a different experiment.
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--horizon-hours", "1", "--bogus-flag", "3"],
+            "unknown option: --bogus-flag",
+        ),
+        (
+            &["--horizon-hours", "1", "--planning-workers", "2"],
+            "unknown option: --planning-workers",
+        ),
+        (&["--horizon-hours", "1", "--seed"], "--seed needs a value"),
+    ];
+    for (args, message) in cases {
+        let (code, stderr) = simulate(args);
+        assert_eq!(code, Some(1), "{args:?} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(message),
+            "{args:?} must say \"{message}\"; stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn cluster_whose_gpu_total_overflows_exits_1() {
+    // 4 × 1073741825 GPUs wraps to 4 in a u32 sum.
+    let (code, stderr) = simulate(&[
+        "--cluster",
+        "homogeneous:4x1073741825",
+        "--horizon-hours",
+        "1",
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: invalid configuration") && stderr.contains("GPUs in total"),
+        "the error must name the GPU total; stderr: {stderr}"
+    );
 }
 
 #[test]

@@ -1,15 +1,14 @@
-//! Parallel round planning must be invisible: for the same seed, any
-//! `planning_workers` setting (sequential, pinned fan-out, or auto-sized)
-//! must produce a byte-identical `SimReport` and a byte-identical JSONL
-//! trace. Per-server planning is independent and results are merged in
-//! server-id order, so parallelism only changes wall-clock time.
+//! Round planning is deterministic: the same seed replays to a byte-identical
+//! `SimReport` and JSONL trace, and lazy settling (the untraced default)
+//! produces the same report bytes as eager per-round planning, with
+//! quiescence fast-forward on or off.
 
 use gfair::prelude::*;
 use std::sync::Arc;
 
-/// Runs one seeded simulation with `workers` planning threads and a JSONL
-/// sink; returns the serialized report and the raw trace bytes.
-fn run(seed: u64, workers: usize, tag: &str) -> (String, Vec<u8>) {
+/// Runs one seeded simulation with a JSONL sink; returns the serialized
+/// report and the raw trace bytes.
+fn run(seed: u64, tag: &str) -> (String, Vec<u8>) {
     let path = std::env::temp_dir().join(format!(
         "gfair-determinism-{}-{tag}.jsonl",
         std::process::id()
@@ -28,8 +27,7 @@ fn run(seed: u64, workers: usize, tag: &str) -> (String, Vec<u8>) {
         .with_server_failure(ServerId::new(2), SimTime::from_secs(2 * 3600))
         .with_server_recovery(ServerId::new(2), SimTime::from_secs(4 * 3600))
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default().with_planning_workers(workers))
-        .with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("clean run");
@@ -66,7 +64,7 @@ fn lazy_planning_is_byte_identical_to_eager() {
     // its proven quiescence span, so every (lazy, fast-forward) combination
     // must produce the same report byte-for-byte — including across a
     // failure/recovery cycle.
-    let base = GfairConfig::default().with_planning_workers(1);
+    let base = GfairConfig::default();
     let eager_ff = run_untraced(7, base.without_lazy_planning());
     let lazy_ff = run_untraced(7, base);
     assert_eq!(eager_ff, lazy_ff, "lazy settling changed the report");
@@ -83,24 +81,12 @@ fn lazy_planning_is_byte_identical_to_eager() {
 }
 
 #[test]
-fn parallel_planning_is_byte_identical_to_sequential() {
-    let (seq_report, seq_trace) = run(7, 1, "seq");
-    let (par_report, par_trace) = run(7, 4, "par");
-    assert!(!seq_trace.is_empty());
-    assert_eq!(
-        seq_report, par_report,
-        "parallel planning changed the report"
-    );
-    assert_eq!(seq_trace, par_trace, "parallel planning changed the trace");
-}
-
-#[test]
-fn auto_sized_planning_is_byte_identical_to_sequential() {
-    let (seq_report, seq_trace) = run(13, 1, "seq-auto");
-    let (auto_report, auto_trace) = run(13, 0, "auto");
-    assert_eq!(
-        seq_report, auto_report,
-        "auto worker count changed the report"
-    );
-    assert_eq!(seq_trace, auto_trace, "auto worker count changed the trace");
+fn traced_runs_replay_byte_identically() {
+    // Traced runs plan eagerly every round; a replay of the same seed,
+    // failure/recovery cycle included, must match byte-for-byte.
+    let (a_report, a_trace) = run(7, "a");
+    let (b_report, b_trace) = run(7, "b");
+    assert!(!a_trace.is_empty());
+    assert_eq!(a_report, b_report, "same seed changed the report");
+    assert_eq!(a_trace, b_trace, "same seed changed the trace");
 }

@@ -3,9 +3,8 @@
 //! Three families of guarantees:
 //!
 //! 1. **Determinism** — the same `FaultPlan` and seed produce byte-identical
-//!    reports and JSONL traces, at any `planning_workers` setting. Fault
-//!    draws are keyed on `(seed, job, attempt)`, never on event
-//!    interleaving, so parallel planning cannot perturb them.
+//!    reports and JSONL traces. Fault draws are keyed on
+//!    `(seed, job, attempt)`, never on event interleaving.
 //! 2. **Recovery** — failed migrations are retried with backoff (gfair
 //!    only; the other policies re-place or re-balance instead) and jobs
 //!    survive checkpoint failures, restore failures, partitions, and
@@ -39,9 +38,9 @@ fn lossy_plan(seed: u64) -> FaultPlan {
         )
 }
 
-/// Runs one seeded, fault-injected simulation with `workers` planning
-/// threads and a JSONL sink; returns the serialized report and trace bytes.
-fn run_faulted(seed: u64, workers: usize, plan: FaultPlan, tag: &str) -> (String, Vec<u8>) {
+/// Runs one seeded, fault-injected simulation with a JSONL sink; returns the
+/// serialized report and trace bytes.
+fn run_faulted(seed: u64, plan: FaultPlan, tag: &str) -> (String, Vec<u8>) {
     let path = std::env::temp_dir().join(format!(
         "gfair-fault-determinism-{}-{tag}.jsonl",
         std::process::id()
@@ -59,8 +58,7 @@ fn run_faulted(seed: u64, workers: usize, plan: FaultPlan, tag: &str) -> (String
         .unwrap()
         .with_faults(plan)
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default().with_planning_workers(workers))
-        .with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("clean run under faults");
@@ -72,8 +70,8 @@ fn run_faulted(seed: u64, workers: usize, plan: FaultPlan, tag: &str) -> (String
 
 #[test]
 fn fault_runs_are_byte_deterministic() {
-    let (a_report, a_trace) = run_faulted(11, 1, lossy_plan(5), "a");
-    let (b_report, b_trace) = run_faulted(11, 1, lossy_plan(5), "b");
+    let (a_report, a_trace) = run_faulted(11, lossy_plan(5), "a");
+    let (b_report, b_trace) = run_faulted(11, lossy_plan(5), "b");
     assert!(!a_trace.is_empty());
     assert!(
         a_report.contains("\"migration_failures\":"),
@@ -84,23 +82,9 @@ fn fault_runs_are_byte_deterministic() {
 }
 
 #[test]
-fn fault_runs_are_byte_identical_across_planning_workers() {
-    let (seq_report, seq_trace) = run_faulted(11, 1, lossy_plan(5), "seq");
-    let (par_report, par_trace) = run_faulted(11, 4, lossy_plan(5), "par");
-    assert_eq!(
-        seq_report, par_report,
-        "parallel planning changed a faulted report"
-    );
-    assert_eq!(
-        seq_trace, par_trace,
-        "parallel planning changed a faulted trace"
-    );
-}
-
-#[test]
 fn fault_seed_changes_outcomes() {
-    let (a, _) = run_faulted(11, 1, lossy_plan(5), "seed5");
-    let (b, _) = run_faulted(11, 1, lossy_plan(6), "seed6");
+    let (a, _) = run_faulted(11, lossy_plan(5), "seed5");
+    let (b, _) = run_faulted(11, lossy_plan(6), "seed6");
     assert_ne!(a, b, "different fault seeds should diverge");
 }
 

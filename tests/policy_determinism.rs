@@ -1,20 +1,19 @@
 //! Byte-determinism for the policy zoo: each policy behind the
-//! `AllocPolicy` boundary must produce a byte-identical `SimReport` and
-//! JSONL trace across planning worker counts (sequential, pinned fan-out,
-//! auto), and with quiescence fast-forward on or off the report must stay
-//! byte-identical while the trace may differ only in the per-round
-//! scheduling records that skipping legitimately batches (`round_planned`
-//! and `gang_packed` collapse into `rounds_skipped` — the same convention
-//! as `tests/fast_forward.rs`). All runs are fault-injected, so the
+//! `AllocPolicy` boundary must replay the same seed to a byte-identical
+//! `SimReport` and JSONL trace, and with quiescence fast-forward on or off
+//! the report must stay byte-identical while the trace may differ only in
+//! the per-round scheduling records that skipping legitimately batches
+//! (`round_planned` and `gang_packed` collapse into `rounds_skipped` — the
+//! same convention as `tests/fast_forward.rs`). All runs are fault-injected, so the
 //! degraded-mode paths are exercised too.
 
 use gfair::prelude::*;
 use std::sync::Arc;
 
 /// Runs one seeded, fault-injected simulation of `policy` with the given
-/// worker count and fast-forward setting; returns the serialized report
-/// and the raw trace bytes.
-fn run(policy: PolicyId, seed: u64, workers: usize, ff: bool, tag: &str) -> (String, Vec<u8>) {
+/// fast-forward setting; returns the serialized report and the raw trace
+/// bytes.
+fn run(policy: PolicyId, seed: u64, ff: bool, tag: &str) -> (String, Vec<u8>) {
     let path = std::env::temp_dir().join(format!(
         "gfair-policy-det-{}-{}-{tag}.jsonl",
         policy.name(),
@@ -48,9 +47,7 @@ fn run(policy: PolicyId, seed: u64, workers: usize, ff: bool, tag: &str) -> (Str
         .with_server_recovery(ServerId::new(2), SimTime::from_secs(4 * 3600))
         .with_faults(faults)
         .with_obs(Arc::clone(&obs));
-    let mut cfg = GfairConfig::default()
-        .with_policy(policy)
-        .with_planning_workers(workers);
+    let mut cfg = GfairConfig::default().with_policy(policy);
     if !ff {
         cfg = cfg.without_fast_forward();
     }
@@ -80,30 +77,21 @@ fn comparable_lines(bytes: &[u8]) -> Vec<String> {
         .collect()
 }
 
-/// Sequential vs pinned fan-out vs auto, and fast-forward on vs off, all
-/// byte-identical for one policy.
+/// Same-seed replay, and fast-forward on vs off, all byte-identical for one
+/// policy.
 fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
-    let (base_report, base_trace) = run(policy, seed, 1, true, "seq-ff");
+    let (base_report, base_trace) = run(policy, seed, true, "ff");
     assert!(!base_trace.is_empty(), "{policy}: empty trace");
-    let (par_report, par_trace) = run(policy, seed, 4, true, "par-ff");
+    let (again_report, again_trace) = run(policy, seed, true, "ff-again");
     assert_eq!(
-        base_report, par_report,
-        "{policy}: parallel planning changed the report"
+        base_report, again_report,
+        "{policy}: same seed changed the report"
     );
     assert_eq!(
-        base_trace, par_trace,
-        "{policy}: parallel planning changed the trace"
+        base_trace, again_trace,
+        "{policy}: same seed changed the trace"
     );
-    let (auto_report, auto_trace) = run(policy, seed, 0, true, "auto-ff");
-    assert_eq!(
-        base_report, auto_report,
-        "{policy}: auto worker count changed the report"
-    );
-    assert_eq!(
-        base_trace, auto_trace,
-        "{policy}: auto worker count changed the trace"
-    );
-    let (noff_report, noff_trace) = run(policy, seed, 1, false, "seq-noff");
+    let (noff_report, noff_trace) = run(policy, seed, false, "noff");
     assert_eq!(
         base_report, noff_report,
         "{policy}: fast-forward changed the report"
