@@ -374,8 +374,11 @@ impl FaultPlan {
         s
     }
 
-    /// Parses a plan from JSON; unknown fields are ignored and missing
-    /// fields take their defaults, so minimal plans stay minimal.
+    /// Parses a plan from JSON. Missing fields take their defaults, so
+    /// minimal plans stay minimal. An unknown key, at the top level or in a
+    /// `partitions`, `flaps` or `scripted` entry, is an error that names
+    /// the key and lists the known ones: a misspelt key must not silently
+    /// turn a fault off.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let value = serde_json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         let obj = value
@@ -406,7 +409,7 @@ impl FaultPlan {
                         plan.scripted.push(parse_scripted(item, i)?);
                     }
                 }
-                _ => {} // ignore unknown fields: plans stay forward-compatible
+                unknown => return Err(unknown_key(unknown, "the fault plan", &PLAN_KEYS)),
             }
         }
         let errs = plan.validate();
@@ -415,6 +418,35 @@ impl FaultPlan {
         } else {
             Err(errs.join("; "))
         }
+    }
+}
+
+/// Top-level keys of a JSON fault plan.
+const PLAN_KEYS: [&str; 8] = [
+    "seed",
+    "checkpoint_fail_rate",
+    "restore_fail_rate",
+    "slowdown_rate",
+    "slowdown_factor",
+    "partitions",
+    "flaps",
+    "scripted",
+];
+
+fn unknown_key(key: &str, what: &str, known: &[&str]) -> String {
+    format!(
+        "unknown key {key:?} in {what} (known keys: {})",
+        known.join(", ")
+    )
+}
+
+/// Rejects the first key of object `v` that is not in `known`; `what`
+/// names the object in the error.
+fn reject_unknown_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), String> {
+    let keys = v.as_object().map_or(&[][..], Vec::as_slice);
+    match keys.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(unknown_key(k, what, known)),
+        None => Ok(()),
     }
 }
 
@@ -457,6 +489,11 @@ fn field<'a>(v: &'a Value, name: &str, what: &str, i: usize) -> Result<&'a Value
 }
 
 fn parse_partition(v: &Value, i: usize) -> Result<PartitionWindow, String> {
+    reject_unknown_keys(
+        v,
+        &format!("partitions[{i}]"),
+        &["server", "from_secs", "until_secs"],
+    )?;
     Ok(PartitionWindow {
         server: ServerId::new(need_u32(field(v, "server", "partitions", i)?, "server")?),
         from: SimTime::from_secs(need_u64(
@@ -471,6 +508,17 @@ fn parse_partition(v: &Value, i: usize) -> Result<PartitionWindow, String> {
 }
 
 fn parse_flap(v: &Value, i: usize) -> Result<FlapSpec, String> {
+    reject_unknown_keys(
+        v,
+        &format!("flaps[{i}]"),
+        &[
+            "server",
+            "first_fail_secs",
+            "down_secs",
+            "up_secs",
+            "cycles",
+        ],
+    )?;
     Ok(FlapSpec {
         server: ServerId::new(need_u32(field(v, "server", "flaps", i)?, "server")?),
         first_fail: SimTime::from_secs(need_u64(
@@ -484,6 +532,7 @@ fn parse_flap(v: &Value, i: usize) -> Result<FlapSpec, String> {
 }
 
 fn parse_scripted(v: &Value, i: usize) -> Result<ScriptedFault, String> {
+    reject_unknown_keys(v, &format!("scripted[{i}]"), &["job", "attempt", "kind"])?;
     let kind_name = field(v, "kind", "scripted", i)?
         .as_str()
         .ok_or_else(|| format!("scripted[{i}].kind must be a string"))?;
@@ -564,6 +613,46 @@ mod tests {
         assert!(plan.partitions.is_empty());
         assert!(FaultPlan::from_json("[1, 2]").is_err());
         assert!(FaultPlan::from_json("{\"checkpoint_fail_rate\": 2.0}").is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_that_name_the_key() {
+        let err = FaultPlan::from_json("{\"seed\": 1, \"checkpoint_fail_rte\": 0.5}")
+            .expect_err("misspelt top-level key");
+        assert!(err.contains("\"checkpoint_fail_rte\""), "{err}");
+        assert!(
+            err.contains("checkpoint_fail_rate, restore_fail_rate"),
+            "{err}"
+        );
+        let cases = [
+            (
+                "{\"partitions\": [{\"server\": 2, \"from_secs\": 1, \"until_secs\": 2, \"srv\": 3}]}",
+                "partitions[0]",
+                "\"srv\"",
+            ),
+            (
+                "{\"flaps\": [{\"server\": 5, \"first_fail_secs\": 1, \"down_secs\": 1, \"up_secs\": 1, \"cycles\": 1, \"cycle\": 2}]}",
+                "flaps[0]",
+                "\"cycle\"",
+            ),
+            (
+                "{\"scripted\": [{\"job\": 3, \"attempt\": 1, \"kind\": \"checkpoint_fail\"}, {\"job\": 4, \"attempts\": 1, \"kind\": \"checkpoint_fail\"}]}",
+                "scripted[1]",
+                "\"attempts\"",
+            ),
+        ];
+        for (json, what, key) in cases {
+            let err = FaultPlan::from_json(json).expect_err(what);
+            assert!(err.contains(what) && err.contains(key), "{err}");
+            assert!(err.contains("known keys"), "{err}");
+        }
+    }
+
+    #[test]
+    fn example_plan_uses_only_known_keys() {
+        let text = include_str!("../../../examples/faults.json");
+        let plan = FaultPlan::from_json(text).expect("example plan parses");
+        assert!(!plan.is_noop());
     }
 
     #[test]

@@ -34,9 +34,17 @@
 //! * **Work conservation** — a round that grants no GPUs while resident
 //!   jobs exist. The deliberately naive `StrictNoBackfill` gang policy can
 //!   do this legitimately, so it warns rather than aborts.
+//!
+//! ## Violation context
+//!
+//! A violation carries the JSONL lines of its round's events so far (at
+//! most the last 256), rendered only when it fires. Until then the auditor
+//! keeps grants as compact [`PackedGang`] records and other events as
+//! clones; a round-boundary event (`RoundPlanned`, `RoundsSkipped`) clears
+//! the context, so it is added to it only when it is the one that fails.
 
-use crate::event::TraceEvent;
-use gfair_types::{JobId, ServerId};
+use crate::event::{PackedGang, TraceEvent};
+use gfair_types::{JobId, ServerId, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -140,6 +148,22 @@ impl fmt::Display for Violation {
     }
 }
 
+/// One event of the round being assembled, kept for violation context.
+#[derive(Debug)]
+enum Recent {
+    Event(TraceEvent),
+    Grant(SimTime, u64, PackedGang),
+}
+
+impl Recent {
+    fn to_json_line(&self) -> String {
+        match self {
+            Recent::Event(event) => event.to_json_line(),
+            Recent::Grant(t, round, grant) => grant.event(*t, *round).to_json_line(),
+        }
+    }
+}
+
 /// Online checker over the trace-event stream.
 ///
 /// The per-job and per-server tables are dense vectors indexed by
@@ -176,11 +200,11 @@ pub struct Auditor {
     /// Serial of the round being assembled; bumped at each round boundary
     /// so stale `packed_stamp` entries expire without being cleared.
     round_serial: u64,
-    /// Events since the last round boundary (violation context). Kept as
-    /// events and rendered to JSONL only when a violation actually fires:
-    /// serializing every event eagerly would put a `format!` on the hot
-    /// path of clean runs, which are the overwhelmingly common case.
-    round_events: VecDeque<TraceEvent>,
+    /// Events since the last round boundary (violation context), at most
+    /// `CONTEXT_CAP`. Rendered to JSONL only when a violation actually
+    /// fires: serializing every event eagerly would put a `format!` on the
+    /// hot path of clean runs, which are the overwhelmingly common case.
+    round_events: VecDeque<Recent>,
     current_round: u64,
     violations: Vec<Violation>,
     /// Index of the next violation [`Auditor::take_fatal`] will hand out.
@@ -249,20 +273,30 @@ impl Auditor {
             round: self.current_round,
             kind,
             message,
-            context: self
-                .round_events
-                .iter()
-                .map(TraceEvent::to_json_line)
-                .collect(),
+            context: self.round_events.iter().map(Recent::to_json_line).collect(),
         });
+    }
+
+    /// Appends to the violation context, dropping its oldest entry at the
+    /// cap.
+    fn remember(&mut self, recent: Recent) {
+        if self.round_events.len() == CONTEXT_CAP {
+            self.round_events.pop_front();
+        }
+        self.round_events.push_back(recent);
     }
 
     /// Feeds one event through every applicable check.
     pub fn process(&mut self, event: &TraceEvent) {
-        if self.round_events.len() == CONTEXT_CAP {
-            self.round_events.pop_front();
+        if let Some((t, round, grant)) = PackedGang::of(event) {
+            return self.process_packed(t, round, &[grant]);
         }
-        self.round_events.push_back(event.clone());
+        if !matches!(
+            event,
+            TraceEvent::RoundPlanned { .. } | TraceEvent::RoundsSkipped { .. }
+        ) {
+            self.remember(Recent::Event(event.clone()));
+        }
 
         match event {
             TraceEvent::ServerUp { server, gpus, .. } => {
@@ -364,80 +398,7 @@ impl Auditor {
             TraceEvent::PartitionEnd { .. } => {
                 self.heal_pending = true;
             }
-            TraceEvent::GangPacked {
-                round,
-                server,
-                job,
-                width,
-                ..
-            } => {
-                self.current_round = *round;
-                let declared = match self.gang_of.get(job.index()).copied() {
-                    Some(g) if g != 0 => g,
-                    _ => {
-                        self.fail(
-                            ViolationKind::UnknownJob { job: *job },
-                            format!("job {job} was granted GPUs but never arrived"),
-                        );
-                        *width
-                    }
-                };
-                if *width != declared {
-                    self.fail(
-                        ViolationKind::PartialGang {
-                            job: *job,
-                            width: *width,
-                            gang: declared,
-                        },
-                        format!(
-                            "gang atomicity: job {job} granted {width} GPUs but its gang needs {declared}"
-                        ),
-                    );
-                }
-                // Stamps carry `round_serial + 1` so the vector's default of
-                // zero can never read as "granted in serial 0".
-                let stamp = self.round_serial + 1;
-                let slot = Self::slot(&mut self.packed_stamp, job.index());
-                let duplicate = *slot == stamp;
-                *slot = stamp;
-                if duplicate {
-                    self.fail(
-                        ViolationKind::DuplicateJob { job: *job },
-                        format!("job {job} granted GPUs twice in round {round}"),
-                    );
-                }
-                if self.resident_on(*job) != Some(*server) {
-                    self.fail(
-                        ViolationKind::NotResident {
-                            job: *job,
-                            server: *server,
-                        },
-                        format!("job {job} ran on server {server} where it is not resident"),
-                    );
-                }
-                if !self.up.get(server.index()).copied().unwrap_or(false) {
-                    self.fail(
-                        ViolationKind::PackedOnDownServer { server: *server },
-                        format!("server {server} is down but was granted work"),
-                    );
-                }
-                let used = Self::slot(&mut self.packed, server.index());
-                *used += *width;
-                let requested = *used;
-                let gpus = self.capacity.get(server.index()).copied().unwrap_or(0);
-                if requested > gpus {
-                    self.fail(
-                        ViolationKind::Overcommit {
-                            server: *server,
-                            requested,
-                            gpus,
-                        },
-                        format!(
-                            "overcommit: server {server} granted {requested} GPUs but has {gpus}"
-                        ),
-                    );
-                }
-            }
+            TraceEvent::GangPacked { .. } => unreachable!("grants are checked by process_packed"),
             TraceEvent::RoundPlanned {
                 round,
                 gpus_used,
@@ -451,6 +412,7 @@ impl Auditor {
                     let expected = *tickets_total;
                     let tol = TICKET_TOL * expected.abs().max(1.0);
                     if (actual - expected).abs() > tol {
+                        self.remember(Recent::Event(event.clone()));
                         if self.heal_pending {
                             self.fail(
                                 ViolationKind::HealConservation { expected, actual },
@@ -504,6 +466,81 @@ impl Auditor {
             TraceEvent::Decision { .. }
             | TraceEvent::TradeExecuted { .. }
             | TraceEvent::ProfileInferred { .. } => {}
+        }
+    }
+    /// Feeds one round's gang grants, in grant order, through the
+    /// `GangPacked` checks: the same as processing each grant's event.
+    pub(crate) fn process_packed(&mut self, t: SimTime, round: u64, grants: &[PackedGang]) {
+        for grant in grants {
+            self.remember(Recent::Grant(t, round, *grant));
+            self.check_grant(round, grant);
+        }
+    }
+
+    fn check_grant(&mut self, round: u64, grant: &PackedGang) {
+        let PackedGang {
+            server, job, width, ..
+        } = *grant;
+        self.current_round = round;
+        let declared = match self.gang_of.get(job.index()).copied() {
+            Some(g) if g != 0 => g,
+            _ => {
+                self.fail(
+                    ViolationKind::UnknownJob { job },
+                    format!("job {job} was granted GPUs but never arrived"),
+                );
+                width
+            }
+        };
+        if width != declared {
+            self.fail(
+                ViolationKind::PartialGang {
+                    job,
+                    width,
+                    gang: declared,
+                },
+                format!(
+                    "gang atomicity: job {job} granted {width} GPUs but its gang needs {declared}"
+                ),
+            );
+        }
+        // Stamps carry `round_serial + 1` so the vector's default of
+        // zero can never read as "granted in serial 0".
+        let stamp = self.round_serial + 1;
+        let slot = Self::slot(&mut self.packed_stamp, job.index());
+        let duplicate = *slot == stamp;
+        *slot = stamp;
+        if duplicate {
+            self.fail(
+                ViolationKind::DuplicateJob { job },
+                format!("job {job} granted GPUs twice in round {round}"),
+            );
+        }
+        if self.resident_on(job) != Some(server) {
+            self.fail(
+                ViolationKind::NotResident { job, server },
+                format!("job {job} ran on server {server} where it is not resident"),
+            );
+        }
+        if !self.up.get(server.index()).copied().unwrap_or(false) {
+            self.fail(
+                ViolationKind::PackedOnDownServer { server },
+                format!("server {server} is down but was granted work"),
+            );
+        }
+        let used = Self::slot(&mut self.packed, server.index());
+        *used += width;
+        let requested = *used;
+        let gpus = self.capacity.get(server.index()).copied().unwrap_or(0);
+        if requested > gpus {
+            self.fail(
+                ViolationKind::Overcommit {
+                    server,
+                    requested,
+                    gpus,
+                },
+                format!("overcommit: server {server} granted {requested} GPUs but has {gpus}"),
+            );
         }
     }
 }

@@ -7,9 +7,10 @@
 //! byte-identical JSONL.
 //!
 //! The JSONL encoding is hand-rolled rather than derived: field order is
-//! frozen (stable across compiler and shim versions), floats use Rust's
-//! shortest round-trip formatting, and the `kind` discriminator always comes
-//! first so line-oriented tools can dispatch without a full parse.
+//! frozen (stable across compiler and shim versions), floats are written at
+//! six decimals by integer arithmetic (see `push_f64`), and the `kind`
+//! discriminator always comes first so line-oriented tools can dispatch
+//! without a full parse.
 
 use gfair_types::{GenId, JobId, MigrationFailReason, ServerId, SimTime, UserId};
 use serde_json::JsonValue;
@@ -35,6 +36,65 @@ pub struct UserGrant {
     pub user: UserId,
     /// GPUs granted to the user's jobs in each replayed round.
     pub gpus: u32,
+}
+
+/// One gang grant inside a round's batch (see [`crate::Obs::emit_packed`]):
+/// a [`TraceEvent::GangPacked`] without the time and round number that
+/// every grant of the batch shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedGang {
+    /// The server.
+    pub server: ServerId,
+    /// The job.
+    pub job: JobId,
+    /// The job's owner.
+    pub user: UserId,
+    /// GPUs granted this quantum.
+    pub width: u32,
+    /// GPUs the job's gang requires.
+    pub gang: u32,
+}
+
+impl PackedGang {
+    /// The time, round and grant of a `GangPacked` event; `None` for any
+    /// other kind.
+    pub fn of(event: &TraceEvent) -> Option<(SimTime, u64, PackedGang)> {
+        match *event {
+            TraceEvent::GangPacked {
+                t,
+                round,
+                server,
+                job,
+                user,
+                width,
+                gang,
+            } => Some((
+                t,
+                round,
+                PackedGang {
+                    server,
+                    job,
+                    user,
+                    width,
+                    gang,
+                },
+            )),
+            _ => None,
+        }
+    }
+
+    /// The `GangPacked` event this grant stands for.
+    pub fn event(&self, t: SimTime, round: u64) -> TraceEvent {
+        TraceEvent::GangPacked {
+            t,
+            round,
+            server: self.server,
+            job: self.job,
+            user: self.user,
+            width: self.width,
+            gang: self.gang,
+        }
+    }
 }
 
 /// One alternative a scheduler decision evaluated, inside a
@@ -953,24 +1013,41 @@ fn get_user_gpus(v: &JsonValue, kind: &str) -> Result<Vec<UserGrant>, String> {
         .collect()
 }
 
+/// Two ASCII digits for each value 0..100, so [`push_u64`] emits two
+/// digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
 /// Appends a decimal integer without going through `core::fmt` — the
 /// serialization hot path for id- and count-heavy event variants.
 fn push_u64(s: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
         i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        buf[i] = b'0' + v as u8;
     }
     s.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
 }
 
-/// Formats a float so the JSON value stays a float (integral values get a
-/// `.0`), using Rust's shortest round-trip representation otherwise.
 /// Appends a `users` array body (no brackets) of [`UserShare`] objects.
 fn push_user_shares(s: &mut String, users: &[UserShare]) {
     for (i, u) in users.iter().enumerate() {
@@ -1005,13 +1082,26 @@ fn push_user_grants(s: &mut String, grants: &[UserGrant]) {
 /// [`push_u64`], fractions at six decimals with trailing zeros trimmed.
 ///
 /// Six decimals is microsecond resolution on second-scale durations and
-/// far below scheduling significance for loads, passes, and prices. The
-/// bounded precision is what makes this cheap: shortest-representation
-/// formatting (`{x}`) falls back to an arbitrary-precision search on
-/// values like stride-pass accumulators (`64.00000000000003`), which at
-/// one `RoundPlanned` per round times every user is the single hottest
-/// formatting site in a trace.
+/// far below scheduling significance for loads, passes, and prices. Every
+/// finite value below 2^53 is written by integer arithmetic, never by the
+/// float formatter, whose fixed-precision path falls back to bignum
+/// arithmetic for large magnitudes such as long-run stride passes:
+///
+/// - below 9e12, `x` is scaled to micro-units with one multiply and
+///   rounded. Above 2^53 / 1e6 (about 9.007e9) that product is no longer
+///   exact, so the last digit can differ from `{x:.6}`: 8796093022208.002
+///   is written `8796093022208.002048` where `{:.6}` gives
+///   `8796093022208.001953`. This path is kept as is because it keeps
+///   traces byte-stable; making it exact moves trace digests and belongs
+///   in a change of its own.
+/// - from 9e12 to 2^53, the integer and fractional parts are split. The
+///   fraction is then a multiple of 2^-9, so scaling it by 1e6 is exact,
+///   and rounding ties to even gives exactly the digits of `{x:.6}`.
+/// - from 2^53 up, every float is an integer; the rare value that is not
+///   written as `N.0` above goes through `{x:.6}`.
 fn push_f64(s: &mut String, x: f64) {
+    /// 2^53: every float at or above it is an integer.
+    const EXACT_INT: f64 = 9_007_199_254_740_992.0;
     if !x.is_finite() {
         // Traces never carry non-finite values; clamp rather than emit
         // invalid JSON if an upstream bug produces one.
@@ -1028,32 +1118,23 @@ fn push_f64(s: &mut String, x: f64) {
     }
     let ax = x.abs();
     if ax < 9e12 {
-        // Fixed-point in integer arithmetic: scale to micro-units once and
-        // split digits, avoiding the float formatter entirely.
         let scaled = (ax * 1e6).round() as u64;
         if x.is_sign_negative() && scaled > 0 {
             s.push('-');
         }
-        push_u64(s, scaled / 1_000_000);
-        s.push('.');
-        let mut frac = scaled % 1_000_000;
-        if frac == 0 {
-            s.push('0');
-            return;
-        }
-        let mut digits = [b'0'; 6];
-        for d in digits.iter_mut().rev() {
-            *d = b'0' + (frac % 10) as u8;
-            frac /= 10;
-        }
-        let mut end = digits.len();
-        while end > 1 && digits[end - 1] == b'0' {
-            end -= 1;
-        }
-        s.push_str(std::str::from_utf8(&digits[..end]).expect("ascii digits"));
+        push_fixed6(s, scaled / 1_000_000, scaled % 1_000_000);
         return;
     }
-    // Magnitudes past micro-unit range: six decimals are noise anyway.
+    if ax < EXACT_INT {
+        let int = ax.trunc();
+        // Both the subtraction and the scaling are exact here.
+        let micros = ((ax - int) * 1e6).round_ties_even() as u64;
+        if x.is_sign_negative() {
+            s.push('-');
+        }
+        push_fixed6(s, int as u64 + micros / 1_000_000, micros % 1_000_000);
+        return;
+    }
     let _ = write!(s, "{x:.6}");
     while s.ends_with('0') {
         s.pop();
@@ -1061,6 +1142,27 @@ fn push_f64(s: &mut String, x: f64) {
     if s.ends_with('.') {
         s.push('0');
     }
+}
+
+/// Appends `int.frac` where `frac` counts micro-units (< 1e6), with the
+/// fraction's trailing zeros trimmed down to one digit.
+fn push_fixed6(s: &mut String, int: u64, mut frac: u64) {
+    push_u64(s, int);
+    s.push('.');
+    if frac == 0 {
+        s.push('0');
+        return;
+    }
+    let mut digits = [b'0'; 6];
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    let mut end = digits.len();
+    while end > 1 && digits[end - 1] == b'0' {
+        end -= 1;
+    }
+    s.push_str(std::str::from_utf8(&digits[..end]).expect("ascii digits"));
 }
 
 fn fmt_f64(x: f64) -> String {
@@ -1482,5 +1584,94 @@ mod tests {
         assert_eq!(fmt_f64(0.1), "0.1");
         assert_eq!(fmt_f64(-3.0), "-3.0");
         assert_eq!(fmt_f64(f64::NAN), "null");
+    }
+
+    fn fmt_u64(v: u64) -> String {
+        let mut s = String::new();
+        push_u64(&mut s, v);
+        s
+    }
+
+    #[test]
+    fn integers_use_the_digit_table_at_every_width() {
+        for v in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            101,
+            999,
+            1000,
+            12_345,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(fmt_u64(v), v.to_string());
+        }
+        for p in 0..20 {
+            let v = 10u64.pow(p);
+            assert_eq!(fmt_u64(v - 1), (v - 1).to_string());
+            assert_eq!(fmt_u64(v), v.to_string());
+        }
+    }
+
+    /// `{x:.6}` with trailing zeros trimmed down to one fractional digit:
+    /// the reference for the large-magnitude branch of [`push_f64`].
+    fn reference_f64(x: f64) -> String {
+        let mut s = format!("{x:.6}");
+        while s.ends_with('0') {
+            s.pop();
+        }
+        if s.ends_with('.') {
+            s.push('0');
+        }
+        s
+    }
+
+    #[test]
+    fn large_fractions_match_the_float_formatter_exactly() {
+        const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+        let check = |x: f64| {
+            assert_eq!(fmt_f64(x), reference_f64(x), "value {x:?}");
+            assert_eq!(fmt_f64(-x), reference_f64(-x), "value {:?}", -x);
+        };
+        // Every k/1024 offset, ties included, on integer parts spanning
+        // the branch; the addition rounds each to the nearest float.
+        for base in [
+            9e12,
+            9e12 + 1.0,
+            2f64.powi(44) - 1.0,
+            2f64.powi(44),
+            1e15,
+            2f64.powi(52),
+        ] {
+            for k in 0..1024 {
+                check(base + f64::from(k) / 1024.0);
+            }
+        }
+        // Random magnitudes over [9e12, 2^53).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let x = 9e12 + unit * (EXACT_INT - 9e12);
+            if x < EXACT_INT {
+                check(x);
+            }
+        }
+        check(EXACT_INT - 0.5);
+        check(EXACT_INT - 1.0);
+    }
+
+    #[test]
+    fn micro_unit_path_keeps_its_inexact_last_digit() {
+        // Above 2^53 / 1e6, scaling to micro-units rounds; the trace keeps
+        // that rounding so existing traces stay byte-stable.
+        let x = 8_796_093_022_208.002;
+        assert_eq!(fmt_f64(x), "8796093022208.002048");
+        assert_eq!(reference_f64(x), "8796093022208.001953");
     }
 }

@@ -19,6 +19,16 @@
 //!    [`Obs::take_fatal`] each round and aborts the run on a violation,
 //!    printing the offending round's trace.
 //!
+//! Gang grants, the bulk of all events, take one call per round (per
+//! 1024 grants on very large rounds): the engine hands a round's grants to
+//! [`Obs::emit_packed`] as compact [`PackedGang`] records. Under one lock that counts them, runs the
+//! auditor's per-grant checks and passes the batch to every sink through
+//! [`Tracer::record_packed`], which hands each grant to sinks that do not
+//! override it as its own `GangPacked` event; the lean [`JsonlSink`]
+//! drops the batch at once. Metrics, auditor verdicts and every sink's
+//! output are the same as emitting each grant on its own, which
+//! `emit(GangPacked)` still does as a batch of one.
+//!
 //! Wall-clock self-profiling ([`Obs::time`], [`PhaseStats`]) is kept apart
 //! from all of the above: timings never enter the trace or the report, so
 //! determinism guarantees survive instrumentation.
@@ -34,12 +44,13 @@ mod sink;
 mod spans;
 
 pub use audit::{Auditor, Violation, ViolationKind};
-pub use event::{Candidate, Rejection, TraceEvent, UserGrant, UserShare};
+pub use event::{Candidate, PackedGang, Rejection, TraceEvent, UserGrant, UserShare};
 pub use ledger::{FairnessLedger, LedgerSummary, LedgerUserRow, RhoSummary};
 pub use metrics::{FixedHistogram, Histogram, HistogramSummary, MetricsRegistry, ObsSummary};
 pub use sink::{JsonlSink, RingHandle, RingSink, Tracer};
 pub use spans::{Phase, PhaseStats, SpanStats, PHASES};
 
+use gfair_types::SimTime;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -161,8 +172,12 @@ impl Obs {
     }
 
     /// Emits one event: updates metrics, feeds the auditor, forwards to
-    /// every sink.
+    /// every sink. A `GangPacked` event takes the [`Obs::emit_packed`] path
+    /// as a batch of one.
     pub fn emit(&self, event: TraceEvent) {
+        if let Some((t, round, grant)) = PackedGang::of(&event) {
+            return self.emit_packed(t, round, &[grant]);
+        }
         let mut inner = self.lock();
         // A RoundsSkipped record stands in for an entire span of per-round
         // events; count what the naive path would have emitted (`scheduled`
@@ -181,6 +196,25 @@ impl Obs {
         inner.auditor.process(&event);
         for sink in &mut inner.sinks {
             sink.record(&event);
+        }
+    }
+
+    /// Emits gang grants of one round, in grant order, under one lock: the
+    /// same metrics, auditor checks and sink records as emitting each
+    /// grant's [`TraceEvent::GangPacked`] event, whichever way a round's
+    /// grants are split into batches. An empty batch changes nothing.
+    pub fn emit_packed(&self, t: SimTime, round: u64, grants: &[PackedGang]) {
+        if grants.is_empty() {
+            return;
+        }
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.events += grants.len() as u64;
+        count_grants(&mut inner.metrics, grants.iter().map(|g| g.width));
+        // The ledger works from `RoundPlanned` aggregates and ignores grants.
+        inner.auditor.process_packed(t, round, grants);
+        for sink in &mut inner.sinks {
+            sink.record_packed(t, round, grants);
         }
     }
 
@@ -264,6 +298,16 @@ impl Obs {
     }
 }
 
+/// Counts one round's gang grants: `gangs_packed` and one `gang_width`
+/// observation per grant, in order. Creates no metric for an empty round.
+fn count_grants(m: &mut MetricsRegistry, widths: impl ExactSizeIterator<Item = u32>) {
+    if widths.len() == 0 {
+        return;
+    }
+    m.inc("gangs_packed", widths.len() as u64);
+    m.observe_all("gang_width", widths.map(f64::from));
+}
+
 /// Derives metric updates from one event. Keeping this a pure function of
 /// the stream means a trace and its run's metrics can never disagree.
 fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
@@ -287,10 +331,7 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             m.inc("reconciles", 1);
             m.inc("reconcile_drift", u64::from(*drift));
         }
-        TraceEvent::GangPacked { width, .. } => {
-            m.inc("gangs_packed", 1);
-            m.observe("gang_width", f64::from(*width));
-        }
+        TraceEvent::GangPacked { .. } => unreachable!("grants are counted by count_grants"),
         TraceEvent::RoundPlanned {
             scheduled,
             gpus_used,
@@ -323,10 +364,7 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             // a single interpolated update would change the summary; the
             // replay keeps it byte-identical to naive stepping.
             for _ in 0..*rounds {
-                for w in widths {
-                    m.inc("gangs_packed", 1);
-                    m.observe("gang_width", f64::from(*w));
-                }
+                count_grants(m, widths.iter().copied());
                 m.inc("rounds", 1);
                 m.set_gauge("queue_depth", f64::from(*pending));
                 m.observe("round_jobs_scheduled", f64::from(*scheduled));

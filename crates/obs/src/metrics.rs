@@ -314,6 +314,15 @@ impl MetricsRegistry {
         self.histograms.slot(name).observe(value);
     }
 
+    /// Records observations in order (decimation is order-sensitive),
+    /// looking the histogram up once.
+    pub fn observe_all(&mut self, name: &'static str, values: impl IntoIterator<Item = f64>) {
+        let h = self.histograms.slot(name);
+        for v in values {
+            h.observe(v);
+        }
+    }
+
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

@@ -1,12 +1,15 @@
 //! Trace sinks: where emitted events go.
 //!
-//! A [`Tracer`] receives every [`TraceEvent`] in emission order. Two sinks
-//! ship with the crate: [`JsonlSink`] appends one JSON line per event to a
-//! file (the `gfair simulate --trace` backend), and [`RingSink`] keeps the
-//! last N events in memory for tests and for attaching an offending round's
-//! context to auditor violations.
+//! A [`Tracer`] receives every [`TraceEvent`] in emission order. A round's
+//! gang grants arrive as one batch through [`Tracer::record_packed`], whose
+//! default hands each grant to [`Tracer::record`] as its own `GangPacked`
+//! event, so a sink that does not override it sees exactly the per-event
+//! stream. Two sinks ship with the crate: [`JsonlSink`] appends one JSON
+//! line per event to a file (the `gfair simulate --trace` backend), and
+//! [`RingSink`] keeps the last N events in memory for tests.
 
-use crate::event::TraceEvent;
+use crate::event::{PackedGang, TraceEvent};
+use gfair_types::SimTime;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -18,6 +21,15 @@ pub trait Tracer: Send {
     /// Receives one event. Sinks must not reorder or drop events silently
     /// (bounded sinks like the ring buffer document their retention).
     fn record(&mut self, event: &TraceEvent);
+
+    /// Receives one round's gang grants, in grant order. The default
+    /// records each as its [`TraceEvent::GangPacked`] event; a sink that
+    /// drops grants overrides it to skip building those events.
+    fn record_packed(&mut self, t: SimTime, round: u64, grants: &[PackedGang]) {
+        for g in grants {
+            self.record(&g.event(t, round));
+        }
+    }
 
     /// Flushes any buffered output. Called at end of run.
     fn flush(&mut self) {}
@@ -31,7 +43,9 @@ pub trait Tracer: Send {
 /// ledger, `gfair-trace why`/`fairness`/`diff` — works from the per-round
 /// `RoundPlanned` aggregates instead. The in-process pipeline (auditor,
 /// metrics, ledger) always sees every event regardless of sink filtering.
-/// Use [`JsonlSink::full_fidelity`] to write the per-gang stream too.
+/// Use [`JsonlSink::full_fidelity`] to write the per-gang stream too. The
+/// default sink returns from [`Tracer::record_packed`] at once, so the
+/// grants it filters out are never built as events.
 ///
 /// Each line is built in a reused buffer and pushed through a 4 MiB
 /// [`BufWriter`], so the steady-state cost per event is one serialization
@@ -82,6 +96,14 @@ impl Tracer for JsonlSink {
         // A full disk mid-run surfaces at flush; per-event error plumbing
         // would force Result through every scheduler hot path.
         let _ = self.out.write_all(self.line.as_bytes());
+    }
+
+    fn record_packed(&mut self, t: SimTime, round: u64, grants: &[PackedGang]) {
+        if self.gang_packed {
+            for g in grants {
+                self.record(&g.event(t, round));
+            }
+        }
     }
 
     fn flush(&mut self) {

@@ -30,7 +30,7 @@ use crate::report::{SimReport, WindowSample};
 use crate::sched::{Action, ClusterScheduler, ProfileReport, RoundPlan};
 use crate::view::SimView;
 use gfair_faults::{FaultInjector, FaultPlan, MigrationFault};
-use gfair_obs::{Obs, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
+use gfair_obs::{Obs, PackedGang, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
 use gfair_types::{
     ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, ModelProfile, Result,
     ServerId, SimConfig, SimDuration, SimTime, UserSpec,
@@ -125,6 +125,9 @@ pub struct Simulation {
     /// current round number has already been granted this round. Rounds
     /// start at 1, so the vector's default of zero never collides.
     dup_stamp: Vec<u64>,
+    /// Reused buffer for the round's validated grants, emitted in batches of
+    /// at most [`GRANT_BATCH`].
+    grants: Vec<PackedGang>,
     round_limit: u64,
     /// Observability pipeline: every lifecycle and scheduling decision is
     /// emitted through it, and its online auditor can abort the run.
@@ -334,6 +337,7 @@ impl Simulation {
             job_gen_gpu_secs: vec![0.0; job_slots * num_gens],
             warm_stamp: Vec::new(),
             dup_stamp: Vec::new(),
+            grants: Vec::new(),
             warm_serial: 1,
             round_limit: MAX_ROUNDS,
             obs: Arc::new(Obs::new()),
@@ -987,9 +991,12 @@ impl Simulation {
         // 1. Deliver profile reports accumulated since the last round.
         let reports = std::mem::take(&mut self.pending_reports);
         {
+            // A round without reports creates no counter entry.
+            if !reports.is_empty() {
+                self.profile_reports += reports.len() as u64;
+                self.obs.inc("profile_reports", reports.len() as u64);
+            }
             for report in reports {
-                self.profile_reports += 1;
-                self.obs.inc("profile_reports", 1);
                 let actions = scheduler.on_profile_report(&self.view(), &report);
                 self.pending_actions.extend(actions);
             }
@@ -1017,64 +1024,17 @@ impl Simulation {
         }
         self.drain_fault_notices(scheduler);
 
-        // 4. Validate and execute the run sets. Each grant is emitted as a
-        // GangPacked event so the auditor independently re-checks the same
-        // invariants the inline validation enforces.
-        //
-        // Duplicate detection stamps each granted job with the round number
-        // (`dup_stamp` defaults to 0, rounds start at 1), and per-user grant
-        // totals accumulate into a user-indexed vec — both O(1) per gang
-        // where a set insert / linear user probe would grow with the plan.
-        let mut scheduled = 0u32;
-        let mut gpus_used = 0u32;
+        // 4. Validate and execute the run sets. The validated grants are
+        // emitted in batches, so the auditor independently re-checks the
+        // same invariants the inline validation enforces. Grants validated
+        // before a validation error are emitted before it returns.
+        let mut grants = std::mem::take(&mut self.grants);
+        grants.clear();
         let mut grant_by_user: Vec<u32> = vec![0; self.users.len()];
-        for (&server, run) in &plan.run {
-            let srv = self
-                .cluster
-                .servers
-                .get(server.index())
-                .ok_or(GfairError::UnknownServer(server))?;
-            if self.down.contains(&server) && !run.is_empty() {
-                return Err(GfairError::ServerDown(server));
-            }
-            let mut requested = 0u32;
-            for &job in run {
-                let stamp = slot_u64(&mut self.dup_stamp, job.index());
-                if *stamp == self.rounds {
-                    return Err(GfairError::DuplicateJobInPlan(job));
-                }
-                *stamp = self.rounds;
-                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
-                if j.info.state != JobState::Resident || j.info.server != Some(server) {
-                    return Err(GfairError::JobNotResident { job, server });
-                }
-                requested += j.info.gang;
-                let (user, gang) = (j.info.user, j.info.gang);
-                let slot = user.index();
-                if grant_by_user.len() <= slot {
-                    grant_by_user.resize(slot + 1, 0);
-                }
-                grant_by_user[slot] += gang;
-                self.obs.emit(TraceEvent::GangPacked {
-                    t: self.now,
-                    round: self.rounds,
-                    server,
-                    job,
-                    user,
-                    width: gang,
-                    gang,
-                });
-                scheduled += 1;
-            }
-            if requested > srv.num_gpus {
-                return Err(GfairError::ServerOvercommitted {
-                    server,
-                    requested,
-                    gpus: srv.num_gpus,
-                });
-            }
-            gpus_used += requested;
-        }
+        let validated = self.validate_run_sets(&plan, &mut grants, &mut grant_by_user);
+        self.obs.emit_packed(self.now, self.rounds, &grants);
+        self.grants = grants;
+        let (scheduled, gpus_used) = validated?;
 
         // Round summary: who got what, the queue depth, and the per-user
         // ticket/pass state backing the decision. The auditor checks ticket
@@ -1147,6 +1107,76 @@ impl Simulation {
             self.arm_round(self.now + quantum);
         }
         Ok(())
+    }
+
+    /// Checks `plan`'s run sets against the cluster and returns the jobs
+    /// scheduled and the GPUs used, adding each user's granted GPUs to
+    /// `grant_by_user`. Validated grants collect in `grants` in plan order;
+    /// a full buffer of [`GRANT_BATCH`] is emitted and cleared, and the
+    /// caller emits what is left.
+    ///
+    /// Duplicate detection stamps each granted job with the round number
+    /// (`dup_stamp` defaults to 0, rounds start at 1), and per-user grant
+    /// totals accumulate into a user-indexed vec — both O(1) per gang
+    /// where a set insert / linear user probe would grow with the plan.
+    fn validate_run_sets(
+        &mut self,
+        plan: &RoundPlan,
+        grants: &mut Vec<PackedGang>,
+        grant_by_user: &mut Vec<u32>,
+    ) -> Result<(u32, u32)> {
+        let mut scheduled = 0u32;
+        let mut gpus_used = 0u32;
+        for (&server, run) in &plan.run {
+            let srv = self
+                .cluster
+                .servers
+                .get(server.index())
+                .ok_or(GfairError::UnknownServer(server))?;
+            if self.down.contains(&server) && !run.is_empty() {
+                return Err(GfairError::ServerDown(server));
+            }
+            let mut requested = 0u32;
+            for &job in run {
+                let stamp = slot_u64(&mut self.dup_stamp, job.index());
+                if *stamp == self.rounds {
+                    return Err(GfairError::DuplicateJobInPlan(job));
+                }
+                *stamp = self.rounds;
+                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
+                if j.info.state != JobState::Resident || j.info.server != Some(server) {
+                    return Err(GfairError::JobNotResident { job, server });
+                }
+                requested += j.info.gang;
+                let (user, gang) = (j.info.user, j.info.gang);
+                let slot = user.index();
+                if grant_by_user.len() <= slot {
+                    grant_by_user.resize(slot + 1, 0);
+                }
+                grant_by_user[slot] += gang;
+                if grants.len() == GRANT_BATCH {
+                    self.obs.emit_packed(self.now, self.rounds, grants);
+                    grants.clear();
+                }
+                grants.push(PackedGang {
+                    server,
+                    job,
+                    user,
+                    width: gang,
+                    gang,
+                });
+                scheduled += 1;
+            }
+            if requested > srv.num_gpus {
+                return Err(GfairError::ServerOvercommitted {
+                    server,
+                    requested,
+                    gpus: srv.num_gpus,
+                });
+            }
+            gpus_used += requested;
+        }
+        Ok((scheduled, gpus_used))
     }
 
     /// Replays `plan` for as many upcoming quanta as provably nothing can
@@ -1568,6 +1598,12 @@ fn remove_sorted(list: &mut Vec<JobId>, job: JobId) -> bool {
         Err(_) => false,
     }
 }
+
+/// Most gang grants a round hands to the observability pipeline in one
+/// call. Every round on a testbed-sized cluster is one batch; on a
+/// 50k-GPU cluster, with over ten thousand grants a round, the cap keeps
+/// the reused grant buffer at a fixed 20 KB instead of growing with them.
+const GRANT_BATCH: usize = 1024;
 
 /// Grows `v` so index `i` exists, then hands out the slot.
 #[inline]

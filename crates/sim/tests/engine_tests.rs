@@ -2,6 +2,7 @@
 //! schedulers to exercise arrival/placement, time slicing, exact-time
 //! completion, migration, profiling, horizons, validation, and determinism.
 
+use gfair_obs::{Obs, TraceEvent, ViolationKind};
 use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView, Simulation};
 use gfair_types::{
     ClusterSpec, GenCatalog, GfairError, JobId, JobSpec, JobState, ModelProfile, ServerId,
@@ -365,9 +366,26 @@ fn overcommit_plan_is_rejected() {
     }
     let m = mono_model();
     let trace = vec![job(0, 0, &m, 3, 100.0, 0), job(1, 0, &m, 3, 100.0, 0)];
-    let sim = Simulation::new(mono_cluster(4), users(1), trace, config()).unwrap();
+    let obs = Arc::new(Obs::new());
+    let ring = obs.ring(64);
+    let sim = Simulation::new(mono_cluster(4), users(1), trace, config())
+        .unwrap()
+        .with_obs(Arc::clone(&obs));
     let err = sim.run(&mut Overcommit).unwrap_err();
     assert!(matches!(err, GfairError::ServerOvercommitted { .. }));
+    // Both grants passed their own checks before the server total failed;
+    // they are emitted before the error returns, and the auditor agrees.
+    let granted = ring
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::GangPacked { .. }))
+        .count();
+    assert_eq!(granted, 2);
+    assert_eq!(obs.counter("gangs_packed"), 2);
+    assert!(matches!(
+        obs.take_fatal().map(|v| v.kind),
+        Some(ViolationKind::Overcommit { .. })
+    ));
 }
 
 #[test]

@@ -18,6 +18,15 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "### cargo build --release"
 cargo build --release
 
+echo "### full-fidelity trace smoke (faulted paper testbed)"
+# `--trace-full` writes every event, per-gang grants and placement
+# provenance included; `gfair-trace kinds` must parse every line of it.
+cargo run --release --quiet --bin gfair -- simulate --cluster paper \
+    --users 8 --jobs 300 --seed 3 --faults examples/faults.json \
+    --trace-full target/trace-full-smoke.jsonl
+cargo run --release --quiet -p gfair-tracetool --bin gfair-trace -- \
+    kinds target/trace-full-smoke.jsonl
+
 echo "### cargo test"
 cargo test --workspace -q
 

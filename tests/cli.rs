@@ -1,8 +1,8 @@
 //! Command-line input checks: an out-of-range number, an unknown option, an
 //! option missing its value, a cluster too large to count, a fault plan that
-//! names a server the cluster lacks, or a hostile trace given to
-//! `gfair simulate` must end the run with exit code 1 and an error that
-//! names the problem, before any simulation starts.
+//! names a server the cluster lacks or has an unknown key, or a hostile
+//! trace given to `gfair simulate` must end the run with exit code 1 and an
+//! error that names the problem, before any simulation starts.
 
 use std::process::Command;
 
@@ -119,6 +119,31 @@ fn fault_plan_naming_an_unknown_server_exits_1() {
             "{what} must name the unknown server; stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn fault_plan_with_an_unknown_key_exits_1() {
+    // A misspelt rate used to be ignored: the run went ahead without faults.
+    let path = format!("{}/unknown_key_plan.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, r#"{"seed": 1, "checkpoint_fail_rte": 0.5}"#)
+        .expect("write the fault plan");
+    let (code, stderr) = simulate(&[
+        "--cluster",
+        "paper",
+        "--users",
+        "2",
+        "--horizon-hours",
+        "10",
+        "--faults",
+        &path,
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("parsing fault plan")
+            && stderr.contains("unknown key \"checkpoint_fail_rte\"")
+            && stderr.contains("checkpoint_fail_rate"),
+        "the error must name the key and the known ones; stderr: {stderr}"
+    );
 }
 
 #[test]

@@ -69,6 +69,65 @@ fn run_faulted(seed: u64, plan: FaultPlan, tag: &str) -> (String, Vec<u8>) {
 }
 
 #[test]
+fn full_fidelity_trace_holds_every_grant_and_reparses() {
+    let path = std::env::temp_dir().join(format!(
+        "gfair-fault-full-fidelity-{}.jsonl",
+        std::process::id()
+    ));
+    let seed = 3;
+    let users = UserSpec::equal_users(6, 100);
+    let mut params = PhillyParams::default();
+    params.num_jobs = 150;
+    params.jobs_per_hour = 120.0;
+    params.median_service_mins = 30.0;
+    let trace = TraceBuilder::new(params, seed).build(&users);
+    let obs: SharedObs = Arc::new(Obs::new());
+    obs.jsonl_full(&path).expect("trace file");
+    let sim = Simulation::new(
+        ClusterSpec::paper_testbed(),
+        users,
+        trace,
+        SimConfig::default().with_seed(seed),
+    )
+    .unwrap()
+    .with_faults(lossy_plan(seed))
+    .with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+    sim.run_until(&mut sched, SimTime::from_secs(8 * 3600))
+        .expect("clean run under faults");
+    obs.flush();
+    let text = std::fs::read_to_string(&path).expect("read trace");
+    let _ = std::fs::remove_file(&path);
+    // A fast-forwarded span is one line standing for `rounds` repeats of
+    // its grants and round summary.
+    let (mut gang_lines, mut replayed, mut events, mut failures) = (0u64, 0u64, 0u64, 0u64);
+    for line in text.lines() {
+        events += 1;
+        match TraceEvent::from_json_line(line) {
+            Ok(TraceEvent::GangPacked { .. }) => gang_lines += 1,
+            Ok(TraceEvent::RoundsSkipped {
+                rounds,
+                scheduled,
+                widths,
+                ..
+            }) => {
+                replayed += rounds * widths.len() as u64;
+                events += rounds * (u64::from(scheduled) + 1) - 1;
+            }
+            Ok(TraceEvent::MigrationFailed { .. }) => failures += 1,
+            Ok(_) => {}
+            Err(e) => panic!("trace line does not re-parse: {e}\n{line}"),
+        }
+    }
+    assert!(
+        gang_lines > 0 && failures > 0,
+        "the run must grant and fail"
+    );
+    assert_eq!(gang_lines + replayed, obs.counter("gangs_packed"));
+    assert_eq!(events, obs.summary().events);
+}
+
+#[test]
 fn fault_runs_are_byte_deterministic() {
     let (a_report, a_trace) = run_faulted(11, lossy_plan(5), "a");
     let (b_report, b_trace) = run_faulted(11, lossy_plan(5), "b");
