@@ -66,12 +66,24 @@ pub(crate) struct Placer {
     /// index covers untouched servers (their projected load *is* their
     /// resident load), these sets cover the rest.
     touched_by_gen: Vec<std::collections::BTreeSet<(u64, ServerId)>>,
+    /// Per generation, where the walk over the residency index's load
+    /// order starts, as a `(load bits, id)` key: every `servers_by_load`
+    /// entry of the generation below it belongs to a touched server, which
+    /// the walk would only skip. Within a round servers only ever become
+    /// touched, so the bound only moves forward, except when an untouched
+    /// server's resident load drops below it (lowered by
+    /// [`Self::drain_dirty`]); [`Self::reset`] and a lapped dirty ring move
+    /// it back to the front.
+    walk_from: Vec<(u64, ServerId)>,
     /// Consumed position in the sim index's residency dirty ring, used to
     /// re-key touched servers whose *resident* demand changed (a finish or
     /// migration mid-batch) so the set order stays equal to live projected
-    /// load.
+    /// load, and to lower `walk_from` below untouched servers that moved.
     dirty_cursor: u64,
 }
+
+/// The least `(load bits, id)` key: the front of a generation's load order.
+const FRONT: (u64, ServerId) = (0, ServerId::new(0));
 
 impl Placer {
     /// Creates an empty placer.
@@ -91,6 +103,7 @@ impl Placer {
         if self.touched_by_gen.len() < gens {
             self.touched_by_gen
                 .resize_with(gens, std::collections::BTreeSet::new);
+            self.walk_from.resize(gens, FRONT);
         }
     }
 
@@ -104,6 +117,7 @@ impl Placer {
         for set in &mut self.touched_by_gen {
             set.clear();
         }
+        self.walk_from.fill(FRONT);
     }
 
     /// The (projected-load bits, id) ordering key of `server` given its
@@ -133,28 +147,36 @@ impl Placer {
         self.touched_by_gen[gen.index()].insert((key, server));
     }
 
-    /// Catches the touched-set keys up with residency changes (finishes and
-    /// migrations land immediately, mid-batch) by draining the sim index's
-    /// dirty ring. Amortized O(residency changes); on ring overflow every
-    /// touched server is re-keyed.
+    /// Catches the touched-set keys and the walk bounds up with residency
+    /// changes (finishes and migrations land immediately, mid-batch) by
+    /// draining the sim index's dirty ring: a touched server is re-keyed,
+    /// an untouched one lowers its generation's bound to its new index
+    /// entry if that fell below it. Amortized O(residency changes); on ring
+    /// overflow every touched server is re-keyed and every walk restarts at
+    /// the front.
     fn drain_dirty(&mut self, view: &SimView<'_>) {
         let seq = view.residency_dirty_seq();
         if seq == self.dirty_cursor {
             return;
         }
         match view.residency_dirty_since(self.dirty_cursor) {
+            // The iterator borrows the view, not the placer.
             Some(dirty) => {
-                // The iterator borrows the view, not the placer.
-                let dirty: Vec<ServerId> = dirty.collect();
                 for s in dirty {
-                    self.rekey(view, s);
+                    if self.inflight[s.index()] > 0 {
+                        self.rekey(view, s);
+                    } else {
+                        let gen = view.cluster().server(s).gen;
+                        let from = &mut self.walk_from[gen.index()];
+                        *from = (*from).min((view.server_load(s).to_bits(), s));
+                    }
                 }
             }
             None => {
-                let touched = self.touched.clone();
-                for s in touched {
-                    self.rekey(view, s);
+                for i in 0..self.touched.len() {
+                    self.rekey(view, self.touched[i]);
                 }
+                self.walk_from.fill(FRONT);
             }
         }
         self.dirty_cursor = seq;
@@ -191,28 +213,37 @@ impl Placer {
     /// (resident load by `f64::total_cmp`, id) order, and a server with no
     /// in-flight placements has a projected load bit-identical to its index
     /// key — so the first reachable fitting server with an empty in-flight
-    /// slot is the minimum over all such servers. Touched servers are
-    /// covered by their generation's key-ordered set (kept equal to live
-    /// projected load by [`Self::drain_dirty`]), walked the same way. The
-    /// winner is the minimum of the two — exactly
+    /// slot is the minimum over all such servers. The walk starts at the
+    /// generation's `walk_from` bound, below which every entry is touched,
+    /// and moves the bound up to the first untouched entry it meets, so a
+    /// round's placements are not re-walked on every arrival. Touched
+    /// servers are covered by their generation's key-ordered set (kept
+    /// equal to live projected load by [`Self::drain_dirty`]), walked the
+    /// same way. The winner is the minimum of the two — exactly
     /// [`Self::pick_least_loaded`]'s selection, in O(log touched + probe)
     /// instead of O(servers of the generation). Callers must `drain_dirty`
     /// first.
     fn pick_in_gen_indexed(
-        &self,
+        &mut self,
         view: &SimView<'_>,
         gen: GenId,
         gang: u32,
     ) -> Option<(f64, ServerId)> {
         let mut best: Option<(f64, ServerId)> = None;
-        for s in view.servers_by_load(gen) {
-            if !view.is_reachable(s) || view.cluster().server(s).num_gpus < gang {
-                continue;
+        let (key, id) = self.walk_from[gen.index()];
+        let mut advancing = true;
+        for (load, s) in view.servers_by_load_from(gen, f64::from_bits(key), id) {
+            // Reachability and gang fit only skip an entry: the bound stops
+            // at the first untouched one, whether or not it qualifies.
+            let touched = self.inflight[s.index()] > 0;
+            if advancing {
+                self.walk_from[gen.index()] = (load.to_bits(), s);
+                advancing = touched;
             }
-            if self.inflight.get(s.index()).copied().unwrap_or(0) > 0 {
-                continue; // covered by the touched set below
+            if touched || !view.is_reachable(s) || view.cluster().server(s).num_gpus < gang {
+                continue; // a touched server is covered by the set below
             }
-            best = Some((view.server_load(s), s));
+            best = Some((load, s));
             break;
         }
         if let Some(set) = self.touched_by_gen.get(gen.index()) {
@@ -305,8 +336,10 @@ impl Placer {
     /// overall. Only reachable servers are considered — a placement sent to
     /// a partitioned server could not be delivered.
     ///
-    /// Alongside the choice, returns the [`ChoiceWhy`] provenance the
-    /// caller renders into a [`gfair_obs::TraceEvent::Decision`].
+    /// With `want_why`, also returns the [`ChoiceWhy`] provenance the
+    /// caller renders into a [`gfair_obs::TraceEvent::Decision`], from full
+    /// scans; without it, the same choice comes from the index-backed
+    /// picks.
     pub fn choose_server_explained(
         &mut self,
         view: &SimView<'_>,
@@ -316,61 +349,21 @@ impl Placer {
         want_why: bool,
     ) -> (Option<ServerId>, Option<ChoiceWhy>) {
         if !want_why {
-            // The index-backed picks below read the touched-set keys; bring
-            // them up to date with residency changes since the last pick.
-            self.drain_dirty(view);
+            return (self.choose_server(view, ent, user, gang), None);
         }
         let mut rejected: Vec<Rejection> = Vec::new();
         if let Some(ent) = ent {
-            let mut gens_without_slack = 0u32;
-            let mut best_gen: Option<(GenId, f64)> = None;
-            for gen in view.cluster().catalog.ids() {
-                // The user's placed GPUs on this generation, from the
-                // residency index (migrating jobs count toward their
-                // destination, same as a scan over the user's jobs).
-                let used = view.user_gen_assigned(user, gen) as f64;
-                let slack = ent.get(user, gen) - used;
-                if slack <= 0.0 {
-                    gens_without_slack += 1;
-                    continue;
-                }
-                if best_gen.map(|(_, s)| slack > s).unwrap_or(true) {
-                    // Only generations with an online server wide enough
-                    // for the gang. `servers_by_load` walks just this gen's
-                    // servers (usually stopping at the first), not the
-                    // whole cluster.
-                    if view
-                        .servers_by_load(gen)
-                        .any(|s| view.is_reachable(s) && view.cluster().server(s).num_gpus >= gang)
-                    {
-                        best_gen = Some((gen, slack));
-                    }
-                }
-            }
-            if want_why && gens_without_slack > 0 {
+            let (best_gen, gens_without_slack) = slack_first_gen(view, ent, user, gang);
+            if gens_without_slack > 0 {
                 rejected.push(Rejection {
                     reason: "gen_without_slack".into(),
                     count: gens_without_slack,
                 });
             }
             if let Some((gen, slack)) = best_gen {
-                if !want_why {
-                    // Index-backed pick: same server as the generation scan
-                    // below, without walking the generation.
-                    if let Some((_, server)) = self.pick_in_gen_indexed(view, gen, gang) {
-                        return (Some(server), None);
-                    }
-                }
-                let (target, considered, too_narrow, candidates) = self.pick_least_loaded(
-                    view,
-                    gang,
-                    view.reachable_servers_of_gen(gen),
-                    want_why,
-                );
+                let (target, considered, too_narrow, candidates) =
+                    self.pick_least_loaded(view, gang, view.reachable_servers_of_gen(gen), true);
                 if let Some(server) = target {
-                    if !want_why {
-                        return (Some(server), None);
-                    }
                     if too_narrow > 0 {
                         rejected.push(Rejection {
                             reason: "gang_too_wide_for_server".into(),
@@ -394,24 +387,6 @@ impl Placer {
             }
         }
         // Work conservation fallback: least-loaded fitting server anywhere.
-        if !want_why {
-            // Min over the per-generation index-backed picks — same winner
-            // as a full reachable-cluster scan, in O(gens + placements this
-            // round).
-            let mut best: Option<(f64, ServerId)> = None;
-            for gen in view.cluster().catalog.ids() {
-                if let Some((load, s)) = self.pick_in_gen_indexed(view, gen, gang) {
-                    let better = match best {
-                        None => true,
-                        Some((bl, bid)) => load.total_cmp(&bl).then(s.cmp(&bid)).is_lt(),
-                    };
-                    if better {
-                        best = Some((load, s));
-                    }
-                }
-            }
-            return (best.map(|(_, s)| s), None);
-        }
         let total = view.cluster().servers.len() as u32;
         let reachable = view.reachable_count();
         if total > reachable {
@@ -421,7 +396,7 @@ impl Placer {
             });
         }
         let (target, considered, too_narrow, candidates) =
-            self.pick_least_loaded(view, gang, view.reachable_servers(), want_why);
+            self.pick_least_loaded(view, gang, view.reachable_servers(), true);
         if too_narrow > 0 {
             rejected.push(Rejection {
                 reason: "gang_too_wide_for_server".into(),
@@ -440,4 +415,92 @@ impl Placer {
         };
         (target, Some(why))
     }
+
+    /// [`Self::choose_server_explained`]'s choice without provenance, from
+    /// the index-backed picks instead of generation scans. In debug builds
+    /// each pick is checked against [`Self::pick_least_loaded`] over the
+    /// same reachable scope.
+    fn choose_server(
+        &mut self,
+        view: &SimView<'_>,
+        ent: Option<&Entitlements>,
+        user: UserId,
+        gang: u32,
+    ) -> Option<ServerId> {
+        // The index-backed picks read the touched-set keys and the walk
+        // bounds; bring them up to date with residency changes since the
+        // last pick.
+        self.drain_dirty(view);
+        if let Some((gen, _)) = ent.and_then(|ent| slack_first_gen(view, ent, user, gang).0) {
+            let pick = self.pick_in_gen_indexed(view, gen, gang).map(|(_, s)| s);
+            debug_assert_eq!(
+                pick,
+                self.pick_least_loaded(view, gang, view.reachable_servers_of_gen(gen), false)
+                    .0,
+                "indexed slack-first pick diverged from the scan of gen:{}",
+                gen.index()
+            );
+            if pick.is_some() {
+                return pick;
+            }
+        }
+        // Work conservation fallback: the min over the per-generation
+        // index-backed picks — same winner as a full reachable-cluster scan,
+        // in O(gens + placements this round).
+        let mut best: Option<(f64, ServerId)> = None;
+        for gen in view.cluster().catalog.ids() {
+            if let Some((load, s)) = self.pick_in_gen_indexed(view, gen, gang) {
+                let better = match best {
+                    None => true,
+                    Some((bl, bid)) => load.total_cmp(&bl).then(s.cmp(&bid)).is_lt(),
+                };
+                if better {
+                    best = Some((load, s));
+                }
+            }
+        }
+        let pick = best.map(|(_, s)| s);
+        debug_assert_eq!(
+            pick,
+            self.pick_least_loaded(view, gang, view.reachable_servers(), false)
+                .0,
+            "indexed fallback pick diverged from the reachable-cluster scan"
+        );
+        pick
+    }
+}
+
+/// The generation where `user` has the most allocation slack under `ent`
+/// (first such generation on ties) among those with a reachable server wide
+/// enough for `gang`, plus the number of generations without slack.
+fn slack_first_gen(
+    view: &SimView<'_>,
+    ent: &Entitlements,
+    user: UserId,
+    gang: u32,
+) -> (Option<(GenId, f64)>, u32) {
+    let mut gens_without_slack = 0u32;
+    let mut best_gen: Option<(GenId, f64)> = None;
+    for gen in view.cluster().catalog.ids() {
+        // The user's placed GPUs on this generation, from the residency
+        // index (migrating jobs count toward their destination, same as a
+        // scan over the user's jobs).
+        let used = view.user_gen_assigned(user, gen) as f64;
+        let slack = ent.get(user, gen) - used;
+        if slack <= 0.0 {
+            gens_without_slack += 1;
+            continue;
+        }
+        // Only generations with an online server wide enough for the gang.
+        // `servers_by_load` walks just this gen's servers (usually stopping
+        // at the first), not the whole cluster.
+        if best_gen.map(|(_, s)| slack > s).unwrap_or(true)
+            && view
+                .servers_by_load(gen)
+                .any(|s| view.is_reachable(s) && view.cluster().server(s).num_gpus >= gang)
+        {
+            best_gen = Some((gen, slack));
+        }
+    }
+    (best_gen, gens_without_slack)
 }

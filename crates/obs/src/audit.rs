@@ -288,12 +288,12 @@ impl Auditor {
 
     /// Feeds one event through every applicable check.
     pub fn process(&mut self, event: &TraceEvent) {
-        if let Some((t, round, grant)) = PackedGang::of(event) {
-            return self.process_packed(t, round, &[grant]);
-        }
+        // A grant is remembered as a compact record by `process_packed`.
         if !matches!(
             event,
-            TraceEvent::RoundPlanned { .. } | TraceEvent::RoundsSkipped { .. }
+            TraceEvent::GangPacked { .. }
+                | TraceEvent::RoundPlanned { .. }
+                | TraceEvent::RoundsSkipped { .. }
         ) {
             self.remember(Recent::Event(event.clone()));
         }
@@ -398,7 +398,24 @@ impl Auditor {
             TraceEvent::PartitionEnd { .. } => {
                 self.heal_pending = true;
             }
-            TraceEvent::GangPacked { .. } => unreachable!("grants are checked by process_packed"),
+            &TraceEvent::GangPacked {
+                t,
+                round,
+                server,
+                job,
+                user,
+                width,
+                gang,
+            } => {
+                let grant = PackedGang {
+                    server,
+                    job,
+                    user,
+                    width,
+                    gang,
+                };
+                self.process_packed(t, round, &[grant]);
+            }
             TraceEvent::RoundPlanned {
                 round,
                 gpus_used,

@@ -26,8 +26,8 @@
 //! [`Tracer::record_packed`], which hands each grant to sinks that do not
 //! override it as its own `GangPacked` event; the lean [`JsonlSink`]
 //! drops the batch at once. Metrics, auditor verdicts and every sink's
-//! output are the same as emitting each grant on its own, which
-//! `emit(GangPacked)` still does as a batch of one.
+//! output are the same as emitting each grant on its own with
+//! `emit(GangPacked)`.
 //!
 //! Wall-clock self-profiling ([`Obs::time`], [`PhaseStats`]) is kept apart
 //! from all of the above: timings never enter the trace or the report, so
@@ -172,12 +172,9 @@ impl Obs {
     }
 
     /// Emits one event: updates metrics, feeds the auditor, forwards to
-    /// every sink. A `GangPacked` event takes the [`Obs::emit_packed`] path
-    /// as a batch of one.
+    /// every sink. A `GangPacked` event has the same effect as a batch of
+    /// one through [`Obs::emit_packed`].
     pub fn emit(&self, event: TraceEvent) {
-        if let Some((t, round, grant)) = PackedGang::of(&event) {
-            return self.emit_packed(t, round, &[grant]);
-        }
         let mut inner = self.lock();
         // A RoundsSkipped record stands in for an entire span of per-round
         // events; count what the naive path would have emitted (`scheduled`
@@ -331,7 +328,7 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             m.inc("reconciles", 1);
             m.inc("reconcile_drift", u64::from(*drift));
         }
-        TraceEvent::GangPacked { .. } => unreachable!("grants are counted by count_grants"),
+        TraceEvent::GangPacked { width, .. } => count_grants(m, std::iter::once(*width)),
         TraceEvent::RoundPlanned {
             scheduled,
             gpus_used,

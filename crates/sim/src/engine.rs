@@ -152,12 +152,13 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`GfairError::InvalidConfig`] if the config fails validation,
-    /// the cluster's GPU total does not fit in a `u32`, a job's gang is zero
-    /// or fits no server, a job's service demand or one of its model's rates
-    /// is not positive and finite, a job references an unknown user, a job's
-    /// model does not cover the cluster's generation catalog, or a job or
-    /// user id is too sparse. Ids index dense tables, so every job id must
-    /// be below `2 × trace.len() + 65536` and every user id below
+    /// the cluster's GPU total does not fit in a `u32`, a user holds zero
+    /// tickets, a job's gang is zero or fits no server, a job's service
+    /// demand or one of its model's rates is not positive and finite, a job
+    /// references an unknown user, a job's model does not cover the
+    /// cluster's generation catalog, or a job or user id is too sparse. Ids
+    /// index dense tables, so every job id must be below
+    /// `2 × trace.len() + 65536` and every user id below
     /// `2 × users.len() + 65536`: a table can then never be far larger than
     /// the input.
     pub fn new(
@@ -184,6 +185,15 @@ impl Simulation {
                 "user id {} is too sparse for {} users (ids must be below {user_limit})",
                 u.id,
                 users.len()
+            )));
+        }
+        // `UserSpec::new` refuses zero tickets, but a struct literal or a
+        // deserialized spec can carry them, and entitlements divide by
+        // tickets once the user is active.
+        if let Some(u) = users.iter().find(|u| u.tickets == 0) {
+            return Err(GfairError::InvalidConfig(format!(
+                "user {} ({}) has zero tickets (a user needs at least one)",
+                u.id, u.name
             )));
         }
         let num_users = users.iter().map(|u| u.id.index() + 1).max().unwrap_or(0);

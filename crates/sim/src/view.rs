@@ -261,6 +261,26 @@ impl<'a> SimView<'a> {
             .flat_map(|set| set.iter().map(|&(_, s)| s))
     }
 
+    /// The suffix of [`servers_by_load`](Self::servers_by_load) from
+    /// `(load, from)` on, inclusive, each server paired with its resident
+    /// load: a range query, so a caller that knows every earlier server is
+    /// of no interest starts mid-order instead of walking from the front.
+    /// `load` must be non-negative, as every server load is.
+    pub fn servers_by_load_from(
+        &self,
+        gen: GenId,
+        load: f64,
+        from: ServerId,
+    ) -> impl Iterator<Item = (f64, ServerId)> + 'a {
+        debug_assert!(load >= 0.0, "negative load bound {load}");
+        self.index
+            .gen_load
+            .get(gen.index())
+            .into_iter()
+            .flat_map(move |set| set.range((load.to_bits(), from)..))
+            .map(|&(key, s)| (f64::from_bits(key), s))
+    }
+
     /// Monotone counter of residency changes across the whole cluster; pair
     /// with [`residency_dirty_since`](Self::residency_dirty_since) to learn
     /// which servers changed between two cursor values.

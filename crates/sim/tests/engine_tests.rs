@@ -498,6 +498,22 @@ fn unknown_user_in_trace_is_rejected() {
 }
 
 #[test]
+fn zero_ticket_user_is_rejected_at_construction() {
+    // `UserSpec::new` refuses zero tickets, but a struct literal or a
+    // deserialized spec can carry them; the run used to panic once the
+    // user became active.
+    let m = mono_model();
+    let mut users = users(2);
+    users[1].tickets = 0;
+    let trace = vec![job(0, 0, &m, 1, 100.0, 0), job(1, 1, &m, 1, 100.0, 0)];
+    let err = Simulation::new(mono_cluster(4), users, trace, config()).unwrap_err();
+    assert!(
+        matches!(&err, GfairError::InvalidConfig(m) if m.contains("user U1") && m.contains("zero tickets")),
+        "{err}"
+    );
+}
+
+#[test]
 fn zero_gang_in_trace_is_rejected_at_construction() {
     // `JobSpec::new` refuses a zero gang, but a deserialized trace can
     // carry one.

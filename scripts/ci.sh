@@ -30,6 +30,21 @@ cargo run --release --quiet -p gfair-tracetool --bin gfair-trace -- \
 echo "### cargo test"
 cargo test --workspace -q
 
+echo "### debug-build bursty placement smoke (placement oracle)"
+# Debug builds check every untraced placement against a full scan of the
+# same reachable servers. 40000 arrivals per hour on 800 servers put about
+# 670 placements in each round, so the least-loaded walk skips this round's
+# touched servers on nearly every pick; at 3000 per hour the walk's start
+# sits mid-order and finishes beyond it must pull it back. The failed
+# server moves resident loads between picks. A few seconds per policy.
+for policy in gfair themis-ftf; do
+    for rate in 40000 3000; do
+        cargo run --quiet --bin gfair -- simulate --cluster homogeneous:800x8 \
+            --policy "$policy" --users 32 --jobs 12000 --jobs-per-hour "$rate" \
+            --median-mins 8 --horizon-hours 1 --fail 3@0-1 > /dev/null
+    done
+done
+
 echo "### shim tests"
 # Cargo.toml excludes the vendored shims from the workspace, so
 # `--workspace` never runs their own tests; name them explicitly.
