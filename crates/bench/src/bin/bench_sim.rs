@@ -12,11 +12,10 @@
 //! so the perf trajectory is tracked in-tree; `scripts/bench.sh` regenerates
 //! the artifact and CI runs the `--quick` variant as a smoke test.
 //!
-//! `--no-fast-forward` disables the engine's quiescence fast-forward (the
-//! naive quantum-by-quantum baseline). `--verify` runs every scale twice —
-//! fully optimized (fast-forward + lazy settling) vs fully naive (both
-//! off), with and without a fault plan — and fails unless the serialized
-//! `SimReport`s are byte-identical; CI runs this as the equivalence gate.
+//! `--verify` runs every scale twice — optimized (lazy plan settling) vs
+//! naive (every server re-planned every round), with and without a fault
+//! plan — and fails unless the serialized `SimReport`s are byte-identical;
+//! CI runs this as the equivalence gate.
 //!
 //! `--obs-overhead` runs one scale in both modes — tracing disabled vs the
 //! default-tier JSONL sink (the `gfair simulate --trace` configuration) —
@@ -47,8 +46,8 @@
 //! same set — every policy must be byte-identical between optimized and
 //! naive engine configurations, clean and fault-injected.
 //!
-//! Usage: `bench_sim [--quick] [--no-fast-forward] [--verify]
-//!                   [--obs-overhead] [--only SCALE] [--policy NAME]
+//! Usage: `bench_sim [--quick] [--verify] [--obs-overhead]
+//!                   [--only SCALE] [--policy NAME]
 //!                   [--out PATH] [--seed N] [--best-of N]
 //!                   [--check-against PATH]`
 
@@ -256,7 +255,6 @@ struct BenchReport {
     schema: String,
     mode: String,
     seed: u64,
-    fast_forward: bool,
     scales: Vec<ScaleResult>,
 }
 
@@ -268,7 +266,6 @@ fn run_scale(
     s: &Scale,
     policy: PolicyId,
     seed: u64,
-    fast_forward: bool,
     lazy_planning: bool,
     faults: Option<FaultPlan>,
     trace_out: Option<&str>,
@@ -289,9 +286,6 @@ fn run_scale(
         sim = sim.with_faults(plan);
     }
     let mut cfg = GfairConfig::default().with_policy(policy);
-    if !fast_forward {
-        cfg = cfg.without_fast_forward();
-    }
     if !lazy_planning {
         cfg = cfg.without_lazy_planning();
     }
@@ -338,12 +332,9 @@ fn run_scale(
 
 /// The equivalence gate: every scale (or just `only`) and every policy that
 /// scale benches (or just `policy`), faultless and fault-injected, must
-/// produce byte-identical `SimReport`s between the fully-optimized
-/// configuration (fast-forward + lazy settling, the default) and the
-/// fully-naive one (both off, every quantum stepped and every server
-/// re-planned). One comparison gates both mechanisms: if either ever
-/// diverged, the pair would mismatch. Returns the number of mismatching
-/// configurations.
+/// produce byte-identical `SimReport`s between the optimized configuration
+/// (lazy settling, the default) and the naive one (every server re-planned
+/// every round). Returns the number of mismatching configurations.
 fn run_verify(quick: bool, seed: u64, only: Option<&str>, policy: Option<PolicyId>) -> u32 {
     let mut failures = 0u32;
     for s in scales(quick)
@@ -352,11 +343,11 @@ fn run_verify(quick: bool, seed: u64, only: Option<&str>, policy: Option<PolicyI
     {
         for p in policies_for_scale(s.name, policy) {
             for (label, faults) in [("clean", None), ("faulted", Some(verify_faults(seed)))] {
-                let (on, on_json) = run_scale(&s, p, seed, true, true, faults.clone(), None);
-                let (off, off_json) = run_scale(&s, p, seed, false, false, faults, None);
+                let (on, on_json) = run_scale(&s, p, seed, true, faults.clone(), None);
+                let (off, off_json) = run_scale(&s, p, seed, false, faults, None);
                 let ok = on_json == off_json;
                 eprintln!(
-                    "  {} [{p}/{label}] ff-on {:.2}s / ff-off {:.2}s / {} rounds: {}",
+                    "  {} [{p}/{label}] lazy {:.2}s / eager {:.2}s / {} rounds: {}",
                     s.name,
                     on.wall_secs,
                     off.wall_secs,
@@ -375,7 +366,6 @@ fn run_verify(quick: bool, seed: u64, only: Option<&str>, policy: Option<PolicyI
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
     let verify = args.iter().any(|a| a == "--verify");
     let out = args
         .iter()
@@ -457,9 +447,9 @@ fn main() {
         for _ in 0..3 {
             // Lazy settling off on BOTH arms: tracing disables it anyway,
             // so only an eager/eager pair isolates the tracing cost.
-            let (off, _) = run_scale(s, p, seed, true, false, None, None);
+            let (off, _) = run_scale(s, p, seed, false, None, None);
             off_best = off_best.max(off.gpu_hours_per_wall_sec);
-            let (on, _) = run_scale(s, p, seed, true, false, None, trace_path.to_str());
+            let (on, _) = run_scale(s, p, seed, false, None, trace_path.to_str());
             on_best = on_best.max(on.gpu_hours_per_wall_sec);
             trace_bytes = std::fs::metadata(&trace_path).map(|m| m.len()).unwrap_or(0);
             let _ = std::fs::remove_file(&trace_path);
@@ -480,7 +470,7 @@ fn main() {
     }
 
     let mode = if quick { "quick" } else { "full" };
-    eprintln!("bench_sim: mode={mode} seed={seed} fast_forward={fast_forward} out={out}");
+    eprintln!("bench_sim: mode={mode} seed={seed} out={out}");
     let mut results = Vec::new();
     for s in scales(quick)
         .into_iter()
@@ -493,7 +483,7 @@ fn main() {
             );
             let mut best: Option<ScaleResult> = None;
             for _ in 0..best_of {
-                let (r, _) = run_scale(&s, p, seed, fast_forward, true, None, None);
+                let (r, _) = run_scale(&s, p, seed, true, None, None);
                 eprintln!(
                     "    {:.1} sim GPU-hours in {:.2}s wall = {:.1} GPU-h/s, {:.0} rounds/s",
                     r.sim_gpu_hours, r.wall_secs, r.gpu_hours_per_wall_sec, r.rounds_per_sec
@@ -550,7 +540,6 @@ fn main() {
         schema: "gfair-bench-sim/v1".to_string(),
         mode: mode.to_string(),
         seed,
-        fast_forward,
         scales: results,
     };
     let json = serde_json::to_string_pretty(&report).expect("serializable");

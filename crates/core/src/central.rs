@@ -14,9 +14,8 @@
 //!    entitlement on that server's generation, and collect each server's
 //!    gang-aware stride selection into the round plan.
 //!
-//! [`TicketTrading`] is the one built-in policy that opts into the driver's
-//! migration retry ([`crate::AllocPolicy::retries_migrations`]): exponential
-//! backoff and generation re-targeting, bounded by
+//! Failed migrations are retried by the driver, as for every policy:
+//! exponential backoff and generation re-targeting, bounded by
 //! `GfairConfig::max_migration_retries`.
 
 use crate::config::GfairConfig;

@@ -3,7 +3,7 @@
 //! Intervals, the quantum, the trade price strategy and the RNG seed live in
 //! the shared [`gfair_types::SimConfig`]; this struct holds the policy
 //! choice, the mechanism toggles (used by the ablation experiments), the
-//! retry budget, the performance switches and the Themis auction knobs.
+//! retry budget, the lazy-planning switch and the Themis auction knobs.
 //! Tuning values no caller varies are private constants where they are
 //! read: the trade margin, profile-trust threshold and retry backoff base
 //! in `policy.rs`, the stride-weight floor in `planner.rs` and the load
@@ -77,11 +77,6 @@ pub struct GfairConfig {
     /// owns it). `0` disables retries entirely. Attempt `n` waits
     /// 60 s · 2^(n-1) of exponential backoff.
     pub max_migration_retries: u32,
-    /// Allow the engine to replay a cached round plan across quiescent
-    /// quanta in one analytic step (see `DESIGN.md`, "Quiescence
-    /// fast-forward"). Purely a performance knob: reports and traces are
-    /// byte-identical either way, which the differential tests assert.
-    pub fast_forward: bool,
     /// Allow the round planner to settle servers lazily — re-plan only
     /// servers whose residency, weights or quiescence span changed, serving
     /// the rest from the cached selection. Purely a performance knob:
@@ -105,7 +100,6 @@ impl Default for GfairConfig {
             trading: true,
             balancing: true,
             max_migration_retries: 3,
-            fast_forward: true,
             lazy_planning: true,
             themis_lease: SimDuration::from_mins(10),
             themis_filter: 0.5,
@@ -157,14 +151,6 @@ impl GfairConfig {
         self
     }
 
-    /// Disables quiescence fast-forwarding (builder-style), forcing the
-    /// engine to step every quantum. Used by the differential tests and the
-    /// bench baseline.
-    pub fn without_fast_forward(mut self) -> Self {
-        self.fast_forward = false;
-        self
-    }
-
     /// Disables lazy plan settling (builder-style), forcing every server to
     /// re-plan every round. Used by the differential tests (lazy vs eager
     /// byte-equality) and by benchmarks that must isolate other costs.
@@ -212,9 +198,6 @@ mod tests {
         assert!(!c.balancing);
         let c = GfairConfig::default().with_migration_retries(5);
         assert_eq!(c.max_migration_retries, 5);
-        assert!(GfairConfig::default().fast_forward);
-        let c = GfairConfig::default().without_fast_forward();
-        assert!(!c.fast_forward);
         assert!(GfairConfig::default().lazy_planning);
         let c = GfairConfig::default().without_lazy_planning();
         assert!(!c.lazy_planning);

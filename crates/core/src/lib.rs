@@ -26,11 +26,10 @@
 //! ## The policy boundary
 //!
 //! The machinery above is policy-agnostic: placement, per-server stride
-//! planning, balancing, migration retry and fast-forward live behind
+//! planning, balancing and migration retry live behind
 //! [`policy::AllocPolicy`] — a per-epoch allocation rule — driven by the
 //! generic [`PolicyScheduler`]. [`GandivaFair`] is that driver running the
-//! paper's entitlement + trading rule ([`TicketTrading`]), the one policy
-//! that also retries failed migrations;
+//! paper's entitlement + trading rule ([`TicketTrading`]);
 //! alternative fairness formulations (Gavel-style water-filling,
 //! Themis-style finish-time fairness) plug in from the `gfair-policies`
 //! crate. See `POLICIES.md` at the repo root for the catalogue.

@@ -10,10 +10,7 @@
 //!   order on the calling thread, and the eager and lazy paths run the same
 //!   per-server step ([`WeightCache::sync_and_plan`]);
 //! - **graceful degradation** — a partitioned server keeps planning on the
-//!   weights it last received until it heals;
-//! - **quiescence fast-forward** — [`RoundPlanner::probe`] checks each
-//!   local scheduler's replay horizon and [`RoundPlanner::commit`] advances
-//!   stride state analytically.
+//!   weights it last received until it heals.
 //!
 //! ## Lazy settling (O(dirty-servers) planning)
 //!
@@ -33,9 +30,7 @@
 //!   selection verbatim ([`LocalScheduler::quiescent_rounds`], capped at
 //!   [`QUIESCENT_SPAN`]) and records `valid_until = round + span` in an
 //!   expiry queue. A cached selection is only ever reused strictly within
-//!   its span, so the replay is byte-identical to per-round planning — the
-//!   same differential guarantee quiescence fast-forward rests on, applied
-//!   per server instead of per cluster.
+//!   its span, so the replay is byte-identical to per-round planning.
 //!
 //! Weight refreshes settle every server (the same cost the eager path pays
 //! every round), and an overflowed dirty ring falls back to a full settle.
@@ -174,8 +169,7 @@ pub(crate) struct RoundPlanner {
     /// first [`plan_runs`](Self::plan_runs) call (config allows it and no
     /// trace sink is attached). `None` until then.
     lazy: Option<bool>,
-    /// Rounds planned and committed so far (lazy mode only): `plan_runs`
-    /// advances it by one, [`commit`](Self::commit) by the fast-forward span.
+    /// Rounds planned so far (lazy mode only).
     cur_round: u64,
     /// Per-server `(settled_round, valid_until)` by `ServerId::index()`
     /// (lazy mode): the round the server's local state was last settled at,
@@ -227,12 +221,6 @@ impl RoundPlanner {
             self.host_stamp = vec![0; len];
             self.rebuild_expiry();
         }
-    }
-
-    /// True before [`ensure_init`](Self::ensure_init) (or on an empty
-    /// cluster): there is nothing to plan or fast-forward.
-    pub fn is_empty(&self) -> bool {
-        self.locals.is_empty()
     }
 
     /// Jobs the local scheduler of `server` currently believes are resident,
@@ -458,8 +446,8 @@ impl RoundPlanner {
         });
         self.to_settle = to_settle;
         self.departing_hosts = departing_hosts;
-        // Keep the top live so `probe` can read the minimum as is, and bound
-        // the stale entries.
+        // Keep the top live, so it is the minimum over `meta` (checked
+        // below), and bound the stale entries.
         while let Some(&Reverse((vu, server))) = self.expiry.peek() {
             if self.meta[server.index()].1 == vu {
                 break;
@@ -483,50 +471,6 @@ impl RoundPlanner {
         self.expiry = (self.meta.iter().enumerate())
             .map(|(i, m)| Reverse((m.1, ServerId::new(i as u32))))
             .collect();
-    }
-
-    /// All-or-nothing fast-forward probe across servers: the replayable
-    /// horizon is the minimum over every local scheduler's differential
-    /// check against the cached plan (absent servers must reproduce an empty
-    /// selection). Must not mutate state.
-    ///
-    /// Lazy mode answers from the expiry heap in O(1): every cached
-    /// selection is proven through its `valid_until` round, so the whole
-    /// cluster replays through the earliest one (the heap's top, which each
-    /// lazy round leaves live).
-    pub fn probe(&self, run: &BTreeMap<ServerId, Vec<JobId>>, k: u64) -> u64 {
-        if self.lazy == Some(true) {
-            debug_assert_eq!(run, &self.cached_run, "probe against a stale plan");
-            let min_vu = self
-                .expiry
-                .peek()
-                .map(|&Reverse((vu, _))| vu)
-                .unwrap_or(u64::MAX);
-            return k.min(min_vu.saturating_sub(self.cur_round));
-        }
-        let mut j = k;
-        for local in &self.locals {
-            let expected = run.get(&local.server()).map(Vec::as_slice).unwrap_or(&[]);
-            j = j.min(local.quiescent_rounds(expected, k));
-            if j == 0 {
-                return 0;
-            }
-        }
-        j
-    }
-
-    /// Advances stride state by `j` quanta in one analytic step. Lazy mode
-    /// only advances the round counter — each server's state catches up at
-    /// its next settle (the lag replay), and the probe guaranteed `j` stays
-    /// within every span.
-    pub fn commit(&mut self, j: u64) {
-        if self.lazy == Some(true) {
-            self.cur_round += j;
-            return;
-        }
-        for local in &mut self.locals {
-            local.fast_forward(j);
-        }
     }
 
     /// Folds the best (lowest) stride pass per user across all servers into
@@ -679,7 +623,7 @@ mod tests {
     #[test]
     fn expiry_heap_top_stays_live_when_spans_grow() {
         // Every round's settles leave the previous spans below the new ones;
-        // the round must pop them so the top (what `probe` reads) is live.
+        // the round must pop them so the top is live.
         let churn = churn(false);
         assert!(
             churn.max_len <= 4,

@@ -7,7 +7,7 @@
 //! how many GPUs of each generation is each user entitled to right now?*
 //! [`AllocPolicy`] is exactly that question; everything else — placement,
 //! per-server stride planning, migration-based balancing, migration retry,
-//! degraded-mode handling, fast-forward — is common machinery provided by
+//! degraded-mode handling — is common machinery provided by
 //! [`PolicyScheduler`] (the generic driver) on top of the shared
 //! `RoundPlanner` and `Placer` internals.
 //!
@@ -18,30 +18,17 @@
 //! no ambient randomness, no iteration over unordered containers. The
 //! driver guarantees the inputs themselves are deterministic (id-ordered
 //! maps, integer-microsecond ρ accounting), so policy output — and with it
-//! the whole trace — replays byte-identically from the same seed and is the
-//! same with fast-forward on or off.
+//! the whole trace — replays byte-identically from the same seed.
 //!
-//! ## Fast-forward opt-in
+//! ## Migration retry
 //!
-//! [`AllocPolicy::fast_forward_ok`] defaults to `false`: a policy must
-//! explicitly declare that replaying a cached plan across quiescent quanta
-//! cannot change its future decisions. Opting in is sound iff the policy's
-//! allocation depends only on inputs the driver refreshes at epoch
-//! boundaries — the driver never fast-forwards across an epoch boundary,
-//! a pending job, a due balancing pass, or a due migration retry.
-//!
-//! ## Migration retry opt-in
-//!
-//! [`AllocPolicy::retries_migrations`] defaults to `false`. For a policy
-//! that opts in, each failed migration arms a bounded retry: attempt *n*
-//! waits 60 s · 2^(n-1) (`BACKOFF_BASE`), and after
-//! `max_migration_retries` failures the job is left where the failure put
-//! it. A still-resident job is re-sent to the least-loaded reachable server
-//! of the generation the failed move targeted; a pending job waits out its
-//! backoff before the round's pending scan re-places it. Without the
-//! opt-in, pending jobs are re-placed at the next round and resident ones
-//! wait for the next balancing pass. Either way only the pending scan
-//! places pending jobs.
+//! Every policy gets the same recovery: each failed migration arms a
+//! bounded retry. Attempt *n* waits 60 s · 2^(n-1) (`BACKOFF_BASE`), and
+//! after `max_migration_retries` failures the job is left where the failure
+//! put it. A still-resident job is re-sent to the least-loaded reachable
+//! server of the generation the failed move targeted; a pending job waits
+//! out its backoff before the round's pending scan re-places it. Only the
+//! pending scan places pending jobs.
 
 use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
@@ -114,10 +101,10 @@ pub trait AllocPolicy {
     /// recomputed whenever the active-user set changes).
     fn epoch(&self, config: &SimConfig) -> SimDuration;
 
-    /// Whether quiescence fast-forward is sound for this policy: replaying
-    /// a cached plan across quanta must not change any future allocation.
-    /// Defaults to `false` — policies opt in explicitly (or stay opted
-    /// out, which forces the engine to step every quantum).
+    /// Unused: the engine steps every quantum. Kept only because the
+    /// repository benchmark's `TimedPolicy` still forwards it; it goes with
+    /// the next benchmark refresh.
+    #[doc(hidden)]
     fn fast_forward_ok(&self) -> bool {
         false
     }
@@ -128,19 +115,12 @@ pub trait AllocPolicy {
     fn wants_rho(&self) -> bool {
         false
     }
-
-    /// Whether the driver retries failed migrations with exponential
-    /// backoff (see the module docs). Defaults to `false`.
-    fn retries_migrations(&self) -> bool {
-        false
-    }
 }
 
 /// The paper's allocation policy: ticket-proportional entitlements per
 /// generation, then the big/small trading market on top.
 ///
-/// [`crate::GandivaFair::new`] runs it on [`PolicyScheduler`]; it is the
-/// one built-in policy that retries failed migrations.
+/// [`crate::GandivaFair::new`] runs it on [`PolicyScheduler`].
 #[derive(Debug)]
 pub struct TicketTrading {
     trading: bool,
@@ -188,14 +168,6 @@ impl AllocPolicy for TicketTrading {
     fn epoch(&self, config: &SimConfig) -> SimDuration {
         config.trade_interval
     }
-
-    fn fast_forward_ok(&self) -> bool {
-        true
-    }
-
-    fn retries_migrations(&self) -> bool {
-        true
-    }
 }
 
 /// Recovery bookkeeping for one job whose migration (or queued placement)
@@ -218,9 +190,9 @@ struct RetryState {
 /// The driver owns the machinery every policy shares — placement via
 /// the placer, per-server stride planning via the shared planner,
 /// migration-based balancing toward the policy's entitlements, pending-job
-/// re-placement after outages, epoch timers, optional online ρ̂ accounting,
-/// optional migration retry, and fast-forward probing — so a policy
-/// implementation is nothing but its allocation rule.
+/// re-placement after outages, epoch timers, optional online ρ̂ accounting
+/// and migration retry — so a policy implementation is nothing but its
+/// allocation rule.
 ///
 /// # Examples
 ///
@@ -253,20 +225,12 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     next_epoch: SimTime,
     next_balance: SimTime,
     /// Jobs whose migration failed and is being retried with backoff.
-    /// Stays empty unless the policy retries migrations.
     retry: BTreeMap<JobId, RetryState>,
-    /// Quantum length in integer microseconds, cached at init so that
-    /// [`ClusterScheduler::commit_fast_forward`] (which has no view) can
-    /// account skipped service exactly.
-    quantum_micros: u64,
     /// Cumulative scheduled time per job in integer microseconds, indexed
-    /// by `JobId::index()`. Integer accounting makes the ρ̂ inputs — and
-    /// therefore the allocations — byte-identical with fast-forward on or
-    /// off. Maintained only when the policy wants ρ̂.
+    /// by `JobId::index()`. Integer accounting keeps the ρ̂ inputs — and
+    /// therefore the allocations — exact and replay-stable. Maintained
+    /// only when the policy wants ρ̂.
     sched_micros: Vec<u64>,
-    /// Jobs scheduled by the most recent plan, for fast-forward service
-    /// accounting (a skipped span replays exactly this run set).
-    last_plan_jobs: Vec<JobId>,
     /// Dense per-user policy inputs (demand, speedups, ρ̂), refreshed
     /// incrementally from the cluster-index aggregates each epoch.
     inputs: PolicyInputs,
@@ -293,9 +257,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             next_epoch: SimTime::ZERO,
             next_balance: SimTime::ZERO,
             retry: BTreeMap::new(),
-            quantum_micros: 0,
             sched_micros: Vec::new(),
-            last_plan_jobs: Vec::new(),
             inputs: PolicyInputs::new(),
             min_pass: RefCell::new(Vec::new()),
             obs: Arc::new(Obs::new()),
@@ -336,9 +298,6 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
         self.planner.ensure_init(view);
         self.placer.ensure_capacity(view);
         self.inputs.ensure_init(view);
-        if self.quantum_micros == 0 {
-            self.quantum_micros = view.config().quantum.as_micros();
-        }
     }
 
     /// Recomputes the allocation through the policy and pushes the derived
@@ -349,6 +308,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
     /// against the from-scratch map builders ([`PolicyInputs::audit`]).
     fn refresh_allocation(&mut self, view: &SimView<'_>, active: Vec<(UserId, u64)>) {
         let now = view.now();
+        let quantum_micros = view.config().quantum.as_micros();
         let profiler = self.profiler.as_ref().expect("initialized");
         self.inputs.refresh(view, profiler);
         if self.policy.wants_rho() {
@@ -357,13 +317,13 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             // jobs start at ρ̂ = 1 instead of ∞. Both sides are integer
             // microseconds, so the estimate is exact and replay-stable.
             self.inputs
-                .refresh_rho(view, &self.sched_micros, self.quantum_micros, now);
+                .refresh_rho(view, &self.sched_micros, quantum_micros, now);
         }
         #[cfg(debug_assertions)]
         {
             let ledger = self.policy.wants_rho().then_some((
                 self.sched_micros.as_slice(),
-                self.quantum_micros,
+                quantum_micros,
                 now,
             ));
             if let Err(e) = self.inputs.audit(view, profiler, ledger) {
@@ -553,12 +513,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         // trait default (re-dispatch through `on_job_arrival`) would queue a
         // second placement that races the round plan's — whichever lands
         // first leaves the other targeting a now-resident job, which the
-        // engine rejects as a scheduler bug. A retrying policy only arms a
-        // backoff here; otherwise still-resident jobs (checkpoint failure,
-        // unreachable target) are re-examined by the next balancing pass.
-        if !self.policy.retries_migrations() {
-            return Vec::new();
-        }
+        // engine rejects as a scheduler bug. So this only arms a backoff.
         self.ensure_init(view);
         let state = view.job(job).map(|j| j.state);
         if state.is_none() || state == Some(JobState::Finished) {
@@ -704,11 +659,10 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         );
 
         // 6. Service accounting for ρ̂: every scheduled job accrues one
-        // quantum (integer micros, replayed exactly on fast-forward). One
-        // resize to the round's max job index, not one per job.
+        // quantum (integer micros). One resize to the round's max job
+        // index, not one per job.
         if self.policy.wants_rho() {
-            self.last_plan_jobs.clear();
-            let q = self.quantum_micros;
+            let q = view.config().quantum.as_micros();
             let max_idx = run
                 .values()
                 .flat_map(|jobs| jobs.iter())
@@ -722,73 +676,10 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             for jobs in run.values() {
                 for &job in jobs {
                     self.sched_micros[job.index()] += q;
-                    self.last_plan_jobs.push(job);
                 }
             }
         }
         RoundPlan { run, actions }
-    }
-
-    fn next_decision_time(&self) -> Option<SimTime> {
-        // Epoch timers and retry backoffs are the only internal clocks that
-        // can change a plan with otherwise-unchanged inputs. A past retry
-        // deadline (job waiting in a non-retryable state) keeps the minimum
-        // in the past, which makes the engine's horizon collapse to zero —
-        // conservative, never wrong.
-        let mut t = self.next_epoch;
-        if self.cfg.balancing {
-            t = t.min(self.next_balance);
-        }
-        for r in self.retry.values() {
-            t = t.min(r.next_try);
-        }
-        Some(t)
-    }
-
-    fn probe_fast_forward(&mut self, view: &SimView<'_>, plan: &RoundPlan, k: u64) -> u64 {
-        if !self.cfg.fast_forward
-            || !self.policy.fast_forward_ok()
-            || k == 0
-            || self.planner.is_empty()
-        {
-            return 0;
-        }
-        // Anything that would steer the next plan_round down a different
-        // path declines: a pending job could be placed, an epoch timer
-        // could fire, a due retry could re-enter the planning flow. The
-        // engine already bounds k by next_decision_time, so these are
-        // defensive.
-        if view.pending_jobs().next().is_some() {
-            return 0;
-        }
-        let now = view.now();
-        if now >= self.next_epoch {
-            return 0;
-        }
-        if self.cfg.balancing && now >= self.next_balance {
-            return 0;
-        }
-        if self.retry.values().any(|r| r.next_try <= now) {
-            return 0;
-        }
-        // All-or-nothing across servers: the replayable horizon is the
-        // minimum over every local scheduler's differential check against
-        // the cached plan (absent servers must reproduce an empty
-        // selection).
-        self.planner.probe(&plan.run, k)
-    }
-
-    fn commit_fast_forward(&mut self, j: u64) {
-        self.planner.commit(j);
-        if self.policy.wants_rho() {
-            // The skipped span replays the cached plan j more times: each
-            // job in it accrues j further quanta of service, keeping ρ̂
-            // byte-identical to the naive per-round path.
-            let q = self.quantum_micros;
-            for &job in &self.last_plan_jobs {
-                self.sched_micros[job.index()] += q * j;
-            }
-        }
     }
 
     fn user_shares(&self, _view: &SimView<'_>) -> Vec<UserShare> {

@@ -40,8 +40,8 @@
 //! A violation carries the JSONL lines of its round's events so far (at
 //! most the last 256), rendered only when it fires. Until then the auditor
 //! keeps grants as compact [`PackedGang`] records and other events as
-//! clones; a round-boundary event (`RoundPlanned`, `RoundsSkipped`) clears
-//! the context, so it is added to it only when it is the one that fails.
+//! clones; the round-boundary event (`RoundPlanned`) clears the context,
+//! so it is added to it only when it is the one that fails.
 
 use crate::event::{PackedGang, TraceEvent};
 use gfair_types::{JobId, ServerId, SimTime};
@@ -291,9 +291,7 @@ impl Auditor {
         // A grant is remembered as a compact record by `process_packed`.
         if !matches!(
             event,
-            TraceEvent::GangPacked { .. }
-                | TraceEvent::RoundPlanned { .. }
-                | TraceEvent::RoundsSkipped { .. }
+            TraceEvent::GangPacked { .. } | TraceEvent::RoundPlanned { .. }
         ) {
             self.remember(Recent::Event(event.clone()));
         }
@@ -455,27 +453,6 @@ impl Auditor {
                 }
                 // Round boundary: bump the serial (expiring the per-round
                 // grant stamps in place) and reset the rest.
-                self.round_serial += 1;
-                self.packed.fill(0);
-                self.round_events.clear();
-            }
-            TraceEvent::RoundsSkipped {
-                first_round,
-                rounds,
-                gpus_used,
-                ..
-            } => {
-                // A replayed span: the plan re-ran unchanged, and it was
-                // validated in full (residency, overcommit, gang atomicity,
-                // conservation) in the round that produced it. Re-deriving
-                // those checks per replayed round would only re-confirm the
-                // same facts, so the span advances round accounting and the
-                // warn-only work-conservation count; full checks resume at
-                // the span boundary with the next planned round.
-                self.current_round = first_round + rounds.saturating_sub(1);
-                if *gpus_used == 0 && self.resident_count > 0 {
-                    self.warnings += *rounds;
-                }
                 self.round_serial += 1;
                 self.packed.fill(0);
                 self.round_events.clear();
@@ -1014,66 +991,6 @@ mod tests {
         });
         let v = a.take_fatal().expect("violation");
         assert!(matches!(v.kind, ViolationKind::TicketConservation { .. }));
-    }
-
-    #[test]
-    fn replayed_span_skips_rechecks_and_counts_idle_warnings() {
-        let mut a = setup();
-        a.process(&packed(1, 4, 4));
-        a.process(&TraceEvent::RoundPlanned {
-            t: t0(),
-            round: 1,
-            scheduled: 1,
-            gpus_used: 4,
-            gpus_up: 4,
-            pending: 0,
-            tickets_total: 4.0,
-            users: vec![],
-            user_gpus: vec![],
-        });
-        // A busy replayed span: no violations, no warnings, round advances
-        // to the span end.
-        a.process(&TraceEvent::RoundsSkipped {
-            t: t0(),
-            first_round: 2,
-            rounds: 10,
-            scheduled: 1,
-            gpus_used: 4,
-            gpus_up: 4,
-            pending: 0,
-            tickets_total: 4.0,
-            widths: vec![4],
-            users: vec![],
-            user_gpus: vec![],
-        });
-        assert!(a.violations().is_empty());
-        assert_eq!(a.warnings(), 0);
-        // An idle replayed span with resident jobs warns once per collapsed
-        // round, exactly as naive stepping would.
-        a.process(&TraceEvent::RoundsSkipped {
-            t: t0(),
-            first_round: 12,
-            rounds: 3,
-            scheduled: 0,
-            gpus_used: 0,
-            gpus_up: 4,
-            pending: 0,
-            tickets_total: 4.0,
-            widths: vec![],
-            users: vec![],
-            user_gpus: vec![],
-        });
-        assert_eq!(a.warnings(), 3);
-        // The span is a round boundary: per-round packing state was reset,
-        // so the next planned round re-grants without duplicate complaints,
-        // and violations land in post-span rounds.
-        a.process(&packed(1, 4, 4));
-        assert!(a.violations().is_empty());
-        let v_round = {
-            a.process(&packed(1, 4, 4)); // duplicate in round 1 (packed() uses round 1)
-            a.violations().last().unwrap().round
-        };
-        assert_eq!(v_round, 1, "round number comes from the GangPacked event");
     }
 
     #[test]

@@ -29,12 +29,12 @@ pub struct UserShare {
     pub pass: f64,
 }
 
-/// One user's granted GPUs inside a [`TraceEvent::RoundsSkipped`] span.
+/// One user's granted GPUs in a [`TraceEvent::RoundPlanned`] round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserGrant {
     /// The user.
     pub user: UserId,
-    /// GPUs granted to the user's jobs in each replayed round.
+    /// GPUs granted to the user's jobs in the round.
     pub gpus: u32,
 }
 
@@ -290,38 +290,6 @@ pub enum TraceEvent {
         /// stream is filtered out of the sink.
         user_gpus: Vec<UserGrant>,
     },
-    /// A span of quiescent rounds the engine replayed in one step (the
-    /// fast-forward path): the cached plan re-ran unchanged for `rounds`
-    /// consecutive quanta. Stands in for the per-round
-    /// `GangPacked`/`RoundPlanned` blocks the naive path would have emitted,
-    /// carrying enough detail to replay their metrics exactly.
-    RoundsSkipped {
-        /// Simulated time of the first replayed round.
-        t: SimTime,
-        /// Round number of the first replayed round (1-based).
-        first_round: u64,
-        /// Number of rounds collapsed into this record.
-        rounds: u64,
-        /// Jobs granted GPUs in each replayed round.
-        scheduled: u32,
-        /// GPUs in use in each replayed round.
-        gpus_used: u32,
-        /// GPUs online across the span.
-        gpus_up: u32,
-        /// Jobs waiting for a placement across the span.
-        pending: u32,
-        /// Cluster-wide ticket supply (total physical GPUs).
-        tickets_total: f64,
-        /// Granted gang widths in plan iteration order, one per scheduled
-        /// job and identical in every replayed round.
-        widths: Vec<u32>,
-        /// Per-user tickets and stride passes at the start of the span (the
-        /// same shape `RoundPlanned` carries; entitlements cannot change
-        /// inside a quiescent span).
-        users: Vec<UserShare>,
-        /// GPUs granted per user in each replayed round, ascending by user.
-        user_gpus: Vec<UserGrant>,
-    },
     /// Structured provenance for one scheduler decision: what was chosen,
     /// what else was considered, which rule broke ties, and why the
     /// alternatives lost. Emitted by the central scheduler (placements,
@@ -388,7 +356,7 @@ impl TraceEvent {
     /// DESIGN.md event table and the golden-trace fixture are cross-checked
     /// against this list by tests, so adding a variant without documenting
     /// it fails the suite.
-    pub const KINDS: [&'static str; 16] = [
+    pub const KINDS: [&'static str; 15] = [
         "server_up",
         "server_down",
         "job_arrive",
@@ -401,7 +369,6 @@ impl TraceEvent {
         "reconcile",
         "gang_packed",
         "round_planned",
-        "rounds_skipped",
         "decision",
         "trade_executed",
         "profile_inferred",
@@ -422,7 +389,6 @@ impl TraceEvent {
             TraceEvent::Reconcile { .. } => "reconcile",
             TraceEvent::GangPacked { .. } => "gang_packed",
             TraceEvent::RoundPlanned { .. } => "round_planned",
-            TraceEvent::RoundsSkipped { .. } => "rounds_skipped",
             TraceEvent::Decision { .. } => "decision",
             TraceEvent::TradeExecuted { .. } => "trade_executed",
             TraceEvent::ProfileInferred { .. } => "profile_inferred",
@@ -444,7 +410,6 @@ impl TraceEvent {
             | TraceEvent::Reconcile { t, .. }
             | TraceEvent::GangPacked { t, .. }
             | TraceEvent::RoundPlanned { t, .. }
-            | TraceEvent::RoundsSkipped { t, .. }
             | TraceEvent::Decision { t, .. }
             | TraceEvent::TradeExecuted { t, .. }
             | TraceEvent::ProfileInferred { t, .. } => *t,
@@ -615,46 +580,6 @@ impl TraceEvent {
                 s.push_str(",\"tickets_total\":");
                 push_f64(s, *tickets_total);
                 s.push_str(",\"users\":[");
-                push_user_shares(s, users);
-                s.push_str("],\"user_gpus\":[");
-                push_user_grants(s, user_gpus);
-                s.push(']');
-            }
-            TraceEvent::RoundsSkipped {
-                first_round,
-                rounds,
-                scheduled,
-                gpus_used,
-                gpus_up,
-                pending,
-                tickets_total,
-                widths,
-                users,
-                user_gpus,
-                ..
-            } => {
-                s.push_str(",\"first_round\":");
-                push_u64(s, *first_round);
-                s.push_str(",\"rounds\":");
-                push_u64(s, *rounds);
-                s.push_str(",\"scheduled\":");
-                push_u64(s, u64::from(*scheduled));
-                s.push_str(",\"gpus_used\":");
-                push_u64(s, u64::from(*gpus_used));
-                s.push_str(",\"gpus_up\":");
-                push_u64(s, u64::from(*gpus_up));
-                s.push_str(",\"pending\":");
-                push_u64(s, u64::from(*pending));
-                s.push_str(",\"tickets_total\":");
-                push_f64(s, *tickets_total);
-                s.push_str(",\"widths\":[");
-                for (i, w) in widths.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_u64(s, u64::from(*w));
-                }
-                s.push_str("],\"users\":[");
                 push_user_shares(s, users);
                 s.push_str("],\"user_gpus\":[");
                 push_user_grants(s, user_gpus);
@@ -856,31 +781,6 @@ impl TraceEvent {
                 users: get_user_shares(&v, k)?,
                 user_gpus: get_user_gpus(&v, k)?,
             }),
-            "rounds_skipped" => {
-                let widths = field(&v, k, "widths")?
-                    .as_array()
-                    .ok_or_else(|| format!("{k}: field `widths` must be an array"))?
-                    .iter()
-                    .map(|w| {
-                        w.as_u64()
-                            .map(|w| w as u32)
-                            .ok_or_else(|| format!("{k}: widths entries must be integers"))
-                    })
-                    .collect::<Result<Vec<u32>, String>>()?;
-                Ok(TraceEvent::RoundsSkipped {
-                    t,
-                    first_round: get_u64(&v, k, "first_round")?,
-                    rounds: get_u64(&v, k, "rounds")?,
-                    scheduled: get_u32(&v, k, "scheduled")?,
-                    gpus_used: get_u32(&v, k, "gpus_used")?,
-                    gpus_up: get_u32(&v, k, "gpus_up")?,
-                    pending: get_u32(&v, k, "pending")?,
-                    tickets_total: get_f64(&v, k, "tickets_total")?,
-                    widths,
-                    users: get_user_shares(&v, k)?,
-                    user_gpus: get_user_gpus(&v, k)?,
-                })
-            }
             "decision" => {
                 let candidates = field(&v, k, "candidates")?
                     .as_array()
@@ -1318,36 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn rounds_skipped_renders_stable_line() {
-        let ev = TraceEvent::RoundsSkipped {
-            t: SimTime::from_secs(120),
-            first_round: 3,
-            rounds: 5,
-            scheduled: 2,
-            gpus_used: 6,
-            gpus_up: 8,
-            pending: 1,
-            tickets_total: 8.0,
-            widths: vec![4, 2],
-            users: vec![UserShare {
-                user: UserId::new(0),
-                tickets: 8.0,
-                pass: 1.5,
-            }],
-            user_gpus: vec![UserGrant {
-                user: UserId::new(0),
-                gpus: 6,
-            }],
-        };
-        assert_eq!(ev.kind(), "rounds_skipped");
-        assert_eq!(ev.time(), SimTime::from_secs(120));
-        assert_eq!(
-            ev.to_json_line(),
-            "{\"kind\":\"rounds_skipped\",\"t_us\":120000000,\"first_round\":3,\"rounds\":5,\"scheduled\":2,\"gpus_used\":6,\"gpus_up\":8,\"pending\":1,\"tickets_total\":8.0,\"widths\":[4,2],\"users\":[{\"user\":0,\"tickets\":8.0,\"pass\":1.5}],\"user_gpus\":[{\"user\":0,\"gpus\":6}]}"
-        );
-    }
-
-    #[test]
     fn decision_renders_stable_line() {
         let ev = TraceEvent::Decision {
             t: SimTime::from_secs(30),
@@ -1475,23 +1345,6 @@ mod tests {
                 gpus_up: 8,
                 pending: 0,
                 tickets_total: 8.0,
-                users: vec![UserShare {
-                    user: UserId::new(2),
-                    tickets: 8.0,
-                    pass: 3.25,
-                }],
-                user_gpus: vec![],
-            },
-            TraceEvent::RoundsSkipped {
-                t,
-                first_round: 13,
-                rounds: 4,
-                scheduled: 1,
-                gpus_used: 2,
-                gpus_up: 8,
-                pending: 0,
-                tickets_total: 8.0,
-                widths: vec![2],
                 users: vec![UserShare {
                     user: UserId::new(2),
                     tickets: 8.0,

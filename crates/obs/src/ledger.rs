@@ -15,19 +15,15 @@
 //!   base generation. ρ ≈ 1 means the job ran as if it had its entitlement
 //!   to itself; large ρ means it queued or was starved.
 //!
-//! # Determinism under fast-forward
+//! # Segment-coalesced accrual
 //!
-//! The ledger is a pure function of the trace-event stream, and it must
-//! produce *byte-identical* sums whether a quiescent span arrives as `n`
-//! per-round `RoundPlanned` summaries (the naive path) or as one
-//! [`RoundsSkipped`](crate::TraceEvent::RoundsSkipped) record (the
-//! fast-forward path). Accrual is therefore segment-coalesced: consecutive
+//! The ledger is a pure function of the trace-event stream. Consecutive
 //! rounds with the same (tickets, received) key extend an open segment's
 //! round count, and a segment is settled with one multiply per user
-//! (`tickets × rounds`, `gpus × rounds`) when the key changes. Both paths
-//! see the same key sequence, so they settle at the same boundaries with the
-//! same floating-point operations. Stride `pass` values advance every round
-//! and are deliberately excluded from the key.
+//! (`tickets × rounds`, `gpus × rounds`) when the key changes, so a steady
+//! stretch of rounds costs one comparison per round. Settle boundaries fix
+//! the floating-point order of the sums. Stride `pass` values advance
+//! every round and are deliberately excluded from the key.
 
 use crate::event::TraceEvent;
 use crate::metrics::FixedHistogram;
@@ -87,7 +83,7 @@ impl Default for RhoSummary {
 /// [`ObsSummary`](crate::ObsSummary).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LedgerSummary {
-    /// Scheduling rounds accounted (including fast-forwarded spans).
+    /// Scheduling rounds accounted.
     pub rounds: u64,
     /// Cumulative Jain index over per-user `received / deserved`. Falls back
     /// to raw received GPU-rounds for schedulers without a ticket economy.
@@ -226,46 +222,28 @@ impl FairnessLedger {
                     .map(|g| (g.user.index() as u32, g.gpus))
                     .collect();
                 grants.sort_unstable_by_key(|&(u, _)| u);
-                self.extend_segment(tickets, grants, 1);
-            }
-            TraceEvent::RoundsSkipped {
-                rounds,
-                users,
-                user_gpus,
-                ..
-            } => {
-                let mut tickets: Vec<(u32, f64)> = users
-                    .iter()
-                    .map(|s| (s.user.index() as u32, s.tickets))
-                    .collect();
-                tickets.sort_unstable_by_key(|&(u, _)| u);
-                let mut grants: Vec<(u32, u32)> = user_gpus
-                    .iter()
-                    .map(|g| (g.user.index() as u32, g.gpus))
-                    .collect();
-                grants.sort_unstable_by_key(|&(u, _)| u);
-                self.extend_segment(tickets, grants, *rounds);
+                self.extend_segment(tickets, grants);
             }
             _ => {}
         }
     }
 
-    /// Extends the open segment by `n` rounds of the given key, settling the
+    /// Extends the open segment by one round of the given key, settling the
     /// previous segment first if the key changed.
-    fn extend_segment(&mut self, tickets: Vec<(u32, f64)>, gpus: Vec<(u32, u32)>, n: u64) {
+    fn extend_segment(&mut self, tickets: Vec<(u32, f64)>, gpus: Vec<(u32, u32)>) {
         if self.seg_count > 0 && self.seg_tickets == tickets && self.seg_gpus == gpus {
-            self.seg_count += n;
+            self.seg_count += 1;
         } else {
             self.settle();
             self.seg_tickets = tickets;
             self.seg_gpus = gpus;
-            self.seg_count = n;
+            self.seg_count = 1;
         }
-        self.rounds += n;
+        self.rounds += 1;
     }
 
     /// Settles the open segment into the per-user totals: one multiply per
-    /// user, at the same boundaries on the naive and fast-forward paths.
+    /// user.
     fn settle(&mut self) {
         if self.seg_count == 0 {
             return;
@@ -478,53 +456,6 @@ mod tests {
         assert_eq!(s.users[1].deserved, 9.0);
         assert_eq!(s.users[1].received, 6.0);
         assert!(s.jain > 0.99, "jain {}", s.jain);
-    }
-
-    #[test]
-    fn rounds_skipped_matches_naive_rounds_exactly() {
-        // The core determinism contract: n identical per-round blocks and
-        // one RoundsSkipped(n) must produce byte-identical summaries.
-        let users = || vec![share(0, 5.5, 0.0), share(1, 2.5, 0.0)];
-        let mut naive = FairnessLedger::new();
-        // A leading differently-keyed round so settles happen mid-stream.
-        naive.ingest(&planned(1, users(), vec![grant(0, 8)]));
-        for r in 2..=8u64 {
-            naive.ingest(&planned(r, users(), vec![grant(0, 4), grant(1, 2)]));
-        }
-        let mut fast = FairnessLedger::new();
-        fast.ingest(&planned(1, users(), vec![grant(0, 8)]));
-        // The establishing round runs naively, the remaining six are skipped.
-        fast.ingest(&planned(2, users(), vec![grant(0, 4), grant(1, 2)]));
-        fast.ingest(&TraceEvent::RoundsSkipped {
-            t: SimTime::from_secs(180),
-            first_round: 3,
-            rounds: 6,
-            scheduled: 2,
-            gpus_used: 6,
-            gpus_up: 8,
-            pending: 0,
-            tickets_total: 8.0,
-            widths: vec![4, 2],
-            users: users(),
-            user_gpus: vec![
-                UserGrant {
-                    user: UserId::new(0),
-                    gpus: 4,
-                },
-                UserGrant {
-                    user: UserId::new(1),
-                    gpus: 2,
-                },
-            ],
-        });
-        let (a, b) = (naive.summary(), fast.summary());
-        assert_eq!(a, b);
-        assert_eq!(a.rounds, 8);
-        // Byte-identical when serialized, the property --verify checks.
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
     }
 
     #[test]

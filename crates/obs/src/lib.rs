@@ -176,18 +176,7 @@ impl Obs {
     /// one through [`Obs::emit_packed`].
     pub fn emit(&self, event: TraceEvent) {
         let mut inner = self.lock();
-        // A RoundsSkipped record stands in for an entire span of per-round
-        // events; count what the naive path would have emitted (`scheduled`
-        // GangPacked plus one RoundPlanned per round) so the summary's event
-        // count stays byte-identical between the two paths.
-        if let TraceEvent::RoundsSkipped {
-            rounds, scheduled, ..
-        } = &event
-        {
-            inner.events += rounds * (u64::from(*scheduled) + 1);
-        } else {
-            inner.events += 1;
-        }
+        inner.events += 1;
         update_metrics(&mut inner.metrics, &event);
         inner.ledger.ingest(&event);
         inner.auditor.process(&event);
@@ -347,33 +336,6 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
                 );
             }
         }
-        TraceEvent::RoundsSkipped {
-            rounds,
-            scheduled,
-            gpus_used,
-            gpus_up,
-            pending,
-            widths,
-            ..
-        } => {
-            // Replay the exact per-round metric updates of the collapsed
-            // span. Histogram decimation is observation-order sensitive, so
-            // a single interpolated update would change the summary; the
-            // replay keeps it byte-identical to naive stepping.
-            for _ in 0..*rounds {
-                count_grants(m, widths.iter().copied());
-                m.inc("rounds", 1);
-                m.set_gauge("queue_depth", f64::from(*pending));
-                m.observe("round_jobs_scheduled", f64::from(*scheduled));
-                m.observe("round_gpus_used", f64::from(*gpus_used));
-                if *gpus_up > 0 {
-                    m.observe(
-                        "round_utilization",
-                        f64::from(*gpus_used) / f64::from(*gpus_up),
-                    );
-                }
-            }
-        }
         TraceEvent::Decision { decision, .. } => {
             m.inc("decisions", 1);
             // Per-site counters keyed on the stable decision vocabulary.
@@ -502,67 +464,6 @@ mod tests {
         obs.inc("stale_migrations", 3);
         assert_eq!(obs.counter("stale_migrations"), 3);
         assert_eq!(obs.summary().counters["stale_migrations"], 3);
-    }
-
-    #[test]
-    fn rounds_skipped_summary_matches_naive_stepping() {
-        // One batched record must produce the byte-identical summary that
-        // per-round emission would have: same event count, same counters,
-        // same histogram shapes (decimation is order-sensitive).
-        let span_rounds = 7u64;
-        let naive = Obs::new();
-        sample_run(&naive);
-        for r in 0..span_rounds {
-            // Clean replays of sample_run's round: job 1 (gang 2) on server 0.
-            naive.emit(TraceEvent::GangPacked {
-                t: SimTime::from_secs(60 * (r + 1)),
-                round: 2 + r,
-                server: ServerId::new(0),
-                job: JobId::new(1),
-                user: UserId::new(0),
-                width: 2,
-                gang: 2,
-            });
-            naive.emit(TraceEvent::RoundPlanned {
-                t: SimTime::from_secs(60 * (r + 1)),
-                round: 2 + r,
-                scheduled: 1,
-                gpus_used: 2,
-                gpus_up: 2,
-                pending: 0,
-                tickets_total: 2.0,
-                users: vec![],
-                user_gpus: vec![UserGrant {
-                    user: UserId::new(0),
-                    gpus: 2,
-                }],
-            });
-        }
-        let batched = Obs::new();
-        sample_run(&batched);
-        batched.emit(TraceEvent::RoundsSkipped {
-            t: SimTime::from_secs(60),
-            first_round: 2,
-            rounds: span_rounds,
-            scheduled: 1,
-            gpus_used: 2,
-            gpus_up: 2,
-            pending: 0,
-            tickets_total: 2.0,
-            widths: vec![2],
-            users: vec![],
-            user_gpus: vec![UserGrant {
-                user: UserId::new(0),
-                gpus: 2,
-            }],
-        });
-        let (a, b) = (naive.summary(), batched.summary());
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.gauges, b.gauges);
-        assert_eq!(a.histograms, b.histograms);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -125,26 +125,6 @@ fn golden_events() -> Vec<TraceEvent> {
                 },
             ],
         },
-        TraceEvent::RoundsSkipped {
-            t,
-            first_round: 121,
-            rounds: 30,
-            scheduled: 40,
-            gpus_used: 96,
-            gpus_up: 100,
-            pending: 3,
-            tickets_total: 100.0,
-            widths: vec![2, 1, 1],
-            users: vec![UserShare {
-                user: UserId::new(0),
-                tickets: 100.0,
-                pass: 13.0,
-            }],
-            user_gpus: vec![UserGrant {
-                user: UserId::new(0),
-                gpus: 4,
-            }],
-        },
         TraceEvent::Decision {
             t,
             decision: "placement".to_string(),

@@ -181,12 +181,7 @@ fn emit_batched(obs: &Obs, events: &[TraceEvent]) {
 fn expected_context(events: &[TraceEvent], failing: usize) -> Vec<String> {
     let start = events[..failing]
         .iter()
-        .rposition(|e| {
-            matches!(
-                e,
-                TraceEvent::RoundPlanned { .. } | TraceEvent::RoundsSkipped { .. }
-            )
-        })
+        .rposition(|e| matches!(e, TraceEvent::RoundPlanned { .. }))
         .map_or(0, |i| i + 1);
     let lines: Vec<String> = events[start..=failing]
         .iter()

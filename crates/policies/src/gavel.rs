@@ -367,13 +367,6 @@ impl AllocPolicy for GavelHetero {
         // head-to-head runs recompute allocations equally often.
         config.trade_interval
     }
-
-    fn fast_forward_ok(&self) -> bool {
-        // The allocation depends only on the active set, demands and
-        // profiled speedups — all of which change only through events that
-        // already interrupt a fast-forward span.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -158,14 +158,6 @@ impl AllocPolicy for ThemisFtf {
         self.lease
     }
 
-    fn fast_forward_ok(&self) -> bool {
-        // ρ̂ drifts continuously with wall time, but allocations only read
-        // it at lease boundaries and the driver never fast-forwards across
-        // one; the integer-microsecond service accounting is replayed
-        // exactly on commit, so skipped spans are byte-equivalent.
-        true
-    }
-
     fn wants_rho(&self) -> bool {
         true
     }

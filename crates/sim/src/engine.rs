@@ -1090,7 +1090,7 @@ impl Simulation {
             for (&server, run) in &plan.run {
                 let gen = self.cluster.server(server).gen;
                 for &job in run {
-                    self.accrue(job, server, gen, budget);
+                    self.accrue(job, server, gen, budget)?;
                 }
             }
         }
@@ -1100,14 +1100,6 @@ impl Simulation {
         self.warm_serial += 1;
         for job in plan.run.values().flat_map(|jobs| jobs.iter()) {
             *slot_u64(&mut self.warm_stamp, job.index()) = self.warm_serial;
-        }
-
-        // 6.5 Quiescence fast-forward: if nothing can change the next plan
-        // for a provable horizon, replay this plan analytically instead of
-        // re-planning quantum by quantum. Only exact when this round had a
-        // full budget (a horizon-truncated quantum ends the run anyway).
-        if budget == quantum {
-            self.try_fast_forward(scheduler, &plan, horizon)?;
         }
 
         // 7. Keep the clock ticking while anything is alive. Not-yet-arrived
@@ -1189,199 +1181,19 @@ impl Simulation {
         Ok((scheduled, gpus_used))
     }
 
-    /// Replays `plan` for as many upcoming quanta as provably nothing can
-    /// perturb it, advancing time, stride state and all accounting in one
-    /// step and emitting a single batched [`TraceEvent::RoundsSkipped`].
-    ///
-    /// The replayed span is byte-identical to stepping those rounds naively
-    /// (asserted by the differential tests): the horizon is bounded so that
-    ///
-    /// - (a) every replayed round fires strictly before the next queued
-    ///   event — at equal times every other event kind outranks `Round`;
-    /// - (b) every replayed round stays strictly before the scheduler's own
-    ///   next internal deadline ([`ClusterScheduler::next_decision_time`]);
-    /// - (c)/(d) a profile-stint crossing or a job finish may land only in
-    ///   the *last* replayed quantum: its report (delivered at the next
-    ///   round) or exact-time `Finish` event then reaches the scheduler at
-    ///   the same instant the naive path would deliver it;
-    /// - (e) every replayed quantum has a full budget under `run_until`'s
-    ///   horizon; and
-    /// - (f) the round counter cannot overrun the round safety limit.
-    ///
-    /// Within those bounds the scheduler's probe performs the differential
-    /// check that its stride scan order reproduces `plan` verbatim each
-    /// replayed round, and its commit advances pass state bit-identically
-    /// (`pass += delta` replayed the exact number of times). The engine
-    /// replays progress accrual for real — same float sequence, same RNG
-    /// draws, same `Finish` scheduling — so only the planning work and the
-    /// per-round trace records are elided.
-    fn try_fast_forward(
-        &mut self,
-        scheduler: &mut dyn ClusterScheduler,
-        plan: &RoundPlan,
-        horizon: Option<SimTime>,
-    ) -> Result<()> {
-        // Structural preconditions: anything queued for the scheduler or
-        // carried by the plan makes the next round take a different path.
-        if !plan.actions.is_empty()
-            || !self.pending_actions.is_empty()
-            || !self.pending_reports.is_empty()
-            || !self.pending_fault_notices.is_empty()
-            || self.index.active.is_empty()
-        {
-            return Ok(());
-        }
-        let quantum = self.config.quantum;
-        let q_us = quantum.as_micros();
-        let now_us = self.now.as_micros();
-        // (a) Queue: largest j with T + j*q strictly before the next event.
-        let mut k: u64 = match self.queue.peek() {
-            Some(ev) => {
-                let dt = ev.time.as_micros().saturating_sub(now_us);
-                if dt == 0 {
-                    return Ok(());
-                }
-                (dt - 1) / q_us
-            }
-            None => u64::MAX,
-        };
-        // (b) Scheduler-internal deadlines, same strict-inequality formula.
-        if let Some(t) = scheduler.next_decision_time() {
-            let dt = t.as_micros().saturating_sub(now_us);
-            if dt == 0 {
-                return Ok(());
-            }
-            k = k.min((dt - 1) / q_us);
-        }
-        // (e) Horizon: each replayed quantum needs a full budget.
-        if let Some(h) = horizon {
-            let dt = h.as_micros().saturating_sub(now_us);
-            k = k.min((dt / q_us).saturating_sub(1));
-        }
-        // (f) Round safety limit.
-        k = k.min(self.round_limit.saturating_sub(self.rounds));
-        if k == 0 {
-            return Ok(());
-        }
-        // The policy's differential check: would this exact plan be
-        // reproduced for j <= k quanta?
-        let mut j = scheduler.probe_fast_forward(&self.view(), plan, k).min(k);
-        if j == 0 {
-            return Ok(());
-        }
-        // (c)/(d) Per-job timers, computed only up to the probed j.
-        let stint_len_us = self.config.profile_stint.as_micros();
-        let q_secs = quantum.as_secs_f64();
-        for (&server, run) in &plan.run {
-            let gen = self.cluster.server(server).gen;
-            for &job in run {
-                let rec = &self.jobs[job];
-                // (c) Quanta until the profile stint crosses its length
-                // (each replayed quantum adds exactly one full quantum of
-                // productive time; the jobs are warm, overhead is zero).
-                let s0 = self.stint[job.index() * self.num_gens + gen.index()];
-                let to_report = stint_len_us.saturating_sub(s0.as_micros());
-                j = j.min(to_report.div_ceil(q_us));
-                // (d) Quanta until the job finishes, mirroring `accrue`'s
-                // exact float sequence for warm full-budget quanta.
-                let rate = rec.true_rate(gen);
-                let mut progress = rec.progress;
-                for m in 1..=j {
-                    let remaining_secs = (rec.spec.service_secs - progress) / rate;
-                    let run_d = quantum.min(SimDuration::from_secs_f64(remaining_secs));
-                    if run_d < quantum {
-                        j = m;
-                        break;
-                    }
-                    progress += q_secs * rate;
-                    if rec.spec.service_secs - progress <= 1e-9 {
-                        j = m;
-                        break;
-                    }
-                }
-                if j == 0 {
-                    return Ok(());
-                }
-            }
-        }
-        // Commit: stride passes jump j quanta in one step, then the engine
-        // replays accrual for real — per round: advance the clock, count the
-        // round, flush report windows, accrue every planned job in plan
-        // iteration order (identical float/RNG sequence to stepping).
-        scheduler.commit_fast_forward(j);
-        let first_round = self.rounds + 1;
-        let span_t = self.now + quantum;
-        for _ in 0..j {
-            self.now += quantum;
-            self.rounds += 1;
-            self.maybe_flush_window();
-            for (&server, run) in &plan.run {
-                let gen = self.cluster.server(server).gen;
-                for &job in run {
-                    self.accrue(job, server, gen, quantum);
-                }
-            }
-        }
-        // One batched trace record stands in for the per-round GangPacked +
-        // RoundPlanned stream; the metrics layer replays it into the same
-        // counters and histograms, and the auditor treats the span as one
-        // pre-validated unit.
-        let mut gpus_used = 0u32;
-        let mut scheduled = 0u32;
-        let mut widths = Vec::with_capacity(plan.num_running());
-        let mut per_user: std::collections::BTreeMap<gfair_types::UserId, u32> =
-            std::collections::BTreeMap::new();
-        for run in plan.run.values() {
-            for &job in run {
-                let gang = self.jobs[job].info.gang;
-                widths.push(gang);
-                gpus_used += gang;
-                scheduled += 1;
-                *per_user.entry(self.jobs[job].info.user).or_insert(0) += gang;
-            }
-        }
-        // The same aggregation the ledger performs over the naive path's
-        // per-round GangPacked events: total granted GPUs per user,
-        // ascending by user.
-        let user_gpus: Vec<gfair_obs::UserGrant> = per_user
-            .into_iter()
-            .map(|(user, gpus)| gfair_obs::UserGrant { user, gpus })
-            .collect();
-        let gpus_up = self.gpus_up;
-        let pending = self
-            .index
-            .pending
-            .iter()
-            .filter(|&id| !self.jobs[id].finishing)
-            .count() as u32;
-        self.obs.emit(TraceEvent::RoundsSkipped {
-            t: span_t,
-            first_round,
-            rounds: j,
-            scheduled,
-            gpus_used,
-            gpus_up,
-            pending,
-            tickets_total: self.cluster.total_gpus() as f64,
-            widths,
-            users: scheduler.user_shares(&self.view()),
-            user_gpus,
-        });
-        if let Some(v) = self.obs.take_fatal() {
-            return Err(violation_to_error(v));
-        }
-        Ok(())
-    }
-
     /// Runs `job` on generation `gen` for up to `budget`, scheduling an
     /// exact-time finish if it completes, and updating all accounting.
+    ///
+    /// Fails with [`GfairError::JobStalled`] if the job ran for productive
+    /// time yet neither progressed nor started finishing: such a job would
+    /// be granted every round and never finish.
     fn accrue(
         &mut self,
         job: JobId,
         server: ServerId,
         gen: gfair_types::GenId,
         budget: SimDuration,
-    ) {
+    ) -> Result<()> {
         let noise = self.config.profile_noise;
         let stint_len = self.config.profile_stint;
         let j = self.jobs.get_mut(job).expect("validated job exists");
@@ -1397,24 +1209,30 @@ impl Simulation {
         } else {
             self.config.switch_overhead
         };
-        let remaining_secs = j.remaining() / rate;
-        let run = budget.min(overhead + SimDuration::from_secs_f64(remaining_secs));
-        if run.is_zero() {
-            return;
-        }
+        // The one finish test, in the simulator's time unit: the job
+        // finishes in this grant iff its remaining run time, in whole
+        // microseconds, fits in the budget after the overhead. A residue
+        // that rounds to zero microseconds finishes now. (Compared without
+        // adding: a huge demand saturates the conversion at `u64::MAX`.)
+        let remaining = SimDuration::from_secs_f64(j.remaining() / rate);
+        let finishes = overhead <= budget && remaining <= budget - overhead;
+        let run = if finishes {
+            overhead + remaining
+        } else {
+            budget
+        };
+        let productive = run.saturating_sub(overhead);
         let run_secs = run.as_secs_f64();
-        let progress_secs = run.saturating_sub(overhead).as_secs_f64();
-        if run < budget {
-            // Completes mid-round.
+        let progress_secs = productive.as_secs_f64();
+        if finishes {
             j.progress = j.spec.service_secs;
             j.finishing = true;
             self.queue.push(self.now + run, EventKind::Finish(job));
         } else {
+            let before = j.progress;
             j.progress += progress_secs * rate;
-            if j.remaining() <= 1e-9 {
-                j.progress = j.spec.service_secs;
-                j.finishing = true;
-                self.queue.push(self.now + run, EventKind::Finish(job));
+            if !productive.is_zero() && j.progress <= before {
+                return Err(GfairError::JobStalled { job, server });
             }
         }
         let gang = j.info.gang as f64;
@@ -1426,7 +1244,7 @@ impl Simulation {
 
         // Profiling stints (only productive time counts toward a stint).
         let stint = &mut self.stint[slot];
-        *stint += run.saturating_sub(overhead);
+        *stint += productive;
         while *stint >= stint_len {
             *stint -= stint_len;
             let eps: f64 = if noise > 0.0 {
@@ -1455,6 +1273,7 @@ impl Simulation {
         self.window.used_gpu_secs += gpu_secs;
         bump(&mut self.win_user_gpu_secs, ui, gpu_secs);
         bump(&mut self.win_user_base_secs, ui, base_secs);
+        Ok(())
     }
 
     /// Folds the dense per-user window accumulators into the live window's

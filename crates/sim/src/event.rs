@@ -111,7 +111,7 @@ impl PartialOrd for Event {
 /// list instead of being front-loaded into any heap, so the heaps only ever
 /// hold the near-future working set.
 ///
-/// `pop`/`peek` take the lazy max across the shard tops and the staged tail
+/// `pop` takes the lazy max across the shard tops and the staged tail
 /// under the same inverted (time, kind-priority, seq) total order, so the
 /// delivery sequence is identical to a single heap holding everything —
 /// asserted by a differential proptest against exactly that oracle.
@@ -198,19 +198,6 @@ impl EventQueue {
         best.and_then(|(i, _)| self.shards[i].pop())
     }
 
-    /// Peeks at the next event without removing it.
-    pub fn peek(&self) -> Option<&Event> {
-        let mut best: Option<&Event> = self.staged.last();
-        for shard in &self.shards {
-            if let Some(e) = shard.peek() {
-                if best.is_none_or(|b| e > b) {
-                    best = Some(e);
-                }
-            }
-        }
-        best
-    }
-
     /// Number of pending events (staged ones included).
     pub fn len(&self) -> usize {
         self.shards.iter().map(BinaryHeap::len).sum::<usize>() + self.staged.len()
@@ -267,15 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, EventKind::Round);
-        assert_eq!(q.peek().unwrap().kind, EventKind::Round);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn staged_and_pushed_events_merge_in_global_order() {
         // A staged trace plus runtime pushes must pop exactly as if every
         // event had gone through one heap.
@@ -307,7 +285,6 @@ mod tests {
             (t, EventKind::Arrival(JobId::new(5))),
             (t, EventKind::Arrival(JobId::new(3))),
         ]);
-        assert_eq!(q.peek().unwrap().kind, EventKind::Arrival(JobId::new(5)));
         assert_eq!(q.pop().unwrap().kind, EventKind::Arrival(JobId::new(5)));
         assert_eq!(q.pop().unwrap().kind, EventKind::Arrival(JobId::new(3)));
     }
@@ -317,7 +294,6 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert!(q.peek().is_none());
         assert!(q.pop().is_none());
     }
 
@@ -393,7 +369,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Any mix of staged batches, runtime pushes and interleaved
-        /// pops/peeks delivers exactly the sequence a single global heap
+        /// pops delivers exactly the sequence a single global heap
         /// would. Each op is (selector, batch, pop-count): selector 0 pushes
         /// the batch, 1 stages it, 2 pops `pop-count` events. Timestamps are
         /// drawn from a small range so simultaneous events across all kind
@@ -432,7 +408,6 @@ mod proptests {
                         for _ in 0..pops {
                             prop_assert_eq!(q.len(), oracle.heap.len());
                             let expect = oracle.heap.pop();
-                            prop_assert_eq!(q.peek().copied(), expect);
                             prop_assert_eq!(q.pop(), expect);
                             if expect.is_none() {
                                 break;

@@ -167,31 +167,22 @@ pub trait ClusterScheduler {
     /// Called once per quantum: decide which resident jobs run this round.
     fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan;
 
-    /// Earliest future time at which this scheduler would decide something
-    /// differently even with unchanged inputs (a trade epoch, a balance
-    /// epoch, a retry-backoff expiry). The engine uses this to bound how far
-    /// it may fast-forward through quiescent rounds; `None` means the policy
-    /// has no internal timers.
+    /// Unused: the engine steps every quantum. The next three methods are
+    /// kept only because the repository benchmark's `TimedScheduler` still
+    /// forwards them; they go with the next benchmark refresh.
+    #[doc(hidden)]
     fn next_decision_time(&self) -> Option<SimTime> {
         None
     }
 
-    /// Asks whether the last [`plan_round`](Self::plan_round) result (`plan`)
-    /// would be reproduced verbatim for the next `k` quanta, assuming no
-    /// external events. Returns the number of quanta `j <= k` the plan can be
-    /// replayed for; `0` declines fast-forwarding. Must not mutate state —
-    /// the engine follows up with
-    /// [`commit_fast_forward`](Self::commit_fast_forward) only when it
-    /// actually skips. The default declines, so policies opt in explicitly.
+    /// Unused; see [`next_decision_time`](Self::next_decision_time).
+    #[doc(hidden)]
     fn probe_fast_forward(&mut self, _view: &SimView<'_>, _plan: &RoundPlan, _k: u64) -> u64 {
         0
     }
 
-    /// Advances internal stride state by `j` quanta in one step, exactly as
-    /// if [`plan_round`](Self::plan_round) had been called `j` times with
-    /// unchanged inputs. Only called with `j` no larger than the value the
-    /// immediately preceding [`probe_fast_forward`](Self::probe_fast_forward)
-    /// returned.
+    /// Unused; see [`next_decision_time`](Self::next_decision_time).
+    #[doc(hidden)]
     fn commit_fast_forward(&mut self, _j: u64) {}
 
     /// Per-user tickets and stride passes backing the plan just produced,

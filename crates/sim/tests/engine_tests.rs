@@ -298,6 +298,66 @@ fn profile_reports_reflect_true_rate_within_noise() {
 }
 
 #[test]
+fn sub_microsecond_residue_finishes_instead_of_stalling() {
+    // 120 s + 2e-9 s of service at rate 1: after two full quanta a residue
+    // of about 2e-9 s is left. It rounds to zero microseconds of run time,
+    // so the job must finish rather than be granted forever without
+    // progress. A demand that is all residue finishes at its first grant.
+    let m = mono_model();
+    for (service, finish) in [(120.000_000_002, 120), (1e-7, 0)] {
+        let trace = vec![job(0, 0, &m, 1, service, 0)];
+        let sim = Simulation::new(mono_cluster(1), users(1), trace, config())
+            .unwrap()
+            .with_round_limit(100);
+        let report = sim.run(&mut Greedy).unwrap();
+        let rec = &report.jobs[&JobId::new(0)];
+        assert_eq!(rec.finish, Some(SimTime::from_secs(finish)), "{service}");
+        assert_eq!(report.finished_jobs(), 1);
+    }
+}
+
+#[test]
+fn huge_demand_with_switch_overhead_does_not_finish_early() {
+    // 1e30 s of demand saturates the microsecond conversion; adding the
+    // switch overhead to it must neither overflow nor wrap into an
+    // instant finish.
+    let m = mono_model();
+    let trace = vec![job(0, 0, &m, 1, 1e30, 0)];
+    let cfg = config().with_switch_overhead(SimDuration::from_secs(6));
+    let sim = Simulation::new(mono_cluster(1), users(1), trace, cfg).unwrap();
+    let report = sim.run_until(&mut Greedy, SimTime::from_secs(600)).unwrap();
+    assert_eq!(report.finished_jobs(), 0);
+}
+
+#[test]
+fn a_job_granted_without_progress_is_reported_stalled() {
+    // Two minutes on the fast server leave 1.2e22 s of progress; on the
+    // base-rate server a quantum adds 60 s, which that sum absorbs in f64.
+    // The job would be granted every round and never finish, so the run
+    // fails.
+    let m = Arc::new(ModelProfile::with_default_overheads(
+        "stalls-on-K80",
+        vec![1.0, 1e20, 1e20],
+    ));
+    let cluster = ClusterSpec::build(
+        GenCatalog::k80_p100_v100(),
+        &[("P100", 1, 4), ("K80", 1, 4)],
+    );
+    let trace = vec![job(0, 0, &m, 1, 1e30, 0)];
+    let sim = Simulation::new(cluster, users(1), trace, config()).unwrap();
+    let err = sim
+        .run_until(&mut MigrateOnce { done: false }, SimTime::from_secs(3600))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        GfairError::JobStalled {
+            job: JobId::new(0),
+            server: ServerId::new(1),
+        }
+    );
+}
+
+#[test]
 fn horizon_truncates_service_exactly() {
     let m = mono_model();
     let trace = vec![job(0, 0, &m, 1, 100_000.0, 0)];

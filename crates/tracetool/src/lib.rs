@@ -166,16 +166,13 @@ pub fn why_job(events: &[TraceEvent], job: JobId) -> Vec<String> {
 
 /// Replays a trace through the fairness ledger, returning the final
 /// [`LedgerSummary`] plus a Jain-over-time series sampled at every
-/// round boundary (one point per `RoundPlanned`/`RoundsSkipped` record).
+/// round boundary (one point per `RoundPlanned` record).
 pub fn replay_ledger(events: &[TraceEvent]) -> (LedgerSummary, Vec<f64>) {
     let mut ledger = FairnessLedger::new();
     let mut jain_series = Vec::new();
     for event in events {
         ledger.ingest(event);
-        if matches!(
-            event,
-            TraceEvent::RoundPlanned { .. } | TraceEvent::RoundsSkipped { .. }
-        ) {
+        if matches!(event, TraceEvent::RoundPlanned { .. }) {
             jain_series.push(ledger.summary().jain);
         }
     }

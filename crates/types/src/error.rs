@@ -56,6 +56,14 @@ pub enum GfairError {
     RoundLimitExceeded(u64),
     /// A decision targeted a server that is currently failed.
     ServerDown(ServerId),
+    /// Liveness: a job ran for productive time in a round, gained no
+    /// progress and is not finishing, so it would be granted forever.
+    JobStalled {
+        /// The stalled job.
+        job: JobId,
+        /// Server it was granted on.
+        server: ServerId,
+    },
     /// The online auditor detected a scheduler invariant violation that has
     /// no dedicated variant (e.g. a partial gang or non-conserved tickets).
     /// The payload carries the auditor's report, including the offending
@@ -97,6 +105,10 @@ impl fmt::Display for GfairError {
                 write!(f, "simulation exceeded the round safety limit of {n}")
             }
             GfairError::ServerDown(s) => write!(f, "server {s} is down"),
+            GfairError::JobStalled { job, server } => write!(
+                f,
+                "job {job} ran on server {server} without progress and is not finishing"
+            ),
             GfairError::InvariantViolation(report) => {
                 write!(f, "scheduler invariant violated: {report}")
             }

@@ -74,11 +74,10 @@ echo "### policy zoo smoke (P1 faceoff, 2h horizon)"
 cargo run --release -p gfair-bench --bin exp_p1_policy_faceoff -- --horizon-hours 2
 
 echo "### equivalence gate (5000 GPUs, gfair)"
-# Runs the 5000-GPU scale twice — fully optimized (fast-forward + lazy
-# settling) and fully naive (both off, every quantum stepped, every server
-# re-planned) — both clean and under a fault plan, and byte-compares the
-# SimReport JSON. Any divergence between the optimized loop and the naive
-# one fails the gate. 5000 GPUs (not 1000) so the incremental balancer,
+# Runs the 5000-GPU scale twice — optimized (lazy settling) and naive
+# (every server re-planned every round) — both clean and under a fault
+# plan, and byte-compares the SimReport JSON. Any divergence between the
+# optimized loop and the naive one fails the gate. 5000 GPUs (not 1000) so the incremental balancer,
 # sharded event queue, and lazy settling are exercised at a scale where
 # they actually engage.
 cargo run --release -p gfair-bench --bin bench_sim -- \
@@ -86,7 +85,7 @@ cargo run --release -p gfair-bench --bin bench_sim -- \
 
 echo "### equivalence gate (5000 GPUs, policy zoo)"
 # The same optimized-vs-naive byte comparison for the competitor policies,
-# which share gfair's PolicyScheduler driver but not its migration retry:
+# which share gfair's PolicyScheduler driver, migration retry included:
 # the batched water-filler and the partial-selection Themis auction must be
 # exactly the algorithms they replaced, under faults included.
 cargo run --release -p gfair-bench --bin bench_sim -- \

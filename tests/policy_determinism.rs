@@ -1,24 +1,29 @@
 //! Byte-determinism for the policy zoo: each policy behind the
 //! `AllocPolicy` boundary must replay the same seed to a byte-identical
-//! `SimReport` and JSONL trace, and with quiescence fast-forward on or off
-//! the report must stay byte-identical while the trace may differ only in
-//! the per-round scheduling records that skipping legitimately batches
-//! (`round_planned` and `gang_packed` collapse into `rounds_skipped` — the
-//! same convention as `tests/fast_forward.rs`). All runs are fault-injected, so the
-//! degraded-mode paths are exercised too.
+//! `SimReport` and JSONL trace, and lazy plan settling (the untraced
+//! default) must produce the same report bytes as eager per-round planning.
+//! All runs are fault-injected, so the degraded-mode paths are exercised
+//! too.
 
 use gfair::prelude::*;
 use std::sync::Arc;
 
-/// Runs one seeded, fault-injected simulation of `policy` with the given
-/// fast-forward setting; returns the serialized report and the raw trace
-/// bytes.
-fn run(policy: PolicyId, seed: u64, ff: bool, tag: &str) -> (String, Vec<u8>) {
-    let path = std::env::temp_dir().join(format!(
-        "gfair-policy-det-{}-{}-{tag}.jsonl",
-        policy.name(),
-        std::process::id()
-    ));
+/// Runs one seeded, fault-injected simulation of `policy` under `cfg`,
+/// with a JSONL sink when `trace_tag` is set; returns the serialized report
+/// and the raw trace bytes (empty without a sink).
+fn run(
+    policy: PolicyId,
+    seed: u64,
+    cfg: GfairConfig,
+    trace_tag: Option<&str>,
+) -> (String, Vec<u8>) {
+    let path = trace_tag.map(|tag| {
+        std::env::temp_dir().join(format!(
+            "gfair-policy-det-{}-{}-{tag}.jsonl",
+            policy.name(),
+            std::process::id()
+        ))
+    });
     let cluster = ClusterSpec::paper_testbed();
     let users = UserSpec::equal_users(6, 100);
     let mut params = PhillyParams::default();
@@ -27,7 +32,9 @@ fn run(policy: PolicyId, seed: u64, ff: bool, tag: &str) -> (String, Vec<u8>) {
     params.median_service_mins = 30.0;
     let trace = TraceBuilder::new(params, seed).build(&users);
     let obs: SharedObs = Arc::new(Obs::new());
-    obs.jsonl(&path).expect("trace file");
+    if let Some(path) = &path {
+        obs.jsonl(path).expect("trace file");
+    }
     // Checkpoint/restore failures and a partition window on top of the
     // outage: a failed or undeliverable placement must flow through the
     // driver's round-plan re-placement path exactly once. (A queued
@@ -47,42 +54,26 @@ fn run(policy: PolicyId, seed: u64, ff: bool, tag: &str) -> (String, Vec<u8>) {
         .with_server_recovery(ServerId::new(2), SimTime::from_secs(4 * 3600))
         .with_faults(faults)
         .with_obs(Arc::clone(&obs));
-    let mut cfg = GfairConfig::default().with_policy(policy);
-    if !ff {
-        cfg = cfg.without_fast_forward();
-    }
-    let mut sched = build_policy(cfg, Arc::clone(&obs));
+    let mut sched = build_policy(cfg.with_policy(policy), Arc::clone(&obs));
     let report = sim
         .run_until(sched.as_mut(), SimTime::from_secs(8 * 3600))
         .expect("clean run");
     let json = serde_json::to_string(&report).expect("serialize report");
-    let bytes = std::fs::read(&path).expect("read trace");
-    let _ = std::fs::remove_file(&path);
+    let bytes = path.map_or_else(Vec::new, |path| {
+        let bytes = std::fs::read(&path).expect("read trace");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    });
     (json, bytes)
 }
 
-/// Trace lines minus the per-round scheduling records the fast-forward
-/// path batches: `gang_packed` and `round_planned` (absent for replayed
-/// rounds) and `rounds_skipped` (their single stand-in).
-fn comparable_lines(bytes: &[u8]) -> Vec<String> {
-    String::from_utf8(bytes.to_vec())
-        .expect("utf8 trace")
-        .lines()
-        .filter(|l| {
-            !l.starts_with("{\"kind\":\"gang_packed\"")
-                && !l.starts_with("{\"kind\":\"round_planned\"")
-                && !l.starts_with("{\"kind\":\"rounds_skipped\"")
-        })
-        .map(String::from)
-        .collect()
-}
-
-/// Same-seed replay, and fast-forward on vs off, all byte-identical for one
+/// Same-seed replay, and lazy vs eager planning, all byte-identical for one
 /// policy.
 fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
-    let (base_report, base_trace) = run(policy, seed, true, "ff");
+    let cfg = GfairConfig::default();
+    let (base_report, base_trace) = run(policy, seed, cfg, Some("a"));
     assert!(!base_trace.is_empty(), "{policy}: empty trace");
-    let (again_report, again_trace) = run(policy, seed, true, "ff-again");
+    let (again_report, again_trace) = run(policy, seed, cfg, Some("b"));
     assert_eq!(
         base_report, again_report,
         "{policy}: same seed changed the report"
@@ -91,16 +82,9 @@ fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
         base_trace, again_trace,
         "{policy}: same seed changed the trace"
     );
-    let (noff_report, noff_trace) = run(policy, seed, false, "noff");
-    assert_eq!(
-        base_report, noff_report,
-        "{policy}: fast-forward changed the report"
-    );
-    assert_eq!(
-        comparable_lines(&base_trace),
-        comparable_lines(&noff_trace),
-        "{policy}: fast-forward changed the trace beyond batched round records"
-    );
+    let (lazy, _) = run(policy, seed, cfg, None);
+    let (eager, _) = run(policy, seed, cfg.without_lazy_planning(), None);
+    assert_eq!(lazy, eager, "{policy}: lazy settling changed the report");
 }
 
 #[test]
