@@ -80,9 +80,8 @@ pub struct GfairConfig {
     /// Allow the round planner to settle servers lazily — re-plan only
     /// servers whose residency, weights or quiescence span changed, serving
     /// the rest from the cached selection. Purely a performance knob:
-    /// reports are byte-identical either way (asserted by the differential
-    /// tests), and traced runs always plan eagerly regardless of this flag
-    /// so per-round stride passes stay exact in the trace.
+    /// reports and traces are byte-identical either way (asserted by the
+    /// differential tests).
     pub lazy_planning: bool,
     /// Themis lease length: how often the partial-allocation auction among
     /// the worst-ρ̂ users re-runs (only read by the `themis-ftf` policy).

@@ -165,19 +165,6 @@ impl LocalScheduler {
     pub fn fast_forward(&mut self, j: u64) {
         self.split.fast_forward(j);
     }
-
-    /// The user's effective stride pass on this server (minimum pass among
-    /// their jobs here), if they have any.
-    pub fn user_pass(&self, user: UserId) -> Option<f64> {
-        self.split.user_pass(user)
-    }
-
-    /// Calls `f(owner, pass)` for every job on this server, in job-id
-    /// order; the minimum over a user's calls is its
-    /// [`user_pass`](Self::user_pass).
-    pub fn for_each_job_pass(&self, f: impl FnMut(UserId, f64)) {
-        self.split.for_each_job_pass(f)
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //!
 //! ## Lazy settling (O(dirty-servers) planning)
 //!
-//! When no trace sink is attached (and `GfairConfig::lazy_planning` is on),
-//! the planner switches to an incremental mode: instead of syncing and
+//! With `GfairConfig::lazy_planning` on (the default, traced or not), the
+//! planner runs in an incremental mode: instead of syncing and
 //! re-planning every server every round, it keeps the last selection per
 //! server (`cached_run`) and only *settles* — fast-forwards the lagging
 //! stride state, syncs, re-plans — servers that provably need it:
@@ -47,9 +47,10 @@
 //! when they reach the top, and the heap is rebuilt from the per-server
 //! spans once it grows past [`EXPIRY_SLACK`] entries per server.
 //!
-//! Traced runs keep the eager path: `RoundPlanned` records each user's
-//! *current* minimum stride pass every round, and lazily-settled servers
-//! hold passes that are intentionally stale between settles.
+//! Nothing the trace records depends on the mode: lazily settled servers
+//! hold stride passes that are stale between settles, and no pass leaves
+//! the planner. The eager path stays as the reference the equivalence
+//! gates compare against.
 
 use crate::entitlement::Entitlements;
 use crate::local::LocalScheduler;
@@ -165,10 +166,6 @@ pub(crate) struct RoundPlanner {
     locals: Vec<LocalScheduler>,
     /// The weights each server plans on.
     weights: WeightCache,
-    /// Whether this planner runs the lazy-settling path, decided once at the
-    /// first [`plan_runs`](Self::plan_runs) call (config allows it and no
-    /// trace sink is attached). `None` until then.
-    lazy: Option<bool>,
     /// Rounds planned so far (lazy mode only).
     cur_round: u64,
     /// Per-server `(settled_round, valid_until)` by `ServerId::index()`
@@ -268,7 +265,8 @@ impl RoundPlanner {
     /// Syncs local schedulers and collects the per-server run sets for this
     /// quantum, excluding `departing` jobs (ones this round's actions move
     /// or place). `refreshed` says whether the weight cache was rebuilt
-    /// since the last call; `lazy_cfg` is `GfairConfig::lazy_planning`.
+    /// since the last call; `lazy` is `GfairConfig::lazy_planning`, the
+    /// same on every call of a run.
     ///
     /// Eager mode touches every server; lazy mode (see the module docs)
     /// settles only dirty, departing-host and span-expired servers and
@@ -281,12 +279,9 @@ impl RoundPlanner {
         view: &SimView<'_>,
         departing: &BTreeSet<JobId>,
         refreshed: bool,
-        lazy_cfg: bool,
+        lazy: bool,
         obs: &SharedObs,
     ) -> BTreeMap<ServerId, Vec<JobId>> {
-        // Decide the mode once: traced runs need exact per-round stride
-        // passes in `RoundPlanned`, so they keep the eager path.
-        let lazy = *self.lazy.get_or_insert(lazy_cfg && !obs.tracing());
         // A reachable server always plans on the current per-gen weights;
         // any stale snapshot it held while unreachable is dropped the round
         // it comes back (entitlements are re-refreshed on heal, so it
@@ -472,28 +467,6 @@ impl RoundPlanner {
             .map(|(i, m)| Reverse((m.1, ServerId::new(i as u32))))
             .collect();
     }
-
-    /// Folds the best (lowest) stride pass per user across all servers into
-    /// `min_pass`, indexed by `UserId::index()` (`None` for a user with no
-    /// job on any server), for [`gfair_sim::ClusterScheduler::user_shares`]
-    /// reporting. One sequential walk over every server's jobs, with no
-    /// per-user or per-job search. The caller reuses the vector across
-    /// rounds, so the fold does not allocate.
-    pub fn fold_min_passes(&self, min_pass: &mut Vec<Option<f64>>) {
-        min_pass.clear();
-        for local in &self.locals {
-            local.for_each_job_pass(|u, p| {
-                let i = u.index();
-                if min_pass.len() <= i {
-                    min_pass.resize(i + 1, None);
-                }
-                match &mut min_pass[i] {
-                    Some(m) if !p.total_cmp(m).is_lt() => {}
-                    slot => *slot = Some(p),
-                }
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -568,8 +541,9 @@ mod tests {
         }
     }
 
-    /// Runs [`Churn`] on four single-job servers for six simulated hours.
-    fn churn(depart_all: bool) -> Churn {
+    /// Runs [`Churn`] on four single-job servers for six simulated hours,
+    /// with a JSONL sink on the shared pipeline when `traced`.
+    fn churn(depart_all: bool, traced: bool) -> Churn {
         let servers = 4;
         let model = Arc::new(ModelProfile::with_default_overheads("m", vec![1.0]));
         let trace = (0..servers)
@@ -585,23 +559,35 @@ mod tests {
                 )
             })
             .collect();
+        let obs: SharedObs = Arc::new(Obs::new());
+        let path = std::env::temp_dir().join(format!(
+            "gfair-planner-churn-{depart_all}-{}.jsonl",
+            std::process::id()
+        ));
+        if traced {
+            obs.jsonl(&path).expect("trace file");
+        }
         let sim = Simulation::new(
             ClusterSpec::homogeneous(servers, 4),
             UserSpec::equal_users(2, 100),
             trace,
             SimConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .with_obs(Arc::clone(&obs));
         let mut churn = Churn {
             planner: RoundPlanner::new(),
-            obs: Arc::new(Obs::new()),
+            obs,
             depart_all,
             rounds: 0,
             max_len: 0,
         };
         sim.run_until(&mut churn, SimTime::from_secs(6 * 3600))
             .unwrap();
-        assert_eq!(churn.planner.lazy, Some(true));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(churn.obs.tracing(), traced);
+        // Every round went through the lazy path's bookkeeping.
+        assert_eq!(churn.planner.cur_round, churn.rounds);
         assert!(churn.rounds > 10 * QUIESCENT_MIN, "{} rounds", churn.rounds);
         churn
     }
@@ -612,7 +598,7 @@ mod tests {
         // `QUIESCENT_MIN` rounds, more than the heap may hold: it must have
         // been rebuilt to stay within the bound checked every round.
         assert!(QUIESCENT_MIN as usize > EXPIRY_SLACK);
-        let churn = churn(true);
+        let churn = churn(true, false);
         assert!(
             churn.max_len > (EXPIRY_SLACK - 1) * 4,
             "heap never approached its bound (max {})",
@@ -624,11 +610,24 @@ mod tests {
     fn expiry_heap_top_stays_live_when_spans_grow() {
         // Every round's settles leave the previous spans below the new ones;
         // the round must pop them so the top is live.
-        let churn = churn(false);
+        let churn = churn(false, false);
         assert!(
             churn.max_len <= 4,
             "stale entries kept: max {}",
             churn.max_len
+        );
+    }
+
+    #[test]
+    fn traced_runs_settle_lazily() {
+        // A trace sink does not change the planning mode: the lazy
+        // bookkeeping runs every round and every server is settled at least
+        // once past the first round.
+        let churn = churn(false, true);
+        let meta = &churn.planner.meta;
+        assert!(
+            meta.iter().all(|&(settled, _)| settled > 1),
+            "servers never re-settled: {meta:?}"
         );
     }
 }

@@ -43,7 +43,6 @@ use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
 use gfair_types::{
     GenId, JobId, JobState, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId,
 };
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -234,10 +233,6 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     /// Dense per-user policy inputs (demand, speedups, ρ̂), refreshed
     /// incrementally from the cluster-index aggregates each epoch.
     inputs: PolicyInputs,
-    /// Per-user minimum stride pass scratch for traced
-    /// [`ClusterScheduler::user_shares`] calls, indexed by
-    /// `UserId::index()` and reused across rounds.
-    min_pass: RefCell<Vec<Option<f64>>>,
     /// Observability pipeline; share the simulation's instance via
     /// [`PolicyScheduler::with_obs`] to get one unified trace.
     obs: SharedObs,
@@ -259,7 +254,6 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             retry: BTreeMap::new(),
             sched_micros: Vec::new(),
             inputs: PolicyInputs::new(),
-            min_pass: RefCell::new(Vec::new()),
             obs: Arc::new(Obs::new()),
         }
     }
@@ -686,23 +680,10 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         let Some(ent) = &self.ent else {
             return Vec::new();
         };
-        // The user's effective priority is the best (lowest) stride pass
-        // among their jobs anywhere in the cluster. Lazily-settled locals
-        // hold intentionally stale passes between settles, so passes are
-        // folded only for traced runs — where planning is always eager and
-        // they are exact. (0.0 is the schema's "no pass exposed" value, and
-        // auditing keys off tickets alone.)
-        let mut min_pass = self.min_pass.borrow_mut();
-        if self.obs.tracing() {
-            self.planner.fold_min_passes(&mut min_pass);
-        } else {
-            min_pass.clear();
-        }
         ent.users()
             .map(|user| UserShare {
                 user,
                 tickets: ent.gpus_of(user),
-                pass: min_pass.get(user.index()).copied().flatten().unwrap_or(0.0),
             })
             .collect()
     }

@@ -694,12 +694,10 @@ mod tests {
                 UserShare {
                     user: UserId::new(0),
                     tickets: 3.0,
-                    pass: 0.0,
                 },
                 UserShare {
                     user: UserId::new(1),
                     tickets: 2.0,
-                    pass: 0.0,
                 },
             ],
             user_gpus: vec![],
@@ -730,12 +728,10 @@ mod tests {
                 UserShare {
                     user: UserId::new(0),
                     tickets: 1.0 + 1e-9,
-                    pass: 0.0,
                 },
                 UserShare {
                     user: UserId::new(1),
                     tickets: 3.0 - 1e-9,
-                    pass: 0.0,
                 },
             ],
             user_gpus: vec![],
@@ -960,7 +956,6 @@ mod tests {
             users: vec![UserShare {
                 user: UserId::new(0),
                 tickets: 5.0,
-                pass: 0.0,
             }],
             user_gpus: vec![],
         });
@@ -985,7 +980,6 @@ mod tests {
             users: vec![UserShare {
                 user: UserId::new(0),
                 tickets: 5.0,
-                pass: 0.0,
             }],
             user_gpus: vec![],
         });

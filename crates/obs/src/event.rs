@@ -24,9 +24,6 @@ pub struct UserShare {
     /// Tickets backing the user this round (for Gandiva_fair: the user's
     /// post-trade GPU entitlement summed over generations).
     pub tickets: f64,
-    /// The user's minimum stride pass value across local schedulers (0.0
-    /// when the scheduler does not expose passes).
-    pub pass: f64,
 }
 
 /// One user's granted GPUs in a [`TraceEvent::RoundPlanned`] round.
@@ -281,8 +278,8 @@ pub enum TraceEvent {
         /// Cluster-wide ticket supply (total physical GPUs, the quantity
         /// per-user entitlements must sum to under ticket conservation).
         tickets_total: f64,
-        /// Per-user pass/tickets, when the scheduler exposes them (empty
-        /// for baselines without a ticket economy).
+        /// Per-user tickets, when the scheduler exposes them (empty for
+        /// baselines without a ticket economy).
         users: Vec<UserShare>,
         /// GPUs granted per user this round, ascending by user. The
         /// fairness ledger accrues received share from this aggregate, so
@@ -893,7 +890,6 @@ fn get_user_shares(v: &JsonValue, kind: &str) -> Result<Vec<UserShare>, String> 
             Ok(UserShare {
                 user: UserId::new(get_u32(u, kind, "user")?),
                 tickets: get_f64(u, kind, "tickets")?,
-                pass: get_f64(u, kind, "pass")?,
             })
         })
         .collect()
@@ -958,8 +954,6 @@ fn push_user_shares(s: &mut String, users: &[UserShare]) {
         push_u64(s, u.user.index() as u64);
         s.push_str(",\"tickets\":");
         push_f64(s, u.tickets);
-        s.push_str(",\"pass\":");
-        push_f64(s, u.pass);
         s.push('}');
     }
 }
@@ -982,10 +976,10 @@ fn push_user_grants(s: &mut String, grants: &[UserGrant]) {
 /// [`push_u64`], fractions at six decimals with trailing zeros trimmed.
 ///
 /// Six decimals is microsecond resolution on second-scale durations and
-/// far below scheduling significance for loads, passes, and prices. Every
+/// far below scheduling significance for loads, demands, and prices. Every
 /// finite value below 2^53 is written by integer arithmetic, never by the
 /// float formatter, whose fixed-precision path falls back to bignum
-/// arithmetic for large magnitudes such as long-run stride passes:
+/// arithmetic for large magnitudes:
 ///
 /// - below 9e12, `x` is scaled to micro-units with one multiply and
 ///   rounded. Above 2^53 / 1e6 (about 9.007e9) that product is no longer
@@ -1146,19 +1140,42 @@ mod tests {
                 UserShare {
                     user: UserId::new(0),
                     tickets: 5.0,
-                    pass: 1.25,
                 },
                 UserShare {
                     user: UserId::new(1),
                     tickets: 3.0,
-                    pass: 2.5,
                 },
             ],
             user_gpus: vec![],
         };
         let line = ev.to_json_line();
-        assert!(line.contains("\"users\":[{\"user\":0,\"tickets\":5.0,\"pass\":1.25},"));
-        assert!(line.contains("{\"user\":1,\"tickets\":3.0,\"pass\":2.5}]"));
+        assert!(line.contains("\"users\":[{\"user\":0,\"tickets\":5.0},"));
+        assert!(line.contains("{\"user\":1,\"tickets\":3.0}]"));
+    }
+
+    #[test]
+    fn round_planned_lines_with_a_stride_pass_still_parse() {
+        // Traces written before `UserShare` lost its `pass` field carry one
+        // per user; it is ignored, and the event re-renders without it.
+        let old = "{\"kind\":\"round_planned\",\"t_us\":60000000,\"round\":1,\
+                   \"scheduled\":2,\"gpus_used\":3,\"gpus_up\":8,\"pending\":0,\
+                   \"tickets_total\":8.0,\"users\":[{\"user\":0,\"tickets\":5.0,\
+                   \"pass\":1.25},{\"user\":1,\"tickets\":3.0,\"pass\":0.0}],\
+                   \"user_gpus\":[{\"user\":0,\"gpus\":2},{\"user\":1,\"gpus\":1}]}";
+        let ev = TraceEvent::from_json_line(old).expect("pre-change line parses");
+        let TraceEvent::RoundPlanned { users, .. } = &ev else {
+            panic!("parsed as {}", ev.kind());
+        };
+        let expected = [(0, 5.0), (1, 3.0)].map(|(user, tickets)| UserShare {
+            user: UserId::new(user),
+            tickets,
+        });
+        assert_eq!(users[..], expected);
+        assert_eq!(
+            ev.to_json_line(),
+            old.replace(",\"pass\":1.25", "")
+                .replace(",\"pass\":0.0", "")
+        );
     }
 
     #[test]
@@ -1348,7 +1365,6 @@ mod tests {
                 users: vec![UserShare {
                     user: UserId::new(2),
                     tickets: 8.0,
-                    pass: 3.25,
                 }],
                 user_gpus: vec![UserGrant {
                     user: UserId::new(2),

@@ -22,8 +22,7 @@
 //! round count, and a segment is settled with one multiply per user
 //! (`tickets × rounds`, `gpus × rounds`) when the key changes, so a steady
 //! stretch of rounds costs one comparison per round. Settle boundaries fix
-//! the floating-point order of the sums. Stride `pass` values advance
-//! every round and are deliberately excluded from the key.
+//! the floating-point order of the sums.
 
 use crate::event::TraceEvent;
 use crate::metrics::FixedHistogram;
@@ -392,11 +391,10 @@ mod tests {
     use crate::event::{UserGrant, UserShare};
     use gfair_types::{JobId, ServerId, SimTime, UserId};
 
-    fn share(user: u32, tickets: f64, pass: f64) -> UserShare {
+    fn share(user: u32, tickets: f64) -> UserShare {
         UserShare {
             user: UserId::new(user),
             tickets,
-            pass,
         }
     }
 
@@ -441,10 +439,9 @@ mod tests {
             // the round summary's aggregate alone.
             l.ingest(&packed(r, 0, 4));
             l.ingest(&packed(r, 1, 2));
-            // Pass values advance each round; the key must ignore them.
             l.ingest(&planned(
                 r,
-                vec![share(0, 5.0, r as f64), share(1, 3.0, r as f64 * 2.0)],
+                vec![share(0, 5.0), share(1, 3.0)],
                 vec![grant(0, 4), grant(1, 2)],
             ));
         }
@@ -494,7 +491,7 @@ mod tests {
     #[test]
     fn gini_reflects_latest_round_spread() {
         let mut l = FairnessLedger::new();
-        let both = || vec![share(0, 4.0, 0.0), share(1, 4.0, 0.0)];
+        let both = || vec![share(0, 4.0), share(1, 4.0)];
         l.ingest(&planned(1, both(), vec![grant(0, 4), grant(1, 4)]));
         assert_eq!(l.summary().gini, 0.0);
         // Next round: user 0 hoards everything.
@@ -506,7 +503,7 @@ mod tests {
     #[test]
     fn summary_is_stable_across_snapshots() {
         let mut l = FairnessLedger::new();
-        l.ingest(&planned(1, vec![share(0, 4.0, 1.0)], vec![grant(0, 4)]));
+        l.ingest(&planned(1, vec![share(0, 4.0)], vec![grant(0, 4)]));
         let first = l.summary();
         // Taking a summary must not disturb accrual state.
         assert_eq!(first, l.summary());

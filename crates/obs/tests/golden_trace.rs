@@ -106,12 +106,10 @@ fn golden_events() -> Vec<TraceEvent> {
                 UserShare {
                     user: UserId::new(0),
                     tickets: 50.0,
-                    pass: 12.5,
                 },
                 UserShare {
                     user: UserId::new(4),
                     tickets: 50.0,
-                    pass: 12.75,
                 },
             ],
             user_gpus: vec![

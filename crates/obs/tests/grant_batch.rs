@@ -117,7 +117,6 @@ fn stream() -> Stream {
                 .map(|u| UserShare {
                     user: UserId::new(u),
                     tickets: total / f64::from(USERS) + if u == 0 { minted } else { 0.0 },
-                    pass: 0.5 * round as f64,
                 })
                 .collect(),
             user_gpus: user_gpus

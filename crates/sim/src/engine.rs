@@ -41,7 +41,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Safety limit on scheduling rounds; prevents schedulers that never place
-/// jobs from spinning forever in [`Simulation::run`].
+/// jobs from spinning forever in [`Simulation::run`]. [`Simulation::new`]
+/// also refuses arrivals later than this many quanta, so a hostile arrival
+/// time cannot make the engine fill the timeseries with empty windows.
 const MAX_ROUNDS: u64 = 10_000_000;
 
 /// Headroom for sparse ids: job and user ids index dense tables, so
@@ -156,9 +158,10 @@ impl Simulation {
     /// tickets, a job's gang is zero or fits no server, a job's service
     /// demand or one of its model's rates is not positive and finite, a job
     /// references an unknown user, a job's model does not cover the
-    /// cluster's generation catalog, or a job or user id is too sparse. Ids
-    /// index dense tables, so every job id must be below
-    /// `2 × trace.len() + 65536` and every user id below
+    /// cluster's generation catalog, a job arrives later than 10,000,000
+    /// quanta (about 19 years at the default 60 s quantum), or a job or user
+    /// id is too sparse. Ids index dense tables, so every job id must be
+    /// below `2 × trace.len() + 65536` and every user id below
     /// `2 × users.len() + 65536`: a table can then never be far larger than
     /// the input.
     pub fn new(
@@ -236,6 +239,7 @@ impl Simulation {
             .collect();
         let trace_len = trace.len();
         let job_limit = 2 * trace_len + ID_SLACK;
+        let last_arrival = config.quantum.as_micros().saturating_mul(MAX_ROUNDS);
         let mut job_slots = 0;
         let mut queue = EventQueue::new();
         let mut jobs = JobTable::new();
@@ -245,6 +249,13 @@ impl Simulation {
                 return Err(GfairError::InvalidConfig(format!(
                     "job id {} is too sparse for a trace of {trace_len} jobs (ids must be below {job_limit})",
                     spec.id
+                )));
+            }
+            if spec.arrival.as_micros() > last_arrival {
+                return Err(GfairError::InvalidConfig(format!(
+                    "job {} arrives at {} us, after the last arrival a run accepts ({MAX_ROUNDS} quanta, {last_arrival} us)",
+                    spec.id,
+                    spec.arrival.as_micros()
                 )));
             }
             if spec.gang == 0 {
@@ -1047,7 +1058,7 @@ impl Simulation {
         let (scheduled, gpus_used) = validated?;
 
         // Round summary: who got what, the queue depth, and the per-user
-        // ticket/pass state backing the decision. The auditor checks ticket
+        // tickets backing the decision. The auditor checks ticket
         // conservation against the cluster's physical supply.
         let gpus_up = self.gpus_up;
         let pending = self

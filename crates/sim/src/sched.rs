@@ -185,10 +185,10 @@ pub trait ClusterScheduler {
     #[doc(hidden)]
     fn commit_fast_forward(&mut self, _j: u64) {}
 
-    /// Per-user tickets and stride passes backing the plan just produced,
-    /// reported for tracing and audit (the auditor checks that tickets sum
-    /// to the cluster's GPU supply). Policies without a per-user ticket
-    /// economy return an empty list, which disables the check.
+    /// Per-user tickets backing the plan just produced, reported for
+    /// tracing and audit (the auditor checks that tickets sum to the
+    /// cluster's GPU supply). Policies without a per-user ticket economy
+    /// return an empty list, which disables the check.
     fn user_shares(&self, _view: &SimView<'_>) -> Vec<gfair_obs::UserShare> {
         Vec::new()
     }

@@ -219,35 +219,6 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
         self.inner.pass_of(j)
     }
 
-    /// The user's effective stride pass on this server: the minimum pass
-    /// among their registered jobs (lower pass runs sooner). `None` for
-    /// unknown users or users with no jobs here.
-    pub fn user_pass(&self, u: U) -> Option<f64> {
-        let i = self.user_slot(u).ok()?;
-        self.min_pass(&self.users[i].1)
-    }
-
-    /// Minimum pass among `entry`'s jobs, `None` when it has none.
-    fn min_pass(&self, entry: &UserEntry<J>) -> Option<f64> {
-        entry
-            .jobs
-            .iter()
-            .filter_map(|&j| self.inner.pass_of(j))
-            .min_by(f64::total_cmp)
-    }
-
-    /// Calls `f(owner, pass)` for every registered job, in job order. The
-    /// minimum over a user's calls is its [`user_pass`](Self::user_pass).
-    /// The job table and the inner scheduler's client table hold the same
-    /// keys in the same order, so this is one sequential walk over both,
-    /// with no per-job search.
-    pub fn for_each_job_pass(&self, mut f: impl FnMut(U, f64)) {
-        for (&(j, u), (k, pass)) in self.job_user.iter().zip(self.inner.passes()) {
-            debug_assert!(j == k, "job table and client table diverged");
-            f(u, pass);
-        }
-    }
-
     /// Plans one quantum (see [`GangScheduler::plan_round`]).
     pub fn plan_round(&mut self) -> RoundOutcome<J> {
         self.inner.plan_round()
@@ -311,60 +282,6 @@ mod tests {
             }
         }
         acc
-    }
-
-    #[test]
-    fn user_pass_is_the_min_over_the_users_jobs() {
-        let mut s = SplitStride::new(4, GangPolicy::GangAware);
-        s.set_user_weight(0, 100.0);
-        s.add_job(0, 1, 1);
-        s.add_job(0, 2, 1);
-        assert_eq!(s.user_pass(9), None, "unknown user has no pass");
-        let u = s.user_pass(0).expect("registered user");
-        let min_job = [1, 2]
-            .iter()
-            .filter_map(|&j| s.job_pass(j))
-            .min_by(f64::total_cmp)
-            .unwrap();
-        assert_eq!(u, min_job);
-        // After some rounds the invariant still holds.
-        for _ in 0..5 {
-            s.plan_round();
-        }
-        let u = s.user_pass(0).expect("registered user");
-        let min_job = [1, 2]
-            .iter()
-            .filter_map(|&j| s.job_pass(j))
-            .min_by(f64::total_cmp)
-            .unwrap();
-        assert_eq!(u, min_job);
-    }
-
-    #[test]
-    fn job_passes_fold_to_user_passes() {
-        let mut s = SplitStride::new(4, GangPolicy::GangAware);
-        s.set_user_weight(0, 100.0);
-        s.set_user_weight(1, 300.0);
-        // Job keys interleave the two users, so a fold must merge them.
-        s.add_job(1, 5, 1);
-        s.add_job(0, 3, 2);
-        s.add_job(0, 8, 1);
-        s.add_job(1, 1, 1);
-        for _ in 0..7 {
-            s.plan_round();
-            let mut jobs = Vec::new();
-            let mut min: HashMap<u32, f64> = HashMap::new();
-            s.for_each_job_pass(|u, p| {
-                jobs.push(p);
-                let m = min.entry(u).or_insert(p);
-                *m = m.min(p);
-            });
-            let expected: Vec<f64> = [1, 3, 5, 8].iter().filter_map(|&j| s.job_pass(j)).collect();
-            assert_eq!(jobs, expected, "one call per job, in job order");
-            for u in [0, 1] {
-                assert_eq!(Some(min[&u]), s.user_pass(u));
-            }
-        }
     }
 
     #[test]

@@ -119,14 +119,13 @@ cargo run --release -p gfair-bench --bin bench_sim -- \
     --only 5000gpu --best-of 3 --check-against BENCH_sim.json \
     --out target/BENCH_sim.check.json
 
-echo "### observability overhead smoke (1000 GPUs)"
-# Runs the 1000-GPU scale tracing-off vs tracing-on (the default-tier JSONL
-# sink) in the same process, both arms with lazy settling off (tracing
-# forces eager planning, so eager/eager is the pair that isolates the
-# tracing cost), and fails if traced throughput drops below 75% of
-# untraced. Guards the "pay for what you observe" contract; the ratio
-# budget is restated when the untraced loop gets much faster (see the
-# bench_sim module docs).
-cargo run --release -p gfair-bench --bin bench_sim -- --obs-overhead --only 1000gpu
+echo "### observability overhead smoke (5000 GPUs)"
+# Runs the 5000-GPU scale tracing-off vs tracing-on (the default-tier JSONL
+# sink) in the same process, both arms in the default configuration (lazy
+# settling on: traced and untraced runs plan on the same path), and fails
+# if traced throughput drops below 75% of untraced. Guards the "pay for
+# what you observe" contract; the ratio budget is restated when the
+# untraced loop gets much faster (see the bench_sim module docs).
+cargo run --release -p gfair-bench --bin bench_sim -- --obs-overhead --only 5000gpu
 
 echo "CI gate passed."

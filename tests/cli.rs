@@ -149,16 +149,20 @@ fn fault_plan_with_an_unknown_key_exits_1() {
 #[test]
 fn hostile_trace_exits_1_instead_of_crashing() {
     let dir = env!("CARGO_TARGET_TMPDIR");
-    let job = |id: u64, gang: u32, service: &str, rates: &str| {
+    let job_at = |id: u64, gang: u32, service: &str, rates: &str, arrival: u64| {
         format!(
-            r#"[{{"id": {id}, "user": 0, "model": {{"name": "ResNet-50", "rates": {rates}, "checkpoint": 1000000, "restore": 1000000}}, "gang": {gang}, "service_secs": {service}, "arrival": 0}}]"#
+            r#"[{{"id": {id}, "user": 0, "model": {{"name": "ResNet-50", "rates": {rates}, "checkpoint": 1000000, "restore": 1000000}}, "gang": {gang}, "service_secs": {service}, "arrival": {arrival}}}]"#
         )
     };
+    let job = |id: u64, gang: u32, service: &str, rates: &str| job_at(id, gang, service, rates, 0);
     let trace = |id: u64, gang: u32| job(id, gang, "600.0", "[1.0, 2.0, 3.0]");
+    let arriving = |arrival: u64| job_at(0, 1, "600.0", "[1.0, 2.0, 3.0]", arrival);
     // A zero gang used to panic mid-run in the stride scheduler; a huge
     // job id used to abort on a terabyte-sized table allocation; a negative
     // service demand and all-zero rates used to panic in duration
-    // arithmetic during fast-forward and accrual.
+    // arithmetic during fast-forward and accrual. An arrival 2^55 us
+    // (about 1142 years) out used to fill the report timeseries with empty
+    // windows until allocation failed, and one at u64::MAX never ended.
     let cases = [
         ("zero_gang", trace(0, 0), "job J0 has gang 0"),
         (
@@ -175,6 +179,16 @@ fn hostile_trace_exits_1_instead_of_crashing() {
             "zero_rates",
             job(0, 1, "600.0", "[0.0, 0.0, 0.0]"),
             "job J0 model ResNet-50 has rate 0 on generation 0",
+        ),
+        (
+            "far_arrival",
+            arriving(1 << 55),
+            "job J0 arrives at 36028797018963968 us, after the last arrival",
+        ),
+        (
+            "max_arrival",
+            arriving(u64::MAX),
+            "job J0 arrives at 18446744073709551615 us, after the last arrival",
         ),
     ];
     for (what, json, message) in cases {

@@ -1,6 +1,6 @@
 //! Round planning is deterministic: the same seed replays to a byte-identical
-//! `SimReport` and JSONL trace, and lazy settling (the untraced default)
-//! produces the same report bytes as eager per-round planning.
+//! `SimReport` and JSONL trace, and lazy settling (the default) produces
+//! the same report bytes as eager per-round planning.
 
 use gfair::prelude::*;
 use std::sync::Arc;
@@ -70,8 +70,8 @@ fn lazy_planning_is_byte_identical_to_eager() {
 
 #[test]
 fn traced_runs_replay_byte_identically() {
-    // Traced runs plan eagerly every round; a replay of the same seed,
-    // failure/recovery cycle included, must match byte-for-byte.
+    // Traced runs settle lazily, like untraced ones; a replay of the same
+    // seed, failure/recovery cycle included, must match byte-for-byte.
     let (a_report, a_trace) = run(7, "a");
     let (b_report, b_trace) = run(7, "b");
     assert!(!a_trace.is_empty());

@@ -196,7 +196,6 @@ impl ClusterScheduler for TicketInflater {
         vec![UserShare {
             user: UserId::new(0),
             tickets: view.cluster().total_gpus() as f64 * 2.0,
-            pass: 0.0,
         }]
     }
 }

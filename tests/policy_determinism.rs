@@ -1,22 +1,25 @@
 //! Byte-determinism for the policy zoo: each policy behind the
 //! `AllocPolicy` boundary must replay the same seed to a byte-identical
-//! `SimReport` and JSONL trace, and lazy plan settling (the untraced
-//! default) must produce the same report bytes as eager per-round planning.
-//! All runs are fault-injected, so the degraded-mode paths are exercised
-//! too.
+//! `SimReport` and JSONL trace, lazy plan settling (the default, traced or
+//! not) must produce the same report and trace bytes as eager per-round
+//! planning, and attaching a trace sink must not change the schedule (the
+//! report apart from its observability summary). All runs are
+//! fault-injected, so the degraded-mode paths are exercised too.
 
 use gfair::prelude::*;
 use std::sync::Arc;
 
+/// One run's serialized report, the same report without its observability
+/// summary, and the raw trace bytes (empty without a sink).
+struct Run {
+    report: String,
+    schedule: String,
+    trace: Vec<u8>,
+}
+
 /// Runs one seeded, fault-injected simulation of `policy` under `cfg`,
-/// with a JSONL sink when `trace_tag` is set; returns the serialized report
-/// and the raw trace bytes (empty without a sink).
-fn run(
-    policy: PolicyId,
-    seed: u64,
-    cfg: GfairConfig,
-    trace_tag: Option<&str>,
-) -> (String, Vec<u8>) {
+/// with a JSONL sink when `trace_tag` is set.
+fn run(policy: PolicyId, seed: u64, cfg: GfairConfig, trace_tag: Option<&str>) -> Run {
     let path = trace_tag.map(|tag| {
         std::env::temp_dir().join(format!(
             "gfair-policy-det-{}-{}-{tag}.jsonl",
@@ -58,33 +61,58 @@ fn run(
     let report = sim
         .run_until(sched.as_mut(), SimTime::from_secs(8 * 3600))
         .expect("clean run");
-    let json = serde_json::to_string(&report).expect("serialize report");
-    let bytes = path.map_or_else(Vec::new, |path| {
+    let trace = path.map_or_else(Vec::new, |path| {
         let bytes = std::fs::read(&path).expect("read trace");
         let _ = std::fs::remove_file(&path);
         bytes
     });
-    (json, bytes)
+    let json = serde_json::to_string(&report).expect("serialize report");
+    let mut schedule = report;
+    schedule.obs = None;
+    Run {
+        report: json,
+        schedule: serde_json::to_string(&schedule).expect("serialize report"),
+        trace,
+    }
 }
 
-/// Same-seed replay, and lazy vs eager planning, all byte-identical for one
-/// policy.
+/// Same-seed replay, lazy vs eager planning and traced vs untraced runs,
+/// all byte-identical for one policy.
 fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
     let cfg = GfairConfig::default();
-    let (base_report, base_trace) = run(policy, seed, cfg, Some("a"));
-    assert!(!base_trace.is_empty(), "{policy}: empty trace");
-    let (again_report, again_trace) = run(policy, seed, cfg, Some("b"));
+    let base = run(policy, seed, cfg, Some("a"));
+    assert!(!base.trace.is_empty(), "{policy}: empty trace");
+    let again = run(policy, seed, cfg, Some("b"));
     assert_eq!(
-        base_report, again_report,
+        base.report, again.report,
         "{policy}: same seed changed the report"
     );
-    assert_eq!(
-        base_trace, again_trace,
+    assert!(
+        base.trace == again.trace,
         "{policy}: same seed changed the trace"
     );
-    let (lazy, _) = run(policy, seed, cfg, None);
-    let (eager, _) = run(policy, seed, cfg.without_lazy_planning(), None);
-    assert_eq!(lazy, eager, "{policy}: lazy settling changed the report");
+    let eager = run(policy, seed, cfg.without_lazy_planning(), Some("e"));
+    assert_eq!(
+        base.report, eager.report,
+        "{policy}: lazy settling changed the traced report"
+    );
+    assert!(
+        base.trace == eager.trace,
+        "{policy}: lazy settling changed the trace"
+    );
+    // Decision provenance is built only for a sink, so the observability
+    // summary counts those events on the traced run alone; everything the
+    // schedule produced must match.
+    let untraced = run(policy, seed, cfg, None);
+    assert_eq!(
+        base.schedule, untraced.schedule,
+        "{policy}: attaching a trace sink changed the schedule"
+    );
+}
+
+#[test]
+fn gfair_is_byte_deterministic() {
+    assert_policy_deterministic(PolicyId::Gfair, 7);
 }
 
 #[test]
