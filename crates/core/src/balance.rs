@@ -31,95 +31,158 @@
 //! balancing continues among the reachable remainder of the cluster.
 
 use crate::entitlement::Entitlements;
+use crate::placement::{load_order, score, ChoiceWhy, TIE_BREAK_LOAD};
 use crate::profiler::Profiler;
-use gfair_obs::{Candidate, Obs, Phase, TraceEvent};
+use gfair_obs::{Candidate, Obs, Phase};
 use gfair_sim::{Action, JobInfo, SimView};
 use gfair_types::{GenId, JobId, ServerId, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Tie-break rule for load-based target selection (passes 1 and 2).
-const TIE_BREAK_LOAD: &str = "least projected load, then lowest server id";
-
-/// Cap on the scored candidates carried in one migration decision.
-const MAX_WHY_CANDIDATES: usize = 8;
 
 /// Load-spread threshold of pass 4: a generation is rebalanced only while
 /// its most- and least-loaded servers differ by more than this.
 const LOAD_SPREAD: f64 = 0.25;
 
-/// Provenance for one planned migration: which pass chose it, what the
-/// endpoints were, and which alternatives were scored. Paired 1:1 with the
-/// `Action::Migrate` pushed at the same time.
-struct MoveWhy {
+/// One planned migration and the numbers that chose it. Kept for every
+/// move; rendered into a `migration` decision only for a trace sink.
+#[derive(Clone, Copy)]
+struct Move {
     job: JobId,
     user: UserId,
-    pass: &'static str,
+    gang: u32,
     from: ServerId,
     to: ServerId,
-    tie_break: &'static str,
-    considered: u32,
-    candidates: Vec<Candidate>,
+    reason: Reason,
+}
+
+/// Which pass chose a [`Move`], with what it weighed.
+#[derive(Clone, Copy)]
+enum Reason {
+    /// Passes 1 (`profiling`) and 2 (`realization`): the least-loaded
+    /// reachable server of the generation that fits the job.
+    Target(&'static str, GenId),
+    /// Pass 3: the user's excess on the source and deficit on the target,
+    /// among `servers` reachable servers of the generation.
+    FairnessSpread {
+        excess: f64,
+        deficit: f64,
+        servers: u32,
+    },
+    /// Pass 4: the source's (most) and target's (least) load, among
+    /// `servers` reachable servers of the generation.
+    LoadSpread { hi: f64, lo: f64, servers: u32 },
 }
 
 /// Plans this tick's migrations. Pure with respect to the view: the caller
 /// applies the returned actions through the simulator.
 pub fn plan_migrations(view: &SimView<'_>, ent: &Entitlements, profiler: &Profiler) -> Vec<Action> {
-    plan_migrations_explained(view, ent, profiler, false).0
+    actions(&plan(view, ent, profiler))
 }
 
-/// [`plan_migrations`] plus one [`MoveWhy`] provenance record per action.
-/// With `want_why` false the provenance side is skipped entirely: no
-/// candidate labels are formatted and `why` comes back empty, keeping the
-/// untraced path allocation-free.
-fn plan_migrations_explained(
-    view: &SimView<'_>,
-    ent: &Entitlements,
-    profiler: &Profiler,
-    want_why: bool,
-) -> (Vec<Action>, Vec<MoveWhy>) {
-    let mut planner = Planner::new(view, want_why);
+/// Runs the four passes.
+fn plan(view: &SimView<'_>, ent: &Entitlements, profiler: &Profiler) -> Vec<Move> {
+    let mut planner = Planner::new(view);
     planner.profiling_pass(profiler);
     planner.realization_pass(ent);
     planner.fairness_pass(ent);
     planner.spreading_pass();
-    (planner.actions, planner.why)
+    planner.moves
+}
+
+/// The moves as engine actions, in plan order.
+fn actions(moves: &[Move]) -> Vec<Action> {
+    (moves.iter())
+        .map(|m| Action::Migrate {
+            job: m.job,
+            to: m.to,
+        })
+        .collect()
 }
 
 /// Observed [`plan_migrations`]: the whole search (all passes) is timed as
-/// one [`Phase::MigrationSearch`] span, and every planned move is emitted
-/// as a `migration` [`TraceEvent::Decision`] naming the pass that chose it
-/// and the alternatives it scored. The resulting `Migration` trace events
-/// are emitted by the engine when the moves are actually applied.
+/// one [`Phase::MigrationSearch`] span, and with a trace sink every planned
+/// move is emitted as a `migration` [`gfair_obs::TraceEvent::Decision`]
+/// naming the pass that chose it and the alternatives it weighed. The
+/// resulting `Migration` trace events are emitted by the engine when the
+/// moves are actually applied.
 pub fn plan_migrations_traced(
     obs: &Obs,
     view: &SimView<'_>,
     ent: &Entitlements,
     profiler: &Profiler,
 ) -> Vec<Action> {
-    let want_why = obs.tracing();
-    let (actions, why) = obs.time(Phase::MigrationSearch, || {
-        plan_migrations_explained(view, ent, profiler, want_why)
-    });
-    let now = view.now();
-    for w in why {
-        obs.emit(TraceEvent::Decision {
-            t: now,
-            decision: "migration".to_string(),
-            job: Some(w.job),
-            user: Some(w.user),
-            chosen: format!(
-                "server:{} -> server:{} ({} pass)",
-                w.from.index(),
-                w.to.index(),
-                w.pass
-            ),
-            tie_break: w.tie_break.to_string(),
-            considered: w.considered,
-            candidates: w.candidates,
-            rejected: Vec::new(),
-        });
+    let moves = obs.time(Phase::MigrationSearch, || plan(view, ent, profiler));
+    if obs.tracing() {
+        explain(obs, view, &moves);
     }
-    actions
+    actions(&moves)
+}
+
+/// Emits one `migration` decision per move. The moves' load deltas are
+/// replayed in plan order, so each target is scored under the loads it was
+/// chosen at.
+fn explain(obs: &Obs, view: &SimView<'_>, moves: &[Move]) {
+    let mut replay = Planner::new(view);
+    for m in moves {
+        let (pass, tie_break, considered, candidates) = match m.reason {
+            Reason::Target(pass, gen) => {
+                let scored = score(view.reachable_servers_of_gen(gen), m.gang, |s| {
+                    replay.load(s)
+                });
+                debug_assert_eq!(scored.best(), Some(m.to), "replayed {pass} target");
+                (pass, TIE_BREAK_LOAD, scored.considered, scored.candidates())
+            }
+            Reason::FairnessSpread {
+                excess,
+                deficit,
+                servers,
+            } => (
+                "fairness-spread",
+                "largest per-server excess vs. deficit",
+                servers,
+                endpoints(
+                    m,
+                    "over-represented on",
+                    excess,
+                    "under-represented on",
+                    deficit,
+                ),
+            ),
+            Reason::LoadSpread { hi, lo, servers } => (
+                "load-spread",
+                "biggest eligible job, most- to least-loaded server",
+                servers,
+                endpoints(m, "most loaded", hi, "least loaded", lo),
+            ),
+        };
+        let why = ChoiceWhy {
+            chosen: format!(
+                "server:{} -> server:{} ({pass} pass)",
+                m.from.index(),
+                m.to.index()
+            ),
+            tie_break,
+            considered,
+            candidates,
+            rejected: Vec::new(),
+        };
+        obs.emit(why.event(view.now(), "migration", m.job, m.user));
+        replay.shift(m);
+    }
+}
+
+/// A spreading move's two candidates: its source and its target, each
+/// labelled `<what> server:<id>` and scored.
+fn endpoints(m: &Move, src: &str, src_score: f64, dst: &str, dst_score: f64) -> Vec<Candidate> {
+    vec![
+        Candidate {
+            label: format!("{src} server:{}", m.from.index()),
+            score: src_score,
+        },
+        Candidate {
+            label: format!("{dst} server:{}", m.to.index()),
+            score: dst_score,
+        },
+    ]
 }
 
 /// Working state for one balancing tick.
@@ -133,24 +196,18 @@ struct Planner<'a, 'v> {
     /// on the view's live residency demand. Only touched servers carry an
     /// entry, so a tick starts O(1) instead of snapshotting every server.
     delta: BTreeMap<ServerId, i64>,
-    actions: Vec<Action>,
-    /// Whether to record provenance at all (a trace sink is attached).
-    want_why: bool,
-    /// Provenance, one record per entry in `actions` when `want_why`.
-    why: Vec<MoveWhy>,
+    moves: Vec<Move>,
 }
 
 impl<'a, 'v> Planner<'a, 'v> {
-    fn new(view: &'a SimView<'v>, want_why: bool) -> Self {
+    fn new(view: &'a SimView<'v>) -> Self {
         Planner {
             view,
             now: view.now(),
             budget: view.config().max_migrations_per_tick,
             moved: BTreeSet::new(),
             delta: BTreeMap::new(),
-            actions: Vec::new(),
-            want_why,
-            why: Vec::new(),
+            moves: Vec::new(),
         }
     }
 
@@ -212,89 +269,58 @@ impl<'a, 'v> Planner<'a, 'v> {
             if spec.gen != gen || !view.is_reachable(s) || spec.num_gpus < gang {
                 continue;
             }
-            let load = self.load(s);
-            let better = match best {
-                None => true,
-                Some((bl, bid)) => {
-                    let ord = load.total_cmp(&bl).then(s.cmp(&bid));
-                    if most {
-                        ord.is_gt()
-                    } else {
-                        ord.is_lt()
-                    }
+            let pair = (self.load(s), s);
+            let better = best.is_none_or(|b| {
+                let ord = load_order(&pair, &b);
+                if most {
+                    ord.is_gt()
+                } else {
+                    ord.is_lt()
                 }
-            };
+            });
             if better {
-                best = Some((load, s));
+                best = Some(pair);
             }
         }
         best.map(|(_, s)| s)
     }
 
-    /// Least-loaded reachable server of `gen` that can host `gang`, by
-    /// projected load, plus the fitting-server count and scored candidates
-    /// for decision provenance.
-    fn target_in_gen(&self, gen: GenId, gang: u32) -> (Option<ServerId>, u32, Vec<Candidate>) {
-        if !self.want_why {
-            // Untraced: index-backed min, no allocation. The considered
-            // count is only ever read into provenance, which this path
-            // skips, so it is not tallied here.
-            return (self.extreme_in_gen(gen, gang, false), 0, Vec::new());
-        }
-        // Scores stay as plain pairs until after truncation (see the same
-        // pattern in the central scheduler): label formatting is deferred
-        // to the few candidates that survive.
-        let mut scored: Vec<(f64, ServerId)> = Vec::new();
-        for s in self.view.reachable_servers_of_gen(gen) {
-            if s.num_gpus < gang {
-                continue;
-            }
-            scored.push((self.load(s.id), s.id));
-        }
-        let considered = scored.len() as u32;
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let best = scored.first().map(|&(_, id)| id);
-        scored.truncate(MAX_WHY_CANDIDATES);
-        let candidates = scored
-            .into_iter()
-            .map(|(load, id)| Candidate {
-                label: format!("server:{}", id.index()),
-                score: load,
-            })
-            .collect();
-        (best, considered, candidates)
+    /// Least-loaded reachable server of `gen` that can host `gang`: a
+    /// migration target. In debug builds checked against [`score`] over the
+    /// generation's reachable servers.
+    fn target(&self, gen: GenId, gang: u32) -> Option<ServerId> {
+        let to = self.extreme_in_gen(gen, gang, false);
+        debug_assert_eq!(
+            to,
+            score(self.view.reachable_servers_of_gen(gen), gang, |s| self
+                .load(s))
+            .best(),
+            "balancer target diverged from the scorer over gen:{}",
+            gen.index()
+        );
+        to
     }
 
-    /// Commits a planned move, updating projections and recording its
-    /// provenance.
-    #[allow(clippy::too_many_arguments)]
-    fn push_move(
-        &mut self,
-        job: &JobInfo,
-        to: ServerId,
-        pass: &'static str,
-        tie_break: &'static str,
-        considered: u32,
-        candidates: Vec<Candidate>,
-    ) {
-        let from = job.server.expect("resident job has a server");
-        *self.delta.entry(from).or_insert(0) -= job.gang as i64;
-        *self.delta.entry(to).or_insert(0) += job.gang as i64;
+    /// Applies a move's demand shift to the load projection.
+    fn shift(&mut self, m: &Move) {
+        *self.delta.entry(m.from).or_insert(0) -= m.gang as i64;
+        *self.delta.entry(m.to).or_insert(0) += m.gang as i64;
+    }
+
+    /// Commits a planned move.
+    fn push_move(&mut self, job: &JobInfo, to: ServerId, reason: Reason) {
+        let m = Move {
+            job: job.id,
+            user: job.user,
+            gang: job.gang,
+            from: job.server.expect("resident job has a server"),
+            to,
+            reason,
+        };
+        self.shift(&m);
         self.moved.insert(job.id);
         self.budget -= 1;
-        self.actions.push(Action::Migrate { job: job.id, to });
-        if self.want_why {
-            self.why.push(MoveWhy {
-                job: job.id,
-                user: job.user,
-                pass,
-                from,
-                to,
-                tie_break,
-                considered,
-                candidates,
-            });
-        }
+        self.moves.push(m);
     }
 
     /// Pass 1: send jobs of unprofiled models to the generations the
@@ -345,10 +371,9 @@ impl<'a, 'v> Planner<'a, 'v> {
             let Some(&gen) = unprofiled.iter().rfind(|&&g| g != cur_gen) else {
                 continue;
             };
-            let (target, considered, candidates) = self.target_in_gen(gen, job.gang);
-            if let Some(to) = target {
+            if let Some(to) = self.target(gen, job.gang) {
                 sent_models.insert(&job.model);
-                self.push_move(job, to, "profiling", TIE_BREAK_LOAD, considered, candidates);
+                self.push_move(job, to, Reason::Target("profiling", gen));
                 sent += 1;
             }
         }
@@ -400,16 +425,8 @@ impl<'a, 'v> Planner<'a, 'v> {
                 .filter(|j| (j.gang as f64) <= limit)
                 .max_by_key(|j| (j.gang, std::cmp::Reverse(j.id)));
             if let Some(job) = candidate {
-                let (target, considered, candidates) = self.target_in_gen(under_gen, job.gang);
-                if let Some(to) = target {
-                    self.push_move(
-                        job,
-                        to,
-                        "realization",
-                        TIE_BREAK_LOAD,
-                        considered,
-                        candidates,
-                    );
+                if let Some(to) = self.target(under_gen, job.gang) {
+                    self.push_move(job, to, Reason::Target("realization", under_gen));
                 }
             }
         }
@@ -519,28 +536,13 @@ impl<'a, 'v> Planner<'a, 'v> {
                     .filter(|j| (j.gang as f64) <= limit && j.gang <= dst_gpus)
                     .max_by_key(|j| (j.gang, std::cmp::Reverse(j.id)));
                 if let Some(job) = candidate {
-                    let candidates = if self.want_why {
-                        vec![
-                            Candidate {
-                                label: format!("over-represented on server:{}", src.index()),
-                                score: excess,
-                            },
-                            Candidate {
-                                label: format!("under-represented on server:{}", dst.index()),
-                                score: deficit,
-                            },
-                        ]
-                    } else {
-                        Vec::new()
+                    let servers = servers.len() as u32;
+                    let reason = Reason::FairnessSpread {
+                        excess,
+                        deficit,
+                        servers,
                     };
-                    self.push_move(
-                        job,
-                        dst,
-                        "fairness-spread",
-                        "largest per-server excess vs. deficit",
-                        servers.len() as u32,
-                        candidates,
-                    );
+                    self.push_move(job, dst, reason);
                 }
             }
         }
@@ -551,13 +553,9 @@ impl<'a, 'v> Planner<'a, 'v> {
         let gens: Vec<GenId> = self.view.cluster().catalog.ids().collect();
         for gen in gens {
             // Reachability cannot change mid-tick, so the per-gen server
-            // list is collected once per generation, not once per move.
-            let servers: Vec<ServerId> = self
-                .view
-                .reachable_servers_of_gen(gen)
-                .map(|s| s.id)
-                .collect();
-            if servers.len() < 2 {
+            // count is taken once per generation, not once per move.
+            let servers = self.view.reachable_servers_of_gen(gen).count() as u32;
+            if servers < 2 {
                 continue;
             }
             loop {
@@ -572,9 +570,10 @@ impl<'a, 'v> Planner<'a, 'v> {
                     .extreme_in_gen(gen, 0, true)
                     .expect("guard ensures ≥ 2 reachable servers");
                 let lo = self
-                    .extreme_in_gen(gen, 0, false)
+                    .target(gen, 0)
                     .expect("guard ensures ≥ 2 reachable servers");
-                if self.load(hi) - self.load(lo) <= LOAD_SPREAD {
+                let (hi_load, lo_load) = (self.load(hi), self.load(lo));
+                if hi_load - lo_load <= LOAD_SPREAD {
                     break;
                 }
                 // Biggest eligible job on `hi` whose move strictly helps:
@@ -596,28 +595,12 @@ impl<'a, 'v> Planner<'a, 'v> {
                     .max_by_key(|j| (j.gang, std::cmp::Reverse(j.id)));
                 match candidate {
                     Some(job) => {
-                        let candidates = if self.want_why {
-                            vec![
-                                Candidate {
-                                    label: format!("most loaded server:{}", hi.index()),
-                                    score: self.load(hi),
-                                },
-                                Candidate {
-                                    label: format!("least loaded server:{}", lo.index()),
-                                    score: self.load(lo),
-                                },
-                            ]
-                        } else {
-                            Vec::new()
+                        let reason = Reason::LoadSpread {
+                            hi: hi_load,
+                            lo: lo_load,
+                            servers,
                         };
-                        self.push_move(
-                            job,
-                            lo,
-                            "load-spread",
-                            "biggest eligible job, most- to least-loaded server",
-                            servers.len() as u32,
-                            candidates,
-                        );
+                        self.push_move(job, lo, reason);
                     }
                     None => break,
                 }

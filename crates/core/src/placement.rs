@@ -8,14 +8,16 @@
 //! placements issued this round but not yet applied by the engine — so that
 //! simultaneous arrivals do not pile onto one server.
 //!
-//! Extracted from the central Gandiva_fair scheduler so that every policy
-//! behind the [`crate::policy::AllocPolicy`] boundary places jobs with the
-//! same rules, the same provenance rows, and the same tie-breaks.
+//! Every pick reads the residency index, traced or not. [`score`], the one
+//! scan over a scope of servers, explains a pick on the side: it renders
+//! the provenance a full-tier sink asks for and, in debug builds, is the
+//! oracle each index-backed pick (the balancer's included) must match.
 
 use crate::entitlement::Entitlements;
-use gfair_obs::{Candidate, Rejection};
+use gfair_obs::{Candidate, Rejection, TraceEvent};
 use gfair_sim::SimView;
-use gfair_types::{GenId, ServerId, ServerSpec, UserId};
+use gfair_types::{GenId, JobId, ServerId, ServerSpec, SimTime, UserId};
+use std::cmp::Ordering;
 
 /// Tie-break rule shared by every load-based server selection; quoted
 /// verbatim in [`gfair_obs::TraceEvent::Decision`] provenance.
@@ -26,9 +28,7 @@ pub(crate) const TIE_BREAK_LOAD: &str = "least projected load, then lowest serve
 pub(crate) const MAX_WHY_CANDIDATES: usize = 8;
 
 /// Provenance for one server choice: what was picked, how ties were
-/// broken, and what was ruled out. Rendered into a
-/// [`gfair_obs::TraceEvent::Decision`] by the caller, which knows the
-/// decision site.
+/// broken, and what was ruled out.
 pub(crate) struct ChoiceWhy {
     /// Human-readable selected alternative (or `none (...)`).
     pub chosen: String,
@@ -40,6 +40,124 @@ pub(crate) struct ChoiceWhy {
     pub candidates: Vec<Candidate>,
     /// Alternatives ruled out, grouped by reason.
     pub rejected: Vec<Rejection>,
+}
+
+impl ChoiceWhy {
+    /// The `decision` trace event for this choice: `decision` names the
+    /// site (`placement`, `retry`, `migration`), `job` of `user` the subject.
+    pub fn event(self, t: SimTime, decision: &str, job: JobId, user: UserId) -> TraceEvent {
+        TraceEvent::Decision {
+            t,
+            decision: decision.to_string(),
+            job: Some(job),
+            user: Some(user),
+            chosen: self.chosen,
+            tie_break: self.tie_break.to_string(),
+            considered: self.considered,
+            candidates: self.candidates,
+            rejected: self.rejected,
+        }
+    }
+}
+
+/// The `(load ⟨total_cmp⟩, server id)` total order every load-based
+/// selection ranks servers by.
+pub(crate) fn load_order(a: &(f64, ServerId), b: &(f64, ServerId)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// A scope of servers scored by load for one gang.
+pub(crate) struct Scored {
+    /// Servers wide enough for the gang.
+    pub considered: u32,
+    /// Servers narrower than the gang.
+    pub too_narrow: u32,
+    /// The best `(load, id)` pairs under [`load_order`], winner first, at
+    /// most [`MAX_WHY_CANDIDATES`].
+    pub top: Vec<(f64, ServerId)>,
+}
+
+impl Scored {
+    /// The winner: least load, then lowest id.
+    pub fn best(&self) -> Option<ServerId> {
+        self.top.first().map(|&(_, s)| s)
+    }
+
+    /// The top pairs as provenance candidates, labelled `server:<id>`.
+    pub fn candidates(&self) -> Vec<Candidate> {
+        (self.top.iter())
+            .map(|&(load, id)| Candidate {
+                label: format!("server:{}", id.index()),
+                score: load,
+            })
+            .collect()
+    }
+}
+
+/// Scores every server of `scope` that fits `gang` under `load`, keeping
+/// the best [`MAX_WHY_CANDIDATES`] by [`load_order`]. Read-only; the placer
+/// passes projected load, the balancer load after the tick's planned moves.
+/// Used only to explain a pick (provenance for a sink) and, in debug
+/// builds, as the oracle for the index-backed picks.
+pub(crate) fn score<'a>(
+    scope: impl Iterator<Item = &'a ServerSpec>,
+    gang: u32,
+    load: impl Fn(ServerId) -> f64,
+) -> Scored {
+    let mut scored = Scored {
+        considered: 0,
+        too_narrow: 0,
+        top: Vec::with_capacity(MAX_WHY_CANDIDATES + 1),
+    };
+    for s in scope {
+        if s.num_gpus < gang {
+            scored.too_narrow += 1;
+            continue;
+        }
+        scored.considered += 1;
+        let pair = (load(s.id), s.id);
+        let top = &mut scored.top;
+        let at = top.partition_point(|p| load_order(p, &pair).is_lt());
+        if at < MAX_WHY_CANDIDATES {
+            top.insert(at, pair);
+            top.truncate(MAX_WHY_CANDIDATES);
+        }
+    }
+    scored
+}
+
+/// Appends a rejection row unless `count` is zero.
+fn reject(rejected: &mut Vec<Rejection>, reason: &'static str, count: u32) {
+    if count > 0 {
+        rejected.push(Rejection {
+            reason: reason.into(),
+            count,
+        });
+    }
+}
+
+/// A [`ChoiceWhy`] for a least-load pick `chosen` from a scored scope;
+/// servers too narrow for the gang join `rejected`.
+fn ranked_why(chosen: String, scored: Scored, mut rejected: Vec<Rejection>) -> ChoiceWhy {
+    reject(&mut rejected, "gang_too_wide_for_server", scored.too_narrow);
+    ChoiceWhy {
+        chosen,
+        tie_break: TIE_BREAK_LOAD,
+        considered: scored.considered,
+        candidates: scored.candidates(),
+        rejected,
+    }
+}
+
+/// Where [`Placer::choose_server`] placed a gang and which route it took.
+pub(crate) struct Choice {
+    /// The chosen server; `None` when no reachable server fits.
+    pub server: Option<ServerId>,
+    /// The slack-first generation and the user's slack on it; `None` when
+    /// the work-conserving fallback chose.
+    pub slack_first: Option<(GenId, f64)>,
+    /// Generations where the user had no allocation slack.
+    pub gens_without_slack: u32,
 }
 
 /// Load-aware server picker with in-flight placement tracking.
@@ -120,14 +238,6 @@ impl Placer {
         self.walk_from.fill(FRONT);
     }
 
-    /// The (projected-load bits, id) ordering key of `server` given its
-    /// current resident demand and in-flight placements.
-    fn key_of(&self, view: &SimView<'_>, server: ServerId) -> u64 {
-        let spec = view.cluster().server(server);
-        let pending = self.inflight[server.index()];
-        ((view.resident_demand(server) + pending) as f64 / spec.num_gpus as f64).to_bits()
-    }
-
     /// Re-computes `server`'s key in its generation set after its resident
     /// demand changed. No-op for servers with no in-flight placements (they
     /// are not in any set).
@@ -142,7 +252,7 @@ impl Placer {
         let gen = view.cluster().server(server).gen;
         let set = &mut self.touched_by_gen[gen.index()];
         set.remove(&(self.touched_key[server.index()], server));
-        let key = self.key_of(view, server);
+        let key = self.projected_load(view, server).to_bits();
         self.touched_key[server.index()] = key;
         self.touched_by_gen[gen.index()].insert((key, server));
     }
@@ -193,7 +303,7 @@ impl Placer {
             self.touched.push(server);
         }
         self.inflight[i] += gang;
-        let key = self.key_of(view, server);
+        let key = self.projected_load(view, server).to_bits();
         self.touched_key[i] = key;
         self.touched_by_gen[gen.index()].insert((key, server));
     }
@@ -219,10 +329,9 @@ impl Placer {
     /// round's placements are not re-walked on every arrival. Touched
     /// servers are covered by their generation's key-ordered set (kept
     /// equal to live projected load by [`Self::drain_dirty`]), walked the
-    /// same way. The winner is the minimum of the two — exactly
-    /// [`Self::pick_least_loaded`]'s selection, in O(log touched + probe)
-    /// instead of O(servers of the generation). Callers must `drain_dirty`
-    /// first.
+    /// same way. The winner is the minimum of the two — exactly [`score`]'s
+    /// winner under projected load, in O(log touched + probe) instead of
+    /// O(servers of the generation). Callers must `drain_dirty` first.
     fn pick_in_gen_indexed(
         &mut self,
         view: &SimView<'_>,
@@ -257,11 +366,7 @@ impl Placer {
                     self.projected_load(view, s).to_bits(),
                     "stale touched key for {s}"
                 );
-                let better = match best {
-                    None => true,
-                    Some((bl, bid)) => load.total_cmp(&bl).then(s.cmp(&bid)).is_lt(),
-                };
-                if better {
+                if best.is_none_or(|b| load_order(&(load, s), &b).is_lt()) {
                     best = Some((load, s));
                 }
                 break;
@@ -270,203 +375,135 @@ impl Placer {
         best
     }
 
-    /// Scores every server in `scope` that fits the gang by projected load
-    /// and picks the minimum (ties to the lowest id). Returns the winner
-    /// plus the provenance rows: fitting-server count, servers ruled out as
-    /// too narrow, and the top-[`MAX_WHY_CANDIDATES`] candidates by score.
-    pub fn pick_least_loaded<'a>(
+    /// [`score`] under projected load.
+    fn score_projected<'a>(
         &self,
         view: &SimView<'_>,
-        gang: u32,
         scope: impl Iterator<Item = &'a ServerSpec>,
-        want_why: bool,
-    ) -> (Option<ServerId>, u32, u32, Vec<Candidate>) {
-        let mut too_narrow = 0u32;
-        if !want_why {
-            // Allocation-free fast path for untraced runs: the same
-            // selection rule (least projected load, then lowest id), no
-            // provenance materialized.
-            let mut considered = 0u32;
-            let mut best: Option<(f64, ServerId)> = None;
-            for s in scope {
-                if s.num_gpus < gang {
-                    too_narrow += 1;
-                    continue;
-                }
-                considered += 1;
-                let load = self.projected_load(view, s.id);
-                let better = match best {
-                    None => true,
-                    Some((bl, bid)) => load.total_cmp(&bl).then(s.id.cmp(&bid)).is_lt(),
-                };
-                if better {
-                    best = Some((load, s.id));
-                }
-            }
-            return (best.map(|(_, id)| id), considered, too_narrow, Vec::new());
-        }
-        // Scores stay as plain pairs until after truncation: formatting a
-        // label per scanned server would put ~100 heap allocations on every
-        // job arrival at the 1000-GPU scale.
-        let mut scored: Vec<(f64, ServerId)> = Vec::new();
-        for s in scope {
-            if s.num_gpus < gang {
-                too_narrow += 1;
-                continue;
-            }
-            scored.push((self.projected_load(view, s.id), s.id));
-        }
-        let considered = scored.len() as u32;
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let best = scored.first().map(|&(_, id)| id);
-        scored.truncate(MAX_WHY_CANDIDATES);
-        let candidates = scored
-            .into_iter()
-            .map(|(load, id)| Candidate {
-                label: format!("server:{}", id.index()),
-                score: load,
-            })
-            .collect();
-        (best, considered, too_narrow, candidates)
+        gang: u32,
+    ) -> Scored {
+        score(scope, gang, |s| self.projected_load(view, s))
     }
 
-    /// Picks a server for an arriving job: prefer the generation where the
-    /// user has the most allocation slack under `ent`, then the least-loaded
-    /// server of that generation that fits; fall back to least-loaded
-    /// overall. Only reachable servers are considered — a placement sent to
-    /// a partitioned server could not be delivered.
-    ///
-    /// With `want_why`, also returns the [`ChoiceWhy`] provenance the
-    /// caller renders into a [`gfair_obs::TraceEvent::Decision`], from full
-    /// scans; without it, the same choice comes from the index-backed
-    /// picks.
-    pub fn choose_server_explained(
-        &mut self,
-        view: &SimView<'_>,
-        ent: Option<&Entitlements>,
-        user: UserId,
-        gang: u32,
-        want_why: bool,
-    ) -> (Option<ServerId>, Option<ChoiceWhy>) {
-        if !want_why {
-            return (self.choose_server(view, ent, user, gang), None);
-        }
-        let mut rejected: Vec<Rejection> = Vec::new();
-        if let Some(ent) = ent {
-            let (best_gen, gens_without_slack) = slack_first_gen(view, ent, user, gang);
-            if gens_without_slack > 0 {
-                rejected.push(Rejection {
-                    reason: "gen_without_slack".into(),
-                    count: gens_without_slack,
-                });
-            }
-            if let Some((gen, slack)) = best_gen {
-                let (target, considered, too_narrow, candidates) =
-                    self.pick_least_loaded(view, gang, view.reachable_servers_of_gen(gen), true);
-                if let Some(server) = target {
-                    if too_narrow > 0 {
-                        rejected.push(Rejection {
-                            reason: "gang_too_wide_for_server".into(),
-                            count: too_narrow,
-                        });
-                    }
-                    let why = ChoiceWhy {
-                        chosen: format!(
-                            "server:{} (gen:{} slack-first, slack {:.2})",
-                            server.index(),
-                            gen.index(),
-                            slack
-                        ),
-                        tie_break: TIE_BREAK_LOAD,
-                        considered,
-                        candidates,
-                        rejected,
-                    };
-                    return (Some(server), Some(why));
-                }
-            }
-        }
-        // Work conservation fallback: least-loaded fitting server anywhere.
-        let total = view.cluster().servers.len() as u32;
-        let reachable = view.reachable_count();
-        if total > reachable {
-            rejected.push(Rejection {
-                reason: "unreachable".into(),
-                count: total - reachable,
-            });
-        }
-        let (target, considered, too_narrow, candidates) =
-            self.pick_least_loaded(view, gang, view.reachable_servers(), true);
-        if too_narrow > 0 {
-            rejected.push(Rejection {
-                reason: "gang_too_wide_for_server".into(),
-                count: too_narrow,
-            });
-        }
-        let why = ChoiceWhy {
-            chosen: match target {
-                Some(s) => format!("server:{} (work-conserving fallback)", s.index()),
-                None => "none (no reachable server fits)".to_string(),
-            },
-            tie_break: TIE_BREAK_LOAD,
-            considered,
-            candidates,
-            rejected,
-        };
-        (target, Some(why))
-    }
-
-    /// [`Self::choose_server_explained`]'s choice without provenance, from
-    /// the index-backed picks instead of generation scans. In debug builds
-    /// each pick is checked against [`Self::pick_least_loaded`] over the
-    /// same reachable scope.
-    fn choose_server(
-        &mut self,
-        view: &SimView<'_>,
-        ent: Option<&Entitlements>,
-        user: UserId,
-        gang: u32,
-    ) -> Option<ServerId> {
-        // The index-backed picks read the touched-set keys and the walk
+    /// Least-(projected load, id) reachable server of `gen` that fits
+    /// `gang`, from the residency index: a slack-first placement or a
+    /// migration retry target. In debug builds checked against [`score`]
+    /// over the generation's reachable servers.
+    pub fn pick_in_gen(&mut self, view: &SimView<'_>, gen: GenId, gang: u32) -> Option<ServerId> {
+        // The index-backed pick reads the touched-set keys and the walk
         // bounds; bring them up to date with residency changes since the
         // last pick.
         self.drain_dirty(view);
-        if let Some((gen, _)) = ent.and_then(|ent| slack_first_gen(view, ent, user, gang).0) {
-            let pick = self.pick_in_gen_indexed(view, gen, gang).map(|(_, s)| s);
-            debug_assert_eq!(
-                pick,
-                self.pick_least_loaded(view, gang, view.reachable_servers_of_gen(gen), false)
-                    .0,
-                "indexed slack-first pick diverged from the scan of gen:{}",
-                gen.index()
-            );
-            if pick.is_some() {
-                return pick;
+        let pick = self.pick_in_gen_indexed(view, gen, gang).map(|(_, s)| s);
+        debug_assert_eq!(
+            pick,
+            self.score_projected(view, view.reachable_servers_of_gen(gen), gang)
+                .best(),
+            "indexed pick diverged from the scorer over gen:{}",
+            gen.index()
+        );
+        pick
+    }
+
+    /// Picks a server for an arriving or pending job: prefer the generation
+    /// where the user has the most allocation slack under `ent`, then the
+    /// least-loaded server of that generation that fits; fall back to
+    /// least-loaded overall. Only reachable servers are considered — a
+    /// placement sent to a partitioned server could not be delivered.
+    ///
+    /// Every pick comes from the residency index, whether or not a sink is
+    /// attached; [`Self::explain`] renders the returned choice's provenance.
+    pub fn choose_server(
+        &mut self,
+        view: &SimView<'_>,
+        ent: Option<&Entitlements>,
+        user: UserId,
+        gang: u32,
+    ) -> Choice {
+        let (slack_first, gens_without_slack) =
+            ent.map_or((None, 0), |ent| slack_first_gen(view, ent, user, gang));
+        if let Some((gen, _)) = slack_first {
+            if let Some(server) = self.pick_in_gen(view, gen, gang) {
+                return Choice {
+                    server: Some(server),
+                    slack_first,
+                    gens_without_slack,
+                };
             }
         }
         // Work conservation fallback: the min over the per-generation
-        // index-backed picks — same winner as a full reachable-cluster scan,
-        // in O(gens + placements this round).
+        // index-backed picks — same winner as a scan of the reachable
+        // cluster, in O(gens + placements this round).
+        self.drain_dirty(view);
         let mut best: Option<(f64, ServerId)> = None;
         for gen in view.cluster().catalog.ids() {
-            if let Some((load, s)) = self.pick_in_gen_indexed(view, gen, gang) {
-                let better = match best {
-                    None => true,
-                    Some((bl, bid)) => load.total_cmp(&bl).then(s.cmp(&bid)).is_lt(),
-                };
-                if better {
-                    best = Some((load, s));
+            if let Some(pick) = self.pick_in_gen_indexed(view, gen, gang) {
+                if best.is_none_or(|b| load_order(&pick, &b).is_lt()) {
+                    best = Some(pick);
                 }
             }
         }
-        let pick = best.map(|(_, s)| s);
+        let server = best.map(|(_, s)| s);
         debug_assert_eq!(
-            pick,
-            self.pick_least_loaded(view, gang, view.reachable_servers(), false)
-                .0,
-            "indexed fallback pick diverged from the reachable-cluster scan"
+            server,
+            self.score_projected(view, view.reachable_servers(), gang)
+                .best(),
+            "indexed fallback pick diverged from the scorer over the reachable cluster"
         );
-        pick
+        Choice {
+            server,
+            slack_first: None,
+            gens_without_slack,
+        }
+    }
+
+    /// Provenance for `choice` of a `gang`-wide job: [`score`]'s rows over
+    /// the scope the choice was made in. Call before the choice's
+    /// [`Self::note_placement`], which moves the projected loads.
+    pub fn explain(&self, view: &SimView<'_>, gang: u32, choice: &Choice) -> ChoiceWhy {
+        let mut rejected = Vec::new();
+        reject(
+            &mut rejected,
+            "gen_without_slack",
+            choice.gens_without_slack,
+        );
+        let (chosen, scored) = match (choice.slack_first, choice.server) {
+            (Some((gen, slack)), Some(server)) => (
+                format!(
+                    "server:{} (gen:{} slack-first, slack {:.2})",
+                    server.index(),
+                    gen.index(),
+                    slack
+                ),
+                self.score_projected(view, view.reachable_servers_of_gen(gen), gang),
+            ),
+            (_, server) => {
+                let unreachable = view.cluster().servers.len() as u32 - view.reachable_count();
+                reject(&mut rejected, "unreachable", unreachable);
+                let chosen = match server {
+                    Some(s) => format!("server:{} (work-conserving fallback)", s.index()),
+                    None => "none (no reachable server fits)".to_string(),
+                };
+                (
+                    chosen,
+                    self.score_projected(view, view.reachable_servers(), gang),
+                )
+            }
+        };
+        ranked_why(chosen, scored, rejected)
+    }
+
+    /// Provenance for a `gang`-wide pick `chosen` among `gen`'s reachable
+    /// servers (a migration retry target).
+    pub fn explain_in_gen(
+        &self,
+        view: &SimView<'_>,
+        gen: GenId,
+        gang: u32,
+        chosen: String,
+    ) -> ChoiceWhy {
+        let scored = self.score_projected(view, view.reachable_servers_of_gen(gen), gang);
+        ranked_why(chosen, scored, Vec::new())
     }
 }
 

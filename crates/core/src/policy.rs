@@ -34,11 +34,11 @@ use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
 use crate::entitlement::Entitlements;
 use crate::inputs::PolicyInputs;
-use crate::placement::{Placer, TIE_BREAK_LOAD};
+use crate::placement::Placer;
 use crate::planner::RoundPlanner;
 use crate::profiler::Profiler;
 use crate::trade::{run_market_traced, Trade};
-use gfair_obs::{Obs, Rejection, SharedObs, TraceEvent, UserShare};
+use gfair_obs::{Obs, SharedObs, TraceEvent, UserShare};
 use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
 use gfair_types::{
     GenId, JobId, JobState, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId,
@@ -383,43 +383,22 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
                     if planned.contains(&job) {
                         continue;
                     }
-                    let want_why = self.obs.why();
-                    let (target, considered, too_narrow, candidates) =
-                        self.placer.pick_least_loaded(
-                            view,
-                            info.gang,
-                            view.reachable_servers_of_gen(state.gen),
-                            want_why,
-                        );
-                    if let Some(to) = target {
-                        if to != cur {
-                            if want_why {
-                                let mut rejected = Vec::new();
-                                if too_narrow > 0 {
-                                    rejected.push(Rejection {
-                                        reason: "gang_too_wide_for_server".into(),
-                                        count: too_narrow,
-                                    });
-                                }
-                                self.obs.emit(TraceEvent::Decision {
-                                    t: now,
-                                    decision: "retry".to_string(),
-                                    job: Some(job),
-                                    user: Some(info.user),
-                                    chosen: format!(
-                                        "migrate to server:{} (gen:{}, attempt {})",
-                                        to.index(),
-                                        state.gen.index(),
-                                        state.attempts + 1
-                                    ),
-                                    tie_break: TIE_BREAK_LOAD.to_string(),
-                                    considered,
-                                    candidates,
-                                    rejected,
-                                });
-                            }
-                            actions.push(Action::Migrate { job, to });
+                    // The target is on `state.gen`, so never the job's
+                    // current server.
+                    if let Some(to) = self.placer.pick_in_gen(view, state.gen, info.gang) {
+                        if self.obs.why() {
+                            let chosen = format!(
+                                "migrate to server:{} (gen:{}, attempt {})",
+                                to.index(),
+                                state.gen.index(),
+                                state.attempts + 1
+                            );
+                            let why = self
+                                .placer
+                                .explain_in_gen(view, state.gen, info.gang, chosen);
+                            self.obs.emit(why.event(now, "retry", job, info.user));
                         }
+                        actions.push(Action::Migrate { job, to });
                     }
                 }
             }
@@ -442,28 +421,15 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
     fn on_job_arrival(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
         self.ensure_init(view);
         let info = view.job(job).expect("arriving job is known");
-        let want_why = self.obs.why();
-        let (target, why) = self.placer.choose_server_explained(
-            view,
-            self.ent.as_ref(),
-            info.user,
-            info.gang,
-            want_why,
-        );
-        if let Some(why) = why {
-            self.obs.emit(TraceEvent::Decision {
-                t: view.now(),
-                decision: "placement".to_string(),
-                job: Some(job),
-                user: Some(info.user),
-                chosen: why.chosen,
-                tie_break: why.tie_break.to_string(),
-                considered: why.considered,
-                candidates: why.candidates,
-                rejected: why.rejected,
-            });
+        let choice = self
+            .placer
+            .choose_server(view, self.ent.as_ref(), info.user, info.gang);
+        if self.obs.why() {
+            let why = self.placer.explain(view, info.gang, &choice);
+            self.obs
+                .emit(why.event(view.now(), "placement", job, info.user));
         }
-        match target {
+        match choice.server {
             Some(server) => {
                 self.placer.note_placement(view, server, info.gang);
                 vec![Action::Place { job, server }]
@@ -611,25 +577,16 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             .collect();
         let want_why = self.obs.why();
         for (job, user, gang) in retries {
-            let (target, why) =
-                self.placer
-                    .choose_server_explained(view, self.ent.as_ref(), user, gang, want_why);
-            if let Some(server) = target {
+            let choice = self
+                .placer
+                .choose_server(view, self.ent.as_ref(), user, gang);
+            if let Some(server) = choice.server {
                 self.retry.remove(&job);
                 // Emit only on success: an unplaceable job would otherwise
                 // flood the trace with one identical decision per round.
-                if let Some(why) = why {
-                    self.obs.emit(TraceEvent::Decision {
-                        t: now,
-                        decision: "retry".to_string(),
-                        job: Some(job),
-                        user: Some(user),
-                        chosen: why.chosen,
-                        tie_break: why.tie_break.to_string(),
-                        considered: why.considered,
-                        candidates: why.candidates,
-                        rejected: why.rejected,
-                    });
+                if want_why {
+                    let why = self.placer.explain(view, gang, &choice);
+                    self.obs.emit(why.event(now, "retry", job, user));
                 }
                 actions.push(Action::Place { job, server });
             }

@@ -69,102 +69,6 @@ pub fn run_market(
     strategy: PriceStrategy,
     margin: f64,
 ) -> Vec<Trade> {
-    run_market_inner(ent, inputs, strategy, margin)
-}
-
-/// Observed [`run_market`]: the matching pass is timed as a
-/// [`Phase::TradeMatching`] span and every executed trade is emitted as a
-/// [`TraceEvent::TradeExecuted`] stamped with `now`.
-pub fn run_market_traced(
-    obs: &Obs,
-    now: SimTime,
-    ent: &mut Entitlements,
-    inputs: &PolicyInputs,
-    strategy: PriceStrategy,
-    margin: f64,
-) -> Vec<Trade> {
-    let trades = obs.time(Phase::TradeMatching, || {
-        run_market_inner(ent, inputs, strategy, margin)
-    });
-    // Provenance: per-generation participant counts, re-derived with the
-    // market's own eligibility filter (active demand + profiled speedup).
-    // The inputs are untouched by the matching pass, so these counts match
-    // what the market ranked. Decision events are a trace-only product;
-    // without a sink the `TradeExecuted` stream alone is emitted.
-    let want_why = obs.tracing();
-    let users_total = ent.users().count() as u32;
-    let participants: BTreeMap<GenId, u32> = if want_why {
-        (1..ent.num_gens())
-            .map(|gen_idx| {
-                let n = ent
-                    .users()
-                    .filter(|&u| inputs.demand(u) > EPS)
-                    .filter(|&u| inputs.speedup(u, gen_idx).is_some())
-                    .count() as u32;
-                (GenId::new(gen_idx as u32), n)
-            })
-            .collect()
-    } else {
-        BTreeMap::new()
-    };
-    for t in &trades {
-        obs.emit(TraceEvent::TradeExecuted {
-            t: now,
-            seller: t.seller,
-            buyer: t.buyer,
-            gen: t.gen,
-            fast_gpus: t.fast_gpus,
-            base_gpus: t.base_gpus,
-            price: t.price,
-        });
-        if !want_why {
-            continue;
-        }
-        let considered = participants.get(&t.gen).copied().unwrap_or(0);
-        obs.emit(TraceEvent::Decision {
-            t: now,
-            decision: "trade".to_string(),
-            job: None,
-            user: Some(t.buyer),
-            chosen: format!(
-                "user:{} buys {:.3} gen:{} GPUs from user:{} at {:.3} base/fast",
-                t.buyer.index(),
-                t.fast_gpus,
-                t.gen.index(),
-                t.seller.index(),
-                t.price
-            ),
-            tie_break: "widest speedup gap first, then lowest user id".to_string(),
-            considered,
-            candidates: vec![
-                Candidate {
-                    label: format!("buyer user:{}", t.buyer.index()),
-                    score: t.buyer_speedup,
-                },
-                Candidate {
-                    label: format!("seller user:{}", t.seller.index()),
-                    score: t.seller_speedup,
-                },
-            ],
-            rejected: if users_total > considered {
-                vec![Rejection {
-                    reason: "idle_or_unprofiled".into(),
-                    count: users_total - considered,
-                }]
-            } else {
-                Vec::new()
-            },
-        });
-    }
-    trades
-}
-
-fn run_market_inner(
-    ent: &mut Entitlements,
-    inputs: &PolicyInputs,
-    strategy: PriceStrategy,
-    margin: f64,
-) -> Vec<Trade> {
     let base = GenId::new(0);
     let mut trades = Vec::new();
     // Fastest generation first: its misallocation costs the most.
@@ -249,6 +153,93 @@ fn run_market_inner(
                 j -= 1;
             }
         }
+    }
+    trades
+}
+
+/// Observed [`run_market`]: the matching pass is timed as a
+/// [`Phase::TradeMatching`] span and every executed trade is emitted as a
+/// [`TraceEvent::TradeExecuted`] stamped with `now`.
+pub fn run_market_traced(
+    obs: &Obs,
+    now: SimTime,
+    ent: &mut Entitlements,
+    inputs: &PolicyInputs,
+    strategy: PriceStrategy,
+    margin: f64,
+) -> Vec<Trade> {
+    let trades = obs.time(Phase::TradeMatching, || {
+        run_market(ent, inputs, strategy, margin)
+    });
+    // Provenance: per-generation participant counts, re-derived with the
+    // market's own eligibility filter (active demand + profiled speedup).
+    // The inputs are untouched by the matching pass, so these counts match
+    // what the market ranked. Decision events are a trace-only product;
+    // without a sink the `TradeExecuted` stream alone is emitted.
+    let want_why = obs.tracing();
+    let users_total = ent.users().count() as u32;
+    let participants: BTreeMap<GenId, u32> = if want_why {
+        (1..ent.num_gens())
+            .map(|gen_idx| {
+                let n = ent
+                    .users()
+                    .filter(|&u| inputs.demand(u) > EPS)
+                    .filter(|&u| inputs.speedup(u, gen_idx).is_some())
+                    .count() as u32;
+                (GenId::new(gen_idx as u32), n)
+            })
+            .collect()
+    } else {
+        BTreeMap::new()
+    };
+    for t in &trades {
+        obs.emit(TraceEvent::TradeExecuted {
+            t: now,
+            seller: t.seller,
+            buyer: t.buyer,
+            gen: t.gen,
+            fast_gpus: t.fast_gpus,
+            base_gpus: t.base_gpus,
+            price: t.price,
+        });
+        if !want_why {
+            continue;
+        }
+        let considered = participants.get(&t.gen).copied().unwrap_or(0);
+        obs.emit(TraceEvent::Decision {
+            t: now,
+            decision: "trade".to_string(),
+            job: None,
+            user: Some(t.buyer),
+            chosen: format!(
+                "user:{} buys {:.3} gen:{} GPUs from user:{} at {:.3} base/fast",
+                t.buyer.index(),
+                t.fast_gpus,
+                t.gen.index(),
+                t.seller.index(),
+                t.price
+            ),
+            tie_break: "widest speedup gap first, then lowest user id".to_string(),
+            considered,
+            candidates: vec![
+                Candidate {
+                    label: format!("buyer user:{}", t.buyer.index()),
+                    score: t.buyer_speedup,
+                },
+                Candidate {
+                    label: format!("seller user:{}", t.seller.index()),
+                    score: t.seller_speedup,
+                },
+            ],
+            rejected: if users_total > considered {
+                vec![Rejection {
+                    reason: "idle_or_unprofiled".into(),
+                    count: users_total - considered,
+                }]
+            } else {
+                Vec::new()
+            },
+        });
     }
     trades
 }

@@ -96,6 +96,18 @@ pub struct FlapSpec {
     pub cycles: u32,
 }
 
+impl FlapSpec {
+    /// The instant the last cycle recovers, `first_fail + cycles · down +
+    /// (cycles − 1) · up`; `None` if that overflows.
+    pub fn last_recovery(&self) -> Option<SimTime> {
+        let cycles = u64::from(self.cycles);
+        let down = self.down.as_micros().checked_mul(cycles)?;
+        let up = self.up.as_micros().checked_mul(cycles.saturating_sub(1))?;
+        let micros = (self.first_fail.as_micros().checked_add(down)?).checked_add(up)?;
+        Some(SimTime::from_micros(micros))
+    }
+}
+
 /// An exact fault pinned to one migration attempt of one job.
 ///
 /// Scripted faults override the randomized draw for that (job, attempt)

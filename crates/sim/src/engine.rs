@@ -41,10 +41,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Safety limit on scheduling rounds; prevents schedulers that never place
-/// jobs from spinning forever in [`Simulation::run`]. [`Simulation::new`]
-/// also refuses arrivals later than this many quanta, so a hostile arrival
-/// time cannot make the engine fill the timeseries with empty windows.
+/// jobs from spinning forever in [`Simulation::run`]. It also bounds every
+/// arrival and scheduled event; see [`latest_event_time`].
 const MAX_ROUNDS: u64 = 10_000_000;
+
+/// The latest time a run accepts for an arrival or a scheduled event (a
+/// ticket change, a server failure or recovery, a fault-plan partition or
+/// flap): `MAX_ROUNDS` (ten million) quanta. The engine flushes one report
+/// window per `report_window` up to each event it reaches, so a later time
+/// would fill the timeseries with empty windows. [`Simulation::new`]
+/// rejects later arrivals; the event builders assert the bound.
+pub fn latest_event_time(config: &SimConfig) -> SimTime {
+    SimTime::from_micros(config.quantum.as_micros().saturating_mul(MAX_ROUNDS))
+}
 
 /// Headroom for sparse ids: job and user ids index dense tables, so
 /// [`Simulation::new`] accepts an id only below twice the number of jobs
@@ -239,7 +248,7 @@ impl Simulation {
             .collect();
         let trace_len = trace.len();
         let job_limit = 2 * trace_len + ID_SLACK;
-        let last_arrival = config.quantum.as_micros().saturating_mul(MAX_ROUNDS);
+        let last_arrival = latest_event_time(&config).as_micros();
         let mut job_slots = 0;
         let mut queue = EventQueue::new();
         let mut jobs = JobTable::new();
@@ -385,6 +394,18 @@ impl Simulation {
         self
     }
 
+    /// Panics unless `at` is at or before [`latest_event_time`]; `what`
+    /// names the event in the message.
+    fn assert_before_latest(&self, at: SimTime, what: &str) {
+        let latest = latest_event_time(&self.config);
+        assert!(
+            at <= latest,
+            "{what} at {} us is after the latest event time a run accepts ({} us)",
+            at.as_micros(),
+            latest.as_micros()
+        );
+    }
+
     /// Schedules a priority change: at `at`, `user`'s tickets become
     /// `tickets`. Ticket-reading schedulers (Gandiva_fair, the lottery) pick
     /// the change up at their next entitlement refresh; static partitioning
@@ -392,7 +413,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `tickets` is zero or the user is unknown.
+    /// Panics if `tickets` is zero, the user is unknown or `at` is after
+    /// [`latest_event_time`].
     pub fn with_ticket_change(
         mut self,
         user: gfair_types::UserId,
@@ -404,6 +426,7 @@ impl Simulation {
             self.users.iter().any(|u| u.id == user),
             "ticket change for unknown user {user}"
         );
+        self.assert_before_latest(at, "ticket change");
         self.queue.push(at, EventKind::TicketChange(user, tickets));
         self
     }
@@ -415,12 +438,14 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the server is unknown.
+    /// Panics if the server is unknown or `at` is after
+    /// [`latest_event_time`].
     pub fn with_server_failure(mut self, server: ServerId, at: SimTime) -> Self {
         assert!(
             server.index() < self.cluster.servers.len(),
             "failure for unknown server {server}"
         );
+        self.assert_before_latest(at, "server failure");
         self.queue.push(at, EventKind::ServerFail(server));
         self
     }
@@ -429,12 +454,14 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the server is unknown.
+    /// Panics if the server is unknown or `at` is after
+    /// [`latest_event_time`].
     pub fn with_server_recovery(mut self, server: ServerId, at: SimTime) -> Self {
         assert!(
             server.index() < self.cluster.servers.len(),
             "recovery for unknown server {server}"
         );
+        self.assert_before_latest(at, "server recovery");
         self.queue.push(at, EventKind::ServerRecover(server));
         self
     }
@@ -450,8 +477,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the plan fails [`FaultPlan::validate`] or references a
-    /// server the cluster does not have.
+    /// Panics if the plan fails [`FaultPlan::validate`], references a
+    /// server the cluster does not have, or ends a partition or a flap after
+    /// [`latest_event_time`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         let errs = plan.validate();
         assert!(errs.is_empty(), "invalid fault plan: {}", errs.join("; "));
@@ -462,8 +490,13 @@ impl Simulation {
                 "fault plan partitions unknown server {}",
                 w.server
             );
+            self.assert_before_latest(w.until, "fault plan partition end");
             self.queue.push(w.from, EventKind::PartitionStart(w.server));
             self.queue.push(w.until, EventKind::PartitionEnd(w.server));
+        }
+        for f in &plan.flaps {
+            let last = f.last_recovery().unwrap_or(SimTime::MAX);
+            self.assert_before_latest(last, "fault plan flap's last recovery");
         }
         let injector = FaultInjector::new(plan);
         for (at, server, is_failure) in injector.server_events() {
@@ -709,25 +742,24 @@ impl Simulation {
         // Eviction provenance: there is no alternative to evicting residents
         // of a dead server, so the "candidates" are the victims themselves.
         // Trace-only, like every Decision event: skipped without a sink.
-        for &job in &evicted {
-            if !self.obs.tracing() {
-                break;
+        if self.obs.tracing() {
+            for &job in &evicted {
+                let info = &self.jobs[job].info;
+                self.obs.emit(TraceEvent::Decision {
+                    t: self.now,
+                    decision: "eviction".to_string(),
+                    job: Some(job),
+                    user: Some(info.user),
+                    chosen: format!("evict from server:{}", server.index()),
+                    tie_break: "none (server failed)".to_string(),
+                    considered: 1,
+                    candidates: vec![gfair_obs::Candidate {
+                        label: format!("job:{}", job.index()),
+                        score: f64::from(info.gang),
+                    }],
+                    rejected: vec![],
+                });
             }
-            let info = &self.jobs[job].info;
-            self.obs.emit(TraceEvent::Decision {
-                t: self.now,
-                decision: "eviction".to_string(),
-                job: Some(job),
-                user: Some(info.user),
-                chosen: format!("evict from server:{}", server.index()),
-                tie_break: "none (server failed)".to_string(),
-                considered: 1,
-                candidates: vec![gfair_obs::Candidate {
-                    label: format!("job:{}", job.index()),
-                    score: f64::from(info.gang),
-                }],
-                rejected: vec![],
-            });
         }
         for &job in &evicted {
             if self.jobs[job].finishing {

@@ -42,7 +42,7 @@ pub mod report;
 pub mod sched;
 pub mod view;
 
-pub use engine::Simulation;
+pub use engine::{latest_event_time, Simulation};
 pub use job::{JobInfo, JobRecord};
 pub use jobset::JobSet;
 pub use report::{SimReport, WindowSample};

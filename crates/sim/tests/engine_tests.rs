@@ -2,8 +2,11 @@
 //! schedulers to exercise arrival/placement, time slicing, exact-time
 //! completion, migration, profiling, horizons, validation, and determinism.
 
+use gfair_faults::FaultPlan;
 use gfair_obs::{Obs, TraceEvent, ViolationKind};
-use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView, Simulation};
+use gfair_sim::{
+    latest_event_time, Action, ClusterScheduler, ProfileReport, RoundPlan, SimView, Simulation,
+};
 use gfair_types::{
     ClusterSpec, GenCatalog, GfairError, JobId, JobSpec, JobState, ModelProfile, ServerId,
     SimConfig, SimDuration, SimTime, UserId, UserSpec,
@@ -571,6 +574,50 @@ fn zero_ticket_user_is_rejected_at_construction() {
         matches!(&err, GfairError::InvalidConfig(m) if m.contains("user U1") && m.contains("zero tickets")),
         "{err}"
     );
+}
+
+/// Asserts that `build` panics with a message that starts with `what` and
+/// names the latest event time.
+fn assert_refused(what: &str, build: impl FnOnce() -> Simulation) {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+        .err()
+        .unwrap_or_else(|| panic!("{what} after the latest event time was accepted"));
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.starts_with(what) && msg.contains("after the latest event time"),
+        "{what}: {msg}"
+    );
+}
+
+#[test]
+fn events_after_the_latest_event_time_are_refused() {
+    // Scheduled events get the bound arrivals have. The engine flushes one
+    // report window per `report_window` up to each event it reaches, so a
+    // partition starting at 3·10^12 s used to exhaust memory.
+    let latest = latest_event_time(&config());
+    let after = latest + SimDuration::from_micros(1);
+    let s0 = ServerId::new(0);
+    let u0 = UserId::new(0);
+    let sim = || Simulation::new(mono_cluster(4), users(1), vec![], config()).unwrap();
+    let far = SimTime::from_secs(3_000_000_000_000);
+    let hour = SimDuration::from_secs(3600);
+    let minute = SimDuration::from_secs(60);
+    assert_refused("fault plan partition end", || {
+        sim().with_faults(FaultPlan::none().with_partition(s0, far, far + hour))
+    });
+    // Its last recovery overflows u64 microseconds.
+    assert_refused("fault plan flap", || {
+        sim().with_faults(FaultPlan::none().with_flap(s0, SimTime::ZERO, hour, hour, u32::MAX))
+    });
+    assert_refused("server failure", || sim().with_server_failure(s0, after));
+    assert_refused("server recovery", || sim().with_server_recovery(s0, after));
+    assert_refused("ticket change", || sim().with_ticket_change(u0, after, 5));
+    // The bound itself is accepted.
+    let plan = FaultPlan::none().with_flap(s0, latest - minute - minute, minute, minute, 1);
+    let _ = sim()
+        .with_faults(plan)
+        .with_server_failure(s0, latest)
+        .with_ticket_change(u0, latest, 5);
 }
 
 #[test]

@@ -31,12 +31,14 @@ echo "### cargo test"
 cargo test --workspace -q
 
 echo "### debug-build bursty placement smoke (placement oracle)"
-# Debug builds check every untraced placement against a full scan of the
-# same reachable servers. 40000 arrivals per hour on 800 servers put about
+# Debug builds check every placement, retry and balancer target against
+# the scorer's full scan of the same reachable servers. 40000 arrivals per hour on 800 servers put about
 # 670 placements in each round, so the least-loaded walk skips this round's
 # touched servers on nearly every pick; at 3000 per hour the walk's start
 # sits mid-order and finishes beyond it must pull it back. The failed
 # server moves resident loads between picks. A few seconds per policy.
+# The `--trace-full` run takes the same picks while building provenance for
+# every placement and retry, checked against the same oracle.
 for policy in gfair themis-ftf; do
     for rate in 40000 3000; do
         cargo run --quiet --bin gfair -- simulate --cluster homogeneous:800x8 \
@@ -44,6 +46,10 @@ for policy in gfair themis-ftf; do
             --median-mins 8 --horizon-hours 1 --fail 3@0-1 > /dev/null
     done
 done
+cargo run --quiet --bin gfair -- simulate --cluster homogeneous:800x8 \
+    --policy gfair --users 32 --jobs 12000 --jobs-per-hour 3000 \
+    --median-mins 8 --horizon-hours 1 --fail 3@0-1 \
+    --trace-full target/placement-smoke-full.jsonl > /dev/null
 
 echo "### shim tests"
 # Cargo.toml excludes the vendored shims from the workspace, so

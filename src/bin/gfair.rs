@@ -306,11 +306,25 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
     let sched_name = args.value_of("--scheduler").unwrap_or("gandiva-fair");
     let mut scheduler = make_scheduler(sched_name, args, &cluster, &users, seed, &obs)?;
+    let config = SimConfig::default().with_seed(seed);
+    let latest = gfair::sim::latest_event_time(&config);
+    let after_latest = |at: SimTime| {
+        format!(
+            "{} s, after the latest event time a run accepts ({} s)",
+            at.as_micros() / 1_000_000,
+            latest.as_micros() / 1_000_000
+        )
+    };
     let failure = match args.value_of("--fail") {
         Some(spec) => {
             let parsed = parse_failure(spec)?;
             if parsed.0.index() >= cluster.servers.len() {
                 return Err(format!("--fail: unknown server {}", parsed.0));
+            }
+            for at in [Some(parsed.1), parsed.2].into_iter().flatten() {
+                if at > latest {
+                    return Err(format!("--fail {spec}: event at {}", after_latest(at)));
+                }
             }
             Some(parsed)
         }
@@ -340,6 +354,25 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                     ));
                 }
             }
+            for (i, p) in plan.partitions.iter().enumerate() {
+                if p.until > latest {
+                    return Err(format!(
+                        "fault plan {path}: partition {i} (server {}) ends at {}",
+                        p.server,
+                        after_latest(p.until)
+                    ));
+                }
+            }
+            for (i, f) in plan.flaps.iter().enumerate() {
+                let last = f.last_recovery().unwrap_or(SimTime::MAX);
+                if last > latest {
+                    return Err(format!(
+                        "fault plan {path}: flap {i} (server {}) last recovers at {}",
+                        f.server,
+                        after_latest(last)
+                    ));
+                }
+            }
             Some(plan)
         }
         None if args.value_of("--fault-seed").is_some() => {
@@ -354,14 +387,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let mut sim = Simulation::new(
-        cluster,
-        users.clone(),
-        trace,
-        SimConfig::default().with_seed(seed),
-    )
-    .map_err(|e| e.to_string())?
-    .with_obs(Arc::clone(&obs));
+    let mut sim = Simulation::new(cluster, users.clone(), trace, config)
+        .map_err(|e| e.to_string())?
+        .with_obs(Arc::clone(&obs));
     if let Some((server, down, up)) = failure {
         sim = sim.with_server_failure(server, down);
         if let Some(up) = up {

@@ -1,7 +1,7 @@
 //! Command-line input checks: an out-of-range number, an unknown option, an
 //! option missing its value, a cluster too large to count, a fault plan that
-//! names a server the cluster lacks or has an unknown key, or a hostile
-//! trace given to `gfair simulate` must end the run with exit code 1 and an
+//! names a server the cluster lacks, has an unknown key or schedules an
+//! event too late, or a hostile trace given to `gfair simulate` must end the run with exit code 1 and an
 //! error that names the problem, before any simulation starts.
 
 use std::process::Command;
@@ -119,6 +119,51 @@ fn fault_plan_naming_an_unknown_server_exits_1() {
             "{what} must name the unknown server; stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn events_after_the_latest_event_time_exit_1() {
+    // The engine flushes one report window per `report_window` up to each
+    // event it reaches: this partition used to exhaust memory even with a
+    // two-hour horizon.
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let plans = [
+        (
+            "partition 0 (server S2) ends at 3000000003600 s",
+            r#"{"partitions": [{"server": 2, "from_secs": 3000000000000, "until_secs": 3000000003600}]}"#,
+        ),
+        (
+            "flap 0 (server S5) last recovers at 3000000000060 s",
+            r#"{"flaps": [{"server": 5, "first_fail_secs": 3000000000000, "down_secs": 60, "up_secs": 60, "cycles": 1}]}"#,
+        ),
+    ];
+    for (i, (message, plan)) in plans.into_iter().enumerate() {
+        let path = format!("{dir}/late_event_{i}.json");
+        std::fs::write(&path, plan).expect("write the fault plan");
+        let (code, stderr) = simulate(&[
+            "--cluster",
+            "paper",
+            "--users",
+            "4",
+            "--horizon-hours",
+            "2",
+            "--faults",
+            &path,
+        ]);
+        assert_eq!(code, Some(1), "{plan} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: fault plan")
+                && stderr.contains(message)
+                && stderr.contains("after the latest event time"),
+            "{plan} must name the entry; stderr: {stderr}"
+        );
+    }
+    let (code, stderr) = simulate(&["--fail", "1@2-200000", "--horizon-hours", "2"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: --fail 1@2-200000: event at 720000000 s, after"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

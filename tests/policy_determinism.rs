@@ -2,9 +2,11 @@
 //! `AllocPolicy` boundary must replay the same seed to a byte-identical
 //! `SimReport` and JSONL trace, lazy plan settling (the default, traced or
 //! not) must produce the same report and trace bytes as eager per-round
-//! planning, and attaching a trace sink must not change the schedule (the
-//! report apart from its observability summary). All runs are
-//! fault-injected, so the degraded-mode paths are exercised too.
+//! planning, and attaching a trace sink of either tier must not change the
+//! schedule (the report apart from its observability summary). A
+//! full-provenance trace is the default-tier trace plus the lines only that
+//! tier writes. All runs are fault-injected, so the degraded-mode paths are
+//! exercised too.
 
 use gfair::prelude::*;
 use std::sync::Arc;
@@ -17,12 +19,22 @@ struct Run {
     trace: Vec<u8>,
 }
 
+/// Which trace sink a run gets.
+#[derive(Clone, Copy, PartialEq)]
+enum Sink {
+    None,
+    /// The default tier (`Obs::jsonl`).
+    Lean,
+    /// The full-provenance tier (`Obs::jsonl_full`).
+    Full,
+}
+
 /// Runs one seeded, fault-injected simulation of `policy` under `cfg`,
-/// with a JSONL sink when `trace_tag` is set.
-fn run(policy: PolicyId, seed: u64, cfg: GfairConfig, trace_tag: Option<&str>) -> Run {
-    let path = trace_tag.map(|tag| {
+/// with a JSONL sink of tier `sink` tagged `trace_tag`.
+fn run(policy: PolicyId, seed: u64, cfg: GfairConfig, sink: Sink, trace_tag: &str) -> Run {
+    let path = (sink != Sink::None).then(|| {
         std::env::temp_dir().join(format!(
-            "gfair-policy-det-{}-{}-{tag}.jsonl",
+            "gfair-policy-det-{}-{}-{trace_tag}.jsonl",
             policy.name(),
             std::process::id()
         ))
@@ -35,8 +47,10 @@ fn run(policy: PolicyId, seed: u64, cfg: GfairConfig, trace_tag: Option<&str>) -
     params.median_service_mins = 30.0;
     let trace = TraceBuilder::new(params, seed).build(&users);
     let obs: SharedObs = Arc::new(Obs::new());
-    if let Some(path) = &path {
-        obs.jsonl(path).expect("trace file");
+    match (sink, &path) {
+        (Sink::Lean, Some(path)) => obs.jsonl(path).expect("trace file"),
+        (Sink::Full, Some(path)) => obs.jsonl_full(path).expect("trace file"),
+        _ => {}
     }
     // Checkpoint/restore failures and a partition window on top of the
     // outage: a failed or undeliverable placement must flow through the
@@ -76,13 +90,31 @@ fn run(policy: PolicyId, seed: u64, cfg: GfairConfig, trace_tag: Option<&str>) -
     }
 }
 
-/// Same-seed replay, lazy vs eager planning and traced vs untraced runs,
-/// all byte-identical for one policy.
+/// `trace` without the lines only the full-provenance tier writes: gang
+/// grants and the decisions built only when `Obs::why` holds (placements,
+/// retries, and the Gavel and Themis allocation rounds).
+fn without_full_tier_lines(trace: &[u8]) -> Vec<u8> {
+    let full_only = [
+        "{\"kind\":\"gang_packed\",",
+        "\"decision\":\"placement\",",
+        "\"decision\":\"retry\",",
+        "\"decision\":\"water-fill\",",
+        "\"decision\":\"ftf-auction\",",
+    ];
+    let text = std::str::from_utf8(trace).expect("UTF-8 trace");
+    text.split_inclusive('\n')
+        .filter(|line| !full_only.iter().any(|kind| line.contains(kind)))
+        .collect::<String>()
+        .into_bytes()
+}
+
+/// Same-seed replay, lazy vs eager planning, traced vs untraced runs and
+/// the two trace tiers, all byte-identical for one policy.
 fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
     let cfg = GfairConfig::default();
-    let base = run(policy, seed, cfg, Some("a"));
+    let base = run(policy, seed, cfg, Sink::Lean, "a");
     assert!(!base.trace.is_empty(), "{policy}: empty trace");
-    let again = run(policy, seed, cfg, Some("b"));
+    let again = run(policy, seed, cfg, Sink::Lean, "b");
     assert_eq!(
         base.report, again.report,
         "{policy}: same seed changed the report"
@@ -91,7 +123,7 @@ fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
         base.trace == again.trace,
         "{policy}: same seed changed the trace"
     );
-    let eager = run(policy, seed, cfg.without_lazy_planning(), Some("e"));
+    let eager = run(policy, seed, cfg.without_lazy_planning(), Sink::Lean, "e");
     assert_eq!(
         base.report, eager.report,
         "{policy}: lazy settling changed the traced report"
@@ -103,10 +135,26 @@ fn assert_policy_deterministic(policy: PolicyId, seed: u64) {
     // Decision provenance is built only for a sink, so the observability
     // summary counts those events on the traced run alone; everything the
     // schedule produced must match.
-    let untraced = run(policy, seed, cfg, None);
+    let untraced = run(policy, seed, cfg, Sink::None, "");
     assert_eq!(
         base.schedule, untraced.schedule,
         "{policy}: attaching a trace sink changed the schedule"
+    );
+    // Servers are chosen the same way in every tier; the full tier only
+    // adds provenance lines.
+    let full = run(policy, seed, cfg, Sink::Full, "f");
+    assert_eq!(
+        full.schedule, untraced.schedule,
+        "{policy}: full-provenance tracing changed the schedule"
+    );
+    let stripped = without_full_tier_lines(&full.trace);
+    assert!(
+        stripped.len() < full.trace.len(),
+        "{policy}: the full tier wrote no lines of its own"
+    );
+    assert!(
+        stripped == base.trace,
+        "{policy}: the full-provenance trace is not the default trace plus full-tier lines"
     );
 }
 
