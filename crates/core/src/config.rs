@@ -78,8 +78,9 @@ pub struct GfairConfig {
     /// 60 s · 2^(n-1) of exponential backoff.
     pub max_migration_retries: u32,
     /// Allow the round planner to settle servers lazily — re-plan only
-    /// servers whose residency, weights or quiescence span changed, serving
-    /// the rest from the cached selection. Purely a performance knob:
+    /// servers that were touched (residency, weights, a departing job) or
+    /// whose gangs did not all fit at their last settle, serving the rest
+    /// from the cached selection. Purely a performance knob:
     /// reports and traces are byte-identical either way (asserted by the
     /// differential tests).
     pub lazy_planning: bool,

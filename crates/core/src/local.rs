@@ -146,22 +146,26 @@ impl LocalScheduler {
         self.synced_version = departing.is_empty().then_some(version);
     }
 
-    /// Plans one quantum, returning the jobs to run on this server.
+    /// Plans one quantum, returning the jobs to run on this server in job-id
+    /// order. Stride decides which gangs share the quantum; the order of the
+    /// set is not a scheduling decision, so it is fixed to one that does not
+    /// depend on passes: an uncontended server then returns the same list
+    /// every round until its membership or weights change.
     pub fn plan(&mut self) -> Vec<JobId> {
-        self.split.plan_round().selected
+        let mut selected = self.split.plan_round().selected;
+        selected.sort_unstable();
+        selected
     }
 
-    /// How many consecutive quanta (up to `k`) this server would reproduce
-    /// `expected` — the selection the cached round plan holds for it —
-    /// verbatim, assuming residency and weights stay untouched. `0` declines.
-    /// Delegates to the underlying split-stride instance, which checks the
-    /// scan order differentially per replayed quantum.
-    pub fn quiescent_rounds(&self, expected: &[JobId], k: u64) -> u64 {
-        self.split.quiescent_rounds(expected, k)
+    /// Whether every job here fits the server at once, so every round runs
+    /// all of them (see [`gfair_stride::GangScheduler::fits_all`]).
+    pub fn fits_all(&self) -> bool {
+        self.split.fits_all()
     }
 
     /// Advances stride state by `j` quanta in one step, exactly as if
     /// [`plan`](Self::plan) had run `j` more times with unchanged inputs.
+    /// Requires [`fits_all`](Self::fits_all).
     pub fn fast_forward(&mut self, j: u64) {
         self.split.fast_forward(j);
     }

@@ -12,40 +12,36 @@
 //! - **graceful degradation** — a partitioned server keeps planning on the
 //!   weights it last received until it heals.
 //!
-//! ## Lazy settling (O(dirty-servers) planning)
+//! ## Lazy settling (O(touched-servers) planning)
 //!
 //! With `GfairConfig::lazy_planning` on (the default, traced or not), the
 //! planner runs in an incremental mode: instead of syncing and
 //! re-planning every server every round, it keeps the last selection per
 //! server (`cached_run`) and only *settles* — fast-forwards the lagging
-//! stride state, syncs, re-plans — servers that provably need it:
+//! stride state, syncs, re-plans — servers whose selection may differ from
+//! the cached one. Selections are in job-id order, so the invariant is
+//! simple: a server that was uncontended at its last settle (every gang fit
+//! at once, [`LocalScheduler::fits_all`]) runs all its jobs every round and
+//! reproduces its cached selection until something touches it. A round
+//! settles:
 //!
 //! * servers whose residency changed since the last round, discovered from
-//!   the sim index's bounded dirty ring ([`SimView::residency_dirty_since`]);
-//! * servers hosting a job departing this round (their selection must
-//!   exclude it, and they re-settle next round because the exclusion is
-//!   synthetic);
-//! * servers whose *quiescence span* expired: at each settle the planner
-//!   asks the local scheduler how many future rounds reproduce the fresh
-//!   selection verbatim ([`LocalScheduler::quiescent_rounds`], capped at
-//!   [`QUIESCENT_SPAN`]) and records `valid_until = round + span` in an
-//!   expiry queue. A cached selection is only ever reused strictly within
-//!   its span, so the replay is byte-identical to per-round planning.
+//!   the sim index's bounded dirty ring ([`SimView::residency_dirty_since`]),
+//!   or every server when the ring overflowed;
+//! * servers whose weights changed: those of generations whose refreshed
+//!   weight vector moved, and those that just dropped a stale snapshot;
+//! * hosts of jobs departing this round (their selection must exclude
+//!   them) and of jobs that departed last round (the exclusion is
+//!   synthetic: if the action was skipped, the job stays resident without
+//!   a dirty mark);
+//! * servers that were contended at their last settle: their selection
+//!   rotates with the passes, so they settle every round.
 //!
-//! Weight refreshes settle every server (the same cost the eager path pays
-//! every round), and an overflowed dirty ring falls back to a full settle.
-//! The span cap also bounds each settle's catch-up fast-forward, so no
-//! single round pays more than `O(span)` per touched server.
-//!
-//! The per-round bookkeeping is tree-free. The servers to settle and the
-//! departing hosts are collected into reused vectors, deduplicated by a
-//! per-server round stamp, and the settle list is sorted once so servers
-//! still settle in id order. The expiry queue is a lazily invalidated
-//! min-heap of `(valid_until, server)`: a re-settle pushes a fresh entry
-//! and leaves the old one in place, and an entry counts only while it
-//! equals the server's current `valid_until`. Stale entries are dropped
-//! when they reach the top, and the heap is rebuilt from the per-server
-//! spans once it grows past [`EXPIRY_SLACK`] entries per server.
+//! A settle first fast-forwards the server's stride state over the rounds
+//! it skipped. Those rounds ran every job on an uncontended server, and
+//! each client's pass and the global pass are independent accumulators, so
+//! the catch-up is exact for any lag. The settle list is deduplicated by
+//! sorting, so servers still settle in id order.
 //!
 //! Nothing the trace records depends on the mode: lazily settled servers
 //! hold stride passes that are stale between settles, and no pass leaves
@@ -57,35 +53,12 @@ use crate::local::LocalScheduler;
 use gfair_obs::{Phase, SharedObs};
 use gfair_sim::SimView;
 use gfair_types::{JobId, ServerId, UserId};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-
-/// Cap on the per-settle quiescence probe, and therefore on how far any
-/// server's stride state may lag behind the current round. Stable servers
-/// (one client, or none) re-settle only this often — an O(span) float
-/// replay amortizing to O(1) per round — while contended servers break the
-/// probe early and settle at their natural reorder cadence.
-const QUIESCENT_SPAN: u64 = 4096;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Floor for a user's per-server stride weight. A user who traded away an
 /// entire generation still gets a vanishing — but nonzero — weight there,
 /// so stranded jobs cannot deadlock.
 const MIN_WEIGHT: f64 = 1e-3;
-
-/// Floor for the adaptive per-settle probe budget (see
-/// [`RoundPlanner::plan_runs_lazy`]). The probe replays the stride scan
-/// round by round, so probing the full [`QUIESCENT_SPAN`] on a server that
-/// an arrival will dirty ten rounds later wastes the whole span's work; the
-/// planner instead probes about twice the server's observed settle-to-settle
-/// gap, clamped to `[QUIESCENT_MIN, QUIESCENT_SPAN]`, which grows
-/// geometrically on quiet servers and stays small on churning ones.
-const QUIESCENT_MIN: u64 = 16;
-
-/// Entries the lazy expiry heap may hold per server before it is rebuilt
-/// from the live spans. Every re-settle leaves one stale entry behind, so
-/// the rebuild's O(servers) cost is paid at most once per
-/// `(EXPIRY_SLACK - 1) × servers` settles.
-const EXPIRY_SLACK: usize = 4;
 
 /// Weight of `u` in an id-sorted per-server weight vec, if present.
 pub(crate) fn weight_lookup(weights: &[(UserId, f64)], u: UserId) -> Option<f64> {
@@ -168,25 +141,15 @@ pub(crate) struct RoundPlanner {
     weights: WeightCache,
     /// Rounds planned so far (lazy mode only).
     cur_round: u64,
-    /// Per-server `(settled_round, valid_until)` by `ServerId::index()`
-    /// (lazy mode): the round the server's local state was last settled at,
-    /// and the last round its cached selection is proven to reproduce.
-    meta: Vec<(u64, u64)>,
-    /// `(valid_until, server)` min-heap over `meta` — the next round any
-    /// server *must* settle is one past the smallest live entry. An entry is
-    /// live while it equals `meta[server].1`; stale ones are skipped when
-    /// they surface and the top is always live between rounds.
-    expiry: BinaryHeap<Reverse<(u64, ServerId)>>,
+    /// Per-server `(settled_round, contended)` by `ServerId::index()` (lazy
+    /// mode): the round the server's local state was last settled at, and
+    /// whether its gangs overcommitted it then.
+    meta: Vec<(u64, bool)>,
+    /// Servers that must settle next round (lazy mode): those contended at
+    /// this round's settle and hosts of this round's departing jobs.
+    recheck: Vec<ServerId>,
     /// Servers to settle this round (lazy mode), reused across rounds.
     to_settle: Vec<ServerId>,
-    /// Hosts of this round's departing jobs (lazy mode), reused across
-    /// rounds.
-    departing_hosts: Vec<ServerId>,
-    /// Per-server round stamps deduplicating `to_settle` and
-    /// `departing_hosts`, by `ServerId::index()`: a server is listed in
-    /// round `r` iff its stamp is `r`.
-    settle_stamp: Vec<u64>,
-    host_stamp: Vec<u64>,
     /// Consumed position in the sim index's residency dirty ring.
     dirty_cursor: u64,
     /// Last settled selection per server, nonempty selections only — the run
@@ -210,13 +173,10 @@ impl RoundPlanner {
                     LocalScheduler::new(s.id, s.num_gpus)
                 })
                 .collect();
-            // Lazy-settling state: every server starts unsettled (valid
-            // through round 0), so the first planned round settles them all.
-            let len = self.locals.len();
-            self.meta = vec![(0, 0); len];
-            self.settle_stamp = vec![0; len];
-            self.host_stamp = vec![0; len];
-            self.rebuild_expiry();
+            // Lazy-settling state: the first planned round settles every
+            // server.
+            self.meta = vec![(0, false); self.locals.len()];
+            self.recheck = self.locals.iter().map(LocalScheduler::server).collect();
         }
     }
 
@@ -269,11 +229,11 @@ impl RoundPlanner {
     /// same on every call of a run.
     ///
     /// Eager mode touches every server; lazy mode (see the module docs)
-    /// settles only dirty, departing-host and span-expired servers and
-    /// serves the rest from `cached_run`. Both modes produce byte-identical
-    /// run maps: they run the same per-server step in server-id order, and a
-    /// cached selection is only reused strictly within its proven
-    /// quiescence span.
+    /// settles only the servers whose selection may have changed and serves
+    /// the rest from `cached_run`. Both modes produce byte-identical run
+    /// maps: they run the same per-server step in server-id order, and a
+    /// cached selection is only reused on a server that runs all its jobs
+    /// every round.
     pub fn plan_runs(
         &mut self,
         view: &SimView<'_>,
@@ -313,12 +273,10 @@ impl RoundPlanner {
         run
     }
 
-    /// The lazy-settling round: drain the residency dirty ring, settle the
-    /// union of dirty, weight-changed, departing-host and span-expired
-    /// servers (every server on ring overflow), and return the cached run
-    /// map. `refreshed` and `dropped` carry the weight-dirtiness inputs:
-    /// generations whose refreshed vector really changed, and servers whose
-    /// stale snapshot was just dropped.
+    /// The lazy-settling round: settle the servers the module docs list
+    /// and return the cached run map. `refreshed` and `dropped` carry the
+    /// weight-dirtiness inputs: generations whose refreshed vector really
+    /// changed, and servers whose stale snapshot was just dropped.
     fn plan_runs_lazy(
         &mut self,
         view: &SimView<'_>,
@@ -329,143 +287,82 @@ impl RoundPlanner {
     ) -> BTreeMap<ServerId, Vec<JobId>> {
         let r = self.cur_round + 1;
         self.cur_round = r;
-        let mut settle_all = false;
         let mut to_settle = std::mem::take(&mut self.to_settle);
         to_settle.clear();
-        let settle_stamp = &mut self.settle_stamp;
-        let mut mark = |server: ServerId| {
-            let stamp = &mut settle_stamp[server.index()];
-            if *stamp != r {
-                *stamp = r;
-                to_settle.push(server);
-            }
-        };
+        to_settle.append(&mut self.recheck);
         match view.residency_dirty_since(self.dirty_cursor) {
-            Some(dirty) => dirty.for_each(&mut mark),
-            None => settle_all = true,
+            Some(dirty) => to_settle.extend(dirty),
+            None => to_settle.extend(view.cluster().servers.iter().map(|s| s.id)),
         }
         self.dirty_cursor = view.residency_dirty_seq();
-        // Weight-dirty servers: every server of a generation whose refreshed
-        // weight vector actually changed, plus healed servers that just
-        // dropped a stale snapshot. Refreshes that converge to bit-identical
+        // Weight-dirty servers. Refreshes that converge to bit-identical
         // vectors (the common case at steady state) dirty nothing here.
         let changed_gens = &self.weights.changed_gens;
         if refreshed && changed_gens.iter().any(|&c| c) {
-            for s in &view.cluster().servers {
-                if changed_gens.get(s.gen.index()).copied().unwrap_or(true) {
-                    mark(s.id);
-                }
-            }
+            to_settle.extend(
+                (view.cluster().servers.iter())
+                    .filter(|s| changed_gens.get(s.gen.index()).copied().unwrap_or(true))
+                    .map(|s| s.id),
+            );
         }
-        dropped.iter().copied().for_each(&mut mark);
-        // Hosts of departing jobs must exclude them from this round's
-        // selection. (A job being *placed* this round has no host yet; its
-        // target server turns dirty once the action applies.)
-        let mut departing_hosts = std::mem::take(&mut self.departing_hosts);
-        departing_hosts.clear();
+        to_settle.extend(dropped.iter().copied());
+        // Hosts of departing jobs settle now and again next round. (A job
+        // being *placed* this round has no host yet; its target server
+        // turns dirty once the action applies.)
+        let recheck = &mut self.recheck;
         for &j in departing {
             if let Some(server) = view.job(j).and_then(|info| info.server) {
-                let stamp = &mut self.host_stamp[server.index()];
-                if *stamp != r {
-                    *stamp = r;
-                    departing_hosts.push(server);
-                    mark(server);
-                }
-            }
-        }
-        // Expired spans. Popping stale entries on the way is harmless: they
-        // no longer count.
-        while let Some(&Reverse((vu, server))) = self.expiry.peek() {
-            if vu >= r {
-                break;
-            }
-            self.expiry.pop();
-            if self.meta[server.index()].1 == vu {
-                mark(server);
+                to_settle.push(server);
+                recheck.push(server);
             }
         }
         to_settle.sort_unstable();
+        to_settle.dedup();
         let locals = &mut self.locals;
         let meta = &mut self.meta;
-        let expiry = &mut self.expiry;
         let cached = &mut self.cached_run;
         let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
-            // Catch the local state up to the previous round (the cached
-            // selection replays verbatim across the lag by the quiescence
-            // guarantee), re-derive, and re-probe the new span.
-            let mut settle = |local: &mut LocalScheduler| {
-                let server = local.server();
-                let m = &mut meta[server.index()];
-                let lag = (r - 1).saturating_sub(m.0);
+            for &server in &to_settle {
+                let (local, m) = (&mut locals[server.index()], &mut meta[server.index()]);
+                // Catch up to the previous round: a server skipped since
+                // its last settle ran every job in each round it skipped.
+                let lag = (r - 1) - m.0;
                 if lag > 0 {
                     local.fast_forward(lag);
                 }
                 let selected = weights.sync_and_plan(local, view, departing, refreshed, dropped);
-                // Adaptive probe budget: ~2x the settle-to-settle gap (see
-                // `QUIESCENT_MIN`). The budget only decides how far ahead
-                // the replay guarantee is *sought*, never how it is used, so
-                // any budget schedule yields byte-identical plans.
-                let gap = r.saturating_sub(m.0).max(1);
-                let cap = (gap.saturating_mul(2)).clamp(QUIESCENT_MIN, QUIESCENT_SPAN);
-                let span = local.quiescent_rounds(&selected, cap);
-                let vu = r + span;
-                expiry.push(Reverse((vu, server)));
-                *m = (r, vu);
+                *m = (r, !local.fits_all());
+                if m.1 {
+                    recheck.push(server);
+                }
                 if selected.is_empty() {
                     cached.remove(&server);
                 } else {
                     cached.insert(server, selected);
                 }
-            };
-            if settle_all {
-                locals.iter_mut().for_each(&mut settle);
-            } else {
-                for &server in &to_settle {
-                    if let Some(local) = locals.get_mut(server.index()) {
-                        settle(local);
-                    }
-                }
-            }
-            // A departing job's exclusion is synthetic: if the action is
-            // skipped (raced a fault), the job stays resident without a
-            // dirty mark, so its host's fresh span must not outlive this
-            // round — force a re-settle next round.
-            for &server in &departing_hosts {
-                let m = &mut meta[server.index()];
-                if m.1 > r {
-                    expiry.push(Reverse((r, server)));
-                    m.1 = r;
-                }
             }
         });
         self.to_settle = to_settle;
-        self.departing_hosts = departing_hosts;
-        // Keep the top live, so it is the minimum over `meta` (checked
-        // below), and bound the stale entries.
-        while let Some(&Reverse((vu, server))) = self.expiry.peek() {
-            if self.meta[server.index()].1 == vu {
-                break;
-            }
-            self.expiry.pop();
-        }
-        if self.expiry.len() > EXPIRY_SLACK * self.meta.len() {
-            self.rebuild_expiry();
-        }
+        // Oracle for the invariant: every server left unsettled holds its
+        // resident jobs and runs all of them, in id order, every round.
         #[cfg(debug_assertions)]
-        {
-            let heap_min = self.expiry.peek().map(|&Reverse((vu, _))| vu);
-            let meta_min = self.meta.iter().map(|m| m.1).min();
-            debug_assert_eq!(heap_min, meta_min, "expiry heap diverged from meta");
+        for (local, &(settled, contended)) in self.locals.iter().zip(&self.meta) {
+            if settled < r {
+                let server = local.server();
+                assert!(!contended, "{server} is contended but was left unsettled");
+                let jobs: Vec<JobId> = local.jobs().collect();
+                let mut resident: Vec<JobId> = view.resident(server).collect();
+                resident.sort_unstable();
+                assert_eq!(
+                    jobs, resident,
+                    "{server} was left unsettled off its residency"
+                );
+                let run = self.cached_run.get(&server).map_or(&[][..], Vec::as_slice);
+                assert_eq!(run, &jobs[..], "{server}'s cached run is stale");
+            }
         }
         self.cached_run.clone()
-    }
-
-    /// Rebuilds the expiry heap from `meta`: one live entry per server.
-    fn rebuild_expiry(&mut self) {
-        self.expiry = (self.meta.iter().enumerate())
-            .map(|(i, m)| Reverse((m.1, ServerId::new(i as u32))))
-            .collect();
     }
 }
 
@@ -477,63 +374,51 @@ mod tests {
     use gfair_types::{ClusterSpec, JobSpec, ModelProfile, SimConfig, SimTime, UserSpec};
     use std::sync::Arc;
 
-    /// Places job `j` on server `j` and plans every round through a lazy
-    /// planner, checking the expiry heap after each round. With
-    /// `depart_all`, every job is reported departing every round: each host
-    /// settles with a fresh span and has it cut back to the current round,
-    /// so the span it settled with stays behind as a stale entry *above*
-    /// the live minimum. Otherwise the weights flip between two ticket
-    /// splits every round: every server re-settles with a span one round
-    /// later than its last, so the stale entries sit *below* the live ones
-    /// and surface at the top.
-    struct Churn {
+    /// Places each job on the server its spec names and plans every round
+    /// through a lazy planner, logging the per-server `(settled_round,
+    /// contended)` and the run map after each round. With `flip`, user 0's
+    /// tickets double every other round, so every server's weights change
+    /// every round.
+    struct Lazy {
         planner: RoundPlanner,
         obs: SharedObs,
-        depart_all: bool,
-        rounds: u64,
-        max_len: usize,
+        hosts: Vec<ServerId>,
+        tickets: Vec<u64>,
+        flip: bool,
+        log: Vec<Logged>,
     }
 
-    impl ClusterScheduler for Churn {
+    /// One round of [`Lazy`]'s log: the planner's `meta`, then the run map.
+    type Logged = (Vec<(u64, bool)>, BTreeMap<ServerId, Vec<JobId>>);
+
+    impl ClusterScheduler for Lazy {
         fn name(&self) -> &'static str {
-            "expiry-churn"
+            "lazy-planner"
         }
 
         fn on_job_arrival(&mut self, _view: &SimView<'_>, job: JobId) -> Vec<Action> {
-            let server = ServerId::new(job.raw());
+            let server = self.hosts[job.index()];
             vec![Action::Place { job, server }]
         }
 
         fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
             self.planner.ensure_init(view);
-            let refresh = self.rounds == 0 || !self.depart_all;
+            let round = self.log.len() as u64;
+            let refresh = round == 0 || self.flip;
             if refresh {
-                let split = [
-                    (UserId::new(0), 100 + self.rounds % 2 * 100),
-                    (UserId::new(1), 100),
-                ];
+                let split: Vec<(UserId, u64)> = (self.tickets.iter().enumerate())
+                    .map(|(u, &t)| {
+                        (
+                            UserId::new(u as u32),
+                            t << (u == 0 && round % 2 == 1) as u32,
+                        )
+                    })
+                    .collect();
                 let ent = Entitlements::base(&view.cluster().gpus_per_gen(), &split);
                 self.planner.refresh_weights(view, &ent);
             }
-            self.rounds += 1;
-            let departing: BTreeSet<JobId> = if self.depart_all {
-                view.active_jobs().map(|j| j.id).collect()
-            } else {
-                BTreeSet::new()
-            };
-            let run = (self.planner).plan_runs(view, &departing, refresh, true, &self.obs);
-            let expiry = &self.planner.expiry;
-            let bound = EXPIRY_SLACK * view.cluster().servers.len();
-            assert!(
-                expiry.len() <= bound,
-                "heap holds {}, bound {bound}",
-                expiry.len()
-            );
-            let Some(&Reverse((vu, server))) = expiry.peek() else {
-                panic!("empty expiry heap");
-            };
-            assert_eq!(self.planner.meta[server.index()].1, vu, "stale top");
-            self.max_len = self.max_len.max(expiry.len());
+            let run = (self.planner).plan_runs(view, &BTreeSet::new(), refresh, true, &self.obs);
+            self.log.push((self.planner.meta.clone(), run.clone()));
             RoundPlan {
                 run,
                 actions: Vec::new(),
@@ -541,93 +426,100 @@ mod tests {
         }
     }
 
-    /// Runs [`Churn`] on four single-job servers for six simulated hours,
-    /// with a JSONL sink on the shared pipeline when `traced`.
-    fn churn(depart_all: bool, traced: bool) -> Churn {
-        let servers = 4;
+    /// Runs `jobs`, each `(user, gang width, service seconds, server)`, on
+    /// three 8-GPU servers for two simulated hours, users holding
+    /// `tickets`, with a JSONL sink on the shared pipeline when `traced`.
+    fn run(jobs: &[(u32, u32, f64, u32)], tickets: &[u64], flip: bool, traced: bool) -> Lazy {
         let model = Arc::new(ModelProfile::with_default_overheads("m", vec![1.0]));
-        let trace = (0..servers)
-            .map(|j| {
-                let user = UserId::new(j % 2);
-                JobSpec::new(
-                    JobId::new(j),
-                    user,
-                    Arc::clone(&model),
-                    1,
-                    1e6,
-                    SimTime::ZERO,
-                )
+        let trace = (jobs.iter().enumerate())
+            .map(|(j, &(user, width, service, _))| {
+                let (job, user) = (JobId::new(j as u32), UserId::new(user));
+                JobSpec::new(job, user, Arc::clone(&model), width, service, SimTime::ZERO)
             })
             .collect();
         let obs: SharedObs = Arc::new(Obs::new());
         let path = std::env::temp_dir().join(format!(
-            "gfair-planner-churn-{depart_all}-{}.jsonl",
+            "gfair-planner-lazy-{flip}-{traced}-{}.jsonl",
             std::process::id()
         ));
         if traced {
             obs.jsonl(&path).expect("trace file");
         }
+        let users = UserSpec::equal_users(tickets.len() as u32, 100);
         let sim = Simulation::new(
-            ClusterSpec::homogeneous(servers, 4),
-            UserSpec::equal_users(2, 100),
+            ClusterSpec::homogeneous(3, 8),
+            users,
             trace,
             SimConfig::default(),
         )
         .unwrap()
         .with_obs(Arc::clone(&obs));
-        let mut churn = Churn {
+        let mut lazy = Lazy {
             planner: RoundPlanner::new(),
             obs,
-            depart_all,
-            rounds: 0,
-            max_len: 0,
+            hosts: jobs.iter().map(|j| ServerId::new(j.3)).collect(),
+            tickets: tickets.to_vec(),
+            flip,
+            log: Vec::new(),
         };
-        sim.run_until(&mut churn, SimTime::from_secs(6 * 3600))
+        sim.run_until(&mut lazy, SimTime::from_secs(2 * 3600))
             .unwrap();
         let _ = std::fs::remove_file(&path);
-        assert_eq!(churn.obs.tracing(), traced);
-        // Every round went through the lazy path's bookkeeping.
-        assert_eq!(churn.planner.cur_round, churn.rounds);
-        assert!(churn.rounds > 10 * QUIESCENT_MIN, "{} rounds", churn.rounds);
-        churn
+        assert_eq!(lazy.obs.tracing(), traced);
+        assert_eq!(lazy.planner.cur_round, lazy.log.len() as u64);
+        lazy
     }
 
     #[test]
-    fn expiry_heap_compacts_within_its_bound() {
-        // Each round leaves one stale entry per server that lives for
-        // `QUIESCENT_MIN` rounds, more than the heap may hold: it must have
-        // been rebuilt to stay within the bound checked every round.
-        assert!(QUIESCENT_MIN as usize > EXPIRY_SLACK);
-        let churn = churn(true, false);
-        assert!(
-            churn.max_len > (EXPIRY_SLACK - 1) * 4,
-            "heap never approached its bound (max {})",
-            churn.max_len
-        );
-    }
-
-    #[test]
-    fn expiry_heap_top_stays_live_when_spans_grow() {
-        // Every round's settles leave the previous spans below the new ones;
-        // the round must pop them so the top is live.
-        let churn = churn(false, false);
-        assert!(
-            churn.max_len <= 4,
-            "stale entries kept: max {}",
-            churn.max_len
-        );
+    fn uncontended_servers_settle_once_until_touched() {
+        // Server 0 holds gangs of 1, 4 and 3 GPUs of users with 100, 300
+        // and 200 tickets: all fit its 8 GPUs, and their passes start in
+        // the order 1, 2, 0 and cross within the first rounds. Job 0
+        // finishes after about an hour, touching the server once. Server 1
+        // holds two 5-GPU gangs that cannot run together; server 2 is idle.
+        let jobs = [
+            (0, 1, 3000.0, 0),
+            (1, 4, 1e6, 0),
+            (2, 3, 1e6, 0),
+            (0, 5, 1e6, 1),
+            (1, 5, 1e6, 1),
+        ];
+        let lazy = run(&jobs, &[100, 300, 200], false, false);
+        let (s0, s1, s2) = (ServerId::new(0), ServerId::new(1), ServerId::new(2));
+        let mut settles = BTreeSet::new();
+        let mut finished = false;
+        for (i, (meta, run)) in lazy.log.iter().enumerate() {
+            let round = i as u64 + 1;
+            settles.insert(meta[0].0);
+            assert!(!meta[0].1, "round {round}: server 0 flagged contended");
+            let ids: Vec<u32> = run[&s0].iter().map(|j| j.raw()).collect();
+            finished |= ids == [1, 2];
+            let want: &[u32] = if finished { &[1, 2] } else { &[0, 1, 2] };
+            assert_eq!(ids, want, "round {round}: server 0's run");
+            assert_eq!(meta[1], (round, true), "round {round}: server 1");
+            assert_eq!(run[&s1].len(), 1, "round {round}: server 1 runs one gang");
+            assert_eq!(meta[2].0, 1, "round {round}: the idle server re-settled");
+            assert!(!run.contains_key(&s2));
+        }
+        assert!(finished, "job 0 never finished");
+        assert!(lazy.log.len() > 100, "{} rounds", lazy.log.len());
+        // The first round and the round job 0 finished: nothing else.
+        assert_eq!(settles.len(), 2, "server 0 settled in rounds {settles:?}");
     }
 
     #[test]
     fn traced_runs_settle_lazily() {
         // A trace sink does not change the planning mode: the lazy
-        // bookkeeping runs every round and every server is settled at least
-        // once past the first round.
-        let churn = churn(false, true);
-        let meta = &churn.planner.meta;
-        assert!(
-            meta.iter().all(|&(settled, _)| settled > 1),
-            "servers never re-settled: {meta:?}"
-        );
+        // bookkeeping runs every round, and weights that change every round
+        // settle every server every round.
+        let jobs = [(0, 1, 1e6, 0), (1, 2, 1e6, 1)];
+        let lazy = run(&jobs, &[100, 100], true, true);
+        for (i, (meta, _)) in lazy.log.iter().enumerate() {
+            let round = i as u64 + 1;
+            assert!(
+                meta.iter().all(|&(settled, _)| settled == round),
+                "round {round}: {meta:?}"
+            );
+        }
     }
 }

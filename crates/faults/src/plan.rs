@@ -108,6 +108,11 @@ impl FlapSpec {
     }
 }
 
+/// The most flap cycles, summed over its flaps, a plan may hold. Each cycle
+/// queues a failure and a recovery event when the run starts, so this
+/// bounds the up-front event queue at two hundred thousand events.
+const MAX_FLAP_CYCLES: u64 = 100_000;
+
 /// An exact fault pinned to one migration attempt of one job.
 ///
 /// Scripted faults override the randomized draw for that (job, attempt)
@@ -274,7 +279,17 @@ impl FaultPlan {
                 ));
             }
         }
-        for f in &self.flaps {
+        let mut cycles = 0u64;
+        for (i, f) in self.flaps.iter().enumerate() {
+            let before = cycles;
+            cycles += u64::from(f.cycles);
+            if before <= MAX_FLAP_CYCLES && cycles > MAX_FLAP_CYCLES {
+                errs.push(format!(
+                    "flap {i} (server {}) brings the plan to {cycles} flap cycles, more than the \
+                     {MAX_FLAP_CYCLES} a plan may hold",
+                    f.server
+                ));
+            }
             if f.cycles == 0 {
                 errs.push(format!("flap for {} has zero cycles", f.server));
             }
@@ -591,6 +606,26 @@ mod tests {
         assert!(plan.validate().iter().any(|e| e.contains("partition")));
         let plan = FaultPlan::default().with_scripted(JobId::new(1), 1, FaultKind::Partition);
         assert!(plan.validate().iter().any(|e| e.contains("scripted")));
+    }
+
+    #[test]
+    fn flap_cycles_are_capped_over_the_whole_plan() {
+        let flap = |plan: FaultPlan, server: u32, cycles: u32| {
+            let (t, d) = (SimTime::from_secs(60), SimDuration::from_secs(1));
+            plan.with_flap(ServerId::new(server), t, d, d, cycles)
+        };
+        let cap = MAX_FLAP_CYCLES as u32;
+        let at_cap = flap(flap(FaultPlan::default(), 0, cap - 10), 3, 10);
+        assert!(at_cap.validate().is_empty(), "{:?}", at_cap.validate());
+        let over = flap(flap(FaultPlan::default(), 0, cap - 10), 3, 11);
+        let errs = over.validate();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(
+            errs[0].starts_with("flap 1 (server S3) brings the plan to 100001 flap cycles"),
+            "{errs:?}"
+        );
+        // Only the flap that crosses the cap is named.
+        assert_eq!(flap(over, 1, 5).validate(), errs);
     }
 
     #[test]

@@ -1,15 +1,10 @@
-//! Fairness indices and ideal-share computation.
+//! Fairness indices.
 //!
 //! Fairness in Gandiva_fair is judged on *entitlement-normalized service*:
 //! each user's received GPU time divided by what their tickets entitle them
 //! to. A perfectly fair scheduler gives every active user the same
 //! normalized service, yielding a Jain index of 1.0 and a max-min ratio of
 //! 1.0.
-//!
-//! Because a user cannot consume more GPUs than their jobs' total gang width,
-//! the proper ideal is *weighted water-filling* (capped max-min): shares are
-//! ticket-proportional, any share above a user's cap is redistributed to the
-//! others. [`water_filling`] computes that ideal.
 
 /// Jain's fairness index of a set of non-negative values.
 ///
@@ -109,77 +104,6 @@ pub fn normalized_shares(received: &[f64], entitled: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Weighted water-filling: distributes `capacity` among clients with the
-/// given `weights`, capping each client at its `caps` value and
-/// redistributing surplus proportionally to the remaining weights.
-///
-/// This is the capped max-min ideal: the allocation a perfectly fair,
-/// work-conserving scheduler would produce when client `i` can consume at
-/// most `caps[i]`.
-///
-/// Returns the per-client allocation. Total allocated equals
-/// `min(capacity, sum of caps over positively-weighted clients)`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or any weight or cap is negative.
-///
-/// # Examples
-///
-/// ```
-/// use gfair_metrics::water_filling;
-///
-/// // Two equal-weight users; the first can only use 1 GPU.
-/// let alloc = water_filling(4.0, &[1.0, 1.0], &[1.0, 8.0]);
-/// assert_eq!(alloc, vec![1.0, 3.0]);
-/// ```
-pub fn water_filling(capacity: f64, weights: &[f64], caps: &[f64]) -> Vec<f64> {
-    assert_eq!(weights.len(), caps.len(), "weights and caps must align");
-    assert!(
-        weights.iter().all(|&w| w >= 0.0) && caps.iter().all(|&c| c >= 0.0),
-        "weights and caps must be non-negative"
-    );
-    let n = weights.len();
-    let mut alloc = vec![0.0; n];
-    if n == 0 || capacity <= 0.0 {
-        return alloc;
-    }
-    let mut open: Vec<usize> = (0..n)
-        .filter(|&i| caps[i] > 0.0 && weights[i] > 0.0)
-        .collect();
-    let fillable: f64 = open.iter().map(|&i| caps[i]).sum();
-    let mut remaining = capacity.min(fillable);
-    // Iteratively fill: give each open client its weight share; clients that
-    // hit their cap close and their surplus is re-divided. Terminates in at
-    // most n iterations because each pass closes at least one client (or
-    // nobody hits a cap and we finish).
-    while remaining > 1e-12 && !open.is_empty() {
-        let total_w: f64 = open.iter().map(|&i| weights[i]).sum();
-        debug_assert!(total_w > 0.0, "open clients always hold weight");
-        let mut closed_any = false;
-        let mut consumed = 0.0;
-        for &i in &open {
-            let fair = remaining * weights[i] / total_w;
-            let headroom = caps[i] - alloc[i];
-            if fair >= headroom - 1e-12 {
-                alloc[i] += headroom;
-                consumed += headroom;
-                closed_any = true;
-            }
-        }
-        if closed_any {
-            open.retain(|&i| caps[i] - alloc[i] > 1e-12);
-            remaining -= consumed;
-        } else {
-            for &i in &open {
-                alloc[i] += remaining * weights[i] / total_w;
-            }
-            remaining = 0.0;
-        }
-    }
-    alloc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,49 +168,6 @@ mod tests {
     fn normalized_shares_length_mismatch_panics() {
         let _ = normalized_shares(&[1.0], &[1.0, 2.0]);
     }
-
-    #[test]
-    fn water_filling_uncapped_is_proportional() {
-        let alloc = water_filling(12.0, &[1.0, 2.0, 3.0], &[100.0, 100.0, 100.0]);
-        assert!((alloc[0] - 2.0).abs() < 1e-9);
-        assert!((alloc[1] - 4.0).abs() < 1e-9);
-        assert!((alloc[2] - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn water_filling_redistributes_capped_surplus() {
-        let alloc = water_filling(4.0, &[1.0, 1.0], &[1.0, 8.0]);
-        assert_eq!(alloc, vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn water_filling_cascading_caps() {
-        // Equal weights, caps 1, 2, 100 with capacity 9: first two cap out,
-        // the third takes the rest.
-        let alloc = water_filling(9.0, &[1.0, 1.0, 1.0], &[1.0, 2.0, 100.0]);
-        assert!((alloc[0] - 1.0).abs() < 1e-9);
-        assert!((alloc[1] - 2.0).abs() < 1e-9);
-        assert!((alloc[2] - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn water_filling_respects_total_caps() {
-        let alloc = water_filling(100.0, &[1.0, 1.0], &[2.0, 3.0]);
-        assert_eq!(alloc, vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn water_filling_zero_capacity() {
-        assert_eq!(water_filling(0.0, &[1.0], &[5.0]), vec![0.0]);
-        assert_eq!(water_filling(5.0, &[], &[]), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn water_filling_zero_weight_client_gets_nothing() {
-        let alloc = water_filling(4.0, &[0.0, 1.0], &[5.0, 5.0]);
-        assert_eq!(alloc[0], 0.0);
-        assert!((alloc[1] - 4.0).abs() < 1e-9);
-    }
 }
 
 #[cfg(test)]
@@ -295,36 +176,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Water-filling conserves capacity: total allocated equals
-        /// min(capacity, total caps), and no client exceeds its cap.
-        #[test]
-        fn water_filling_conserves_and_caps(
-            capacity in 0.0f64..100.0,
-            rows in proptest::collection::vec((0.1f64..10.0, 0.0f64..20.0), 1..8),
-        ) {
-            let weights: Vec<f64> = rows.iter().map(|r| r.0).collect();
-            let caps: Vec<f64> = rows.iter().map(|r| r.1).collect();
-            let alloc = water_filling(capacity, &weights, &caps);
-            let total: f64 = alloc.iter().sum();
-            let expect = capacity.min(caps.iter().sum());
-            prop_assert!((total - expect).abs() < 1e-6, "total {total} expect {expect}");
-            for (a, c) in alloc.iter().zip(&caps) {
-                prop_assert!(*a <= c + 1e-9);
-                prop_assert!(*a >= -1e-12);
-            }
-        }
-
-        /// Water-filling is max-min: an uncapped client never gets less than
-        /// a same-weight capped client.
-        #[test]
-        fn water_filling_is_monotone_in_caps(
-            capacity in 1.0f64..50.0,
-            cap_small in 0.1f64..5.0,
-        ) {
-            let alloc = water_filling(capacity, &[1.0, 1.0], &[cap_small, 1e9]);
-            prop_assert!(alloc[1] >= alloc[0] - 1e-9);
-        }
-
         /// Jain index is always in (0, 1].
         #[test]
         fn jain_in_unit_interval(values in proptest::collection::vec(0.0f64..100.0, 1..20)) {

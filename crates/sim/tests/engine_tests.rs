@@ -606,8 +606,9 @@ fn events_after_the_latest_event_time_are_refused() {
         sim().with_faults(FaultPlan::none().with_partition(s0, far, far + hour))
     });
     // Its last recovery overflows u64 microseconds.
+    let long = SimDuration::from_micros(u64::MAX / 4);
     assert_refused("fault plan flap", || {
-        sim().with_faults(FaultPlan::none().with_flap(s0, SimTime::ZERO, hour, hour, u32::MAX))
+        sim().with_faults(FaultPlan::none().with_flap(s0, SimTime::ZERO, long, long, 3))
     });
     assert_refused("server failure", || sim().with_server_failure(s0, after));
     assert_refused("server recovery", || sim().with_server_recovery(s0, after));

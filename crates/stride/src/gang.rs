@@ -386,89 +386,33 @@ impl<K: Copy + Ord> GangScheduler<K> {
         }
     }
 
-    /// Returns how many consecutive rounds (at most `k`) the next calls to
-    /// [`plan_round`](Self::plan_round) would select exactly `expected`, in
-    /// that order. Does not mutate any state.
-    ///
-    /// Quiescence requires every runnable client to fit the server at once
-    /// (then the selection *set* is trivially stable) and the `(pass, key)`
-    /// scan order to survive each round's pass advance. Order matters, not
-    /// just membership: the selection order fixes the exact sequence of
-    /// float operations a caller performs per selected client, so an order
-    /// rotation ends the replayable span even though the same clients run.
-    ///
-    /// The returned `j` is the guarantee backing
-    /// [`fast_forward`](Self::fast_forward): `fast_forward(j)` then leaves
-    /// the scheduler byte-identical to `j` calls of `plan_round`.
-    pub fn quiescent_rounds(&self, expected: &[K], k: u64) -> u64 {
-        if k == 0 {
-            return 0;
-        }
-        if self.order.is_empty() {
-            // Nothing runnable: every round selects nothing and changes
-            // nothing, so any horizon replays trivially.
-            return if expected.is_empty() { k } else { 0 };
-        }
-        if self.order.len() != expected.len() {
-            return 0;
-        }
-        // Scratch copies of (pass, per-round delta, key) in scan order. The
-        // delta `stride() * quanta` is recomputed identically by every naive
-        // round (tickets and width are untouched between rounds), so
-        // repeated `pass += delta` reproduces the naive float sequence
-        // bit-for-bit.
-        let mut entries: Vec<(f64, f64, K)> = Vec::with_capacity(expected.len());
-        let mut width = 0u64;
-        for (&(Pass(pass), key), &exp) in self.order.iter().zip(expected.iter()) {
-            if key != exp {
-                return 0;
-            }
-            let c = self.client(key).expect("ordered client exists");
-            width += c.width as u64;
-            entries.push((pass, c.stride() * self.policy.quanta(c.width), key));
-        }
-        if width > self.capacity as u64 {
-            // Contended server: skipped clients sink toward the minimum and
-            // reshape the selection, so no round is safely replayable.
-            return 0;
-        }
-        // Round 1 replays `expected` as-is; each further round requires the
-        // advanced passes to preserve the strict (pass, key) scan order.
-        let mut j = 1u64;
-        'span: while j < k {
-            for e in entries.iter_mut() {
-                e.0 += e.1;
-            }
-            for w in entries.windows(2) {
-                let (pa, _, ka) = w[0];
-                let (pb, _, kb) = w[1];
-                if pa.total_cmp(&pb).then(ka.cmp(&kb)) != std::cmp::Ordering::Less {
-                    break 'span;
-                }
-            }
-            j += 1;
-        }
-        j
+    /// Returns true when every runnable client fits the server at once.
+    /// Every round then selects all of them, whatever their passes, until
+    /// membership, tickets or runnability change; this is the precondition
+    /// of [`fast_forward`](Self::fast_forward).
+    pub fn fits_all(&self) -> bool {
+        let width: u64 = (self.clients.iter())
+            .filter(|(_, c)| c.runnable)
+            .map(|(_, c)| u64::from(c.width))
+            .sum();
+        width <= u64::from(self.capacity)
     }
 
-    /// Replays `j` quiescent rounds in one step.
+    /// Replays `j` rounds in one step.
     ///
-    /// The caller must have verified `j <=`
-    /// [`quiescent_rounds`](Self::quiescent_rounds) for the current state.
-    /// Under that precondition the post-call state (client passes, order
-    /// index, global pass) is byte-identical to calling
-    /// [`plan_round`](Self::plan_round) `j` times: each client's pass is an
-    /// independent accumulator receiving the same `j` additions of the same
-    /// delta, and the global pass receives the same `j` additions because
-    /// the GPU-quanta dispensed per round are identical across the span.
+    /// The caller must have checked [`fits_all`](Self::fits_all). Under that
+    /// precondition the post-call state (client passes, order index, global
+    /// pass) is bit-identical to calling [`plan_round`](Self::plan_round) `j`
+    /// times: every round selects every runnable client, each client's pass
+    /// is an independent accumulator receiving the same `j` additions of the
+    /// same delta, and the global pass receives the same `j` additions
+    /// because every round dispenses the same GPU-quanta. Passes may cross
+    /// on the way, so the scan order is re-sorted once at the end.
     pub fn fast_forward(&mut self, j: u64) {
+        debug_assert!(self.fits_all(), "fast_forward on a contended server");
         if j == 0 || self.order.is_empty() {
             return;
         }
-        // Advance every runnable client in place. Within a granted span the
-        // scan order survives each round, so the table stays sorted; the
-        // sort only restores the invariant if the caller broke the
-        // precondition, and is a linear check otherwise.
         let mut used = 0u32;
         for e in self.order.iter_mut() {
             let i = slot(&self.clients, e.1).expect("ordered client exists");
@@ -862,6 +806,24 @@ mod tests {
         assert_eq!(oa, ob, "order index diverged");
     }
 
+    /// Steps `g` through `j` rounds, checking that each selects every
+    /// runnable client (compared as sets: the scan order may rotate), and
+    /// returns how many rounds rotated the scan order.
+    fn step_selecting_all(g: &mut GangScheduler<u32>, j: u64) -> u64 {
+        let scan = |g: &GangScheduler<u32>| g.order.iter().map(|&(_, k)| k).collect::<Vec<_>>();
+        let mut all = scan(g);
+        all.sort_unstable();
+        let mut rotations = 0;
+        for _ in 0..j {
+            let before = scan(g);
+            let mut got = g.plan_round().selected;
+            got.sort_unstable();
+            assert_eq!(got, all, "a round left a fitting client out");
+            rotations += u64::from(scan(g) != before);
+        }
+        rotations
+    }
+
     #[test]
     fn fast_forward_matches_stepping_for_all_policies() {
         for policy in [
@@ -869,75 +831,62 @@ mod tests {
             GangPolicy::JobLevelStride,
             GangPolicy::StrictNoBackfill,
         ] {
-            // All gangs fit at once (3+2+4+1 = 10 <= 16), so rounds are
-            // quiescent until the scan order rotates.
+            // All gangs fit at once (3+2+4+1+2 = 12 <= 16). Client 4 has the
+            // largest per-round delta under every policy but sits out 500
+            // rounds first, so its pass overtakes the others' hundreds to
+            // thousands of rounds after it resumes.
             let mut a = GangScheduler::new(16, policy);
-            for (id, (t, w)) in [(130.0, 3u32), (70.0, 2), (100.0, 4), (55.5, 1)]
+            for (id, (t, w)) in [(130.0, 3u32), (70.0, 2), (100.0, 4), (55.5, 1), (40.0, 2)]
                 .into_iter()
                 .enumerate()
             {
                 a.join(id as u32, t, w);
             }
+            a.set_runnable(4, false);
+            step_selecting_all(&mut a, 500);
+            a.set_runnable(4, true);
             let mut b = a.clone();
-            let mut ff_total = 0u64;
-            for _ in 0..30 {
-                // A naive round yields the cached plan each span replays;
-                // when the scan order rotated, the probe returns 0 and the
-                // next naive round re-caches — exactly the engine's loop.
-                let cached = a.plan_round().selected;
-                assert_eq!(b.plan_round().selected, cached, "{policy:?}");
-                let j = a.quiescent_rounds(&cached, 50);
-                assert!(j <= 50);
+            let mut rotations = 0;
+            for j in [1, 2, 7, 50, 333, 2999] {
+                assert!(a.fits_all(), "{policy:?}");
                 a.fast_forward(j);
-                for _ in 0..j {
-                    assert_eq!(b.plan_round().selected, cached, "{policy:?}");
-                }
+                rotations += step_selecting_all(&mut b, j);
                 assert_state_eq(&a, &b);
-                ff_total += j;
             }
-            // All gangs fit, so deltas are constant and pairwise pass gaps
-            // are monotonic: the order settles after finitely many swaps and
-            // long spans must have been granted.
             assert!(
-                ff_total >= 100,
-                "spans too short to exercise batching ({policy:?}: {ff_total})"
+                rotations >= 3,
+                "{policy:?}: the scan order rotated only {rotations} times"
             );
         }
     }
 
     #[test]
-    fn quiescent_rounds_declines_contended_servers() {
+    fn fits_all_counts_runnable_gangs_only() {
         let mut g = GangScheduler::new(4, GangPolicy::GangAware);
+        assert!(g.fits_all(), "an empty server");
         g.join(0, 100.0, 3);
+        assert!(g.fits_all());
         g.join(1, 100.0, 3);
-        let cached = g.plan_round().selected;
-        assert_eq!(g.quiescent_rounds(&cached, 100), 0);
+        assert!(!g.fits_all(), "3 + 3 GPUs on a 4-GPU server");
+        g.set_runnable(1, false);
+        assert!(g.fits_all(), "a suspended gang does not compete");
+        g.set_runnable(1, true);
+        assert!(g.leave(0));
+        assert!(g.fits_all());
     }
 
     #[test]
-    fn quiescent_rounds_declines_mismatched_plans() {
-        let mut g = GangScheduler::new(8, GangPolicy::GangAware);
-        g.join(0, 100.0, 2);
-        g.join(1, 100.0, 2);
-        let _ = g.plan_round();
-        assert_eq!(g.quiescent_rounds(&[1, 0], 10), 0, "wrong order");
-        assert_eq!(g.quiescent_rounds(&[0], 10), 0, "wrong membership");
-        assert_eq!(g.quiescent_rounds(&[], 10), 0, "empty vs runnable");
-    }
-
-    #[test]
-    fn empty_scheduler_is_quiescent_forever() {
+    fn fast_forward_without_runnable_clients_changes_nothing() {
         let mut g = GangScheduler::<u32>::new(4, GangPolicy::GangAware);
-        assert_eq!(g.quiescent_rounds(&[], 42), 42);
         g.fast_forward(42);
         assert!(g.plan_round().selected.is_empty());
         // Suspended-only populations behave like empty ones.
         g.join(0, 100.0, 1);
         g.set_runnable(0, false);
-        let before = g.pass_of(0).unwrap().to_bits();
-        assert_eq!(g.quiescent_rounds(&[], 7), 7);
+        let before = g.clone();
         g.fast_forward(7);
-        assert_eq!(g.pass_of(0).unwrap().to_bits(), before);
+        assert_state_eq(&g, &before);
+        assert!(g.plan_round().selected.is_empty());
     }
 }
 
@@ -1063,15 +1012,16 @@ mod proptests {
             }
         }
 
-        /// Differential oracle: wherever `quiescent_rounds` grants a span,
-        /// `fast_forward` must land on the byte-identical state that naive
-        /// stepping produces, for every policy and random population.
+        /// Differential oracle: whenever every runnable client fits,
+        /// `fast_forward(j)` must land on the bit-identical state that `j`
+        /// naive rounds produce, for every policy and random population.
+        /// Clients sit out a random number of warm-up rounds first, so their
+        /// passes start apart and may cross anywhere in the span.
         #[test]
         fn fast_forward_is_byte_identical_to_stepping(
-            pop in proptest::collection::vec((1u32..500, 1u32..6), 1..8),
-            capacity in 4u32..32,
-            warmup in 0usize..10,
-            k in 1u64..200,
+            pop in proptest::collection::vec((1u32..500, 1u32..6, 0u64..400), 1..8),
+            spare in 0u32..8,
+            j in 1u64..3000,
             policy_ix in 0usize..3,
         ) {
             let policy = [
@@ -1079,39 +1029,48 @@ mod proptests {
                 GangPolicy::JobLevelStride,
                 GangPolicy::StrictNoBackfill,
             ][policy_ix];
+            let capacity = pop.iter().map(|&(_, w, _)| w).sum::<u32>() + spare;
             let mut a = GangScheduler::new(capacity, policy);
-            for (i, &(t, w)) in pop.iter().enumerate() {
-                a.join(i as u32, t as f64 + 0.25, w.min(capacity));
+            for (i, &(t, w, _)) in pop.iter().enumerate() {
+                a.join(i as u32, t as f64 + 0.25, w);
             }
-            let mut b = a.clone();
-            for _ in 0..warmup {
+            let warmup = pop.iter().map(|&(_, _, idle)| idle).max().unwrap_or(0);
+            for round in 0..=warmup {
+                for (i, &(_, _, idle)) in pop.iter().enumerate() {
+                    a.set_runnable(i as u32, round >= idle);
+                }
                 let _ = a.plan_round();
-                let _ = b.plan_round();
             }
-            let cached = a.plan_round().selected;
-            prop_assert_eq!(&b.plan_round().selected, &cached);
-            let j = a.quiescent_rounds(&cached, k);
-            prop_assert!(j <= k);
+            prop_assert!(a.fits_all());
+            let mut b = a.clone();
             a.fast_forward(j);
+            let all: Vec<u32> = (0..pop.len() as u32).collect();
             for _ in 0..j {
-                prop_assert_eq!(&b.plan_round().selected, &cached);
+                let mut got = b.plan_round().selected;
+                got.sort_unstable();
+                prop_assert_eq!(&got, &all);
             }
             let sa: Vec<_> = a.iter().map(|(c, t, w, p)| (c, t.to_bits(), w, p.to_bits())).collect();
             let sb: Vec<_> = b.iter().map(|(c, t, w, p)| (c, t.to_bits(), w, p.to_bits())).collect();
             prop_assert_eq!(sa, sb);
             prop_assert_eq!(a.global_pass.to_bits(), b.global_pass.to_bits());
-            // And the next naive round agrees on both sides.
+            let oa: Vec<_> = a.order.iter().map(|&(Pass(p), c)| (p.to_bits(), c)).collect();
+            let ob: Vec<_> = b.order.iter().map(|&(Pass(p), c)| (p.to_bits(), c)).collect();
+            prop_assert_eq!(oa, ob);
+            // And the next naive round agrees on both sides, in scan order.
             prop_assert_eq!(a.plan_round().selected, b.plan_round().selected);
         }
 
         /// Differential oracle for the sorted tables: random join, leave,
         /// ticket, runnability, planning and fast-forward sequences must
-        /// select in the same order, and leave bit-identical passes, as a
-        /// reference that re-sorts every client by `(pass, key)` each round.
+        /// select in the same order (the same set, over a fast-forward of a
+        /// server whose runnable clients all fit), and leave bit-identical
+        /// passes, as a reference that re-sorts every client by
+        /// `(pass, key)` each round.
         #[test]
         fn sorted_tables_match_a_resorting_reference(
             ops in proptest::collection::vec(
-                (0u32..10, 0u32..8, 1u32..500, 1u32..9, proptest::bool::ANY, 0u64..40),
+                (0u32..10, 0u32..8, 1u32..500, 1u32..9, proptest::bool::ANY, 0u64..400),
                 1..120,
             ),
             capacity in 1u32..12,
@@ -1124,7 +1083,6 @@ mod proptests {
             ][policy_ix];
             let mut g = GangScheduler::new(capacity, policy);
             let mut r = Reference { capacity, policy, clients: Vec::new(), global_pass: 0.0, total_tickets: 0.0 };
-            let mut cached: Vec<u32> = Vec::new();
             for (step, &(kind, key, tickets, width, flag, k)) in ops.iter().enumerate() {
                 let known = r.clients.iter().any(|c| c.0 == key);
                 let tickets = tickets as f64 + 0.5;
@@ -1144,15 +1102,17 @@ mod proptests {
                         r.set_runnable(key, flag);
                     }
                     4..=6 => {
-                        cached = g.plan_round().selected;
-                        prop_assert_eq!(&cached, &r.plan_round(), "step {}", step);
+                        let got = g.plan_round().selected;
+                        prop_assert_eq!(&got, &r.plan_round(), "step {}", step);
                     }
-                    7..=9 => {
-                        let j = g.quiescent_rounds(&cached, k);
-                        prop_assert!(j <= k);
-                        g.fast_forward(j);
-                        for _ in 0..j {
-                            prop_assert_eq!(&r.plan_round(), &cached, "step {}", step);
+                    7..=9 if g.fits_all() => {
+                        g.fast_forward(k);
+                        let mut all: Vec<u32> = r.scan_order().iter().map(|&i| r.clients[i].0).collect();
+                        all.sort_unstable();
+                        for _ in 0..k {
+                            let mut got = r.plan_round();
+                            got.sort_unstable();
+                            prop_assert_eq!(&got, &all, "step {}", step);
                         }
                     }
                     _ => {}

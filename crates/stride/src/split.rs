@@ -224,18 +224,16 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
         self.inner.plan_round()
     }
 
-    /// Returns how many consecutive rounds (at most `k`) the next calls to
-    /// [`plan_round`](Self::plan_round) would select exactly `expected`, in
-    /// that order (see [`GangScheduler::quiescent_rounds`]). The user-level
-    /// currency is only touched by membership and weight changes, never by
-    /// planning, so quiescence is decided entirely by the inner gang
-    /// scheduler.
-    pub fn quiescent_rounds(&self, expected: &[J], k: u64) -> u64 {
-        self.inner.quiescent_rounds(expected, k)
+    /// Returns true when every runnable job fits the server at once (see
+    /// [`GangScheduler::fits_all`]). The user-level currency is only touched
+    /// by membership and weight changes, never by planning, so this is
+    /// decided entirely by the inner gang scheduler.
+    pub fn fits_all(&self) -> bool {
+        self.inner.fits_all()
     }
 
-    /// Replays `j` quiescent rounds in one step (see
-    /// [`GangScheduler::fast_forward`]).
+    /// Replays `j` rounds in one step; requires
+    /// [`fits_all`](Self::fits_all) (see [`GangScheduler::fast_forward`]).
     pub fn fast_forward(&mut self, j: u64) {
         self.inner.fast_forward(j)
     }
@@ -484,6 +482,8 @@ mod tests {
 
     #[test]
     fn fast_forward_delegates_to_inner_scheduler() {
+        // Three jobs of two users on 8 GPUs (2+1+3 fit): every round runs
+        // all of them, so any fast-forward must equal stepping.
         let mut a = SplitStride::new(8, GangPolicy::GangAware);
         a.set_user_weight(0, 100.0);
         a.set_user_weight(1, 60.0);
@@ -491,14 +491,13 @@ mod tests {
         a.add_job(0, 2, 1);
         a.add_job(1, 3, 3);
         let mut b = a.clone();
-        let mut ff_total = 0u64;
-        for _ in 0..20 {
-            let cached = a.plan_round().selected;
-            assert_eq!(b.plan_round().selected, cached);
-            let j = a.quiescent_rounds(&cached, 40);
+        for j in [1, 40, 2500] {
+            assert!(a.fits_all());
             a.fast_forward(j);
             for _ in 0..j {
-                assert_eq!(b.plan_round().selected, cached);
+                let mut got = b.plan_round().selected;
+                got.sort_unstable();
+                assert_eq!(got, vec![1, 2, 3]);
             }
             for jid in [1, 2, 3] {
                 assert_eq!(
@@ -507,9 +506,11 @@ mod tests {
                     "job {jid} pass diverged"
                 );
             }
-            ff_total += j;
         }
-        assert!(ff_total >= 1, "all jobs fit: some span must be granted");
+        assert_eq!(a.plan_round(), b.plan_round());
+        // A fourth job overcommits the server.
+        a.add_job(1, 4, 3);
+        assert!(!a.fits_all());
     }
 
     #[test]

@@ -99,6 +99,17 @@ cargo run --release -p gfair-bench --bin bench_sim -- \
 cargo run --release -p gfair-bench --bin bench_sim -- \
     --verify --only 5000gpu --policy themis-ftf
 
+echo "### long-horizon equivalence gate (200 GPUs, 52 h, policy zoo)"
+# Lazy settling lets an uncontended server's stride state lag until
+# something touches it, however many rounds that takes. The 5000-GPU gate
+# covers about 280 rounds; this scale runs about 3000, clean and faulted,
+# so long catch-up fast-forwards are byte-compared against per-round
+# planning too. Under a second per policy.
+for policy in gfair gavel-hetero themis-ftf; do
+    cargo run --release -p gfair-bench --bin bench_sim -- \
+        --verify --only 200gpu-long --policy "$policy"
+done
+
 echo "### repo benchmark smoke (all four workloads, 1/50 size)"
 # About 1/50 of each BENCHMARK.json workload, all three policies: checks
 # the auditor, the accounting identities and that report digests match

@@ -1,8 +1,9 @@
 //! Command-line input checks: an out-of-range number, an unknown option, an
 //! option missing its value, a cluster too large to count, a fault plan that
-//! names a server the cluster lacks, has an unknown key or schedules an
-//! event too late, or a hostile trace given to `gfair simulate` must end the run with exit code 1 and an
-//! error that names the problem, before any simulation starts.
+//! names a server the cluster lacks, has an unknown key, schedules an event
+//! too late or asks for too many flap cycles, or a hostile trace given to
+//! `gfair simulate` must end the run with exit code 1 and an error that names
+//! the problem, before any simulation starts.
 
 use std::process::Command;
 
@@ -162,6 +163,33 @@ fn events_after_the_latest_event_time_exit_1() {
     assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(
         stderr.starts_with("error: --fail 1@2-200000: event at 720000000 s, after"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn flap_cycles_over_the_cap_exit_1() {
+    // Every flap cycle queues two events when the run starts, whatever the
+    // horizon: this plan used to peak near 100 MB for a one-hour run.
+    let path = format!("{}/million_flap_cycles.json", env!("CARGO_TARGET_TMPDIR"));
+    let plan = r#"{"flaps": [{"server": 5, "first_fail_secs": 60, "down_secs": 1, "up_secs": 1, "cycles": 1000000}]}"#;
+    std::fs::write(&path, plan).expect("write the fault plan");
+    let (code, stderr) = simulate(&[
+        "--cluster",
+        "paper",
+        "--users",
+        "4",
+        "--jobs",
+        "20",
+        "--horizon-hours",
+        "1",
+        "--faults",
+        &path,
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: parsing fault plan")
+            && stderr.contains("flap 0 (server S5) brings the plan to 1000000 flap cycles"),
         "stderr: {stderr}"
     );
 }

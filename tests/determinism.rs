@@ -59,8 +59,8 @@ fn run_untraced(seed: u64, cfg: GfairConfig) -> String {
 
 #[test]
 fn lazy_planning_is_byte_identical_to_eager() {
-    // Lazy settling replays each server's cached selection strictly within
-    // its proven quiescence span, so it must produce the same report
+    // Lazy settling reuses a server's cached selection only while all its
+    // gangs fit and nothing touches it, so it must produce the same report
     // byte-for-byte — including across a failure/recovery cycle.
     let base = GfairConfig::default();
     let eager = run_untraced(7, base.without_lazy_planning());
