@@ -64,9 +64,12 @@ fn main() {
         "est V100x",
     ]);
     for e in &entries {
+        let model = profiler
+            .model_id(&e.model.name)
+            .expect("zoo model in trace");
         let est = |g| {
             profiler
-                .speedup(&e.model.name, g, base)
+                .speedup(model, g, base)
                 .map(|s| format!("{s:.2}"))
                 .unwrap_or_else(|| "-".into())
         };

@@ -35,7 +35,7 @@ use crate::placement::{load_order, score, ChoiceWhy, TIE_BREAK_LOAD};
 use crate::profiler::Profiler;
 use gfair_obs::{Candidate, Obs, Phase};
 use gfair_sim::{Action, JobInfo, SimView};
-use gfair_types::{GenId, JobId, ServerId, SimTime, UserId};
+use gfair_types::{GenId, JobId, ModelId, ServerId, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Load-spread threshold of pass 4: a generation is rebalanced only while
@@ -337,7 +337,7 @@ impl<'a, 'v> Planner<'a, 'v> {
     /// exactly as the former full active-job scan did.
     fn profiling_pass(&mut self, profiler: &Profiler) {
         let view = self.view;
-        let mut missing_by_model: BTreeMap<&std::sync::Arc<str>, Vec<GenId>> = BTreeMap::new();
+        let mut missing_by_model: BTreeMap<ModelId, Vec<GenId>> = BTreeMap::new();
         let mut probe_jobs: BTreeSet<JobId> = BTreeSet::new();
         for (model, jobs) in view.active_models() {
             let unprofiled = profiler.unprofiled_gens(model);
@@ -349,7 +349,7 @@ impl<'a, 'v> Planner<'a, 'v> {
         if missing_by_model.is_empty() {
             return;
         }
-        let mut sent_models: BTreeSet<&std::sync::Arc<str>> = BTreeSet::new();
+        let mut sent_models: BTreeSet<ModelId> = BTreeSet::new();
         let mut sent = 0u32;
         for &id in &probe_jobs {
             if self.budget == 0 || sent >= 2 {
@@ -358,7 +358,7 @@ impl<'a, 'v> Planner<'a, 'v> {
             let Some(job) = view.job(id) else {
                 continue;
             };
-            if !self.eligible(job) || sent_models.contains(&job.model) {
+            if !self.eligible(job) || sent_models.contains(&job.model_id) {
                 continue;
             }
             let Some(cur_server) = job.server else {
@@ -367,12 +367,12 @@ impl<'a, 'v> Planner<'a, 'v> {
             let cur_gen = view.cluster().server(cur_server).gen;
             // Only consider gens this job could actually run on, and prefer
             // the fastest unprofiled one (most valuable information).
-            let unprofiled = &missing_by_model[&job.model];
+            let unprofiled = &missing_by_model[&job.model_id];
             let Some(&gen) = unprofiled.iter().rfind(|&&g| g != cur_gen) else {
                 continue;
             };
             if let Some(to) = self.target(gen, job.gang) {
-                sent_models.insert(&job.model);
+                sent_models.insert(job.model_id);
                 self.push_move(job, to, Reason::Target("profiling", gen));
                 sent += 1;
             }

@@ -218,15 +218,16 @@ mod tests {
             .run_until(&mut sched, SimTime::from_secs(4 * 3600))
             .unwrap();
         let profiler = sched.profiler().unwrap();
+        let model = profiler.model_id("learnme").unwrap();
         // The job was migrated around until every generation was profiled.
         for g in 0..3u32 {
             assert!(
-                profiler.is_profiled("learnme", GenId::new(g)),
+                profiler.is_profiled(model, GenId::new(g)),
                 "generation {g} never profiled"
             );
         }
         let s = profiler
-            .speedup("learnme", GenId::new(2), GenId::new(0))
+            .speedup(model, GenId::new(2), GenId::new(0))
             .unwrap();
         assert!((s - 4.0).abs() < 0.5, "V100 speedup estimate {s}");
     }

@@ -9,7 +9,6 @@
 use gfair_sim::SimView;
 use gfair_stride::{GangPolicy, SplitStride};
 use gfair_types::{JobId, ServerId, UserId};
-use std::collections::BTreeSet;
 
 /// The time-slicing scheduler of one server.
 #[derive(Debug, Clone)]
@@ -25,9 +24,9 @@ pub struct LocalScheduler {
     user_scratch: Vec<UserId>,
     /// Residency version (see [`SimView::residency_version`]) this scheduler
     /// last fully synchronized against, when that sync is known to have left
-    /// membership equal to the server's resident set (no departing jobs were
-    /// excluded). `None` forces the next [`sync`](Self::sync) down the full
-    /// path.
+    /// membership equal to the server's resident set (none of its jobs were
+    /// excluded as departing). `None` forces the next [`sync`](Self::sync)
+    /// down the full path.
     synced_version: Option<u64>,
 }
 
@@ -64,14 +63,15 @@ impl LocalScheduler {
     }
 
     /// Synchronizes membership with the simulator's residency view and
-    /// applies per-user `weights`, excluding `departing` jobs (ones the
-    /// central scheduler decided to migrate away this round).
+    /// applies per-user `weights`, excluding `departing`: the jobs hosted
+    /// here that the central scheduler decided to move this round, sorted by
+    /// id. Departing jobs elsewhere do not concern this server.
     ///
     /// `weights_dirty` tells the scheduler whether any user weight may have
-    /// changed since the previous sync. When weights are clean, no job is
-    /// departing, and the server's residency version is unchanged, the whole
-    /// sync is a no-op by construction — membership and weights would both
-    /// be re-derived to exactly their current values — so it returns
+    /// changed since the previous sync. When weights are clean, no job here
+    /// is departing, and the server's residency version is unchanged, the
+    /// whole sync is a no-op by construction — membership and weights would
+    /// both be re-derived to exactly their current values — so it returns
     /// immediately. This fast path carries most rounds at scale: only the
     /// few servers an arrival, finish or migration touched re-derive.
     ///
@@ -83,7 +83,7 @@ impl LocalScheduler {
     pub fn sync(
         &mut self,
         view: &SimView<'_>,
-        departing: &BTreeSet<JobId>,
+        departing: &[JobId],
         mut weight_of: impl FnMut(UserId) -> f64,
         weights_dirty: bool,
     ) {
@@ -98,7 +98,7 @@ impl LocalScheduler {
         desired.clear();
         desired.extend(
             view.resident(self.server)
-                .filter(|j| !departing.contains(j)),
+                .filter(|j| departing.binary_search(j).is_err()),
         );
         desired.sort_unstable();
         // Drop jobs that left (finished or migrated away).
@@ -199,7 +199,7 @@ mod tests {
             let weights = self.weights.clone();
             self.local.sync(
                 view,
-                &BTreeSet::new(),
+                &[],
                 |u| {
                     weights
                         .iter()

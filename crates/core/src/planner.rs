@@ -17,13 +17,16 @@
 //! With `GfairConfig::lazy_planning` on (the default, traced or not), the
 //! planner runs in an incremental mode: instead of syncing and
 //! re-planning every server every round, it keeps the last selection per
-//! server (`cached_run`) and only *settles* — fast-forwards the lagging
+//! server (`selections`) and only *settles* — fast-forwards the lagging
 //! stride state, syncs, re-plans — servers whose selection may differ from
-//! the cached one. Selections are in job-id order, so the invariant is
+//! the kept one. Selections are in job-id order, so the invariant is
 //! simple: a server that was uncontended at its last settle (every gang fit
 //! at once, [`LocalScheduler::fits_all`]) runs all its jobs every round and
-//! reproduces its cached selection until something touches it. A round
-//! settles:
+//! reproduces its kept selection until something touches it. The round's
+//! plan is then the changes-only form of [`RoundPlan`]: it lists the
+//! servers settled this round, each with its new selection (an empty one
+//! included), and the engine keeps running every other server's last set.
+//! The eager path sends the full form. A round settles:
 //!
 //! * servers whose residency changed since the last round, discovered from
 //!   the sim index's bounded dirty ring ([`SimView::residency_dirty_since`]),
@@ -51,7 +54,7 @@
 use crate::entitlement::Entitlements;
 use crate::local::LocalScheduler;
 use gfair_obs::{Phase, SharedObs};
-use gfair_sim::SimView;
+use gfair_sim::{RoundPlan, SimView};
 use gfair_types::{JobId, ServerId, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,15 +98,16 @@ struct WeightCache {
 
 impl WeightCache {
     /// One server's round step, shared by the eager and lazy paths: sync
-    /// `local` on the weights its server plans on, then plan its selection.
-    /// `refreshed` says whether the cache was rebuilt since the last round
-    /// and `dropped` holds the servers whose stale snapshot was just
-    /// dropped.
+    /// `local` on the weights its server plans on, excluding `departing`
+    /// (this round's departing jobs hosted there, id-sorted), then plan its
+    /// selection. `refreshed` says whether the cache was rebuilt since the
+    /// last round and `dropped` holds the servers whose stale snapshot was
+    /// just dropped.
     fn sync_and_plan(
         &self,
         local: &mut LocalScheduler,
         view: &SimView<'_>,
-        departing: &BTreeSet<JobId>,
+        departing: &[JobId],
         refreshed: bool,
         dropped: &BTreeSet<ServerId>,
     ) -> Vec<JobId> {
@@ -152,9 +156,14 @@ pub(crate) struct RoundPlanner {
     to_settle: Vec<ServerId>,
     /// Consumed position in the sim index's residency dirty ring.
     dirty_cursor: u64,
-    /// Last settled selection per server, nonempty selections only — the run
-    /// map lazy rounds return.
-    cached_run: BTreeMap<ServerId, Vec<JobId>>,
+    /// Each server's current selection, indexed by `ServerId::index()`: the
+    /// set the engine runs there.
+    selections: Vec<Vec<JobId>>,
+    /// This round's departing jobs that have a host, as id-sorted
+    /// `(host, job)` pairs, and the same jobs in that order, so each
+    /// server's share is one slice (reused across rounds).
+    departing_hosts: Vec<(ServerId, JobId)>,
+    departing_jobs: Vec<JobId>,
 }
 
 impl RoundPlanner {
@@ -173,6 +182,7 @@ impl RoundPlanner {
                     LocalScheduler::new(s.id, s.num_gpus)
                 })
                 .collect();
+            self.selections = vec![Vec::new(); self.locals.len()];
             // Lazy-settling state: the first planned round settles every
             // server.
             self.meta = vec![(0, false); self.locals.len()];
@@ -222,18 +232,24 @@ impl RoundPlanner {
         cache.gen = gen_weights;
     }
 
-    /// Syncs local schedulers and collects the per-server run sets for this
-    /// quantum, excluding `departing` jobs (ones this round's actions move
-    /// or place). `refreshed` says whether the weight cache was rebuilt
-    /// since the last call; `lazy` is `GfairConfig::lazy_planning`, the
-    /// same on every call of a run.
+    /// Each server's current selection, indexed by `ServerId::index()`:
+    /// what the engine runs there after this round's plan is installed.
+    pub fn selections(&self) -> &[Vec<JobId>] {
+        &self.selections
+    }
+
+    /// Syncs local schedulers and plans this quantum's per-server run sets,
+    /// excluding `departing` jobs (ones this round's actions move or
+    /// place). `refreshed` says whether the weight cache was rebuilt since
+    /// the last call; `lazy` is `GfairConfig::lazy_planning`, the same on
+    /// every call of a run. The plan carries no actions.
     ///
-    /// Eager mode touches every server; lazy mode (see the module docs)
-    /// settles only the servers whose selection may have changed and serves
-    /// the rest from `cached_run`. Both modes produce byte-identical run
-    /// maps: they run the same per-server step in server-id order, and a
-    /// cached selection is only reused on a server that runs all its jobs
-    /// every round.
+    /// Eager mode touches every server and returns the full form; lazy mode
+    /// (see the module docs) settles only the servers whose selection may
+    /// have changed and returns the changes-only form, listing exactly
+    /// those. Both leave the engine running the same sets: they run the
+    /// same per-server step in server-id order, and a server is left out
+    /// only while it runs all its jobs every round.
     pub fn plan_runs(
         &mut self,
         view: &SimView<'_>,
@@ -241,7 +257,7 @@ impl RoundPlanner {
         refreshed: bool,
         lazy: bool,
         obs: &SharedObs,
-    ) -> BTreeMap<ServerId, Vec<JobId>> {
+    ) -> RoundPlan {
         // A reachable server always plans on the current per-gen weights;
         // any stale snapshot it held while unreachable is dropped the round
         // it comes back (entitlements are re-refreshed on heal, so it
@@ -256,35 +272,52 @@ impl RoundPlanner {
             }
             keep
         });
+        // Group departing jobs by host. A job being *placed* this round has
+        // no host yet; its target server turns dirty once the action
+        // applies.
+        let hosts = &mut self.departing_hosts;
+        hosts.clear();
+        hosts.extend((departing.iter()).filter_map(|&j| Some((view.job(j)?.server?, j))));
+        hosts.sort_unstable();
+        self.departing_jobs.clear();
+        (self.departing_jobs).extend(hosts.iter().map(|&(_, j)| j));
         if lazy {
-            return self.plan_runs_lazy(view, departing, refreshed, &dropped, obs);
+            return self.plan_runs_lazy(view, refreshed, &dropped, obs);
         }
         let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
+        let (hosts, jobs) = (&self.departing_hosts, &self.departing_jobs);
         let locals = &mut self.locals;
+        let selections = &mut self.selections;
         let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
             for local in locals.iter_mut() {
-                let selected = weights.sync_and_plan(local, view, departing, refreshed, &dropped);
+                let server = local.server();
+                let here = departing_on(hosts, jobs, server);
+                let selected = weights.sync_and_plan(local, view, here, refreshed, &dropped);
+                selections[server.index()].clone_from(&selected);
                 if !selected.is_empty() {
-                    run.insert(local.server(), selected);
+                    run.insert(server, selected);
                 }
             }
         });
-        run
+        RoundPlan {
+            run,
+            ..RoundPlan::default()
+        }
     }
 
     /// The lazy-settling round: settle the servers the module docs list
-    /// and return the cached run map. `refreshed` and `dropped` carry the
-    /// weight-dirtiness inputs: generations whose refreshed vector really
-    /// changed, and servers whose stale snapshot was just dropped.
+    /// and return their selections as a changes-only plan. `refreshed` and
+    /// `dropped` carry the weight-dirtiness inputs: generations whose
+    /// refreshed vector really changed, and servers whose stale snapshot
+    /// was just dropped.
     fn plan_runs_lazy(
         &mut self,
         view: &SimView<'_>,
-        departing: &BTreeSet<JobId>,
         refreshed: bool,
         dropped: &BTreeSet<ServerId>,
         obs: &SharedObs,
-    ) -> BTreeMap<ServerId, Vec<JobId>> {
+    ) -> RoundPlan {
         let r = self.cur_round + 1;
         self.cur_round = r;
         let mut to_settle = std::mem::take(&mut self.to_settle);
@@ -306,21 +339,19 @@ impl RoundPlanner {
             );
         }
         to_settle.extend(dropped.iter().copied());
-        // Hosts of departing jobs settle now and again next round. (A job
-        // being *placed* this round has no host yet; its target server
-        // turns dirty once the action applies.)
+        // Hosts of departing jobs settle now and again next round.
+        let (hosts, jobs) = (&self.departing_hosts, &self.departing_jobs);
         let recheck = &mut self.recheck;
-        for &j in departing {
-            if let Some(server) = view.job(j).and_then(|info| info.server) {
-                to_settle.push(server);
-                recheck.push(server);
-            }
+        for &(server, _) in hosts {
+            to_settle.push(server);
+            recheck.push(server);
         }
         to_settle.sort_unstable();
         to_settle.dedup();
+        let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
         let locals = &mut self.locals;
         let meta = &mut self.meta;
-        let cached = &mut self.cached_run;
+        let selections = &mut self.selections;
         let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
             for &server in &to_settle {
@@ -331,16 +362,14 @@ impl RoundPlanner {
                 if lag > 0 {
                     local.fast_forward(lag);
                 }
-                let selected = weights.sync_and_plan(local, view, departing, refreshed, dropped);
+                let here = departing_on(hosts, jobs, server);
+                let selected = weights.sync_and_plan(local, view, here, refreshed, dropped);
                 *m = (r, !local.fits_all());
                 if m.1 {
                     recheck.push(server);
                 }
-                if selected.is_empty() {
-                    cached.remove(&server);
-                } else {
-                    cached.insert(server, selected);
-                }
+                selections[server.index()].clone_from(&selected);
+                run.insert(server, selected);
             }
         });
         self.to_settle = to_settle;
@@ -358,12 +387,31 @@ impl RoundPlanner {
                     jobs, resident,
                     "{server} was left unsettled off its residency"
                 );
-                let run = self.cached_run.get(&server).map_or(&[][..], Vec::as_slice);
-                assert_eq!(run, &jobs[..], "{server}'s cached run is stale");
+                let kept = &self.selections[server.index()];
+                assert_eq!(kept, &jobs, "{server}'s kept selection is stale");
             }
         }
-        self.cached_run.clone()
+        RoundPlan {
+            run,
+            changes_only: true,
+            ..RoundPlan::default()
+        }
     }
+}
+
+/// `server`'s share of this round's departing jobs: the slice of `jobs`
+/// whose pair in `hosts` (sorted, parallel to `jobs`) names it.
+fn departing_on<'a>(
+    hosts: &[(ServerId, JobId)],
+    jobs: &'a [JobId],
+    server: ServerId,
+) -> &'a [JobId] {
+    if hosts.is_empty() {
+        return &[];
+    }
+    let lo = hosts.partition_point(|&(s, _)| s < server);
+    let hi = lo + hosts[lo..].partition_point(|&(s, _)| s == server);
+    &jobs[lo..hi]
 }
 
 #[cfg(test)]
@@ -376,7 +424,8 @@ mod tests {
 
     /// Places each job on the server its spec names and plans every round
     /// through a lazy planner, logging the per-server `(settled_round,
-    /// contended)` and the run map after each round. With `flip`, user 0's
+    /// contended)`, the selections and the servers the plan listed after
+    /// each round. With `flip`, user 0's
     /// tickets double every other round, so every server's weights change
     /// every round.
     struct Lazy {
@@ -388,8 +437,9 @@ mod tests {
         log: Vec<Logged>,
     }
 
-    /// One round of [`Lazy`]'s log: the planner's `meta`, then the run map.
-    type Logged = (Vec<(u64, bool)>, BTreeMap<ServerId, Vec<JobId>>);
+    /// One round of [`Lazy`]'s log: the planner's `meta` and `selections`,
+    /// then the servers the changes-only plan listed.
+    type Logged = (Vec<(u64, bool)>, Vec<Vec<JobId>>, Vec<ServerId>);
 
     impl ClusterScheduler for Lazy {
         fn name(&self) -> &'static str {
@@ -417,12 +467,16 @@ mod tests {
                 let ent = Entitlements::base(&view.cluster().gpus_per_gen(), &split);
                 self.planner.refresh_weights(view, &ent);
             }
-            let run = (self.planner).plan_runs(view, &BTreeSet::new(), refresh, true, &self.obs);
-            self.log.push((self.planner.meta.clone(), run.clone()));
-            RoundPlan {
-                run,
-                actions: Vec::new(),
-            }
+            let plan = (self.planner).plan_runs(view, &BTreeSet::new(), refresh, true, &self.obs);
+            assert!(
+                plan.changes_only,
+                "a lazy round sends the changes-only form"
+            );
+            let listed = plan.run.keys().copied().collect();
+            let p = &self.planner;
+            self.log
+                .push((p.meta.clone(), p.selections.clone(), listed));
+            plan
         }
     }
 
@@ -488,18 +542,31 @@ mod tests {
         let (s0, s1, s2) = (ServerId::new(0), ServerId::new(1), ServerId::new(2));
         let mut settles = BTreeSet::new();
         let mut finished = false;
-        for (i, (meta, run)) in lazy.log.iter().enumerate() {
+        for (i, (meta, run, listed)) in lazy.log.iter().enumerate() {
             let round = i as u64 + 1;
             settles.insert(meta[0].0);
             assert!(!meta[0].1, "round {round}: server 0 flagged contended");
-            let ids: Vec<u32> = run[&s0].iter().map(|j| j.raw()).collect();
+            let ids: Vec<u32> = run[s0.index()].iter().map(|j| j.raw()).collect();
             finished |= ids == [1, 2];
             let want: &[u32] = if finished { &[1, 2] } else { &[0, 1, 2] };
             assert_eq!(ids, want, "round {round}: server 0's run");
             assert_eq!(meta[1], (round, true), "round {round}: server 1");
-            assert_eq!(run[&s1].len(), 1, "round {round}: server 1 runs one gang");
+            assert_eq!(
+                run[s1.index()].len(),
+                1,
+                "round {round}: server 1 runs one gang"
+            );
             assert_eq!(meta[2].0, 1, "round {round}: the idle server re-settled");
-            assert!(!run.contains_key(&s2));
+            assert!(run[s2.index()].is_empty());
+            // The plan lists exactly the servers settled this round: all
+            // three in the first round, the contended server 1 every round,
+            // server 0 again only when job 0 finished.
+            let settled: Vec<ServerId> = (meta.iter().enumerate())
+                .filter(|(_, &(at, _))| at == round)
+                .map(|(s, _)| ServerId::new(s as u32))
+                .collect();
+            assert_eq!(listed, &settled, "round {round}: the plan's servers");
+            assert!(listed.contains(&s1), "round {round}: server 1 not listed");
         }
         assert!(finished, "job 0 never finished");
         assert!(lazy.log.len() > 100, "{} rounds", lazy.log.len());
@@ -514,7 +581,7 @@ mod tests {
         // settle every server every round.
         let jobs = [(0, 1, 1e6, 0), (1, 2, 1e6, 1)];
         let lazy = run(&jobs, &[100, 100], true, true);
-        for (i, (meta, _)) in lazy.log.iter().enumerate() {
+        for (i, (meta, _, _)) in lazy.log.iter().enumerate() {
             let round = i as u64 + 1;
             assert!(
                 meta.iter().all(|&(settled, _)| settled == round),

@@ -285,6 +285,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
     fn ensure_init(&mut self, view: &SimView<'_>) {
         if self.profiler.is_none() {
             self.profiler = Some(Profiler::new(
+                Arc::clone(view.models()),
                 view.cluster().catalog.len(),
                 MIN_PROFILE_SAMPLES,
             ));
@@ -444,17 +445,16 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         self.ensure_init(view);
         let profiler = self.profiler.as_mut().expect("initialized");
         if let Some(info) = view.job(report.job) {
-            if profiler.record(&info.model, report.gen, report.rate) {
+            let model = info.model_id;
+            if profiler.record(model, report.gen, report.rate) {
                 // The estimate just crossed the sample threshold: announce
                 // the inferred rate once per (model, generation).
                 self.obs.emit(TraceEvent::ProfileInferred {
                     t: view.now(),
-                    model: info.model.to_string(),
+                    model: profiler.model_name(model).to_string(),
                     gen: report.gen,
-                    rate: profiler
-                        .rate(&info.model, report.gen)
-                        .expect("just recorded"),
-                    samples: profiler.samples(&info.model, report.gen),
+                    rate: profiler.rate(model, report.gen).expect("just recorded"),
+                    samples: profiler.samples(model, report.gen),
                 });
             }
         }
@@ -601,7 +601,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
                 Action::Migrate { job, .. } | Action::Place { job, .. } => *job,
             })
             .collect();
-        let run = self.planner.plan_runs(
+        let mut plan = self.planner.plan_runs(
             view,
             &departing,
             refreshed,
@@ -609,28 +609,24 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             &self.obs,
         );
 
-        // 6. Service accounting for ρ̂: every scheduled job accrues one
-        // quantum (integer micros). One resize to the round's max job
-        // index, not one per job.
+        // 6. Service accounting for ρ̂: every job the engine runs this round
+        // accrues one quantum (integer micros). One resize to the round's
+        // max job index, not one per job.
         if self.policy.wants_rho() {
             let q = view.config().quantum.as_micros();
-            let max_idx = run
-                .values()
-                .flat_map(|jobs| jobs.iter())
-                .map(|job| job.index())
-                .max();
+            let selections = self.planner.selections();
+            let max_idx = (selections.iter().flatten()).map(|job| job.index()).max();
             if let Some(max_idx) = max_idx {
                 if self.sched_micros.len() <= max_idx {
                     self.sched_micros.resize(max_idx + 1, 0);
                 }
             }
-            for jobs in run.values() {
-                for &job in jobs {
-                    self.sched_micros[job.index()] += q;
-                }
+            for &job in selections.iter().flatten() {
+                self.sched_micros[job.index()] += q;
             }
         }
-        RoundPlan { run, actions }
+        plan.actions = actions;
+        plan
     }
 
     fn user_shares(&self, _view: &SimView<'_>) -> Vec<UserShare> {

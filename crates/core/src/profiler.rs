@@ -4,12 +4,17 @@
 //! minibatch throughput while jobs run and, when a job has run on more than
 //! one GPU generation, derives its speedup. The simulator feeds this module
 //! with noisy [`gfair_sim::ProfileReport`]s; estimates are aggregated **per
-//! model name** — throughput is a property of the model/config, so sharing
+//! model** — throughput is a property of the model/config, so sharing
 //! estimates across a model's jobs converges much faster than per-job
 //! profiling and matches how production schedulers cache profiles.
+//!
+//! Estimates are keyed by [`ModelId`], the rank the simulator gives each
+//! distinct model name, in one flat `model × generation` table: recording
+//! an observation or reading a speedup is an array access. Names are read
+//! only through the simulator's interned model table
+//! ([`gfair_sim::SimView::models`]), which the profiler shares.
 
-use gfair_types::GenId;
-use std::collections::BTreeMap;
+use gfair_types::{GenId, ModelId};
 use std::sync::Arc;
 
 /// Running mean of rate observations for one (model, generation) pair.
@@ -34,24 +39,56 @@ impl RateEstimate {
 pub struct Profiler {
     num_gens: usize,
     min_samples: u64,
-    estimates: BTreeMap<Arc<str>, Vec<RateEstimate>>,
+    /// Model names in `str` order, indexed by `ModelId::index()`.
+    models: Arc<[Arc<str>]>,
+    /// One estimate per (model, generation), flattened as
+    /// `model.index() * num_gens + gen.index()`.
+    estimates: Vec<RateEstimate>,
 }
 
 impl Profiler {
-    /// Creates a profiler for a catalog with `num_gens` generations,
-    /// treating an estimate as trustworthy after `min_samples` observations.
+    /// Creates a profiler for the models named in `models` (sorted, indexed
+    /// by [`ModelId::index`], as [`gfair_sim::SimView::models`] returns
+    /// them) on a catalog with `num_gens` generations, treating an estimate
+    /// as trustworthy after `min_samples` observations.
     ///
     /// # Panics
     ///
     /// Panics if `num_gens` is zero or `min_samples` is zero.
-    pub fn new(num_gens: usize, min_samples: u64) -> Self {
+    pub fn new(models: Arc<[Arc<str>]>, num_gens: usize, min_samples: u64) -> Self {
         assert!(num_gens > 0, "need at least one generation");
         assert!(min_samples > 0, "need at least one sample");
+        debug_assert!(models.is_sorted_by(|a, b| a < b), "models unsorted");
         Profiler {
             num_gens,
             min_samples,
-            estimates: BTreeMap::new(),
+            estimates: vec![RateEstimate::default(); models.len() * num_gens],
+            models,
         }
+    }
+
+    /// The id of the model named `name`, if it is one of the profiler's
+    /// models.
+    pub fn model_id(&self, name: &str) -> Option<ModelId> {
+        (self.models.binary_search_by(|m| (**m).cmp(name)).ok()).map(|i| ModelId::new(i as u32))
+    }
+
+    /// The name of model `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is out of range.
+    pub fn model_name(&self, model: ModelId) -> &Arc<str> {
+        &self.models[model.index()]
+    }
+
+    /// The estimate of (`model`, `gen`), if both are in range.
+    fn estimate(&self, model: ModelId, gen: GenId) -> Option<&RateEstimate> {
+        if gen.index() >= self.num_gens {
+            return None;
+        }
+        self.estimates
+            .get(model.index() * self.num_gens + gen.index())
     }
 
     /// Records one rate observation for `model` on `gen`. Returns `true`
@@ -61,40 +98,34 @@ impl Profiler {
     ///
     /// # Panics
     ///
-    /// Panics if `gen` is out of range or `rate` is not positive and finite.
-    pub fn record(&mut self, model: &Arc<str>, gen: GenId, rate: f64) -> bool {
+    /// Panics if `model` or `gen` is out of range or `rate` is not positive
+    /// and finite.
+    pub fn record(&mut self, model: ModelId, gen: GenId, rate: f64) -> bool {
         assert!(gen.index() < self.num_gens, "generation out of range");
+        assert!(model.index() < self.models.len(), "model out of range");
         assert!(
             rate.is_finite() && rate > 0.0,
             "observed rate must be positive and finite, got {rate}"
         );
-        let slots = self
-            .estimates
-            .entry(Arc::clone(model))
-            .or_insert_with(|| vec![RateEstimate::default(); self.num_gens]);
-        let e = &mut slots[gen.index()];
+        let e = &mut self.estimates[model.index() * self.num_gens + gen.index()];
         e.sum += rate;
         e.count += 1;
         e.count == self.min_samples
     }
 
     /// Mean observed rate of `model` on `gen`, if any observation exists.
-    pub fn rate(&self, model: &str, gen: GenId) -> Option<f64> {
-        self.estimates.get(model)?.get(gen.index())?.mean()
+    pub fn rate(&self, model: ModelId, gen: GenId) -> Option<f64> {
+        self.estimate(model, gen)?.mean()
     }
 
     /// Number of observations for `model` on `gen`.
-    pub fn samples(&self, model: &str, gen: GenId) -> u64 {
-        self.estimates
-            .get(model)
-            .and_then(|s| s.get(gen.index()))
-            .map(|e| e.count)
-            .unwrap_or(0)
+    pub fn samples(&self, model: ModelId, gen: GenId) -> u64 {
+        self.estimate(model, gen).map_or(0, |e| e.count)
     }
 
     /// True when the (model, generation) estimate has reached the sample
     /// threshold.
-    pub fn is_profiled(&self, model: &str, gen: GenId) -> bool {
+    pub fn is_profiled(&self, model: ModelId, gen: GenId) -> bool {
         self.samples(model, gen) >= self.min_samples
     }
 
@@ -102,25 +133,21 @@ impl Profiler {
     ///
     /// Returns `None` unless both generations are profiled — the trading
     /// engine never trades on guesses.
-    pub fn speedup(&self, model: &str, gen: GenId, base: GenId) -> Option<f64> {
-        if !self.is_profiled(model, gen) || !self.is_profiled(model, base) {
+    pub fn speedup(&self, model: ModelId, gen: GenId, base: GenId) -> Option<f64> {
+        let (e, b) = (self.estimate(model, gen)?, self.estimate(model, base)?);
+        if e.count < self.min_samples || b.count < self.min_samples {
             return None;
         }
-        Some(self.rate(model, gen)? / self.rate(model, base)?)
+        Some(e.mean()? / b.mean()?)
     }
 
     /// Generations on which `model` has not yet reached the sample
     /// threshold, in id order.
-    pub fn unprofiled_gens(&self, model: &str) -> Vec<GenId> {
+    pub fn unprofiled_gens(&self, model: ModelId) -> Vec<GenId> {
         (0..self.num_gens as u32)
             .map(GenId::new)
             .filter(|&g| !self.is_profiled(model, g))
             .collect()
-    }
-
-    /// Number of models with at least one observation.
-    pub fn num_models(&self) -> usize {
-        self.estimates.len()
     }
 }
 
@@ -128,119 +155,130 @@ impl Profiler {
 mod tests {
     use super::*;
 
-    fn name(s: &str) -> Arc<str> {
-        Arc::from(s)
+    /// A profiler over `names` (any order; sorted here as the simulator
+    /// ranks them).
+    fn profiler(names: &[&str], num_gens: usize, min_samples: u64) -> Profiler {
+        let mut names: Vec<Arc<str>> = names.iter().map(|&n| Arc::from(n)).collect();
+        names.sort();
+        Profiler::new(names.into(), num_gens, min_samples)
+    }
+
+    fn m(raw: u32) -> ModelId {
+        ModelId::new(raw)
     }
 
     #[test]
     fn estimates_average_observations() {
-        let mut p = Profiler::new(3, 1);
-        let m = name("ResNet-50");
-        p.record(&m, GenId::new(0), 0.9);
-        p.record(&m, GenId::new(0), 1.1);
-        assert!((p.rate("ResNet-50", GenId::new(0)).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(p.samples("ResNet-50", GenId::new(0)), 2);
+        let mut p = profiler(&["ResNet-50"], 3, 1);
+        p.record(m(0), GenId::new(0), 0.9);
+        p.record(m(0), GenId::new(0), 1.1);
+        assert!((p.rate(m(0), GenId::new(0)).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(p.samples(m(0), GenId::new(0)), 2);
     }
 
     #[test]
     fn speedup_requires_both_gens_profiled() {
-        let mut p = Profiler::new(3, 1);
-        let m = name("GRU");
-        p.record(&m, GenId::new(2), 2.0);
-        assert_eq!(p.speedup("GRU", GenId::new(2), GenId::new(0)), None);
-        p.record(&m, GenId::new(0), 1.0);
-        let s = p.speedup("GRU", GenId::new(2), GenId::new(0)).unwrap();
+        let mut p = profiler(&["GRU"], 3, 1);
+        p.record(m(0), GenId::new(2), 2.0);
+        assert_eq!(p.speedup(m(0), GenId::new(2), GenId::new(0)), None);
+        p.record(m(0), GenId::new(0), 1.0);
+        let s = p.speedup(m(0), GenId::new(2), GenId::new(0)).unwrap();
         assert!((s - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn min_samples_gate() {
-        let mut p = Profiler::new(2, 3);
-        let m = name("VAE");
-        p.record(&m, GenId::new(0), 1.0);
-        p.record(&m, GenId::new(0), 1.0);
-        assert!(!p.is_profiled("VAE", GenId::new(0)));
-        p.record(&m, GenId::new(0), 1.0);
-        assert!(p.is_profiled("VAE", GenId::new(0)));
+        let mut p = profiler(&["VAE"], 2, 3);
+        p.record(m(0), GenId::new(0), 1.0);
+        p.record(m(0), GenId::new(0), 1.0);
+        assert!(!p.is_profiled(m(0), GenId::new(0)));
+        p.record(m(0), GenId::new(0), 1.0);
+        assert!(p.is_profiled(m(0), GenId::new(0)));
     }
 
     #[test]
     fn record_signals_convergence_exactly_once_per_gen() {
-        let mut p = Profiler::new(2, 3);
-        let m = name("BERT");
-        assert!(!p.record(&m, GenId::new(0), 1.0));
-        assert!(!p.record(&m, GenId::new(0), 1.0));
+        let mut p = profiler(&["BERT"], 2, 3);
+        assert!(!p.record(m(0), GenId::new(0), 1.0));
+        assert!(!p.record(m(0), GenId::new(0), 1.0));
         // The min_samples-th observation crosses the threshold...
-        assert!(p.record(&m, GenId::new(0), 1.0));
+        assert!(p.record(m(0), GenId::new(0), 1.0));
         // ...and further observations refine the estimate silently.
-        assert!(!p.record(&m, GenId::new(0), 1.0));
+        assert!(!p.record(m(0), GenId::new(0), 1.0));
         // Each generation converges independently.
-        assert!(!p.record(&m, GenId::new(1), 2.0));
-        assert!(!p.record(&m, GenId::new(1), 2.0));
-        assert!(p.record(&m, GenId::new(1), 2.0));
+        assert!(!p.record(m(0), GenId::new(1), 2.0));
+        assert!(!p.record(m(0), GenId::new(1), 2.0));
+        assert!(p.record(m(0), GenId::new(1), 2.0));
     }
 
     #[test]
     fn unprofiled_gens_shrink_as_data_arrives() {
-        let mut p = Profiler::new(3, 1);
-        let m = name("LSTM");
+        let mut p = profiler(&["LSTM"], 3, 1);
         assert_eq!(
-            p.unprofiled_gens("LSTM"),
+            p.unprofiled_gens(m(0)),
             vec![GenId::new(0), GenId::new(1), GenId::new(2)]
         );
-        p.record(&m, GenId::new(1), 1.4);
-        assert_eq!(
-            p.unprofiled_gens("LSTM"),
-            vec![GenId::new(0), GenId::new(2)]
-        );
+        p.record(m(0), GenId::new(1), 1.4);
+        assert_eq!(p.unprofiled_gens(m(0)), vec![GenId::new(0), GenId::new(2)]);
+    }
+
+    #[test]
+    fn models_keep_separate_estimates_by_id() {
+        // Ids are ranks in name order, not the order names were listed.
+        let mut p = profiler(&["VAE", "BERT", "GRU"], 2, 1);
+        let (bert, gru, vae) = (m(0), m(1), m(2));
+        assert_eq!(p.model_id("BERT"), Some(bert));
+        assert_eq!(p.model_id("GRU"), Some(gru));
+        assert_eq!(p.model_id("VAE"), Some(vae));
+        assert_eq!(&**p.model_name(vae), "VAE");
+        p.record(gru, GenId::new(1), 3.0);
+        assert_eq!(p.rate(gru, GenId::new(1)), Some(3.0));
+        assert_eq!(p.samples(bert, GenId::new(1)), 0);
+        assert_eq!(p.samples(vae, GenId::new(1)), 0);
+        assert_eq!(p.samples(gru, GenId::new(0)), 0);
     }
 
     #[test]
     fn unknown_model_has_no_estimates() {
-        let p = Profiler::new(2, 1);
-        assert_eq!(p.rate("nope", GenId::new(0)), None);
-        assert_eq!(p.samples("nope", GenId::new(1)), 0);
-        assert!(!p.is_profiled("nope", GenId::new(0)));
-        assert_eq!(p.num_models(), 0);
-    }
-
-    #[test]
-    fn estimates_are_shared_across_jobs_of_a_model() {
-        // Two jobs of the same model contribute to one estimate.
-        let mut p = Profiler::new(2, 2);
-        let m1 = name("BERT-Base");
-        let m2 = name("BERT-Base");
-        p.record(&m1, GenId::new(0), 1.0);
-        p.record(&m2, GenId::new(0), 1.0);
-        assert!(p.is_profiled("BERT-Base", GenId::new(0)));
-        assert_eq!(p.num_models(), 1);
+        let p = profiler(&["m"], 2, 1);
+        assert_eq!(p.model_id("nope"), None);
+        assert_eq!(p.rate(m(1), GenId::new(0)), None);
+        assert_eq!(p.samples(m(1), GenId::new(1)), 0);
+        assert_eq!(p.samples(m(0), GenId::new(2)), 0);
+        assert!(!p.is_profiled(m(1), GenId::new(0)));
     }
 
     #[test]
     #[should_panic(expected = "generation out of range")]
     fn out_of_range_gen_panics() {
-        let mut p = Profiler::new(2, 1);
-        p.record(&name("m"), GenId::new(5), 1.0);
+        let mut p = profiler(&["m"], 2, 1);
+        p.record(m(0), GenId::new(5), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "model out of range")]
+    fn out_of_range_model_panics() {
+        let mut p = profiler(&["m"], 2, 1);
+        p.record(m(1), GenId::new(0), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn bad_rate_panics() {
-        let mut p = Profiler::new(2, 1);
-        p.record(&name("m"), GenId::new(0), 0.0);
+        let mut p = profiler(&["m"], 2, 1);
+        p.record(m(0), GenId::new(0), 0.0);
     }
 
     #[test]
     fn noisy_observations_converge_to_truth() {
-        let mut p = Profiler::new(2, 1);
-        let m = name("DCGAN");
+        let mut p = profiler(&["DCGAN"], 2, 1);
         // Symmetric noise around 2.1.
         for i in 0..100 {
             let eps = ((i % 11) as f64 - 5.0) / 100.0;
-            p.record(&m, GenId::new(1), 2.1 * (1.0 + eps));
-            p.record(&m, GenId::new(0), 1.0 * (1.0 - eps));
+            p.record(m(0), GenId::new(1), 2.1 * (1.0 + eps));
+            p.record(m(0), GenId::new(0), 1.0 * (1.0 - eps));
         }
-        let s = p.speedup("DCGAN", GenId::new(1), GenId::new(0)).unwrap();
+        let s = p.speedup(m(0), GenId::new(1), GenId::new(0)).unwrap();
         assert!((s - 2.1).abs() < 0.05, "estimate {s}");
     }
 }

@@ -27,7 +27,9 @@ impl Harness {
             placements,
             balance_at: SimTime::from_secs(60),
             ent_users: vec![(UserId::new(0), 100), (UserId::new(1), 100)],
-            profiler: Profiler::new(3, 1),
+            // Every test's trace runs the one model "uni", which is
+            // therefore model 0.
+            profiler: Profiler::new(Arc::from([Arc::from("uni")]), 3, 1),
             planned: None,
         }
     }
@@ -52,8 +54,8 @@ impl ClusterScheduler for Harness {
             let actions = plan_migrations(view, &ent, &self.profiler);
             self.planned = Some(actions.clone());
             return RoundPlan {
-                run: Default::default(),
                 actions,
+                ..RoundPlan::default()
             };
         }
         // Otherwise idle: these tests only care about the planner's output.
@@ -192,9 +194,9 @@ fn realization_pass_moves_overconsumers_toward_entitled_generation() {
     let mut h = Harness::new(placements);
     // Profile the model everywhere first, so the profiling pass has nothing
     // to send and every move comes from the passes after it.
-    let model: Arc<str> = Arc::from("uni");
+    let model = h.profiler.model_id("uni").expect("the trace's model");
     for gen in 0..3 {
-        h.profiler.record(&model, GenId::new(gen), 1.0);
+        h.profiler.record(model, GenId::new(gen), 1.0);
     }
     run_harness(cluster, trace, &mut h);
     let plan = h.planned.expect("balancer ran");

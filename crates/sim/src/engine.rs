@@ -8,8 +8,12 @@
 //! 1. flushes the reporting window if a boundary was crossed,
 //! 2. delivers pending profile reports to the scheduler,
 //! 3. applies actions queued by mid-round callbacks,
-//! 4. asks the scheduler for a [`RoundPlan`] and applies its actions,
-//! 5. validates the plan's run sets (residency, gang fit, overcommit),
+//! 4. asks the scheduler for a [`RoundPlan`], applies its actions and
+//!    installs its run sets (the engine keeps one per server; a
+//!    changes-only plan replaces just the sets it lists),
+//! 5. validates the run sets (residency, gang fit, overcommit), re-checking
+//!    only the sets installed this round and those whose server's
+//!    residency changed since their last check,
 //! 6. accrues progress for every running job for the quantum (scheduling an
 //!    exact-time `Finish` event for jobs that complete mid-round) and
 //!    updates per-user accounting.
@@ -32,8 +36,8 @@ use crate::view::SimView;
 use gfair_faults::{FaultInjector, FaultPlan, MigrationFault};
 use gfair_obs::{Obs, PackedGang, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
 use gfair_types::{
-    ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, ModelProfile, Result,
-    ServerId, SimConfig, SimDuration, SimTime, UserSpec,
+    ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, ModelId, ModelProfile,
+    Result, ServerId, SimConfig, SimDuration, SimTime, UserSpec,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -68,6 +72,14 @@ pub struct Simulation {
     jobs: JobTable,
     /// Id-sorted resident jobs per server, indexed by `ServerId::index()`.
     residents: Vec<Vec<JobId>>,
+    /// Each server's run set, indexed by `ServerId::index()`: the jobs it
+    /// runs every quantum until a plan installs another (see [`RoundPlan`]).
+    run_sets: Vec<Vec<JobId>>,
+    /// The residency version (`ClusterIndex::res_version`) each run set was
+    /// last checked against, by server index; `u64::MAX` marks a set
+    /// installed since. A set whose entry matches its server's version is
+    /// still valid: it was valid then, and nothing it depends on has moved.
+    run_checked: Vec<u64>,
     /// Materialized indexes over `jobs`/`residents`, updated on every state
     /// transition so view queries run in O(answer); see [`crate::index`].
     index: ClusterIndex,
@@ -125,11 +137,12 @@ pub struct Simulation {
     /// iff its GPU-seconds are positive).
     stint: Vec<SimDuration>,
     job_gen_gpu_secs: Vec<f64>,
-    /// Round-stamp per job (by `JobId::index()`) marking it as having run in
-    /// the previous round: a scheduled job whose stamp is stale pays the
-    /// suspend/resume overhead before making progress. `warm_serial` starts
-    /// at 1 so the vector's default of zero never reads as warm.
-    warm_stamp: Vec<u64>,
+    /// Round serial for switch-overhead accounting: a job whose `warm`
+    /// stamp equals it ran in the previous round; any other stamp pays the
+    /// suspend/resume overhead before making progress. Accrual stamps each
+    /// job it runs with `warm_serial + 1`, and the round then bumps the
+    /// serial, invalidating every older stamp at once. It starts at 1 so a
+    /// fresh job's zero stamp never reads as warm.
     warm_serial: u64,
     /// Round-stamp per job (by `JobId::index()`) for duplicate-grant
     /// detection while validating a plan's run sets: a job stamped with the
@@ -214,9 +227,10 @@ impl Simulation {
             known_user[u.id.index()] = true;
         }
         // Intern model names: one shared `Arc<str>` per distinct name,
-        // ranked in `str` order. Each job's name is looked up once, borrowed
-        // from the trace (no string is copied per job), and numbered in
-        // first-seen order; `rank_of` then maps that number to the rank.
+        // ranked in `str` order; the rank is the model's `ModelId`. Each
+        // job's name is looked up once, borrowed from the trace (no string
+        // is copied per job), and numbered in first-seen order; `rank_of`
+        // then maps that number to the rank.
         // Generated traces share one profile `Arc` per model, so a short
         // memo keyed by that pointer answers most lookups without comparing
         // strings. It stops growing at `MEMO` entries, which bounds the miss
@@ -240,7 +254,7 @@ impl Simulation {
                 .collect()
         };
         let mut rank_of = vec![0u32; seen.len()];
-        let models: Vec<Arc<str>> = (seen.into_iter().enumerate())
+        let models: Arc<[Arc<str>]> = (seen.into_iter().enumerate())
             .map(|(rank, (name, first))| {
                 rank_of[first as usize] = rank as u32;
                 Arc::from(name)
@@ -309,12 +323,8 @@ impl Simulation {
             }
             arrivals.push((spec.arrival, EventKind::Arrival(spec.id)));
             job_slots = job_slots.max(spec.id.index() + 1);
-            let rank = rank_of[first as usize];
-            let model = Arc::clone(&models[rank as usize]);
-            if jobs
-                .insert(spec.id, JobRt::new(spec, model, rank))
-                .is_some()
-            {
+            let model = ModelId::new(rank_of[first as usize]);
+            if jobs.insert(spec.id, JobRt::new(spec, model)).is_some() {
                 return Err(GfairError::InvalidConfig(
                     "duplicate job id in trace".to_string(),
                 ));
@@ -325,6 +335,8 @@ impl Simulation {
         queue.stage(arrivals);
         let index = ClusterIndex::new(&cluster, num_users, models);
         let residents = vec![Vec::new(); index.demand.len()];
+        let run_sets = vec![Vec::new(); cluster.servers.len()];
+        let run_checked = vec![0; cluster.servers.len()];
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let num_gens = cluster.catalog.len().max(1);
         let gpus_up = cluster.servers.iter().map(|s| s.num_gpus).sum();
@@ -334,6 +346,8 @@ impl Simulation {
             config,
             jobs,
             residents,
+            run_sets,
+            run_checked,
             index,
             down: BTreeSet::new(),
             partitioned: BTreeSet::new(),
@@ -365,7 +379,6 @@ impl Simulation {
             num_gens,
             stint: vec![SimDuration::ZERO; job_slots * num_gens],
             job_gen_gpu_secs: vec![0.0; job_slots * num_gens],
-            warm_stamp: Vec::new(),
             dup_stamp: Vec::new(),
             grants: Vec::new(),
             warm_serial: 1,
@@ -610,7 +623,7 @@ impl Simulation {
         {
             let j = &self.jobs[job];
             self.index
-                .on_arrive(job, j.info.user, j.info.gang, j.model_rank);
+                .on_arrive(job, j.info.user, j.info.gang, j.info.model_id);
             self.obs.emit(TraceEvent::JobArrive {
                 t: self.now,
                 job,
@@ -638,7 +651,7 @@ impl Simulation {
             }
             j.info.server = None;
             self.index
-                .on_finish(job, j.info.user, j.info.gang, j.model_rank);
+                .on_finish(job, j.info.user, j.info.gang, j.info.model_id);
             j.info.user
         };
         self.obs.emit(TraceEvent::JobFinish {
@@ -1069,25 +1082,37 @@ impl Simulation {
         }
 
         // 3. Ask the policy for this quantum's plan (self-profiled: the
-        // whole call is one round-planning span).
+        // whole call is one round-planning span), apply its actions, then
+        // install its run sets.
         let obs = Arc::clone(&self.obs);
         let plan: RoundPlan = obs.time(Phase::RoundPlanning, || scheduler.plan_round(&self.view()));
         for action in &plan.actions {
             self.apply_action(*action, false)?;
         }
         self.drain_fault_notices(scheduler);
+        let unknown = self.install_run_sets(plan.run, plan.changes_only);
 
-        // 4. Validate and execute the run sets. The validated grants are
-        // emitted in batches, so the auditor independently re-checks the
-        // same invariants the inline validation enforces. Grants validated
+        // 4. Validate the run sets. The validated grants are emitted in
+        // batches, so the auditor independently re-checks the same
+        // invariants the inline validation enforces. Grants validated
         // before a validation error are emitted before it returns.
         let mut grants = std::mem::take(&mut self.grants);
         grants.clear();
         let mut grant_by_user: Vec<u32> = vec![0; self.users.len()];
-        let validated = self.validate_run_sets(&plan, &mut grants, &mut grant_by_user);
+        let validated = self.validate_run_sets(unknown, &mut grants, &mut grant_by_user);
         self.obs.emit_packed(self.now, self.rounds, &grants);
         self.grants = grants;
-        let (scheduled, gpus_used) = validated?;
+        #[cfg(debug_assertions)]
+        match (&validated, self.check_run_sets(unknown)) {
+            (Ok(got), Ok(want)) => assert_eq!(*got, want, "run-set totals diverged"),
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("run-set check diverged: {got:?} vs full check {want:?}"),
+        }
+        // A skipped duplicate stamp can turn the full check's
+        // `DuplicateJobInPlan` into `JobNotResident` at the same grant, so
+        // a failure is reported as the full check words it.
+        let (scheduled, gpus_used) =
+            validated.map_err(|e| self.check_run_sets(unknown).err().unwrap_or(e))?;
 
         // Round summary: who got what, the queue depth, and the per-user
         // tickets backing the decision. The auditor checks ticket
@@ -1123,29 +1148,35 @@ impl Simulation {
         if let Some(v) = self.obs.take_fatal() {
             return Err(violation_to_error(v));
         }
-        // 5. Accrue progress for this quantum.
+        // 5. Accrue progress for this quantum, in server-id order, stamping
+        // each job warm for next round's switch-overhead accounting.
+        // Bumping the serial afterwards invalidates every older stamp.
         let quantum = self.config.quantum;
         let budget = match horizon {
             Some(h) => h.saturating_since(self.now).min(quantum),
             None => quantum,
         };
-        if !budget.is_zero() {
-            for (&server, run) in &plan.run {
-                let gen = self.cluster.server(server).gen;
-                for &job in run {
-                    self.accrue(job, server, gen, budget)?;
-                }
+        if budget.is_zero() {
+            for &job in self.run_sets.iter().flatten() {
+                let j = self.jobs.get_mut(job).expect("validated job exists");
+                j.warm = self.warm_serial + 1;
             }
+        } else {
+            let sets = std::mem::take(&mut self.run_sets);
+            let accrued = (sets.iter().enumerate())
+                .filter(|(_, run)| !run.is_empty())
+                .try_for_each(|(i, run)| {
+                    let server = ServerId::new(i as u32);
+                    let gen = self.cluster.servers[i].gen;
+                    run.iter()
+                        .try_for_each(|&job| self.accrue(job, server, gen, budget))
+                });
+            self.run_sets = sets;
+            accrued?;
         }
-
-        // 6. Remember who ran, for next round's switch-overhead accounting.
-        // Bumping the serial invalidates every previous stamp at once.
         self.warm_serial += 1;
-        for job in plan.run.values().flat_map(|jobs| jobs.iter()) {
-            *slot_u64(&mut self.warm_stamp, job.index()) = self.warm_serial;
-        }
 
-        // 7. Keep the clock ticking while anything is alive. Not-yet-arrived
+        // 6. Keep the clock ticking while anything is alive. Not-yet-arrived
         // jobs don't count: their arrival events restart the clock.
         self.round_armed = false;
         if !self.index.active.is_empty() {
@@ -1154,46 +1185,94 @@ impl Simulation {
         Ok(())
     }
 
-    /// Checks `plan`'s run sets against the cluster and returns the jobs
-    /// scheduled and the GPUs used, adding each user's granted GPUs to
-    /// `grant_by_user`. Validated grants collect in `grants` in plan order;
-    /// a full buffer of [`GRANT_BATCH`] is emitted and cleared, and the
-    /// caller emits what is left.
+    /// Installs a plan's run sets by move: a full-form plan replaces every
+    /// server's set (a server it leaves out gets an empty one), a
+    /// changes-only plan just the sets it lists. Each installed set is
+    /// marked for checking. Returns the first listed server the cluster
+    /// does not have, which validation reports after every known server,
+    /// where the id order puts it.
+    fn install_run_sets(
+        &mut self,
+        run: BTreeMap<ServerId, Vec<JobId>>,
+        changes_only: bool,
+    ) -> Option<ServerId> {
+        if !changes_only {
+            for (set, checked) in self.run_sets.iter_mut().zip(&mut self.run_checked) {
+                if !set.is_empty() {
+                    set.clear();
+                    *checked = u64::MAX;
+                }
+            }
+        }
+        let mut unknown = None;
+        for (server, jobs) in run {
+            match self.run_sets.get_mut(server.index()) {
+                Some(set) => {
+                    *set = jobs;
+                    self.run_checked[server.index()] = u64::MAX;
+                }
+                None => {
+                    unknown.get_or_insert(server);
+                }
+            }
+        }
+        unknown
+    }
+
+    /// Walks the run sets in server-id order and returns the jobs scheduled
+    /// and the GPUs used, adding each user's granted GPUs to
+    /// `grant_by_user`. Every grant collects in `grants`; a full buffer of
+    /// [`GRANT_BATCH`] is emitted and cleared, and the caller emits what is
+    /// left.
     ///
-    /// Duplicate detection stamps each granted job with the round number
+    /// A set is checked (server up, no duplicate, every job resident there,
+    /// no overcommit) only when it was installed this round or its server's
+    /// residency changed since its last check. A set that passed and whose
+    /// residency has not moved still passes: its jobs are still resident
+    /// there, so none can be listed twice or sit on a down server.
+    /// [`check_run_sets`](Self::check_run_sets) checks every set, and debug
+    /// builds compare the two every round.
+    ///
+    /// Duplicate detection stamps each checked job with the round number
     /// (`dup_stamp` defaults to 0, rounds start at 1), and per-user grant
     /// totals accumulate into a user-indexed vec — both O(1) per gang
     /// where a set insert / linear user probe would grow with the plan.
     fn validate_run_sets(
         &mut self,
-        plan: &RoundPlan,
+        unknown: Option<ServerId>,
         grants: &mut Vec<PackedGang>,
         grant_by_user: &mut Vec<u32>,
     ) -> Result<(u32, u32)> {
         let mut scheduled = 0u32;
         let mut gpus_used = 0u32;
-        for (&server, run) in &plan.run {
-            let srv = self
-                .cluster
-                .servers
-                .get(server.index())
-                .ok_or(GfairError::UnknownServer(server))?;
-            if self.down.contains(&server) && !run.is_empty() {
+        for (i, run) in self.run_sets.iter().enumerate() {
+            if run.is_empty() {
+                continue;
+            }
+            let server = ServerId::new(i as u32);
+            let version = self.index.res_version[i];
+            let check = self.run_checked[i] != version;
+            if check && self.down.contains(&server) {
                 return Err(GfairError::ServerDown(server));
             }
             let mut requested = 0u32;
             for &job in run {
-                let stamp = slot_u64(&mut self.dup_stamp, job.index());
-                if *stamp == self.rounds {
-                    return Err(GfairError::DuplicateJobInPlan(job));
-                }
-                *stamp = self.rounds;
-                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
-                if j.info.state != JobState::Resident || j.info.server != Some(server) {
-                    return Err(GfairError::JobNotResident { job, server });
-                }
-                requested += j.info.gang;
+                let j = if check {
+                    let stamp = slot_u64(&mut self.dup_stamp, job.index());
+                    if *stamp == self.rounds {
+                        return Err(GfairError::DuplicateJobInPlan(job));
+                    }
+                    *stamp = self.rounds;
+                    let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
+                    if j.info.state != JobState::Resident || j.info.server != Some(server) {
+                        return Err(GfairError::JobNotResident { job, server });
+                    }
+                    j
+                } else {
+                    &self.jobs[job]
+                };
                 let (user, gang) = (j.info.user, j.info.gang);
+                requested += gang;
                 let slot = user.index();
                 if grant_by_user.len() <= slot {
                     grant_by_user.resize(slot + 1, 0);
@@ -1212,16 +1291,64 @@ impl Simulation {
                 });
                 scheduled += 1;
             }
-            if requested > srv.num_gpus {
+            if check {
+                let gpus = self.cluster.servers[i].num_gpus;
+                if requested > gpus {
+                    return Err(GfairError::ServerOvercommitted {
+                        server,
+                        requested,
+                        gpus,
+                    });
+                }
+                self.run_checked[i] = version;
+            }
+            gpus_used += requested;
+        }
+        match unknown {
+            Some(server) => Err(GfairError::UnknownServer(server)),
+            None => Ok((scheduled, gpus_used)),
+        }
+    }
+
+    /// The full check of every run set, as if each had been installed this
+    /// round: the oracle for [`validate_run_sets`](Self::validate_run_sets)
+    /// and the source of its error when a set fails. Returns the same
+    /// totals, or the first failure in server-id order.
+    fn check_run_sets(&self, unknown: Option<ServerId>) -> Result<(u32, u32)> {
+        let mut granted = BTreeSet::new();
+        let mut scheduled = 0u32;
+        let mut gpus_used = 0u32;
+        for (i, run) in self.run_sets.iter().enumerate() {
+            let server = ServerId::new(i as u32);
+            if self.down.contains(&server) && !run.is_empty() {
+                return Err(GfairError::ServerDown(server));
+            }
+            let mut requested = 0u32;
+            for &job in run {
+                if !granted.insert(job) {
+                    return Err(GfairError::DuplicateJobInPlan(job));
+                }
+                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
+                if j.info.state != JobState::Resident || j.info.server != Some(server) {
+                    return Err(GfairError::JobNotResident { job, server });
+                }
+                requested += j.info.gang;
+                scheduled += 1;
+            }
+            let gpus = self.cluster.servers[i].num_gpus;
+            if requested > gpus {
                 return Err(GfairError::ServerOvercommitted {
                     server,
                     requested,
-                    gpus: srv.num_gpus,
+                    gpus,
                 });
             }
             gpus_used += requested;
         }
-        Ok((scheduled, gpus_used))
+        match unknown {
+            Some(server) => Err(GfairError::UnknownServer(server)),
+            None => Ok((scheduled, gpus_used)),
+        }
     }
 
     /// Runs `job` on generation `gen` for up to `budget`, scheduling an
@@ -1240,13 +1367,15 @@ impl Simulation {
         let noise = self.config.profile_noise;
         let stint_len = self.config.profile_stint;
         let j = self.jobs.get_mut(job).expect("validated job exists");
+        // A job resuming after a round off pays the suspend/resume switch
+        // cost before training resumes (the GPU is occupied throughout).
+        // Running now makes it warm next round.
+        let warm = j.warm == self.warm_serial;
+        j.warm = self.warm_serial + 1;
         if j.first_run.is_none() {
             j.first_run = Some(self.now);
         }
         let rate = j.true_rate(gen);
-        // A job resuming after a round off pays the suspend/resume switch
-        // cost before training resumes (the GPU is occupied throughout).
-        let warm = self.warm_stamp.get(job.index()) == Some(&self.warm_serial);
         let overhead = if warm {
             SimDuration::ZERO
         } else {

@@ -11,9 +11,9 @@
 //!
 //! With `J` the engine's job table and `R[s]` server `s`'s id-sorted
 //! resident list. Users are indexed by `UserId::index()` and models by their
-//! rank among the trace's distinct model names in `str` order (`models[r]` is
-//! rank `r`'s interned name), so every per-user or per-model table below is a
-//! vector, not a tree:
+//! `ModelId`, the rank among the trace's distinct model names in `str` order
+//! (`models[r]` is model `r`'s interned name), so every per-user or per-model
+//! table below is a vector, not a tree:
 //!
 //! * `arrived` — jobs whose `Arrival` event has fired. Monotone; jobs with a
 //!   future arrival are never present.
@@ -25,8 +25,8 @@
 //! * `user_demand[u]` — `Σ gang(j) for j ∈ by_user[u]`; zero exactly for
 //!   inactive users, because every gang is at least 1.
 //! * `user_model_gang[u]` — `(r, Σ gang(j))` over active jobs of user `u`
-//!   running the model of rank `r`, sorted by rank, with no zero entries.
-//! * `model_active[r]` — active jobs running the model of rank `r`.
+//!   running model `r`, sorted by id, with no zero entries.
+//! * `model_active[r]` — active jobs running model `r`.
 //! * `user_gen_assigned[u * num_gens + g]` / `user_server_assigned[u]` —
 //!   `Σ gang(j)` over active jobs of `u` with `J[j].server` set, grouped by
 //!   the server's generation / the server itself (the latter as a
@@ -58,7 +58,7 @@
 
 use crate::job::JobTable;
 use crate::jobset::JobSet;
-use gfair_types::{ClusterSpec, GenId, JobId, JobState, ServerId, UserId};
+use gfair_types::{ClusterSpec, GenId, JobId, JobState, ModelId, ServerId, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -118,12 +118,13 @@ pub(crate) struct ClusterIndex {
     /// `UserId::index()`.
     pub(crate) user_demand: Vec<u64>,
     /// The trace's distinct model names in `str` order; a model's position
-    /// here is its rank, which keys the per-model tables.
-    pub(crate) models: Vec<Arc<str>>,
+    /// here is its rank, its [`ModelId`], which keys the per-model tables.
+    /// Shared, so a scheduler can keep the table past the run.
+    pub(crate) models: Arc<[Arc<str>]>,
     /// GPUs demanded per user over active jobs, split by model: one
-    /// rank-sorted `(rank, gpus)` list per `UserId::index()`.
-    pub(crate) user_model_gang: Vec<Vec<(u32, u64)>>,
-    /// Active jobs per model, indexed by model rank.
+    /// id-sorted `(model, gpus)` list per `UserId::index()`.
+    pub(crate) user_model_gang: Vec<Vec<(ModelId, u64)>>,
+    /// Active jobs per model, indexed by `ModelId::index()`.
     pub(crate) model_active: Vec<JobSet>,
     /// Number of generations: the row width of `user_gen_assigned`.
     pub(crate) num_gens: usize,
@@ -152,7 +153,7 @@ impl ClusterIndex {
     /// Creates an empty index for `cluster`, `num_users` user slots (one
     /// past the largest user id) and the interned model names `models`,
     /// which must be in `str` order.
-    pub(crate) fn new(cluster: &ClusterSpec, num_users: usize, models: Vec<Arc<str>>) -> Self {
+    pub(crate) fn new(cluster: &ClusterSpec, num_users: usize, models: Arc<[Arc<str>]>) -> Self {
         debug_assert!(models.is_sorted_by(|a, b| a < b), "models unsorted");
         let len = cluster
             .servers
@@ -194,7 +195,7 @@ impl ClusterIndex {
     }
 
     /// A job's arrival event fired: it becomes visible and starts pending.
-    pub(crate) fn on_arrive(&mut self, job: JobId, user: UserId, gang: u32, model: u32) {
+    pub(crate) fn on_arrive(&mut self, job: JobId, user: UserId, gang: u32, model: ModelId) {
         self.arrived.insert(job);
         self.active.insert(job);
         self.pending.insert(job);
@@ -202,19 +203,19 @@ impl ClusterIndex {
         self.by_user[u].insert(job);
         self.user_demand[u] += u64::from(gang);
         add_sorted(&mut self.user_model_gang[u], model, u64::from(gang));
-        self.model_active[model as usize].insert(job);
+        self.model_active[model.index()].insert(job);
     }
 
     /// A job finished (from any active state; evicted jobs can finish while
     /// pending).
-    pub(crate) fn on_finish(&mut self, job: JobId, user: UserId, gang: u32, model: u32) {
+    pub(crate) fn on_finish(&mut self, job: JobId, user: UserId, gang: u32, model: ModelId) {
         self.active.remove(job);
         self.pending.remove(job);
         let u = user.index();
         self.by_user[u].remove(job);
         self.user_demand[u] = self.user_demand[u].saturating_sub(u64::from(gang));
         sub_sorted(&mut self.user_model_gang[u], model, u64::from(gang));
-        self.model_active[model as usize].remove(job);
+        self.model_active[model.index()].remove(job);
     }
 
     /// A pending job became resident on `server`.
@@ -333,10 +334,11 @@ impl ClusterIndex {
         let mut user_server_assigned: BTreeMap<(UserId, ServerId), u64> = BTreeMap::new();
         for id in self.arrived.iter() {
             let j = jobs.get(id).ok_or_else(|| format!("unknown job {id}"))?;
-            if self.models.get(j.model_rank as usize) != Some(&j.info.model) {
+            let model: Arc<str> = Arc::from(j.spec.model.name.as_str());
+            if self.models.get(j.info.model_id.index()) != Some(&model) {
                 return Err(format!(
-                    "job {id} model {} has the wrong rank {}",
-                    j.info.model, j.model_rank
+                    "job {id} model {model} has the wrong id {}",
+                    j.info.model_id
                 ));
             }
             if j.info.state.is_active() {
@@ -344,12 +346,9 @@ impl ClusterIndex {
                 by_user.entry(j.info.user).or_default().insert(id);
                 *user_demand.entry(j.info.user).or_insert(0) += u64::from(j.info.gang);
                 *user_model_gang
-                    .entry((j.info.user, Arc::clone(&j.info.model)))
+                    .entry((j.info.user, Arc::clone(&model)))
                     .or_insert(0) += u64::from(j.info.gang);
-                model_active
-                    .entry(Arc::clone(&j.info.model))
-                    .or_default()
-                    .insert(id);
+                model_active.entry(model).or_default().insert(id);
                 if let Some(s) = j.info.server {
                     let gen = self.server_gen[s.index()];
                     *user_gen_assigned.entry((j.info.user, gen)).or_insert(0) +=
@@ -400,7 +399,7 @@ impl ClusterIndex {
                 return Err(format!("user_model_gang of {} is not rank-sorted", user(u)));
             }
             for &(r, d) in table {
-                let model = Arc::clone(&self.models[r as usize]);
+                let model = Arc::clone(&self.models[r.index()]);
                 dense_user_model_gang.insert((user(u), model), d);
             }
         }

@@ -4,10 +4,11 @@
 //! (true rates, exact progress). [`JobInfo`] is the subset a scheduler may
 //! see; [`JobRecord`] is the per-job line in the final report.
 
-use gfair_types::{GenId, JobId, JobSpec, JobState, ServerId, SimDuration, SimTime, UserId};
+use gfair_types::{
+    GenId, JobId, JobSpec, JobState, ModelId, ServerId, SimDuration, SimTime, UserId,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Scheduler-visible job metadata.
 ///
@@ -22,8 +23,11 @@ pub struct JobInfo {
     pub user: UserId,
     /// Gang size (GPUs needed simultaneously).
     pub gang: u32,
-    /// Model name (an opaque label to schedulers).
-    pub model: Arc<str>,
+    /// The job's model: its name's rank among the trace's distinct model
+    /// names in `str` order, an opaque label to schedulers
+    /// ([`crate::SimView::model_name`] maps it back to the name).
+    /// Per-model tables index by it.
+    pub model_id: ModelId,
     /// Checkpoint + restore outage if the job is migrated.
     pub migration_cost: SimDuration,
     /// Submission time.
@@ -53,9 +57,6 @@ pub(crate) struct JobRt {
     pub first_run: Option<SimTime>,
     /// Completion time, when finished.
     pub finish: Option<SimTime>,
-    /// Rank of the job's model among the trace's distinct model names in
-    /// `str` order (the cluster index keys its per-model tables by it).
-    pub model_rank: u32,
     /// Number of times this job was migrated.
     pub migrations: u32,
     /// Migration attempts started, successful or not (keys the fault
@@ -66,17 +67,21 @@ pub(crate) struct JobRt {
     pub restore_fail: bool,
     /// Source server of the in-flight migration, for failure reporting.
     pub migrating_from: Option<ServerId>,
+    /// The engine's round serial in which the job counts as warm: set to
+    /// the next round's serial whenever it runs (see the engine's
+    /// `warm_serial`). Zero never matches a serial.
+    pub warm: u64,
 }
 
 impl JobRt {
-    /// Creates runtime state for a newly arrived job whose model name is
-    /// interned as `model`, rank `model_rank` in `str` order.
-    pub fn new(spec: JobSpec, model: Arc<str>, model_rank: u32) -> Self {
+    /// Creates runtime state for a newly arrived job whose model has id
+    /// `model_id`.
+    pub fn new(spec: JobSpec, model_id: ModelId) -> Self {
         let info = JobInfo {
             id: spec.id,
             user: spec.user,
             gang: spec.gang,
-            model,
+            model_id,
             migration_cost: spec.model.migration_cost(),
             arrival: spec.arrival,
             state: JobState::Pending,
@@ -90,11 +95,11 @@ impl JobRt {
             finishing: false,
             first_run: None,
             finish: None,
-            model_rank,
             migrations: 0,
             attempts: 0,
             restore_fail: false,
             migrating_from: None,
+            warm: 0,
         }
     }
 
@@ -225,6 +230,7 @@ impl JobRecord {
 mod tests {
     use super::*;
     use gfair_types::ModelProfile;
+    use std::sync::Arc;
 
     fn rt() -> JobRt {
         let model = Arc::new(ModelProfile::with_default_overheads(
@@ -240,8 +246,7 @@ mod tests {
                 3600.0,
                 SimTime::from_secs(100),
             ),
-            Arc::from("ResNet-50"),
-            0,
+            ModelId::new(0),
         )
     }
 
@@ -260,7 +265,7 @@ mod tests {
         assert_eq!(j.info.id, JobId::new(1));
         assert_eq!(j.info.user, UserId::new(2));
         assert_eq!(j.info.gang, 4);
-        assert_eq!(&*j.info.model, "ResNet-50");
+        assert_eq!(j.info.model_id, ModelId::new(0));
         assert_eq!(j.info.migration_cost, SimDuration::from_secs(60));
     }
 

@@ -6,7 +6,7 @@
 //! changes happen at quantum edges — matching the paper's round-based
 //! suspend/resume design and keeping accounting exact. The per-quantum
 //! [`RoundPlan`] may also carry actions; those apply immediately, before the
-//! plan's run sets are validated.
+//! plan's run sets are installed and validated.
 
 use crate::view::SimView;
 use gfair_types::{GenId, JobId, JobState, MigrationFailReason, ServerId, SimTime};
@@ -35,19 +35,40 @@ pub enum Action {
 }
 
 /// One quantum's scheduling decision.
+///
+/// The engine keeps one run set per server, the jobs that server runs each
+/// quantum, and a plan updates them in one of two forms:
+///
+/// - **Full** (`changes_only == false`, the default): `run` is the whole
+///   decision. A listed server runs its list; a server left out runs
+///   nothing. Schedulers that replan every server every round use it.
+/// - **Changes-only** (`changes_only == true`): `run` lists exactly the
+///   servers whose set was decided this round. A listed server runs its
+///   list, an empty list stops it, and a server left out keeps running its
+///   last set. A scheduler that knows which servers it touched sends only
+///   those.
+///
+/// Either way every run set must hold at each quantum: jobs listed must be
+/// resident on that server, each job runs on at most one server, and the
+/// gangs must fit within the server's GPUs. The engine re-checks a set
+/// whenever it is installed or its server's residency changed, so a set
+/// left in place that a finish or a migration made stale is refused exactly
+/// as if it had been sent again.
 #[derive(Debug, Clone, Default)]
 pub struct RoundPlan {
-    /// Jobs to run this quantum, per server. Jobs listed must be resident on
-    /// that server and schedulable; gang sizes must fit within the server's
-    /// GPUs. Servers may be omitted (nothing runs there).
+    /// Jobs to run this quantum, per server, in the form `changes_only`
+    /// names.
     pub run: BTreeMap<ServerId, Vec<JobId>>,
+    /// Whether `run` holds only the servers whose set changed (see the type
+    /// docs); `false` makes `run` the whole decision.
+    pub changes_only: bool,
     /// Placements/migrations to apply at this round boundary, before the run
-    /// sets are validated. A job placed here may appear in `run`.
+    /// sets are installed. A job placed here may appear in `run`.
     pub actions: Vec<Action>,
 }
 
 impl RoundPlan {
-    /// An empty plan (nothing runs anywhere).
+    /// An empty full-form plan (nothing runs anywhere).
     pub fn empty() -> Self {
         Self::default()
     }
@@ -57,7 +78,7 @@ impl RoundPlan {
         self.run.entry(server).or_default().push(job);
     }
 
-    /// Total number of jobs scheduled across all servers.
+    /// Total number of jobs listed across all servers.
     pub fn num_running(&self) -> usize {
         self.run.values().map(|v| v.len()).sum()
     }
@@ -164,7 +185,9 @@ pub trait ClusterScheduler {
         Vec::new()
     }
 
-    /// Called once per quantum: decide which resident jobs run this round.
+    /// Called once per quantum: decide which resident jobs run this round,
+    /// as a full plan or as the changes since the last one (see
+    /// [`RoundPlan`]).
     fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan;
 
     /// Unused: the engine steps every quantum. The next three methods are

@@ -8,7 +8,7 @@ use crate::index::ClusterIndex;
 use crate::job::{JobInfo, JobTable};
 use crate::jobset::JobSet;
 use gfair_types::{
-    ClusterSpec, GenId, JobId, ServerId, ServerSpec, SimConfig, SimTime, UserId, UserSpec,
+    ClusterSpec, GenId, JobId, ModelId, ServerId, ServerSpec, SimConfig, SimTime, UserId, UserSpec,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -194,13 +194,26 @@ impl<'a> SimView<'a> {
 
     /// Per-(user, model) GPU demand over active jobs, in (user-id, model)
     /// order. Zero entries are absent.
-    pub fn user_model_demands(&self) -> impl Iterator<Item = (UserId, &'a Arc<str>, u64)> + 'a {
-        let models = &self.index.models;
+    pub fn user_model_demands(&self) -> impl Iterator<Item = (UserId, ModelId, u64)> + 'a {
         (self.index.user_model_gang.iter().enumerate()).flat_map(move |(u, table)| {
-            table
-                .iter()
-                .map(move |&(r, d)| (UserId::new(u as u32), &models[r as usize], d))
+            (table.iter()).map(move |&(m, d)| (UserId::new(u as u32), m, d))
         })
+    }
+
+    /// The trace's distinct model names in `str` order, indexed by
+    /// [`ModelId::index`]: the table every job's `model_id` points into.
+    /// Shared, so a scheduler can keep it past the run.
+    pub fn models(&self) -> &'a Arc<[Arc<str>]> {
+        &self.index.models
+    }
+
+    /// The name of model `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a model of this simulation's trace.
+    pub fn model_name(&self, id: ModelId) -> &'a Arc<str> {
+        &self.index.models[id.index()]
     }
 
     /// GPUs of `user`'s placed jobs (jobs with a server assigned, including
@@ -245,9 +258,10 @@ impl<'a> SimView<'a> {
 
     /// Models with at least one active job and those jobs' ids, in model
     /// order.
-    pub fn active_models(&self) -> impl Iterator<Item = (&'a Arc<str>, &'a JobSet)> + 'a {
-        (self.index.models.iter().zip(&self.index.model_active))
+    pub fn active_models(&self) -> impl Iterator<Item = (ModelId, &'a JobSet)> + 'a {
+        (self.index.model_active.iter().enumerate())
             .filter(|(_, jobs)| !jobs.is_empty())
+            .map(|(m, jobs)| (ModelId::new(m as u32), jobs))
     }
 
     /// Servers of `gen` in ascending (resident load, id) order — the order a

@@ -920,3 +920,120 @@ fn eviction_preserves_training_progress() {
     );
     assert!(finish >= SimTime::from_secs(600));
 }
+
+/// Places job `j` on server `j % 2` and sends `plans(r)` in round `r`
+/// (counted from 1).
+struct Scripted<F>(u64, F);
+
+impl<F: FnMut(u64) -> RoundPlan> ClusterScheduler for Scripted<F> {
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+
+    fn on_job_arrival(&mut self, _v: &SimView<'_>, job: JobId) -> Vec<Action> {
+        let server = ServerId::new(job.raw() % 2);
+        vec![Action::Place { job, server }]
+    }
+
+    fn plan_round(&mut self, _view: &SimView<'_>) -> RoundPlan {
+        self.0 += 1;
+        (self.1)(self.0)
+    }
+}
+
+/// A plan listing `sets` as `(server, jobs)`, in the changes-only form
+/// when `changes_only`.
+fn plan_of(changes_only: bool, sets: &[(u32, &[u32])]) -> RoundPlan {
+    let run = (sets.iter())
+        .map(|&(s, jobs)| {
+            (
+                ServerId::new(s),
+                jobs.iter().map(|&j| JobId::new(j)).collect(),
+            )
+        })
+        .collect();
+    RoundPlan {
+        run,
+        changes_only,
+        actions: Vec::new(),
+    }
+}
+
+/// Runs jobs 0 and 1 (one GPU each, `service` seconds) on two one-GPU
+/// servers for `rounds` quanta under `plans`, returning each job's
+/// GPU-seconds or the run's error.
+fn run_scripted(
+    service: [f64; 2],
+    rounds: u64,
+    plans: impl FnMut(u64) -> RoundPlan,
+) -> Result<[f64; 2], GfairError> {
+    let m = mono_model();
+    let trace = vec![
+        job(0, 0, &m, 1, service[0], 0),
+        job(1, 0, &m, 1, service[1], 0),
+    ];
+    let sim = Simulation::new(ClusterSpec::homogeneous(2, 1), users(1), trace, config()).unwrap();
+    let horizon = SimTime::ZERO + config().quantum * rounds;
+    let report = sim.run_until(&mut Scripted(0, plans), horizon)?;
+    Ok([0, 1].map(|j| report.jobs[&JobId::new(j)].total_gpu_secs()))
+}
+
+#[test]
+fn changes_only_plan_keeps_unlisted_servers_running() {
+    // Both sets are sent once; every later plan lists nothing, so both
+    // servers keep running their last set for all ten quanta.
+    let q = config().quantum.as_secs_f64();
+    let used = run_scripted([1e6, 1e6], 10, |r| match r {
+        1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+        _ => plan_of(true, &[]),
+    })
+    .unwrap();
+    assert_eq!(used, [10.0 * q, 10.0 * q]);
+}
+
+#[test]
+fn changes_only_empty_list_clears_a_server() {
+    // Server 1's set is replaced by an empty list in round 4: job 1 runs
+    // three quanta, job 0 on the untouched server all ten.
+    let q = config().quantum.as_secs_f64();
+    let used = run_scripted([1e6, 1e6], 10, |r| match r {
+        1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+        4 => plan_of(true, &[(1, &[])]),
+        _ => plan_of(true, &[]),
+    })
+    .unwrap();
+    assert_eq!(used, [10.0 * q, 3.0 * q]);
+}
+
+#[test]
+fn finished_job_left_in_an_unlisted_set_is_refused() {
+    // Job 0 finishes in its second quantum. Its server's set is never sent
+    // again, yet the engine re-checks it once the finish changes the
+    // server's residency, and refuses it as it would a resent set.
+    let q = config().quantum.as_secs_f64();
+    let err = run_scripted([1.5 * q, 1e6], 10, |r| match r {
+        1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+        _ => plan_of(true, &[]),
+    })
+    .unwrap_err();
+    assert_eq!(
+        err,
+        GfairError::JobNotResident {
+            job: JobId::new(0),
+            server: ServerId::new(0),
+        }
+    );
+}
+
+#[test]
+fn full_plan_leaving_a_server_out_stops_it() {
+    // The full form is the whole decision: from round 2 on, server 1 is
+    // left out and so runs nothing.
+    let q = config().quantum.as_secs_f64();
+    let used = run_scripted([1e6, 1e6], 10, |r| match r {
+        1 => plan_of(false, &[(0, &[0]), (1, &[1])]),
+        _ => plan_of(false, &[(0, &[0])]),
+    })
+    .unwrap();
+    assert_eq!(used, [10.0 * q, q]);
+}

@@ -1,6 +1,6 @@
 //! Strongly-typed identifiers.
 //!
-//! Every entity in the system (jobs, users, servers, GPU generations) is
+//! Every entity in the system (jobs, users, servers, GPU generations, models) is
 //! referred to by a newtype around a small integer. The newtypes prevent the
 //! classic "passed a job id where a server id was expected" bug while staying
 //! `Copy` and hash-friendly for use as map keys throughout the scheduler.
@@ -81,6 +81,14 @@ id_type!(
     /// Identifier of a GPU generation (e.g. K80, P100, V100).
     GenId,
     "G"
+);
+
+id_type!(
+    /// Identifier of a model within one simulation: the rank of its name
+    /// among the trace's distinct model names in `str` order, so ids are
+    /// dense and id order is name order.
+    ModelId,
+    "M"
 );
 
 /// Allocates monotonically increasing identifiers of one kind.

@@ -30,7 +30,7 @@ pub use config::{PriceStrategy, SimConfig};
 pub use error::GfairError;
 pub use fault::MigrationFailReason;
 pub use gpu::{GenCatalog, GpuGeneration};
-pub use ids::{GenId, JobId, ServerId, UserId};
+pub use ids::{GenId, JobId, ModelId, ServerId, UserId};
 pub use job::{JobSpec, JobState};
 pub use model::ModelProfile;
 pub use time::{SimDuration, SimTime};

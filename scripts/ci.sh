@@ -51,6 +51,18 @@ cargo run --quiet --bin gfair -- simulate --cluster homogeneous:800x8 \
     --median-mins 8 --horizon-hours 1 --fail 3@0-1 \
     --trace-full target/placement-smoke-full.jsonl > /dev/null
 
+echo "### debug-build faulted testbed runs (engine and policy-input oracles)"
+# Debug builds re-check every run set from scratch each round against the
+# engine's incremental check, and every policy-input refresh against its
+# from-scratch oracle. These runs put both under the fault plan's
+# partitions, flaps, failed migrations and retries, plus a server failure
+# that evicts its residents. A few seconds per policy.
+for policy in gfair gavel-hetero themis-ftf; do
+    cargo run --quiet --bin gfair -- simulate --cluster paper --users 8 \
+        --jobs 300 --seed 3 --faults examples/faults.json --fail 1@1-3 \
+        --policy "$policy" > /dev/null
+done
+
 echo "### shim tests"
 # Cargo.toml excludes the vendored shims from the workspace, so
 # `--workspace` never runs their own tests; name them explicitly.

@@ -9,12 +9,14 @@
 //! random traces, clusters, server failures/recoveries and the migrations
 //! the balancer plans along the way.
 
+use gfair::core::{PolicyInputs, TicketTrading};
+use gfair::obs::Tracer;
 use gfair::prelude::*;
 use gfair::sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
 use gfair::types::{GenId, JobState};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Wraps a scheduler, validating every view it is handed.
 struct Audited<S>(S);
@@ -110,9 +112,10 @@ impl<S> Audited<S> {
             let gang = u64::from(j.gang);
             *demands.entry(j.user).or_insert(0) += gang;
             *model_demands
-                .entry((j.user, j.model.to_string()))
+                .entry((j.user, view.model_name(j.model_id).to_string()))
                 .or_insert(0) += gang;
-            models.entry(j.model.to_string()).or_default().push(j.id);
+            let model = view.model_name(j.model_id).to_string();
+            models.entry(model).or_default().push(j.id);
             if let Some(s) = j.server {
                 let gen = view.cluster().server(s).gen;
                 *gen_assigned.entry((j.user, gen)).or_insert(0) += gang;
@@ -128,7 +131,7 @@ impl<S> Audited<S> {
         assert_eq!(got, naive, "user_demands diverged");
         let got: Vec<(UserId, String, u64)> = view
             .user_model_demands()
-            .map(|(u, m, d)| (u, m.to_string(), d))
+            .map(|(u, m, d)| (u, view.model_name(m).to_string(), d))
             .collect();
         let naive: Vec<(UserId, String, u64)> = model_demands
             .into_iter()
@@ -137,7 +140,7 @@ impl<S> Audited<S> {
         assert_eq!(got, naive, "user_model_demands diverged");
         let got: Vec<(String, Vec<JobId>)> = view
             .active_models()
-            .map(|(m, jobs)| (m.to_string(), jobs.iter().collect()))
+            .map(|(m, jobs)| (view.model_name(m).to_string(), jobs.iter().collect()))
             .collect();
         let naive: Vec<(String, Vec<JobId>)> = models.into_iter().collect();
         assert_eq!(got, naive, "active_models diverged");
@@ -215,6 +218,104 @@ impl<S: ClusterScheduler> ClusterScheduler for Audited<S> {
     }
 }
 
+/// Keeps the `profile_inferred` events of a run, as (model, gen, samples).
+struct Inferred(Arc<Mutex<Vec<(String, GenId, u64)>>>);
+
+impl Tracer for Inferred {
+    fn record(&mut self, event: &TraceEvent) {
+        if let TraceEvent::ProfileInferred {
+            model,
+            gen,
+            samples,
+            ..
+        } = event
+        {
+            self.0.lock().unwrap().push((model.clone(), *gen, *samples));
+        }
+    }
+}
+
+/// Wraps gfair's scheduler (itself audited) and checks that model ids and
+/// the trace's model names agree wherever the profiler sits between them:
+/// each report lands on the estimate of its job's model name, a
+/// `profile_inferred` event names that model exactly when its estimate
+/// crosses the sample threshold, and the dense policy inputs built on the
+/// profiler match their from-scratch oracle.
+struct ModelIds {
+    sched: Audited<PolicyScheduler<TicketTrading>>,
+    /// Each job's model name as the trace gave it, by `JobId::index()`.
+    names: Vec<String>,
+    inferred: Arc<Mutex<Vec<(String, GenId, u64)>>>,
+    /// Reports seen per (model name, generation).
+    reports: BTreeMap<(String, GenId), u64>,
+}
+
+impl ClusterScheduler for ModelIds {
+    fn name(&self) -> &'static str {
+        self.sched.name()
+    }
+    fn on_job_arrival(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        self.sched.on_job_arrival(view, job)
+    }
+    fn on_job_finish(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        self.sched.on_job_finish(view, job)
+    }
+    fn on_migration_done(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        self.sched.on_migration_done(view, job)
+    }
+    fn on_job_evicted(&mut self, view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        self.sched.on_job_evicted(view, job)
+    }
+    fn on_profile_report(&mut self, view: &SimView<'_>, report: &ProfileReport) -> Vec<Action> {
+        let info = view.job(report.job).expect("reported job is known");
+        let name = &self.names[report.job.index()];
+        assert_eq!(&**view.model_name(info.model_id), name);
+        let key = (name.clone(), report.gen);
+        let seen = self.reports.entry(key.clone()).or_insert(0);
+        *seen += 1;
+        let seen = *seen;
+        let was_profiled =
+            (self.sched.0.profiler()).is_some_and(|p| p.is_profiled(info.model_id, report.gen));
+        let before = self.inferred.lock().unwrap().len();
+        let actions = self.sched.on_profile_report(view, report);
+        let profiler = self.sched.0.profiler().expect("profiler built");
+        assert_eq!(profiler.model_id(name), Some(info.model_id));
+        assert_eq!(
+            profiler.samples(info.model_id, report.gen),
+            seen,
+            "{key:?}: the estimate counts another model's reports"
+        );
+        let crossed = !was_profiled && profiler.is_profiled(info.model_id, report.gen);
+        let events = self.inferred.lock().unwrap()[before..].to_vec();
+        let want = if crossed {
+            vec![(key.0, key.1, seen)]
+        } else {
+            vec![]
+        };
+        assert_eq!(
+            events, want,
+            "profile_inferred for a report of {}",
+            report.job
+        );
+        actions
+    }
+    fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
+        let plan = self.sched.plan_round(view);
+        let profiler = self.sched.0.profiler().expect("profiler built");
+        let mut inputs = PolicyInputs::new();
+        inputs.ensure_init(view);
+        inputs.active_signature(view);
+        inputs.refresh(view, profiler);
+        inputs
+            .audit(view, profiler, None)
+            .expect("policy inputs match their from-scratch oracle");
+        plan
+    }
+    fn user_shares(&self, view: &SimView<'_>) -> Vec<gfair::obs::UserShare> {
+        self.sched.user_shares(view)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -289,8 +390,10 @@ proptest! {
     }
 
     /// Sparse user ids and model names that first arrive in reverse name
-    /// order: the per-user tables must skip the id gaps, and the per-model
-    /// tables must still list models in name order, not arrival order.
+    /// order: the per-user tables must skip the id gaps, the per-model
+    /// tables must still list models in name order, not arrival order, and
+    /// the profiler, keyed by model id, must attribute every report and
+    /// every `profile_inferred` event to the right model name.
     #[test]
     fn indexes_handle_sparse_users_and_out_of_order_models(
         seed in 0u64..1000,
@@ -325,17 +428,31 @@ proptest! {
         for (i, job) in trace.iter_mut().enumerate() {
             job.model = Arc::clone(&descending[i % descending.len()]);
         }
+        let mut names = vec![String::new(); trace.len()];
+        for job in &trace {
+            names[job.id.index()] = job.model.name.clone();
+        }
+        let obs: SharedObs = Arc::new(Obs::new());
+        let inferred = Arc::new(Mutex::new(Vec::new()));
+        obs.add_sink(Box::new(Inferred(Arc::clone(&inferred))));
         let sim = Simulation::new(
             cluster,
             users,
             trace,
             SimConfig::default().with_seed(seed),
         )
-        .unwrap();
-        let mut sched = Audited(GandivaFair::new(GfairConfig::default()));
+        .unwrap()
+        .with_obs(Arc::clone(&obs));
+        let mut sched = ModelIds {
+            sched: Audited(GandivaFair::new(GfairConfig::default()).with_obs(obs)),
+            names,
+            inferred: Arc::clone(&inferred),
+            reports: BTreeMap::new(),
+        };
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(8 * 3600))
             .expect("clean run");
         prop_assert!(report.rounds > 0);
+        prop_assert!(!sched.reports.is_empty(), "no profile report arrived");
     }
 }
