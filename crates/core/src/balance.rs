@@ -301,6 +301,23 @@ impl<'a, 'v> Planner<'a, 'v> {
         to
     }
 
+    /// Most-loaded reachable server of `gen`: a spreading source. In debug
+    /// builds checked against a full scan of the generation's reachable
+    /// servers for the maximum under [`load_order`].
+    fn source(&self, gen: GenId) -> Option<ServerId> {
+        let from = self.extreme_in_gen(gen, 0, true);
+        debug_assert_eq!(
+            from,
+            (self.view.reachable_servers_of_gen(gen))
+                .map(|s| (self.load(s.id), s.id))
+                .max_by(load_order)
+                .map(|(_, s)| s),
+            "balancer source diverged from the full scan over gen:{}",
+            gen.index()
+        );
+        from
+    }
+
     /// Applies a move's demand shift to the load projection.
     fn shift(&mut self, m: &Move) {
         *self.delta.entry(m.from).or_insert(0) -= m.gang as i64;
@@ -567,7 +584,7 @@ impl<'a, 'v> Planner<'a, 'v> {
                 // from the load index plus the move-delta overlay instead
                 // of re-scoring every server per move.
                 let hi = self
-                    .extreme_in_gen(gen, 0, true)
+                    .source(gen)
                     .expect("guard ensures ≥ 2 reachable servers");
                 let lo = self
                     .target(gen, 0)

@@ -22,8 +22,8 @@
 //! the whole test suite doubles as the differential oracle.
 
 use crate::profiler::Profiler;
-use gfair_sim::SimView;
-use gfair_types::{GenId, SimTime, UserId};
+use gfair_sim::{JobInfo, SimView};
+use gfair_types::{GenId, UserId};
 use std::collections::BTreeMap;
 
 /// Dense per-user inputs to an allocation policy, refreshed once per epoch
@@ -213,22 +213,14 @@ impl PolicyInputs {
 
     /// Refreshes the online ρ̂ estimates: the worst ratio of time-in-system
     /// to attained service over each user's active jobs, quantum-smoothed
-    /// so brand-new jobs start at ρ̂ = 1. `sched_micros` is the driver's
-    /// integer-microsecond service ledger (indexed by `JobId::index`).
-    pub fn refresh_rho(
-        &mut self,
-        view: &SimView<'_>,
-        sched_micros: &[u64],
-        quantum_micros: u64,
-        now: SimTime,
-    ) {
+    /// so brand-new jobs start at ρ̂ = 1. Attained service is the rounds the
+    /// engine ran the job ([`gfair_sim::JobInfo::rounds_run`]) times the
+    /// quantum.
+    pub fn refresh_rho(&mut self, view: &SimView<'_>) {
         self.rho_epoch = self.rho_epoch.wrapping_add(1);
         let epoch = self.rho_epoch;
-        let q = quantum_micros;
         for j in view.active_jobs() {
-            let attained = sched_micros.get(j.id.index()).copied().unwrap_or(0);
-            let elapsed = now.as_micros().saturating_sub(j.arrival.as_micros());
-            let r = (elapsed + q) as f64 / (attained + q) as f64;
+            let r = job_rho(view, j);
             let i = j.user.index();
             if self.rho_stamp[i] != epoch {
                 self.rho_stamp[i] = epoch;
@@ -240,7 +232,7 @@ impl PolicyInputs {
     }
 
     /// From-scratch audit oracle: rebuilds the demand / speedup (and, when
-    /// `rho_ledger` is given, ρ̂) maps the way the original collectors did —
+    /// `check_rho` is set, ρ̂) maps the way the original collectors did —
     /// full index scans into fresh `BTreeMap`s — and compares them against
     /// the dense state *bit-for-bit*. The drivers call this after every
     /// refresh in debug builds, so every test run differential-checks the
@@ -250,7 +242,7 @@ impl PolicyInputs {
         &self,
         view: &SimView<'_>,
         profiler: &Profiler,
-        rho_ledger: Option<(&[u64], u64, SimTime)>,
+        check_rho: bool,
     ) -> Result<(), String> {
         let demand_oracle = oracle_demands(view);
         let mut stamped = 0usize;
@@ -291,8 +283,8 @@ impl PolicyInputs {
                 }
             }
         }
-        if let Some((sched_micros, q, now)) = rho_ledger {
-            let rho_oracle = oracle_rho(view, sched_micros, q, now);
+        if check_rho {
+            let rho_oracle = oracle_rho(view);
             let mut rho_stamped = 0usize;
             for (i, &s) in self.rho_stamp.iter().enumerate() {
                 if s == self.rho_epoch {
@@ -410,20 +402,23 @@ pub(crate) fn oracle_user_speedups(
     out
 }
 
+/// One job's finish-time-fairness ratio: time in system over attained
+/// service, each plus one quantum. Attained service is the rounds the
+/// engine ran the job ([`JobInfo::rounds_run`]) times the quantum; both
+/// sides are integer microseconds, so the ratio is exact and replay-stable.
+fn job_rho(view: &SimView<'_>, j: &JobInfo) -> f64 {
+    let q = view.config().quantum.as_micros();
+    let attained = u64::from(j.rounds_run) * q;
+    let elapsed = (view.now().as_micros()).saturating_sub(j.arrival.as_micros());
+    (elapsed + q) as f64 / (attained + q) as f64
+}
+
 /// From-scratch per-user ρ̂ map — the audit oracle's reference
 /// implementation of the online finish-time-fairness estimate.
-pub(crate) fn oracle_rho(
-    view: &SimView<'_>,
-    sched_micros: &[u64],
-    quantum_micros: u64,
-    now: SimTime,
-) -> BTreeMap<UserId, f64> {
-    let q = quantum_micros;
+pub(crate) fn oracle_rho(view: &SimView<'_>) -> BTreeMap<UserId, f64> {
     let mut rho: BTreeMap<UserId, f64> = BTreeMap::new();
     for j in view.active_jobs() {
-        let attained = sched_micros.get(j.id.index()).copied().unwrap_or(0);
-        let elapsed = now.as_micros().saturating_sub(j.arrival.as_micros());
-        let r = (elapsed + q) as f64 / (attained + q) as f64;
+        let r = job_rho(view, j);
         rho.entry(j.user)
             .and_modify(|m| {
                 if r > *m {

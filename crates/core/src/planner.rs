@@ -16,17 +16,17 @@
 //!
 //! With `GfairConfig::lazy_planning` on (the default, traced or not), the
 //! planner runs in an incremental mode: instead of syncing and
-//! re-planning every server every round, it keeps the last selection per
-//! server (`selections`) and only *settles* — fast-forwards the lagging
-//! stride state, syncs, re-plans — servers whose selection may differ from
-//! the kept one. Selections are in job-id order, so the invariant is
-//! simple: a server that was uncontended at its last settle (every gang fit
-//! at once, [`LocalScheduler::fits_all`]) runs all its jobs every round and
-//! reproduces its kept selection until something touches it. The round's
-//! plan is then the changes-only form of [`RoundPlan`]: it lists the
-//! servers settled this round, each with its new selection (an empty one
-//! included), and the engine keeps running every other server's last set.
-//! The eager path sends the full form. A round settles:
+//! re-planning every server every round, it only *settles* — fast-forwards
+//! the lagging stride state, syncs, re-plans — servers whose selection may
+//! differ from the run set the engine keeps for them
+//! ([`SimView::run_set`]). Selections are in job-id order, so the invariant
+//! is simple: a server that was uncontended at its last settle (every gang
+//! fit at once, [`LocalScheduler::fits_all`]) runs all its jobs every round
+//! and reproduces its last selection until something touches it. The
+//! round's plan is then the changes-only form of [`RoundPlan`]: it lists
+//! the servers settled this round, each with its new selection (an empty
+//! one included), and the engine keeps running every other server's last
+//! set. The eager path sends the full form. A round settles:
 //!
 //! * servers whose residency changed since the last round, discovered from
 //!   the sim index's bounded dirty ring ([`SimView::residency_dirty_since`]),
@@ -156,9 +156,6 @@ pub(crate) struct RoundPlanner {
     to_settle: Vec<ServerId>,
     /// Consumed position in the sim index's residency dirty ring.
     dirty_cursor: u64,
-    /// Each server's current selection, indexed by `ServerId::index()`: the
-    /// set the engine runs there.
-    selections: Vec<Vec<JobId>>,
     /// This round's departing jobs that have a host, as id-sorted
     /// `(host, job)` pairs, and the same jobs in that order, so each
     /// server's share is one slice (reused across rounds).
@@ -182,7 +179,6 @@ impl RoundPlanner {
                     LocalScheduler::new(s.id, s.num_gpus)
                 })
                 .collect();
-            self.selections = vec![Vec::new(); self.locals.len()];
             // Lazy-settling state: the first planned round settles every
             // server.
             self.meta = vec![(0, false); self.locals.len()];
@@ -230,12 +226,6 @@ impl RoundPlanner {
             .map(|(i, w)| cache.gen.get(i) != Some(w))
             .collect();
         cache.gen = gen_weights;
-    }
-
-    /// Each server's current selection, indexed by `ServerId::index()`:
-    /// what the engine runs there after this round's plan is installed.
-    pub fn selections(&self) -> &[Vec<JobId>] {
-        &self.selections
     }
 
     /// Syncs local schedulers and plans this quantum's per-server run sets,
@@ -287,14 +277,12 @@ impl RoundPlanner {
         let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
         let (hosts, jobs) = (&self.departing_hosts, &self.departing_jobs);
         let locals = &mut self.locals;
-        let selections = &mut self.selections;
         let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
             for local in locals.iter_mut() {
                 let server = local.server();
                 let here = departing_on(hosts, jobs, server);
                 let selected = weights.sync_and_plan(local, view, here, refreshed, &dropped);
-                selections[server.index()].clone_from(&selected);
                 if !selected.is_empty() {
                     run.insert(server, selected);
                 }
@@ -351,7 +339,6 @@ impl RoundPlanner {
         let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
         let locals = &mut self.locals;
         let meta = &mut self.meta;
-        let selections = &mut self.selections;
         let weights = &self.weights;
         obs.time(Phase::GangPacking, || {
             for &server in &to_settle {
@@ -368,13 +355,13 @@ impl RoundPlanner {
                 if m.1 {
                     recheck.push(server);
                 }
-                selections[server.index()].clone_from(&selected);
                 run.insert(server, selected);
             }
         });
         self.to_settle = to_settle;
         // Oracle for the invariant: every server left unsettled holds its
-        // resident jobs and runs all of them, in id order, every round.
+        // resident jobs and the engine runs all of them, in id order, every
+        // round.
         #[cfg(debug_assertions)]
         for (local, &(settled, contended)) in self.locals.iter().zip(&self.meta) {
             if settled < r {
@@ -387,8 +374,7 @@ impl RoundPlanner {
                     jobs, resident,
                     "{server} was left unsettled off its residency"
                 );
-                let kept = &self.selections[server.index()];
-                assert_eq!(kept, &jobs, "{server}'s kept selection is stale");
+                assert_eq!(view.run_set(server), jobs, "{server}'s run set is stale");
             }
         }
         RoundPlan {
@@ -423,9 +409,9 @@ mod tests {
     use std::sync::Arc;
 
     /// Places each job on the server its spec names and plans every round
-    /// through a lazy planner, logging the per-server `(settled_round,
-    /// contended)`, the selections and the servers the plan listed after
-    /// each round. With `flip`, user 0's
+    /// through a lazy planner, logging each round's engine run sets, the
+    /// per-server `(settled_round, contended)` and the servers the plan
+    /// listed. With `flip`, user 0's
     /// tickets double every other round, so every server's weights change
     /// every round.
     struct Lazy {
@@ -437,9 +423,10 @@ mod tests {
         log: Vec<Logged>,
     }
 
-    /// One round of [`Lazy`]'s log: the planner's `meta` and `selections`,
-    /// then the servers the changes-only plan listed.
-    type Logged = (Vec<(u64, bool)>, Vec<Vec<JobId>>, Vec<ServerId>);
+    /// One round of [`Lazy`]'s log: the engine's run sets as the round
+    /// starts (what earlier plans installed), the planner's `meta` after
+    /// planning, then the servers the changes-only plan listed.
+    type Logged = (Vec<Vec<JobId>>, Vec<(u64, bool)>, Vec<ServerId>);
 
     impl ClusterScheduler for Lazy {
         fn name(&self) -> &'static str {
@@ -453,6 +440,8 @@ mod tests {
 
         fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
             self.planner.ensure_init(view);
+            let servers = view.cluster().servers.iter();
+            let sets = servers.map(|s| view.run_set(s.id).to_vec()).collect();
             let round = self.log.len() as u64;
             let refresh = round == 0 || self.flip;
             if refresh {
@@ -473,9 +462,7 @@ mod tests {
                 "a lazy round sends the changes-only form"
             );
             let listed = plan.run.keys().copied().collect();
-            let p = &self.planner;
-            self.log
-                .push((p.meta.clone(), p.selections.clone(), listed));
+            self.log.push((sets, self.planner.meta.clone(), listed));
             plan
         }
     }
@@ -542,7 +529,9 @@ mod tests {
         let (s0, s1, s2) = (ServerId::new(0), ServerId::new(1), ServerId::new(2));
         let mut settles = BTreeSet::new();
         let mut finished = false;
-        for (i, (meta, run, listed)) in lazy.log.iter().enumerate() {
+        // Round i's plan shows in the engine's sets as round i + 1 starts.
+        let next_sets = lazy.log.iter().skip(1).map(|l| &l.0);
+        for (i, ((_, meta, listed), run)) in lazy.log.iter().zip(next_sets).enumerate() {
             let round = i as u64 + 1;
             settles.insert(meta[0].0);
             assert!(!meta[0].1, "round {round}: server 0 flagged contended");
@@ -581,7 +570,7 @@ mod tests {
         // settle every server every round.
         let jobs = [(0, 1, 1e6, 0), (1, 2, 1e6, 1)];
         let lazy = run(&jobs, &[100, 100], true, true);
-        for (i, (meta, _, _)) in lazy.log.iter().enumerate() {
+        for (i, (_, meta, _)) in lazy.log.iter().enumerate() {
             let round = i as u64 + 1;
             assert!(
                 meta.iter().all(|&(settled, _)| settled == round),

@@ -109,8 +109,8 @@ pub trait AllocPolicy {
     }
 
     /// Whether the driver should maintain online per-user ρ̂ estimates and
-    /// serve them via [`PolicyInputs::rho`]. Defaults to `false` (the
-    /// accounting costs a per-round sweep over the scheduled jobs).
+    /// serve them via [`PolicyInputs::rho`]. Defaults to `false` (each
+    /// allocation refresh then skips a sweep over the active jobs).
     fn wants_rho(&self) -> bool {
         false
     }
@@ -225,11 +225,6 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     next_balance: SimTime,
     /// Jobs whose migration failed and is being retried with backoff.
     retry: BTreeMap<JobId, RetryState>,
-    /// Cumulative scheduled time per job in integer microseconds, indexed
-    /// by `JobId::index()`. Integer accounting keeps the ρ̂ inputs — and
-    /// therefore the allocations — exact and replay-stable. Maintained
-    /// only when the policy wants ρ̂.
-    sched_micros: Vec<u64>,
     /// Dense per-user policy inputs (demand, speedups, ρ̂), refreshed
     /// incrementally from the cluster-index aggregates each epoch.
     inputs: PolicyInputs,
@@ -252,7 +247,6 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             next_epoch: SimTime::ZERO,
             next_balance: SimTime::ZERO,
             retry: BTreeMap::new(),
-            sched_micros: Vec::new(),
             inputs: PolicyInputs::new(),
             obs: Arc::new(Obs::new()),
         }
@@ -303,27 +297,17 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
     /// against the from-scratch map builders ([`PolicyInputs::audit`]).
     fn refresh_allocation(&mut self, view: &SimView<'_>, active: Vec<(UserId, u64)>) {
         let now = view.now();
-        let quantum_micros = view.config().quantum.as_micros();
         let profiler = self.profiler.as_ref().expect("initialized");
         self.inputs.refresh(view, profiler);
         if self.policy.wants_rho() {
             // ρ̂ per user: the worst ratio of time-in-system to time-served
-            // over the user's active jobs, quantum-smoothed so brand-new
-            // jobs start at ρ̂ = 1 instead of ∞. Both sides are integer
-            // microseconds, so the estimate is exact and replay-stable.
-            self.inputs
-                .refresh_rho(view, &self.sched_micros, quantum_micros, now);
+            // over the user's active jobs, served time read off the
+            // engine's per-job round count.
+            self.inputs.refresh_rho(view);
         }
         #[cfg(debug_assertions)]
-        {
-            let ledger = self.policy.wants_rho().then_some((
-                self.sched_micros.as_slice(),
-                quantum_micros,
-                now,
-            ));
-            if let Err(e) = self.inputs.audit(view, profiler, ledger) {
-                panic!("dense policy inputs diverged from from-scratch oracle: {e}");
-            }
+        if let Err(e) = (self.inputs).audit(view, profiler, self.policy.wants_rho()) {
+            panic!("dense policy inputs diverged from from-scratch oracle: {e}");
         }
         let round = PolicyRound {
             view,
@@ -608,23 +592,6 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             self.cfg.lazy_planning,
             &self.obs,
         );
-
-        // 6. Service accounting for ρ̂: every job the engine runs this round
-        // accrues one quantum (integer micros). One resize to the round's
-        // max job index, not one per job.
-        if self.policy.wants_rho() {
-            let q = view.config().quantum.as_micros();
-            let selections = self.planner.selections();
-            let max_idx = (selections.iter().flatten()).map(|job| job.index()).max();
-            if let Some(max_idx) = max_idx {
-                if self.sched_micros.len() <= max_idx {
-                    self.sched_micros.resize(max_idx + 1, 0);
-                }
-            }
-            for &job in selections.iter().flatten() {
-                self.sched_micros[job.index()] += q;
-            }
-        }
         plan.actions = actions;
         plan
     }

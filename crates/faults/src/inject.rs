@@ -50,17 +50,13 @@ impl FaultInjector {
     /// the engine to feed its event queue. The list is in plan order, not
     /// time order; the event queue supplies the total order.
     pub fn server_events(&self) -> Vec<(SimTime, ServerId, bool)> {
-        let mut out = Vec::new();
-        for f in &self.plan.flaps {
-            let mut t = f.first_fail;
-            for _ in 0..f.cycles {
-                out.push((t, f.server, true));
-                let recover = t + f.down;
-                out.push((recover, f.server, false));
-                t = recover + f.up;
-            }
-        }
-        out
+        (self.plan.flaps.iter())
+            .flat_map(|f| {
+                (f.outages()).flat_map(|(fail, recover)| {
+                    [(fail, f.server, true), (recover, f.server, false)]
+                })
+            })
+            .collect()
     }
 
     /// Decides the fate of `job`'s `attempt`-th migration attempt

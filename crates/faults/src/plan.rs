@@ -106,6 +106,20 @@ impl FlapSpec {
         let micros = (self.first_fail.as_micros().checked_add(down)?).checked_add(up)?;
         Some(SimTime::from_micros(micros))
     }
+
+    /// The flap's outages as `(failure, recovery)` instants, in time order:
+    /// cycle `k` fails at `first_fail + k · (down + up)`. Times saturate
+    /// instead of overflowing.
+    pub fn outages(&self) -> impl Iterator<Item = (SimTime, SimTime)> {
+        let start = self.first_fail.as_micros();
+        let down = self.down.as_micros();
+        let period = down.saturating_add(self.up.as_micros());
+        (0..u64::from(self.cycles)).map(move |k| {
+            let fail = start.saturating_add(k.saturating_mul(period));
+            let recover = fail.saturating_add(down);
+            (SimTime::from_micros(fail), SimTime::from_micros(recover))
+        })
+    }
 }
 
 /// The most flap cycles, summed over its flaps, a plan may hold. Each cycle
@@ -241,11 +255,53 @@ impl FaultPlan {
             && self.scripted.is_empty()
     }
 
+    /// One message per failure or recovery in `events` that overlaps or
+    /// touches a flap outage of its server. `events` are scheduled outside
+    /// the plan, as `(time, server, is_failure)`, and may overlap each
+    /// other. A failure's outage lasts until its server's first recovery in
+    /// `events` at or after it (for ever if none); a recovery is an
+    /// instant. The engine keeps a server's down state as a flag, so the
+    /// first recovery from either source would end both outages. Assumes
+    /// the plan passed [`validate`](Self::validate).
+    pub fn outage_clashes(&self, events: &[(SimTime, ServerId, bool)]) -> Vec<String> {
+        let recovery = |server, at| {
+            (events.iter())
+                .filter(|&&(t, s, is_failure)| s == server && !is_failure && t >= at)
+                .map(|e| e.0)
+                .min()
+        };
+        (events.iter())
+            .filter_map(|&(from, server, is_failure)| {
+                let until = match is_failure {
+                    true => recovery(server, from).unwrap_or(SimTime::MAX),
+                    false => from,
+                };
+                let flaps = self.flap_outages().filter(|w| w.0 == server);
+                let outside = (server, from, until, Label::Outside);
+                clashes(flaps.chain([outside]).collect()).pop()
+            })
+            .collect()
+    }
+
+    /// Every flap outage of the plan as a window.
+    fn flap_outages(&self) -> impl Iterator<Item = Window> + '_ {
+        (self.flaps.iter().enumerate()).flat_map(|(i, f)| {
+            (f.outages().enumerate())
+                .map(move |(k, (from, until))| (f.server, from, until, Label::Outage(i, k)))
+        })
+    }
+
     /// Validates internal consistency, returning one message per problem.
     ///
     /// An empty result means the plan is well-formed. Server ids are
     /// validated against the cluster by the engine, which knows the
     /// topology.
+    ///
+    /// Two partition windows on one server, or two flap outages on one
+    /// server (of one flap or of two), must neither overlap nor touch: the
+    /// engine keeps a server's partitioned and down states as flags, so
+    /// the first heal or recovery would end both windows. A partition may
+    /// overlap an outage.
     pub fn validate(&self) -> Vec<String> {
         let mut errs = Vec::new();
         for (name, rate) in [
@@ -302,6 +358,14 @@ impl FaultPlan {
                     f.server, f.cycles
                 ));
             }
+        }
+        let partitions = (self.partitions.iter().enumerate())
+            .map(|(i, p)| (p.server, p.from, p.until, Label::Partition(i)));
+        errs.extend(clashes(partitions.collect()));
+        // Listing every outage of a plan over the cycle cap could take any
+        // amount of memory; that plan is refused above.
+        if cycles <= MAX_FLAP_CYCLES {
+            errs.extend(clashes(self.flap_outages().collect()));
         }
         for s in &self.scripted {
             if !s.kind.is_migration_stage() {
@@ -485,12 +549,70 @@ fn fmt_rate(x: f64) -> String {
     }
 }
 
+/// What a fault window is, to name it in a message.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Label {
+    /// The plan's `i`-th partition.
+    Partition(usize),
+    /// Cycle `k` of the plan's `i`-th flap.
+    Outage(usize, usize),
+    /// A failure or recovery scheduled outside the plan.
+    Outside,
+}
+
+/// A fault window: `(server, from, until, label)`.
+type Window = (ServerId, SimTime, SimTime, Label);
+
+/// One message per server on which two of `windows` overlap or touch,
+/// naming the first such pair in time order.
+fn clashes(mut windows: Vec<Window>) -> Vec<String> {
+    let name = |(server, from, until, label): Window| {
+        let (from_s, until_s) = (from.as_secs(), until.as_secs());
+        match label {
+            Label::Partition(i) => format!("partition {i} of {server} ({from_s}-{until_s} s)"),
+            Label::Outage(i, k) => {
+                format!("flap {i} outage {k} of {server} ({from_s}-{until_s} s)")
+            }
+            Label::Outside if from == until => format!("recovery of {server} at {from_s} s"),
+            Label::Outside if until == SimTime::MAX => {
+                format!("outage of {server} from {from_s} s on")
+            }
+            Label::Outside => format!("outage of {server} ({from_s}-{until_s} s)"),
+        }
+    };
+    windows.sort_unstable();
+    let mut errs: Vec<(ServerId, String)> = Vec::new();
+    // The window reaching furthest so far on the current server.
+    let mut reach: Option<Window> = None;
+    for w in windows {
+        match reach {
+            Some(r) if r.0 == w.0 && w.1 <= r.2 => {
+                if errs.last().map(|(s, _)| *s) != Some(w.0) {
+                    let (first, second) = (name(r), name(w));
+                    let msg = format!(
+                        "{first} and {second} overlap or touch (one ending would end both)"
+                    );
+                    errs.push((w.0, msg));
+                }
+                if w.2 > r.2 {
+                    reach = Some(w);
+                }
+            }
+            _ => reach = Some(w),
+        }
+    }
+    errs.into_iter().map(|(_, msg)| msg).collect()
+}
+
 fn need_u64(v: &Value, field: &str) -> Result<u64, String> {
     v.as_u64().ok_or_else(|| {
-        format!(
-            "field {field} must be a non-negative integer, got {}",
-            v.kind()
-        )
+        let got = match v {
+            Value::Int(_) | Value::UInt(_) | Value::Float(_) => {
+                serde_json::to_string(v).unwrap_or_else(|_| v.kind().to_string())
+            }
+            _ => v.kind().to_string(),
+        };
+        format!("field {field} must be a non-negative integer, got {got}")
     })
 }
 
@@ -626,6 +748,134 @@ mod tests {
         );
         // Only the flap that crosses the cap is named.
         assert_eq!(flap(over, 1, 5).validate(), errs);
+    }
+
+    #[test]
+    fn same_kind_windows_on_one_server_must_not_overlap_or_touch() {
+        let (s1, s2) = (ServerId::new(1), ServerId::new(2));
+        let t = SimTime::from_secs;
+        let d = SimDuration::from_secs;
+        let errs = |plan: FaultPlan| plan.validate();
+        // (a) A partition inside another, and (b) two touching ones.
+        let nested = FaultPlan::none()
+            .with_partition(s2, t(100), t(3600))
+            .with_partition(s2, t(200), t(300));
+        assert_eq!(
+            errs(nested),
+            ["partition 0 of S2 (100-3600 s) and partition 1 of S2 (200-300 s) overlap or touch \
+              (one ending would end both)"]
+        );
+        let touching = FaultPlan::none()
+            .with_partition(s2, t(300), t(3600))
+            .with_partition(s2, t(100), t(300));
+        assert_eq!(
+            errs(touching),
+            ["partition 1 of S2 (100-300 s) and partition 0 of S2 (300-3600 s) overlap or touch \
+              (one ending would end both)"]
+        );
+        // (c) Outages of two flaps, and two cycles of one flap.
+        let flaps = FaultPlan::none()
+            .with_flap(s1, t(100), d(5000), d(60), 1)
+            .with_flap(s1, t(200), d(100), d(60), 1);
+        assert_eq!(
+            errs(flaps),
+            [
+                "flap 0 outage 0 of S1 (100-5100 s) and flap 1 outage 0 of S1 (200-300 s) overlap \
+              or touch (one ending would end both)"
+            ]
+        );
+        let interleaved = FaultPlan::none()
+            .with_flap(s1, t(100), d(10), d(90), 3)
+            .with_flap(s1, t(300), d(10), d(90), 1);
+        let e = errs(interleaved);
+        assert_eq!(e.len(), 1, "{e:?}");
+        assert!(
+            e[0].starts_with("flap 0 outage 2 of S1 (300-310 s) and flap 1 outage 0 of S1"),
+            "{e:?}"
+        );
+        // Disjoint windows, other servers and a partition during an outage
+        // are all fine.
+        let fine = FaultPlan::none()
+            .with_partition(s2, t(100), t(200))
+            .with_partition(s2, t(201), t(300))
+            .with_partition(s1, t(100), t(300))
+            .with_flap(s1, t(150), d(10), d(90), 2)
+            .with_flap(s1, t(351), d(10), d(90), 1)
+            .with_flap(s2, t(150), d(10), d(90), 1);
+        assert!(errs(fine.clone()).is_empty(), "{:?}", errs(fine));
+    }
+
+    #[test]
+    fn outages_outside_the_plan_must_not_overlap_or_touch_its_flaps() {
+        let (s0, s1) = (ServerId::new(0), ServerId::new(1));
+        let t = SimTime::from_secs;
+        let plan = FaultPlan::none().with_flap(
+            s1,
+            t(7200),
+            SimDuration::from_secs(600),
+            SimDuration::from_secs(60),
+            1,
+        );
+        let flap = "flap 0 outage 0 of S1 (7200-7800 s)";
+        // (d) A failure that never recovers, one that starts as the flap
+        // recovers, and a recovery inside the outage.
+        for (events, msg) in [
+            (
+                vec![(t(3600), s1, true)],
+                format!("outage of S1 from 3600 s on and {flap}"),
+            ),
+            (
+                vec![(t(7800), s1, true), (t(8000), s1, false)],
+                format!("{flap} and outage of S1 (7800-8000 s)"),
+            ),
+            (
+                vec![(t(7500), s1, false)],
+                format!("{flap} and recovery of S1 at 7500 s"),
+            ),
+        ] {
+            let errs = plan.outage_clashes(&events);
+            assert_eq!(
+                errs,
+                [format!(
+                    "{msg} overlap or touch (one ending would end both)"
+                )]
+            );
+        }
+        // Outages that overlap each other but not the flap, and another
+        // server's, are fine.
+        let fine = [
+            (t(60), s1, true),
+            (t(120), s1, true),
+            (t(300), s1, false),
+            (t(7801), s1, false),
+            (t(7500), s0, true),
+        ];
+        assert!(
+            plan.outage_clashes(&fine).is_empty(),
+            "{:?}",
+            plan.outage_clashes(&fine)
+        );
+    }
+
+    #[test]
+    fn a_bad_integer_field_names_the_value_it_got() {
+        let partition = |from: &str| {
+            let json = format!(
+                "{{\"partitions\": [{{\"server\": 1, \"from_secs\": {from}, \"until_secs\": 9}}]}}"
+            );
+            FaultPlan::from_json(&json).expect_err(from)
+        };
+        for (from, got) in [
+            ("-5", "got -5"),
+            ("1.5", "got 1.5"),
+            ("\"x\"", "got string"),
+        ] {
+            let err = partition(from);
+            assert!(
+                err.contains("from_secs must be a non-negative integer") && err.ends_with(got),
+                "{from}: {err}"
+            );
+        }
     }
 
     #[test]

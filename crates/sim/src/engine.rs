@@ -95,6 +95,10 @@ pub struct Simulation {
     /// Fault injector, when a [`FaultPlan`] was attached; `None` keeps the
     /// fault machinery entirely off the hot path.
     faults: Option<FaultInjector>,
+    /// Failures and recoveries scheduled outside a fault plan, as
+    /// `(time, server, is_failure)`; checked against the plan's flaps when
+    /// the run starts.
+    server_events: Vec<(SimTime, ServerId, bool)>,
     /// Failed-migration notifications awaiting delivery to the scheduler at
     /// the next round boundary: (job, intended destination, reason).
     pending_fault_notices: Vec<(JobId, ServerId, MigrationFailReason)>,
@@ -264,7 +268,6 @@ impl Simulation {
         let job_limit = 2 * trace_len + ID_SLACK;
         let last_arrival = latest_event_time(&config).as_micros();
         let mut job_slots = 0;
-        let mut queue = EventQueue::new();
         let mut jobs = JobTable::new();
         let mut arrivals = Vec::new();
         for (spec, first) in trace.into_iter().zip(first_seen) {
@@ -332,7 +335,7 @@ impl Simulation {
         }
         // Stage the trace instead of front-loading the heap: the heap then
         // only carries the live working set (finishes, migrations, rounds).
-        queue.stage(arrivals);
+        let queue = EventQueue::with_staged(arrivals);
         let index = ClusterIndex::new(&cluster, num_users, models);
         let residents = vec![Vec::new(); index.demand.len()];
         let run_sets = vec![Vec::new(); cluster.servers.len()];
@@ -354,6 +357,7 @@ impl Simulation {
             unreachable: 0,
             gpus_up,
             faults: None,
+            server_events: Vec::new(),
             pending_fault_notices: Vec::new(),
             queue,
             now: SimTime::ZERO,
@@ -400,10 +404,11 @@ impl Simulation {
         Arc::clone(&self.obs)
     }
 
-    /// Overrides the round safety limit (mostly for tests; the default is
-    /// ten million rounds).
+    /// Overrides the round safety limit (mostly for tests). The default,
+    /// ten million rounds, is also the most it accepts: a larger `limit`
+    /// is clamped to it, so per-job round counts fit in a `u32`.
     pub fn with_round_limit(mut self, limit: u64) -> Self {
-        self.round_limit = limit;
+        self.round_limit = limit.min(MAX_ROUNDS);
         self
     }
 
@@ -459,6 +464,7 @@ impl Simulation {
             "failure for unknown server {server}"
         );
         self.assert_before_latest(at, "server failure");
+        self.server_events.push((at, server, true));
         self.queue.push(at, EventKind::ServerFail(server));
         self
     }
@@ -475,6 +481,7 @@ impl Simulation {
             "recovery for unknown server {server}"
         );
         self.assert_before_latest(at, "server recovery");
+        self.server_events.push((at, server, false));
         self.queue.push(at, EventKind::ServerRecover(server));
         self
     }
@@ -492,7 +499,11 @@ impl Simulation {
     ///
     /// Panics if the plan fails [`FaultPlan::validate`], references a
     /// server the cluster does not have, or ends a partition or a flap after
-    /// [`latest_event_time`].
+    /// [`latest_event_time`]. The run panics when it starts if a failure or
+    /// recovery scheduled with [`with_server_failure`](Self::with_server_failure)
+    /// or [`with_server_recovery`](Self::with_server_recovery) overlaps or
+    /// touches a flap outage ([`FaultPlan::outage_clashes`]): the first
+    /// recovery would end both outages.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         let errs = plan.validate();
         assert!(errs.is_empty(), "invalid fault plan: {}", errs.join("; "));
@@ -556,6 +567,14 @@ impl Simulation {
         scheduler: &mut dyn ClusterScheduler,
         horizon: Option<SimTime>,
     ) -> Result<SimReport> {
+        if let Some(faults) = &self.faults {
+            let errs = faults.plan().outage_clashes(&self.server_events);
+            assert!(
+                errs.is_empty(),
+                "server failures clash with the fault plan: {}",
+                errs.join("; ")
+            );
+        }
         // Announce every server up front so a trace is self-describing: the
         // auditor (and any consumer) learns capacities from the stream alone.
         for srv in &self.cluster.servers {
@@ -603,6 +622,7 @@ impl Simulation {
             users: &self.users,
             jobs: &self.jobs,
             residents: &self.residents,
+            run_sets: &self.run_sets,
             index: &self.index,
             down: &self.down,
             partitioned: &self.partitioned,
@@ -1149,8 +1169,9 @@ impl Simulation {
             return Err(violation_to_error(v));
         }
         // 5. Accrue progress for this quantum, in server-id order, stamping
-        // each job warm for next round's switch-overhead accounting.
-        // Bumping the serial afterwards invalidates every older stamp.
+        // each job warm for next round's switch-overhead accounting and
+        // counting the round it ran. Bumping the serial afterwards
+        // invalidates every older stamp.
         let quantum = self.config.quantum;
         let budget = match horizon {
             Some(h) => h.saturating_since(self.now).min(quantum),
@@ -1160,6 +1181,7 @@ impl Simulation {
             for &job in self.run_sets.iter().flatten() {
                 let j = self.jobs.get_mut(job).expect("validated job exists");
                 j.warm = self.warm_serial + 1;
+                j.info.rounds_run += 1;
             }
         } else {
             let sets = std::mem::take(&mut self.run_sets);
@@ -1372,6 +1394,7 @@ impl Simulation {
         // Running now makes it warm next round.
         let warm = j.warm == self.warm_serial;
         j.warm = self.warm_serial + 1;
+        j.info.rounds_run += 1;
         if j.first_run.is_none() {
             j.first_run = Some(self.now);
         }

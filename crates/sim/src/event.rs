@@ -49,29 +49,7 @@ impl EventKind {
             EventKind::Round => 8,
         }
     }
-
-    /// The shard a runtime push lands in. Kinds that share event-rate
-    /// behavior share a heap: job completions (the bulk of runtime pushes)
-    /// get their own, migrations their own, the rare control-plane kinds
-    /// (failures, recoveries, partitions, ticket changes) one, arrivals one,
-    /// and the round timer one.
-    fn shard(self) -> usize {
-        match self {
-            EventKind::Finish(_) => 0,
-            EventKind::MigrationDone(_) => 1,
-            EventKind::ServerFail(_)
-            | EventKind::ServerRecover(_)
-            | EventKind::PartitionStart(_)
-            | EventKind::PartitionEnd(_)
-            | EventKind::TicketChange(_, _) => 2,
-            EventKind::Arrival(_) => 3,
-            EventKind::Round => 4,
-        }
-    }
 }
-
-/// Number of per-class heaps in the sharded queue.
-const NUM_SHARDS: usize = 5;
 
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,24 +79,21 @@ impl PartialOrd for Event {
     }
 }
 
-/// Deterministic event queue, sharded by event class.
+/// Deterministic event queue.
 ///
-/// Runtime events live in per-class binary heaps (completions, migrations,
-/// control-plane events, arrivals, the round timer), so a push or pop costs
-/// `log` of the *local* working set — a burst of mid-round completions never
-/// inflates the cost of scheduling the next round tick. The trace's arrivals
-/// — known in full before the run starts — are *staged* in a sorted side
-/// list instead of being front-loaded into any heap, so the heaps only ever
-/// hold the near-future working set.
+/// Runtime events live in one binary heap. The trace's arrivals — known in
+/// full before the run starts — are *staged* once, at construction, in a
+/// sorted side list instead of being front-loaded into the heap, so the
+/// heap only ever holds the near-future working set (a dozen events on a
+/// trace replay, about 1400 at 6250 servers).
 ///
-/// `pop` takes the lazy max across the shard tops and the staged tail
-/// under the same inverted (time, kind-priority, seq) total order, so the
-/// delivery sequence is identical to a single heap holding everything —
-/// asserted by a differential proptest against exactly that oracle.
+/// `pop` takes the earlier of the heap top and the staged tail under the
+/// same inverted (time, kind-priority, seq) total order, so the delivery
+/// sequence is identical to a single heap holding everything — asserted by
+/// a differential proptest against exactly that oracle.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Per-class heaps; see [`EventKind::shard`] for the class map.
-    shards: [BinaryHeap<Event>; NUM_SHARDS],
+    heap: BinaryHeap<Event>,
     /// Staged events, sorted with the earliest-firing event **last** so the
     /// next one pops in O(1).
     staged: Vec<Event>,
@@ -126,86 +101,53 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a queue holding `staged` outside the heap: the full arrival
+    /// trace, given once, at simulation construction. Sequence numbers are
+    /// assigned in iteration order, exactly as a `push` loop would, so the
+    /// global delivery order is unchanged.
+    pub fn with_staged(staged: impl IntoIterator<Item = (SimTime, EventKind)>) -> Self {
+        let mut queue = Self::default();
+        // Grown by `push`, not collected at its exact size: peak RSS follows
+        // heap layout, and an exact-size list raised `churn-200k`'s peak by
+        // 6 MB (while lowering `wide-50k`'s by 9 MB).
+        for (time, kind) in staged {
+            let seq = queue.next_seq;
+            queue.next_seq += 1;
+            queue.staged.push(Event { time, seq, kind });
+        }
+        // `Event`'s Ord is inverted (min-first for the max-heap), so an
+        // ascending sort puts the earliest-firing event last. Seqs are
+        // unique, so the order is total and `sort_unstable` is safe.
+        queue.staged.sort_unstable();
+        queue
     }
 
     /// Schedules `kind` to fire at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.shards[kind.shard()].push(Event { time, seq, kind });
-    }
-
-    /// Stages a batch of events without touching the heaps (used for the
-    /// full arrival trace at simulation construction). Sequence numbers are
-    /// assigned in iteration order, exactly as a `push` loop would, so the
-    /// global delivery order is unchanged.
-    ///
-    /// Only the new batch is sorted; it is then merged with the
-    /// already-sorted staged list, so a second `stage()` call costs
-    /// O(new·log new + total) instead of re-sorting everything.
-    pub fn stage(&mut self, batch: impl IntoIterator<Item = (SimTime, EventKind)>) {
-        let start = self.staged.len();
-        for (time, kind) in batch {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.staged.push(Event { time, seq, kind });
-        }
-        // `Event`'s Ord is inverted (min-first for the max-heap), so an
-        // ascending sort puts the earliest-firing event last. Seqs are
-        // unique, so the order is total and `sort_unstable` is safe.
-        self.staged[start..].sort_unstable();
-        if start > 0 {
-            // Merge the two sorted runs (both ascending under the inverted
-            // order) instead of re-sorting the whole staged list.
-            let mut merged = Vec::with_capacity(self.staged.len());
-            let (old, new) = self.staged.split_at(start);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < old.len() && j < new.len() {
-                if old[i] <= new[j] {
-                    merged.push(old[i]);
-                    i += 1;
-                } else {
-                    merged.push(new[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&old[i..]);
-            merged.extend_from_slice(&new[j..]);
-            self.staged = merged;
-        }
+        self.heap.push(Event { time, seq, kind });
     }
 
     /// Pops the next event in deterministic order.
     pub fn pop(&mut self) -> Option<Event> {
         // Inverted Ord: "greater" means "fires earlier". Seqs are unique, so
-        // the max across shard tops and the staged tail is unambiguous.
-        let mut best: Option<(usize, Event)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some(&e) = shard.peek() {
-                if best.is_none_or(|(_, b)| e > b) {
-                    best = Some((i, e));
-                }
-            }
+        // the comparison is unambiguous.
+        match (self.heap.peek(), self.staged.last()) {
+            (Some(h), Some(s)) if s > h => self.staged.pop(),
+            (None, _) => self.staged.pop(),
+            _ => self.heap.pop(),
         }
-        if let Some(&s) = self.staged.last() {
-            if best.is_none_or(|(_, b)| s > b) {
-                return self.staged.pop();
-            }
-        }
-        best.and_then(|(i, _)| self.shards[i].pop())
     }
 
     /// Number of pending events (staged ones included).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::len).sum::<usize>() + self.staged.len()
+        self.heap.len() + self.staged.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(BinaryHeap::is_empty) && self.staged.is_empty()
+        self.heap.is_empty() && self.staged.is_empty()
     }
 }
 
@@ -215,7 +157,7 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(SimTime::from_secs(10), EventKind::Round);
         q.push(SimTime::from_secs(5), EventKind::Arrival(JobId::new(1)));
         q.push(SimTime::from_secs(7), EventKind::Finish(JobId::new(2)));
@@ -227,7 +169,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_order_by_kind_priority() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_secs(60);
         q.push(t, EventKind::Round);
         q.push(t, EventKind::Arrival(JobId::new(1)));
@@ -244,7 +186,7 @@ mod tests {
 
     #[test]
     fn equal_time_and_kind_orders_by_insertion() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let t = SimTime::from_secs(1);
         q.push(t, EventKind::Arrival(JobId::new(5)));
         q.push(t, EventKind::Arrival(JobId::new(3)));
@@ -257,8 +199,7 @@ mod tests {
     fn staged_and_pushed_events_merge_in_global_order() {
         // A staged trace plus runtime pushes must pop exactly as if every
         // event had gone through one heap.
-        let mut q = EventQueue::new();
-        q.stage(vec![
+        let mut q = EventQueue::with_staged(vec![
             (SimTime::from_secs(10), EventKind::Arrival(JobId::new(1))),
             (SimTime::from_secs(30), EventKind::Arrival(JobId::new(2))),
             (SimTime::from_secs(20), EventKind::Arrival(JobId::new(3))),
@@ -279,9 +220,8 @@ mod tests {
     fn staged_ties_keep_staging_order() {
         // Equal-time staged events keep their staging (trace) order, just as
         // insertion order broke the tie when everything was pushed.
-        let mut q = EventQueue::new();
         let t = SimTime::from_secs(7);
-        q.stage(vec![
+        let mut q = EventQueue::with_staged(vec![
             (t, EventKind::Arrival(JobId::new(5))),
             (t, EventKind::Arrival(JobId::new(3))),
         ]);
@@ -291,38 +231,10 @@ mod tests {
 
     #[test]
     fn empty_queue_behaviour() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn second_stage_batch_merges_with_first() {
-        // A later stage() batch interleaves with the first one under the
-        // global order (the merge path, not the initial sort path).
-        let mut q = EventQueue::new();
-        q.stage(vec![
-            (SimTime::from_secs(10), EventKind::Arrival(JobId::new(1))),
-            (SimTime::from_secs(30), EventKind::Arrival(JobId::new(2))),
-        ]);
-        q.stage(vec![
-            (SimTime::from_secs(5), EventKind::Arrival(JobId::new(3))),
-            (SimTime::from_secs(30), EventKind::Arrival(JobId::new(4))),
-            (SimTime::from_secs(40), EventKind::Arrival(JobId::new(5))),
-        ]);
-        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-        assert_eq!(
-            order,
-            vec![
-                EventKind::Arrival(JobId::new(3)),
-                EventKind::Arrival(JobId::new(1)),
-                // t=30 tie: the first batch's event staged first.
-                EventKind::Arrival(JobId::new(2)),
-                EventKind::Arrival(JobId::new(4)),
-                EventKind::Arrival(JobId::new(5)),
-            ]
-        );
     }
 }
 
@@ -349,8 +261,8 @@ mod proptests {
         (SimTime::from_secs(time), kind)
     }
 
-    /// Single-heap oracle: the pre-sharding implementation — one
-    /// `BinaryHeap` holding everything, seqs assigned in submission order.
+    /// Oracle: one `BinaryHeap` holding everything, staged events
+    /// included, seqs assigned in submission order.
     #[derive(Default)]
     struct OracleQueue {
         heap: BinaryHeap<Event>,
@@ -368,51 +280,47 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any mix of staged batches, runtime pushes and interleaved
-        /// pops delivers exactly the sequence a single global heap
-        /// would. Each op is (selector, batch, pop-count): selector 0 pushes
-        /// the batch, 1 stages it, 2 pops `pop-count` events. Timestamps are
-        /// drawn from a small range so simultaneous events across all kind
-        /// priorities (the tie-break cases) are common.
+        /// A staged trace followed by any mix of runtime pushes and
+        /// interleaved pops delivers exactly the sequence a single heap
+        /// holding everything would. The staged batch goes first, as the
+        /// engine stages its arrivals at construction; each op is then
+        /// (selector, batch, pop-count): selector 0 pushes the batch, 1 pops
+        /// `pop-count` events. Timestamps are drawn from a small range so
+        /// simultaneous events across all kind priorities (the tie-break
+        /// cases) are common.
         #[test]
-        fn sharded_queue_matches_single_heap_oracle(
+        fn staged_queue_matches_single_heap_oracle(
+            staged in collection::vec((0u64..16, 0u8..=255), 0..24),
             ops in collection::vec(
                 (
-                    0u8..3,
+                    0u8..2,
                     collection::vec((0u64..16, 0u8..=255), 0..12),
                     1usize..24,
                 ),
                 1..24,
             ),
         ) {
-            let mut q = EventQueue::new();
+            let decoded: Vec<_> = staged.iter().map(|&(t, s)| decode(t, s)).collect();
+            let mut q = EventQueue::with_staged(decoded.clone());
             let mut oracle = OracleQueue::default();
+            for (time, kind) in decoded {
+                oracle.push(time, kind);
+            }
             for (sel, batch, pops) in ops {
-                match sel {
-                    0 => {
-                        for (t, s) in batch {
-                            let (time, kind) = decode(t, s);
-                            q.push(time, kind);
-                            oracle.push(time, kind);
-                        }
+                if sel == 0 {
+                    for (t, s) in batch {
+                        let (time, kind) = decode(t, s);
+                        q.push(time, kind);
+                        oracle.push(time, kind);
                     }
-                    1 => {
-                        let decoded: Vec<_> =
-                            batch.iter().map(|&(t, s)| decode(t, s)).collect();
-                        q.stage(decoded.clone());
-                        for (time, kind) in decoded {
-                            oracle.push(time, kind);
-                        }
-                    }
-                    _ => {
-                        for _ in 0..pops {
-                            prop_assert_eq!(q.len(), oracle.heap.len());
-                            let expect = oracle.heap.pop();
-                            prop_assert_eq!(q.pop(), expect);
-                            if expect.is_none() {
-                                break;
-                            }
-                        }
+                    continue;
+                }
+                for _ in 0..pops {
+                    prop_assert_eq!(q.len(), oracle.heap.len());
+                    let expect = oracle.heap.pop();
+                    prop_assert_eq!(q.pop(), expect);
+                    if expect.is_none() {
+                        break;
                     }
                 }
             }

@@ -39,6 +39,10 @@ pub struct JobInfo {
     /// When the job last completed a migration, if ever (lets schedulers
     /// honor migration cooldowns).
     pub last_migration: Option<SimTime>,
+    /// Rounds the job sat in its server's run set: the quanta it was
+    /// served, counted at accrual. Rounds are capped at ten million, so
+    /// the count cannot overflow.
+    pub rounds_run: u32,
 }
 
 /// Engine-private runtime state of a job.
@@ -87,6 +91,7 @@ impl JobRt {
             state: JobState::Pending,
             server: None,
             last_migration: None,
+            rounds_run: 0,
         };
         JobRt {
             spec,

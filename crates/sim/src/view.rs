@@ -25,6 +25,8 @@ pub struct SimView<'a> {
     pub(crate) jobs: &'a JobTable,
     /// Id-sorted resident jobs, indexed by `ServerId::index()`.
     pub(crate) residents: &'a [Vec<JobId>],
+    /// The engine's run set per server, indexed by `ServerId::index()`.
+    pub(crate) run_sets: &'a [Vec<JobId>],
     pub(crate) index: &'a ClusterIndex,
     pub(crate) down: &'a BTreeSet<ServerId>,
     pub(crate) partitioned: &'a BTreeSet<ServerId>,
@@ -129,6 +131,13 @@ impl<'a> SimView<'a> {
             .get(server.index())
             .into_iter()
             .flat_map(|s| s.iter().copied())
+    }
+
+    /// The set the engine runs on `server` every quantum until a plan
+    /// installs another (see [`crate::RoundPlan`]); during a round's
+    /// callbacks, the set it ran last round. Empty for an unknown server.
+    pub fn run_set(&self, server: ServerId) -> &'a [JobId] {
+        self.run_sets.get(server.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of GPUs demanded by jobs resident on `server` (sum of gangs).

@@ -5,7 +5,8 @@
 use gfair_faults::FaultPlan;
 use gfair_obs::{Obs, TraceEvent, ViolationKind};
 use gfair_sim::{
-    latest_event_time, Action, ClusterScheduler, ProfileReport, RoundPlan, SimView, Simulation,
+    latest_event_time, Action, ClusterScheduler, ProfileReport, RoundPlan, SimReport, SimView,
+    Simulation,
 };
 use gfair_types::{
     ClusterSpec, GenCatalog, GfairError, JobId, JobSpec, JobState, ModelProfile, ServerId,
@@ -871,6 +872,59 @@ fn overlapping_failure_events_are_idempotent() {
 }
 
 #[test]
+fn a_failure_touching_a_plan_flap_outage_is_refused_when_the_run_starts() {
+    // Both outages set the one down flag, so the first recovery would end
+    // both. The order of the builder calls does not matter; a recovery
+    // alone counts as an instant.
+    let (s0, s1) = (ServerId::new(0), ServerId::new(1));
+    let (t, d) = (SimTime::from_secs, SimDuration::from_secs);
+    let flap = || FaultPlan::none().with_flap(s1, t(600), d(300), d(60), 1);
+    let sim = || Simulation::new(ClusterSpec::homogeneous(2, 2), users(1), vec![], config());
+    let run = |sim: Simulation| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until(&mut Greedy, t(1800)).unwrap();
+        }))
+        .err()
+        .map(|err| err.downcast_ref::<String>().cloned().unwrap_or_default())
+    };
+    let refused = [
+        (
+            sim()
+                .unwrap()
+                .with_server_failure(s1, t(60))
+                .with_faults(flap()),
+            "outage of S1 from 60 s on and flap 0 outage 0 of S1 (600-900 s)",
+        ),
+        (
+            (sim().unwrap().with_faults(flap()))
+                .with_server_failure(s1, t(900))
+                .with_server_recovery(s1, t(1000)),
+            "flap 0 outage 0 of S1 (600-900 s) and outage of S1 (900-1000 s)",
+        ),
+        (
+            sim()
+                .unwrap()
+                .with_faults(flap())
+                .with_server_recovery(s1, t(700)),
+            "flap 0 outage 0 of S1 (600-900 s) and recovery of S1 at 700 s",
+        ),
+    ];
+    for (sim, names) in refused {
+        let msg = run(sim).unwrap_or_else(|| panic!("{names}: the run was accepted"));
+        assert!(
+            msg.starts_with("server failures clash with the fault plan") && msg.contains(names),
+            "{names}: {msg}"
+        );
+    }
+    // Clear of the outage, or on another server: the run goes ahead.
+    let fine = (sim().unwrap().with_faults(flap()))
+        .with_server_failure(s1, t(60))
+        .with_server_recovery(s1, t(599))
+        .with_server_failure(s0, t(700));
+    assert_eq!(run(fine), None);
+}
+
+#[test]
 fn ticket_change_for_unknown_user_panics() {
     let m = mono_model();
     let trace = vec![job(0, 0, &m, 1, 100.0, 0)];
@@ -921,9 +975,18 @@ fn eviction_preserves_training_progress() {
     assert!(finish >= SimTime::from_secs(600));
 }
 
-/// Places job `j` on server `j % 2` and sends `plans(r)` in round `r`
-/// (counted from 1).
-struct Scripted<F>(u64, F);
+/// Places jobs 0 and 1 on servers 0 and 1 as they arrive (later jobs wait
+/// for a plan to place them) and sends `plans(r)` in round `r` (counted
+/// from 1), logging what each round's callback sees.
+struct Scripted<F> {
+    round: u64,
+    plans: F,
+    log: Vec<Seen>,
+}
+
+/// What one round's callback saw: each server's run set and each arrived
+/// job's `rounds_run`, as raw ids and counts.
+type Seen = (Vec<Vec<u32>>, Vec<u32>);
 
 impl<F: FnMut(u64) -> RoundPlan> ClusterScheduler for Scripted<F> {
     fn name(&self) -> &'static str {
@@ -931,13 +994,23 @@ impl<F: FnMut(u64) -> RoundPlan> ClusterScheduler for Scripted<F> {
     }
 
     fn on_job_arrival(&mut self, _v: &SimView<'_>, job: JobId) -> Vec<Action> {
-        let server = ServerId::new(job.raw() % 2);
-        vec![Action::Place { job, server }]
+        match job.raw() {
+            j @ (0 | 1) => vec![Action::Place {
+                job,
+                server: ServerId::new(j),
+            }],
+            _ => Vec::new(),
+        }
     }
 
-    fn plan_round(&mut self, _view: &SimView<'_>) -> RoundPlan {
-        self.0 += 1;
-        (self.1)(self.0)
+    fn plan_round(&mut self, view: &SimView<'_>) -> RoundPlan {
+        let sets = (view.cluster().servers.iter())
+            .map(|s| view.run_set(s.id).iter().map(|j| j.raw()).collect())
+            .collect();
+        let counts = view.jobs().map(|j| j.rounds_run).collect();
+        self.log.push((sets, counts));
+        self.round += 1;
+        (self.plans)(self.round)
     }
 }
 
@@ -959,6 +1032,24 @@ fn plan_of(changes_only: bool, sets: &[(u32, &[u32])]) -> RoundPlan {
     }
 }
 
+/// Runs `trace` (one-GPU jobs of user 0) on two one-GPU servers for
+/// `rounds` quanta under `plans`, returning the run's result and what each
+/// round's callback saw.
+fn run_logged(
+    trace: Vec<JobSpec>,
+    rounds: u64,
+    plans: impl FnMut(u64) -> RoundPlan,
+) -> (Result<SimReport, GfairError>, Vec<Seen>) {
+    let sim = Simulation::new(ClusterSpec::homogeneous(2, 1), users(1), trace, config()).unwrap();
+    let horizon = SimTime::ZERO + config().quantum * rounds;
+    let mut sched = Scripted {
+        round: 0,
+        plans,
+        log: Vec::new(),
+    };
+    (sim.run_until(&mut sched, horizon), sched.log)
+}
+
 /// Runs jobs 0 and 1 (one GPU each, `service` seconds) on two one-GPU
 /// servers for `rounds` quanta under `plans`, returning each job's
 /// GPU-seconds or the run's error.
@@ -972,9 +1063,7 @@ fn run_scripted(
         job(0, 0, &m, 1, service[0], 0),
         job(1, 0, &m, 1, service[1], 0),
     ];
-    let sim = Simulation::new(ClusterSpec::homogeneous(2, 1), users(1), trace, config()).unwrap();
-    let horizon = SimTime::ZERO + config().quantum * rounds;
-    let report = sim.run_until(&mut Scripted(0, plans), horizon)?;
+    let report = run_logged(trace, rounds, plans).0?;
     Ok([0, 1].map(|j| report.jobs[&JobId::new(j)].total_gpu_secs()))
 }
 
@@ -1036,4 +1125,75 @@ fn full_plan_leaving_a_server_out_stops_it() {
     })
     .unwrap();
     assert_eq!(used, [10.0 * q, q]);
+}
+
+#[test]
+fn rounds_run_counts_exactly_the_rounds_in_a_run_set() {
+    // Job 0 runs on server 0 in rounds 1-5 (2-5 from a set no plan
+    // resent), migrates to server 1 in round 6, sits there outside the set
+    // in round 7 and runs from round 8. Job 1 is out of its set in round 4
+    // and from round 8 on. Job 2 is pending until a plan places it in
+    // round 9, and runs from round 10.
+    let m = mono_model();
+    let trace = (0..3).map(|j| job(j, 0, &m, 1, 1e6, 0)).collect();
+    let (job0, s0, s1) = (JobId::new(0), ServerId::new(0), ServerId::new(1));
+    let (report, log) = run_logged(trace, 12, |r| {
+        let mut plan = match r {
+            1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+            4 => plan_of(true, &[(1, &[])]),
+            5 => plan_of(true, &[(1, &[1])]),
+            6 => plan_of(true, &[(0, &[])]),
+            8 => plan_of(true, &[(1, &[0])]),
+            10 => plan_of(true, &[(0, &[2])]),
+            _ => plan_of(true, &[]),
+        };
+        match r {
+            6 => plan.actions.push(Action::Migrate { job: job0, to: s1 }),
+            9 => plan.actions.push(Action::Place {
+                job: JobId::new(2),
+                server: s0,
+            }),
+            _ => {}
+        }
+        plan
+    });
+    report.unwrap();
+    assert!(log.len() >= 12, "{} rounds", log.len());
+    // Round r's callback sees the counts through round r - 1 and the sets
+    // installed in round r - 1.
+    let counts: Vec<&[u32]> = log.iter().map(|(_, c)| c.as_slice()).collect();
+    let want: [&[u32]; 12] = [
+        &[0, 0, 0],
+        &[1, 1, 0],
+        &[2, 2, 0],
+        &[3, 3, 0],
+        &[4, 3, 0],
+        &[5, 4, 0],
+        &[5, 5, 0],
+        &[5, 6, 0],
+        &[6, 6, 0],
+        &[7, 6, 0],
+        &[8, 6, 1],
+        &[9, 6, 2],
+    ];
+    assert_eq!(counts[..12], want);
+    let sets: Vec<&[Vec<u32>]> = log.iter().map(|(s, _)| s.as_slice()).collect();
+    let want: [[&[u32]; 2]; 12] = [
+        [&[], &[]],
+        [&[0], &[1]],
+        [&[0], &[1]],
+        [&[0], &[1]],
+        [&[0], &[]],
+        [&[0], &[1]],
+        [&[], &[1]],
+        [&[], &[1]],
+        [&[], &[0]],
+        [&[], &[0]],
+        [&[2], &[0]],
+        [&[2], &[0]],
+    ];
+    for (r, (got, want)) in sets.iter().zip(want).enumerate() {
+        assert_eq!(got[0], want[0], "round {}: server 0's run set", r + 1);
+        assert_eq!(got[1], want[1], "round {}: server 1's run set", r + 1);
+    }
 }

@@ -96,7 +96,7 @@ echo "### equivalence gate (5000 GPUs, gfair)"
 # (every server re-planned every round) — both clean and under a fault
 # plan, and byte-compares the SimReport JSON. Any divergence between the
 # optimized loop and the naive one fails the gate. 5000 GPUs (not 1000) so the incremental balancer,
-# sharded event queue, and lazy settling are exercised at a scale where
+# staged event queue, and lazy settling are exercised at a scale where
 # they actually engage.
 cargo run --release -p gfair-bench --bin bench_sim -- \
     --verify --only 5000gpu --policy gfair
@@ -156,5 +156,8 @@ echo "### observability overhead smoke (5000 GPUs)"
 # what you observe" contract; the ratio budget is restated when the
 # untraced loop gets much faster (see the bench_sim module docs).
 cargo run --release -p gfair-bench --bin bench_sim -- --obs-overhead --only 5000gpu
+
+echo "### non-test Rust lines (information only, not a gate)"
+bash scripts/loc.sh
 
 echo "CI gate passed."

@@ -373,6 +373,18 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                     ));
                 }
             }
+            if let Some((server, down, up)) = failure {
+                let mut events = vec![(down, server, true)];
+                events.extend(up.map(|up| (up, server, false)));
+                let errs = plan.outage_clashes(&events);
+                if !errs.is_empty() {
+                    return Err(format!(
+                        "--fail {} clashes with fault plan {path}: {}",
+                        args.value_of("--fail").unwrap_or_default(),
+                        errs.join("; ")
+                    ));
+                }
+            }
             Some(plan)
         }
         None if args.value_of("--fault-seed").is_some() => {

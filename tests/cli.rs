@@ -1,7 +1,8 @@
 //! Command-line input checks: an out-of-range number, an unknown option, an
 //! option missing its value, a cluster too large to count, a fault plan that
 //! names a server the cluster lacks, has an unknown key, schedules an event
-//! too late or asks for too many flap cycles, or a hostile trace given to
+//! too late, asks for too many flap cycles or holds two windows of one kind
+//! on one server that overlap or touch, or a hostile trace given to
 //! `gfair simulate` must end the run with exit code 1 and an error that names
 //! the problem, before any simulation starts.
 
@@ -192,6 +193,70 @@ fn flap_cycles_over_the_cap_exit_1() {
             && stderr.contains("flap 0 (server S5) brings the plan to 1000000 flap cycles"),
         "stderr: {stderr}"
     );
+}
+
+#[test]
+fn same_kind_fault_windows_that_overlap_or_touch_exit_1() {
+    // The engine keeps a server's down and partitioned states as flags, so
+    // the first recovery or heal used to end every overlapping window of
+    // its kind, and these runs exited 0.
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let part = |a: u64, b: u64| format!(r#"{{"server": 2, "from_secs": {a}, "until_secs": {b}}}"#);
+    let flap = |at: u64, down: u64| {
+        format!(
+            r#"{{"server": 1, "first_fail_secs": {at}, "down_secs": {down}, "up_secs": 60, "cycles": 1}}"#
+        )
+    };
+    let cases = [
+        (
+            "nested_partitions",
+            format!(r#"{{"partitions": [{}, {}]}}"#, part(100, 3600), part(200, 300)),
+            None,
+            "partition 0 of S2 (100-3600 s) and partition 1 of S2 (200-300 s) overlap or touch",
+        ),
+        (
+            "touching_partitions",
+            format!(r#"{{"partitions": [{}, {}]}}"#, part(100, 300), part(300, 3600)),
+            None,
+            "partition 0 of S2 (100-300 s) and partition 1 of S2 (300-3600 s) overlap or touch",
+        ),
+        (
+            "nested_flaps",
+            format!(r#"{{"flaps": [{}, {}]}}"#, flap(100, 5000), flap(200, 100)),
+            None,
+            "flap 0 outage 0 of S1 (100-5100 s) and flap 1 outage 0 of S1 (200-300 s) overlap or touch",
+        ),
+        (
+            "fail_and_flap",
+            format!(r#"{{"flaps": [{}]}}"#, flap(7200, 600)),
+            Some("1@1"),
+            "outage of S1 from 3600 s on and flap 0 outage 0 of S1 (7200-7800 s) overlap or touch",
+        ),
+    ];
+    for (name, plan, fail, message) in cases {
+        let path = format!("{dir}/overlapping_{name}.json");
+        std::fs::write(&path, plan).expect("write the fault plan");
+        let mut args = vec!["--cluster", "paper", "--users", "4", "--faults", &path];
+        args.extend(fail.map(|f| ["--fail", f]).into_iter().flatten());
+        let (code, stderr) = simulate(&args);
+        assert_eq!(code, Some(1), "{name} must exit 1; stderr: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(message),
+            "{name} must name both windows; stderr: {stderr}"
+        );
+    }
+    // The outage of a `--fail` that ends before the flap starts is fine,
+    // and so is a partition during an outage.
+    let path = format!("{dir}/overlapping_ok.json");
+    let plan = format!(
+        r#"{{"partitions": [{}], "flaps": [{}]}}"#,
+        r#"{"server": 1, "from_secs": 7000, "until_secs": 8000}"#,
+        flap(7200, 600)
+    );
+    std::fs::write(&path, plan).expect("write the fault plan");
+    let args = ["--cluster", "paper", "--users", "4", "--horizon-hours", "3"];
+    let (code, stderr) = simulate(&[&args[..], &["--faults", &path, "--fail", "1@0-1"]].concat());
+    assert_eq!(code, Some(0), "stderr: {stderr}");
 }
 
 #[test]

@@ -307,7 +307,7 @@ impl ClusterScheduler for ModelIds {
         inputs.active_signature(view);
         inputs.refresh(view, profiler);
         inputs
-            .audit(view, profiler, None)
+            .audit(view, profiler, false)
             .expect("policy inputs match their from-scratch oracle");
         plan
     }
