@@ -621,6 +621,23 @@ fn need_u32(v: &Value, field: &str) -> Result<u32, String> {
     u32::try_from(raw).map_err(|_| format!("field {field} does not fit in u32: {raw}"))
 }
 
+/// Reads whole seconds as an instant; seconds whose microsecond count
+/// does not fit in a `u64` are an error naming the field.
+fn need_time(v: &Value, field: &str) -> Result<SimTime, String> {
+    let secs = need_u64(v, field)?;
+    SimTime::checked_from_secs(secs).ok_or_else(|| secs_out_of_range(field, secs))
+}
+
+/// Reads whole seconds as a duration, as [`need_time`] reads an instant.
+fn need_duration(v: &Value, field: &str) -> Result<SimDuration, String> {
+    let secs = need_u64(v, field)?;
+    SimDuration::checked_from_secs(secs).ok_or_else(|| secs_out_of_range(field, secs))
+}
+
+fn secs_out_of_range(field: &str, secs: u64) -> String {
+    format!("field {field}: {secs} s does not fit in the simulator's microsecond clock")
+}
+
 fn need_f64(v: &Value, field: &str) -> Result<f64, String> {
     v.as_f64()
         .ok_or_else(|| format!("field {field} must be a number, got {}", v.kind()))
@@ -645,14 +662,8 @@ fn parse_partition(v: &Value, i: usize) -> Result<PartitionWindow, String> {
     )?;
     Ok(PartitionWindow {
         server: ServerId::new(need_u32(field(v, "server", "partitions", i)?, "server")?),
-        from: SimTime::from_secs(need_u64(
-            field(v, "from_secs", "partitions", i)?,
-            "from_secs",
-        )?),
-        until: SimTime::from_secs(need_u64(
-            field(v, "until_secs", "partitions", i)?,
-            "until_secs",
-        )?),
+        from: need_time(field(v, "from_secs", "partitions", i)?, "from_secs")?,
+        until: need_time(field(v, "until_secs", "partitions", i)?, "until_secs")?,
     })
 }
 
@@ -670,12 +681,9 @@ fn parse_flap(v: &Value, i: usize) -> Result<FlapSpec, String> {
     )?;
     Ok(FlapSpec {
         server: ServerId::new(need_u32(field(v, "server", "flaps", i)?, "server")?),
-        first_fail: SimTime::from_secs(need_u64(
-            field(v, "first_fail_secs", "flaps", i)?,
-            "first_fail_secs",
-        )?),
-        down: SimDuration::from_secs(need_u64(field(v, "down_secs", "flaps", i)?, "down_secs")?),
-        up: SimDuration::from_secs(need_u64(field(v, "up_secs", "flaps", i)?, "up_secs")?),
+        first_fail: need_time(field(v, "first_fail_secs", "flaps", i)?, "first_fail_secs")?,
+        down: need_duration(field(v, "down_secs", "flaps", i)?, "down_secs")?,
+        up: need_duration(field(v, "up_secs", "flaps", i)?, "up_secs")?,
         cycles: need_u32(field(v, "cycles", "flaps", i)?, "cycles")?,
     })
 }
@@ -876,6 +884,38 @@ mod tests {
                 "{from}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn seconds_that_overflow_the_clock_name_their_field() {
+        // 18446744073710 s is the first whole second past u64::MAX µs.
+        let big = 18_446_744_073_710u64;
+        let partition = |from: u64, until: u64| {
+            format!(
+                "{{\"partitions\": [{{\"server\": 1, \"from_secs\": {from}, \"until_secs\": {until}}}]}}"
+            )
+        };
+        let flap = |first: u64, down: u64, up: u64| {
+            format!(
+                "{{\"flaps\": [{{\"server\": 1, \"first_fail_secs\": {first}, \"down_secs\": {down}, \"up_secs\": {up}, \"cycles\": 1}}]}}"
+            )
+        };
+        let cases = [
+            ("from_secs", partition(big, big + 1)),
+            ("until_secs", partition(1, big)),
+            ("first_fail_secs", flap(big, 1, 1)),
+            ("down_secs", flap(1, big, 1)),
+            ("up_secs", flap(1, 1, big)),
+        ];
+        for (name, json) in cases {
+            let err = FaultPlan::from_json(&json).expect_err(name);
+            assert!(
+                err.contains(&format!("field {name}: {big} s does not fit")),
+                "{name}: {err}"
+            );
+        }
+        let last = big - 1;
+        assert!(FaultPlan::from_json(&partition(last - 1, last)).is_ok());
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! The online invariant auditor.
 //!
-//! Consumes the trace-event stream *during* the run and independently
-//! re-derives the properties the scheduler claims to enforce. It keeps its
-//! own residency and capacity state built purely from events — it never
-//! peeks at engine internals — so a bug anywhere in the decision path
-//! (scheduler, engine bookkeeping, or event emission) surfaces as a
+//! Consumes the trace-event stream *during* the run and checks what no
+//! single engine check can see: properties that span several events or
+//! rest on the scheduler's own accounting. It keeps its own residency
+//! state, built purely from events — it never peeks at engine internals —
+//! so a bug in the decision path or in event emission surfaces as a
 //! violation instead of silently skewing results.
+//!
+//! Run sets are not checked here. The engine checks each set before it
+//! emits the set's grants (server up, no job listed twice, every job
+//! known and resident there, no overcommit) and grants every job its
+//! whole gang, so the auditor ignores `GangPacked` (and `ServerUp`).
 //!
 //! ## Invariants
 //!
 //! Fatal (abort the run):
-//! * **Gang atomicity** — a `GangPacked` grant's `width` equals the job's
-//!   declared gang size; partial gangs are never acceptable.
-//! * **No GPU overcommit** — per round, the gang widths granted on a server
-//!   sum to at most its GPU count.
-//! * **Residency** — a job runs only on the server it is resident on, and a
-//!   job is granted GPUs at most once per round.
 //! * **Ticket conservation** — when the scheduler reports per-user tickets
 //!   (post-trade entitlements), they sum to the cluster's physical GPU
 //!   supply: trading may move entitlement between users and generations but
@@ -37,14 +36,13 @@
 //!
 //! ## Violation context
 //!
-//! A violation carries the JSONL lines of its round's events so far (at
-//! most the last 256), rendered only when it fires. Until then the auditor
-//! keeps grants as compact [`PackedGang`] records and other events as
-//! clones; the round-boundary event (`RoundPlanned`) clears the context,
-//! so it is added to it only when it is the one that fails.
+//! A violation carries the JSONL lines of its round's non-grant events so
+//! far (at most the last 256), rendered only when it fires. The
+//! round-boundary event (`RoundPlanned`) clears the context, so it is
+//! added to it only when it is the one that fails.
 
-use crate::event::{PackedGang, TraceEvent};
-use gfair_types::{JobId, ServerId, SimTime};
+use crate::event::TraceEvent;
+use gfair_types::{JobId, ServerId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -57,46 +55,6 @@ const TICKET_TOL: f64 = 1e-6;
 /// The specific invariant an offending event broke.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViolationKind {
-    /// A gang was granted fewer (or more) GPUs than its declared size.
-    PartialGang {
-        /// Offending job.
-        job: JobId,
-        /// GPUs granted.
-        width: u32,
-        /// GPUs the gang requires.
-        gang: u32,
-    },
-    /// A server's granted widths exceed its GPU count.
-    Overcommit {
-        /// Offending server.
-        server: ServerId,
-        /// Sum of granted widths.
-        requested: u32,
-        /// GPUs installed.
-        gpus: u32,
-    },
-    /// A job was granted GPUs on a server it is not resident on.
-    NotResident {
-        /// Offending job.
-        job: JobId,
-        /// Server that granted it GPUs.
-        server: ServerId,
-    },
-    /// A job was granted GPUs more than once in one round.
-    DuplicateJob {
-        /// Offending job.
-        job: JobId,
-    },
-    /// GPUs were granted on a server that is down.
-    PackedOnDownServer {
-        /// Offending server.
-        server: ServerId,
-    },
-    /// An event referenced a job that never arrived.
-    UnknownJob {
-        /// Offending job.
-        job: JobId,
-    },
     /// Per-user tickets do not sum to the cluster's GPU supply.
     TicketConservation {
         /// Expected total (physical GPUs).
@@ -123,7 +81,8 @@ pub enum ViolationKind {
 /// One detected invariant violation, with the offending round's trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// The round in which the violation occurred (0 before the first round).
+    /// The round of a conservation violation; for a lifecycle violation,
+    /// the last round planned before it (0 before the first round).
     pub round: u64,
     /// What was violated.
     pub kind: ViolationKind,
@@ -148,36 +107,12 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One event of the round being assembled, kept for violation context.
-#[derive(Debug)]
-enum Recent {
-    Event(TraceEvent),
-    Grant(SimTime, u64, PackedGang),
-}
-
-impl Recent {
-    fn to_json_line(&self) -> String {
-        match self {
-            Recent::Event(event) => event.to_json_line(),
-            Recent::Grant(t, round, grant) => grant.event(*t, *round).to_json_line(),
-        }
-    }
-}
-
 /// Online checker over the trace-event stream.
 ///
-/// The per-job and per-server tables are dense vectors indexed by
-/// `JobId::index()` / `ServerId::index()` rather than maps: the auditor
-/// sits on the `emit` hot path and re-checks every `GangPacked` grant, and
-/// ids in this workspace are dense by construction, so a handful of tree
-/// lookups per grant would dominate clean runs.
+/// The per-job tables are dense vectors indexed by `JobId::index()` rather
+/// than maps: ids in this workspace are dense by construction.
 #[derive(Debug, Default)]
 pub struct Auditor {
-    /// GPU count per server, learned from `ServerUp` events; indexed by
-    /// `ServerId::index()`.
-    capacity: Vec<u32>,
-    /// Whether each server is currently online.
-    up: Vec<bool>,
     /// Declared gang size per arrived job (0 = job unknown), indexed by
     /// `JobId::index()`.
     gang_of: Vec<u32>,
@@ -191,20 +126,12 @@ pub struct Auditor {
     /// A partition healed since the last planned round; the next ticket
     /// conservation check reports as [`ViolationKind::HealConservation`].
     heal_pending: bool,
-    /// GPUs granted per server in the round being assembled, indexed by
-    /// `ServerId::index()`; reset at each round boundary.
-    packed: Vec<u32>,
-    /// Round-stamp per job marking a grant in the round being assembled
-    /// (stamp == `round_serial`); stamping replaces a per-round set clear.
-    packed_stamp: Vec<u64>,
-    /// Serial of the round being assembled; bumped at each round boundary
-    /// so stale `packed_stamp` entries expire without being cleared.
-    round_serial: u64,
-    /// Events since the last round boundary (violation context), at most
-    /// `CONTEXT_CAP`. Rendered to JSONL only when a violation actually
-    /// fires: serializing every event eagerly would put a `format!` on the
-    /// hot path of clean runs, which are the overwhelmingly common case.
-    round_events: VecDeque<Recent>,
+    /// Non-grant events since the last round boundary (violation
+    /// context), at most `CONTEXT_CAP`. Rendered to JSONL only when a
+    /// violation actually fires: serializing every event eagerly would put
+    /// a `format!` on the hot path of clean runs, which are the
+    /// overwhelmingly common case.
+    round_events: VecDeque<TraceEvent>,
     current_round: u64,
     violations: Vec<Violation>,
     /// Index of the next violation [`Auditor::take_fatal`] will hand out.
@@ -213,8 +140,7 @@ pub struct Auditor {
 }
 
 impl Auditor {
-    /// Creates an auditor with no knowledge of the cluster; capacities are
-    /// learned from the event stream's `ServerUp` events.
+    /// Creates an auditor with no knowledge of the cluster.
     pub fn new() -> Self {
         Auditor::default()
     }
@@ -273,36 +199,34 @@ impl Auditor {
             round: self.current_round,
             kind,
             message,
-            context: self.round_events.iter().map(Recent::to_json_line).collect(),
+            context: self
+                .round_events
+                .iter()
+                .map(TraceEvent::to_json_line)
+                .collect(),
         });
     }
 
     /// Appends to the violation context, dropping its oldest entry at the
     /// cap.
-    fn remember(&mut self, recent: Recent) {
+    fn remember(&mut self, event: &TraceEvent) {
         if self.round_events.len() == CONTEXT_CAP {
             self.round_events.pop_front();
         }
-        self.round_events.push_back(recent);
+        self.round_events.push_back(event.clone());
     }
 
     /// Feeds one event through every applicable check.
     pub fn process(&mut self, event: &TraceEvent) {
-        // A grant is remembered as a compact record by `process_packed`.
         if !matches!(
             event,
             TraceEvent::GangPacked { .. } | TraceEvent::RoundPlanned { .. }
         ) {
-            self.remember(Recent::Event(event.clone()));
+            self.remember(event);
         }
 
         match event {
-            TraceEvent::ServerUp { server, gpus, .. } => {
-                *Self::slot(&mut self.capacity, server.index()) = *gpus;
-                *Self::slot(&mut self.up, server.index()) = true;
-            }
             TraceEvent::ServerDown { server, .. } => {
-                *Self::slot(&mut self.up, server.index()) = false;
                 // The failure evicts every resident job.
                 for slot in self.residency.iter_mut() {
                     if *slot == Some(*server) {
@@ -392,27 +316,8 @@ impl Auditor {
                     }
                 }
             }
-            TraceEvent::PartitionStart { .. } | TraceEvent::Reconcile { .. } => {}
             TraceEvent::PartitionEnd { .. } => {
                 self.heal_pending = true;
-            }
-            &TraceEvent::GangPacked {
-                t,
-                round,
-                server,
-                job,
-                user,
-                width,
-                gang,
-            } => {
-                let grant = PackedGang {
-                    server,
-                    job,
-                    user,
-                    width,
-                    gang,
-                };
-                self.process_packed(t, round, &[grant]);
             }
             TraceEvent::RoundPlanned {
                 round,
@@ -427,7 +332,7 @@ impl Auditor {
                     let expected = *tickets_total;
                     let tol = TICKET_TOL * expected.abs().max(1.0);
                     if (actual - expected).abs() > tol {
-                        self.remember(Recent::Event(event.clone()));
+                        self.remember(event);
                         if self.heal_pending {
                             self.fail(
                                 ViolationKind::HealConservation { expected, actual },
@@ -451,90 +356,15 @@ impl Auditor {
                 if *gpus_used == 0 && self.resident_count > 0 {
                     self.warnings += 1;
                 }
-                // Round boundary: bump the serial (expiring the per-round
-                // grant stamps in place) and reset the rest.
-                self.round_serial += 1;
-                self.packed.fill(0);
                 self.round_events.clear();
             }
-            TraceEvent::Decision { .. }
+            TraceEvent::ServerUp { .. }
+            | TraceEvent::GangPacked { .. }
+            | TraceEvent::PartitionStart { .. }
+            | TraceEvent::Reconcile { .. }
+            | TraceEvent::Decision { .. }
             | TraceEvent::TradeExecuted { .. }
             | TraceEvent::ProfileInferred { .. } => {}
-        }
-    }
-    /// Feeds one round's gang grants, in grant order, through the
-    /// `GangPacked` checks: the same as processing each grant's event.
-    pub(crate) fn process_packed(&mut self, t: SimTime, round: u64, grants: &[PackedGang]) {
-        for grant in grants {
-            self.remember(Recent::Grant(t, round, *grant));
-            self.check_grant(round, grant);
-        }
-    }
-
-    fn check_grant(&mut self, round: u64, grant: &PackedGang) {
-        let PackedGang {
-            server, job, width, ..
-        } = *grant;
-        self.current_round = round;
-        let declared = match self.gang_of.get(job.index()).copied() {
-            Some(g) if g != 0 => g,
-            _ => {
-                self.fail(
-                    ViolationKind::UnknownJob { job },
-                    format!("job {job} was granted GPUs but never arrived"),
-                );
-                width
-            }
-        };
-        if width != declared {
-            self.fail(
-                ViolationKind::PartialGang {
-                    job,
-                    width,
-                    gang: declared,
-                },
-                format!(
-                    "gang atomicity: job {job} granted {width} GPUs but its gang needs {declared}"
-                ),
-            );
-        }
-        // Stamps carry `round_serial + 1` so the vector's default of
-        // zero can never read as "granted in serial 0".
-        let stamp = self.round_serial + 1;
-        let slot = Self::slot(&mut self.packed_stamp, job.index());
-        let duplicate = *slot == stamp;
-        *slot = stamp;
-        if duplicate {
-            self.fail(
-                ViolationKind::DuplicateJob { job },
-                format!("job {job} granted GPUs twice in round {round}"),
-            );
-        }
-        if self.resident_on(job) != Some(server) {
-            self.fail(
-                ViolationKind::NotResident { job, server },
-                format!("job {job} ran on server {server} where it is not resident"),
-            );
-        }
-        if !self.up.get(server.index()).copied().unwrap_or(false) {
-            self.fail(
-                ViolationKind::PackedOnDownServer { server },
-                format!("server {server} is down but was granted work"),
-            );
-        }
-        let used = Self::slot(&mut self.packed, server.index());
-        *used += width;
-        let requested = *used;
-        let gpus = self.capacity.get(server.index()).copied().unwrap_or(0);
-        if requested > gpus {
-            self.fail(
-                ViolationKind::Overcommit {
-                    server,
-                    requested,
-                    gpus,
-                },
-                format!("overcommit: server {server} granted {requested} GPUs but has {gpus}"),
-            );
         }
     }
 }
@@ -572,22 +402,18 @@ mod tests {
         a
     }
 
-    fn packed(job: u32, width: u32, gang: u32) -> TraceEvent {
-        TraceEvent::GangPacked {
-            t: t0(),
-            round: 1,
-            server: ServerId::new(0),
-            job: JobId::new(job),
-            user: UserId::new(0),
-            width,
-            gang,
-        }
-    }
-
     #[test]
     fn healthy_round_has_no_violations() {
         let mut a = setup();
-        a.process(&packed(1, 4, 4));
+        a.process(&TraceEvent::GangPacked {
+            t: t0(),
+            round: 1,
+            server: ServerId::new(0),
+            job: JobId::new(1),
+            user: UserId::new(0),
+            width: 4,
+            gang: 4,
+        });
         a.process(&TraceEvent::RoundPlanned {
             t: t0(),
             round: 1,
@@ -602,80 +428,6 @@ mod tests {
         assert!(a.violations().is_empty());
         assert_eq!(a.warnings(), 0);
         assert!(a.take_fatal().is_none());
-    }
-
-    #[test]
-    fn partial_gang_is_detected_with_round_context() {
-        let mut a = setup();
-        a.process(&packed(1, 2, 4));
-        let v = a.take_fatal().expect("violation");
-        assert_eq!(
-            v.kind,
-            ViolationKind::PartialGang {
-                job: JobId::new(1),
-                width: 2,
-                gang: 4
-            }
-        );
-        assert_eq!(v.round, 1);
-        assert!(!v.context.is_empty(), "offending round trace attached");
-        assert!(v.to_string().contains("gang atomicity"));
-        // The same violation is not handed out twice.
-        assert!(a.take_fatal().is_none());
-    }
-
-    #[test]
-    fn overcommit_is_detected() {
-        let mut a = setup();
-        a.process(&TraceEvent::JobArrive {
-            t: t0(),
-            job: JobId::new(2),
-            user: UserId::new(1),
-            gang: 2,
-            service_secs: 50.0,
-        });
-        a.process(&TraceEvent::Placement {
-            t: t0(),
-            job: JobId::new(2),
-            server: ServerId::new(0),
-            gang: 2,
-        });
-        a.process(&packed(1, 4, 4));
-        a.process(&packed(2, 2, 2));
-        let v = a.take_fatal().expect("violation");
-        assert_eq!(
-            v.kind,
-            ViolationKind::Overcommit {
-                server: ServerId::new(0),
-                requested: 6,
-                gpus: 4
-            }
-        );
-    }
-
-    #[test]
-    fn non_resident_job_is_detected() {
-        let mut a = setup();
-        // Job 1 migrates away and has not landed.
-        a.process(&TraceEvent::Migration {
-            t: t0(),
-            job: JobId::new(1),
-            from: ServerId::new(0),
-            to: ServerId::new(1),
-            outage_secs: 30.0,
-        });
-        a.process(&packed(1, 4, 4));
-        let v = a.take_fatal().expect("violation");
-        assert!(matches!(v.kind, ViolationKind::NotResident { .. }));
-    }
-
-    #[test]
-    fn duplicate_grant_is_detected() {
-        let mut a = setup();
-        a.process(&packed(1, 4, 4));
-        a.process(&packed(1, 4, 4));
-        let v = a.take_fatal().expect("violation");
-        assert!(matches!(v.kind, ViolationKind::DuplicateJob { .. }));
     }
 
     #[test]
@@ -765,29 +517,21 @@ mod tests {
             server: ServerId::new(0),
             evicted: 1,
         });
-        a.process(&packed(1, 4, 4));
-        // Both not-resident and down-server fire.
-        let kinds: Vec<_> = a.violations().iter().map(|v| &v.kind).collect();
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, ViolationKind::NotResident { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, ViolationKind::PackedOnDownServer { .. })));
-    }
-
-    #[test]
-    fn unknown_job_is_detected() {
-        let mut a = Auditor::new();
-        a.process(&TraceEvent::ServerUp {
+        // The evicted job is no longer resident, so an idle round is not
+        // a work-conservation lapse.
+        a.process(&TraceEvent::RoundPlanned {
             t: t0(),
-            server: ServerId::new(0),
-            gen: GenId::new(0),
-            gpus: 8,
+            round: 1,
+            scheduled: 0,
+            gpus_used: 0,
+            gpus_up: 0,
+            pending: 1,
+            tickets_total: 4.0,
+            users: vec![],
+            user_gpus: vec![],
         });
-        a.process(&packed(99, 1, 1));
-        let v = a.take_fatal().expect("violation");
-        assert!(matches!(v.kind, ViolationKind::UnknownJob { .. }));
+        assert!(a.violations().is_empty());
+        assert_eq!(a.warnings(), 0);
     }
 
     fn migration(job: u32, from: u32, to: u32) -> TraceEvent {
@@ -985,25 +729,5 @@ mod tests {
         });
         let v = a.take_fatal().expect("violation");
         assert!(matches!(v.kind, ViolationKind::TicketConservation { .. }));
-    }
-
-    #[test]
-    fn per_round_state_resets_at_round_boundary() {
-        let mut a = setup();
-        a.process(&packed(1, 4, 4));
-        a.process(&TraceEvent::RoundPlanned {
-            t: t0(),
-            round: 1,
-            scheduled: 1,
-            gpus_used: 4,
-            gpus_up: 4,
-            pending: 0,
-            tickets_total: 4.0,
-            users: vec![],
-            user_gpus: vec![],
-        });
-        // Same grant next round: no duplicate, no overcommit.
-        a.process(&packed(1, 4, 4));
-        assert!(a.violations().is_empty());
     }
 }

@@ -37,7 +37,8 @@ pub struct UserGrant {
 
 /// One gang grant inside a round's batch (see [`crate::Obs::emit_packed`]):
 /// a [`TraceEvent::GangPacked`] without the time and round number that
-/// every grant of the batch shares.
+/// every grant of the batch shares. A grant is always the whole gang, so
+/// the event's `width` is `gang`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedGang {
     /// The server.
@@ -46,9 +47,7 @@ pub struct PackedGang {
     pub job: JobId,
     /// The job's owner.
     pub user: UserId,
-    /// GPUs granted this quantum.
-    pub width: u32,
-    /// GPUs the job's gang requires.
+    /// GPUs the job's gang requires, all granted this quantum.
     pub gang: u32,
 }
 
@@ -63,8 +62,8 @@ impl PackedGang {
                 server,
                 job,
                 user,
-                width,
                 gang,
+                ..
             } => Some((
                 t,
                 round,
@@ -72,7 +71,6 @@ impl PackedGang {
                     server,
                     job,
                     user,
-                    width,
                     gang,
                 },
             )),
@@ -88,7 +86,7 @@ impl PackedGang {
             server: self.server,
             job: self.job,
             user: self.user,
-            width: self.width,
+            width: self.gang,
             gang: self.gang,
         }
     }
@@ -242,8 +240,8 @@ pub enum TraceEvent {
     },
     /// One job was granted its gang on a server for the coming quantum.
     ///
-    /// `width` is the allocation actually granted and `gang` the job's
-    /// declared requirement; the auditor flags any mismatch (partial gang).
+    /// `width` is the allocation granted and `gang` the job's declared
+    /// requirement; the engine grants only whole gangs, so the two agree.
     GangPacked {
         /// Simulated time.
         t: SimTime,

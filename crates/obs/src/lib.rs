@@ -11,23 +11,23 @@
 //! 2. **Metrics** ([`MetricsRegistry`]) — counters/gauges/histograms
 //!    derived from the events themselves, snapshotted into the
 //!    deterministic [`ObsSummary`] embedded in `SimReport`.
-//! 3. **The auditor** ([`Auditor`]) — re-derives cluster state from the
-//!    stream and checks gang atomicity, GPU overcommit, residency, ticket
-//!    conservation, migration lifecycle (no job lost or duplicated across
-//!    a failed migration), conservation across partition heals, and work
-//!    conservation online. The engine polls
+//! 3. **The auditor** ([`Auditor`]) — checks ticket conservation,
+//!    conservation across partition heals and the migration lifecycle (no
+//!    job lost or duplicated across a failed migration) online, and warns
+//!    on rounds that break work conservation. The engine polls
 //!    [`Obs::take_fatal`] each round and aborts the run on a violation,
-//!    printing the offending round's trace.
+//!    printing the offending round's trace. Run sets are checked once, by
+//!    the engine, before their grants are emitted.
 //!
 //! Gang grants, the bulk of all events, take one call per round (per
 //! 1024 grants on very large rounds): the engine hands a round's grants to
-//! [`Obs::emit_packed`] as compact [`PackedGang`] records. Under one lock that counts them, runs the
-//! auditor's per-grant checks and passes the batch to every sink through
+//! [`Obs::emit_packed`] as compact [`PackedGang`] records. Under one lock
+//! that counts them and passes the batch to every sink through
 //! [`Tracer::record_packed`], which hands each grant to sinks that do not
 //! override it as its own `GangPacked` event; the lean [`JsonlSink`]
-//! drops the batch at once. Metrics, auditor verdicts and every sink's
-//! output are the same as emitting each grant on its own with
-//! `emit(GangPacked)`.
+//! drops the batch at once. The auditor and the ledger ignore grants.
+//! Metrics and every sink's output are the same as emitting each grant on
+//! its own with `emit(GangPacked)`.
 //!
 //! Wall-clock self-profiling ([`Obs::time`], [`PhaseStats`]) is kept apart
 //! from all of the above: timings never enter the trace or the report, so
@@ -186,9 +186,9 @@ impl Obs {
     }
 
     /// Emits gang grants of one round, in grant order, under one lock: the
-    /// same metrics, auditor checks and sink records as emitting each
-    /// grant's [`TraceEvent::GangPacked`] event, whichever way a round's
-    /// grants are split into batches. An empty batch changes nothing.
+    /// same metrics and sink records as emitting each grant's
+    /// [`TraceEvent::GangPacked`] event, whichever way a round's grants are
+    /// split into batches. An empty batch changes nothing.
     pub fn emit_packed(&self, t: SimTime, round: u64, grants: &[PackedGang]) {
         if grants.is_empty() {
             return;
@@ -196,9 +196,7 @@ impl Obs {
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.events += grants.len() as u64;
-        count_grants(&mut inner.metrics, grants.iter().map(|g| g.width));
-        // The ledger works from `RoundPlanned` aggregates and ignores grants.
-        inner.auditor.process_packed(t, round, grants);
+        count_grants(&mut inner.metrics, grants.iter().map(|g| g.gang));
         for sink in &mut inner.sinks {
             sink.record_packed(t, round, grants);
         }
@@ -286,12 +284,12 @@ impl Obs {
 
 /// Counts one round's gang grants: `gangs_packed` and one `gang_width`
 /// observation per grant, in order. Creates no metric for an empty round.
-fn count_grants(m: &mut MetricsRegistry, widths: impl ExactSizeIterator<Item = u32>) {
-    if widths.len() == 0 {
+fn count_grants(m: &mut MetricsRegistry, gangs: impl ExactSizeIterator<Item = u32>) {
+    if gangs.len() == 0 {
         return;
     }
-    m.inc("gangs_packed", widths.len() as u64);
-    m.observe_all("gang_width", widths.map(f64::from));
+    m.inc("gangs_packed", gangs.len() as u64);
+    m.observe_all("gang_width", gangs.map(f64::from));
 }
 
 /// Derives metric updates from one event. Keeping this a pure function of
@@ -317,7 +315,7 @@ fn update_metrics(m: &mut MetricsRegistry, event: &TraceEvent) {
             m.inc("reconciles", 1);
             m.inc("reconcile_drift", u64::from(*drift));
         }
-        TraceEvent::GangPacked { width, .. } => count_grants(m, std::iter::once(*width)),
+        TraceEvent::GangPacked { gang, .. } => count_grants(m, std::iter::once(*gang)),
         TraceEvent::RoundPlanned {
             scheduled,
             gpus_used,
@@ -428,17 +426,22 @@ mod tests {
     fn fatal_violation_is_surfaced_once() {
         let obs = Obs::new();
         sample_run(&obs);
-        obs.emit(TraceEvent::GangPacked {
+        obs.emit(TraceEvent::RoundPlanned {
             t: SimTime::ZERO,
             round: 2,
-            server: ServerId::new(0),
-            job: JobId::new(1),
-            user: UserId::new(0),
-            width: 1, // partial gang
-            gang: 2,
+            scheduled: 1,
+            gpus_used: 2,
+            gpus_up: 2,
+            pending: 0,
+            tickets_total: 2.0,
+            users: vec![UserShare {
+                user: UserId::new(0),
+                tickets: 3.0, // one GPU minted
+            }],
+            user_gpus: vec![],
         });
         let v = obs.take_fatal().expect("violation");
-        assert!(matches!(v.kind, ViolationKind::PartialGang { .. }));
+        assert!(matches!(v.kind, ViolationKind::TicketConservation { .. }));
         assert!(obs.take_fatal().is_none());
         assert_eq!(obs.summary().violations, 1);
     }

@@ -16,17 +16,16 @@ const GPUS: u32 = 8;
 const GANGS: [u32; 7] = [1, 1, 1, 1, 1, 1, 2];
 const USERS: u32 = 3;
 const ROUNDS: u64 = 20;
-/// The round whose batch carries a partial gang halfway through.
-const PARTIAL_ROUND: u64 = 5;
-/// The round whose summary breaks ticket conservation.
+/// The round whose summary breaks ticket conservation. Each of its grants
+/// follows a profile report, so it holds more non-grant events than a
+/// violation's context keeps.
 const TICKET_ROUND: u64 = 9;
 /// How many of a round's events a violation carries.
 const CONTEXT_CAP: usize = 256;
 
-/// A synthetic run, plus the indexes of the two events that must fail.
+/// A synthetic run, plus the index of the event that must fail.
 struct Stream {
     events: Vec<TraceEvent>,
-    partial_at: usize,
     ticket_at: usize,
 }
 
@@ -62,25 +61,14 @@ fn stream() -> Stream {
                 server,
                 job,
                 user,
-                width: gang,
                 gang,
             });
         }
     }
     let total = f64::from(SERVERS * GPUS);
-    let (mut partial_at, mut ticket_at) = (0, 0);
+    let mut ticket_at = 0;
     for round in 1..=ROUNDS {
         let t = SimTime::from_secs(60 * round);
-        if round == PARTIAL_ROUND {
-            // Non-grant events inside the round belong to its context too.
-            events.push(TraceEvent::ProfileInferred {
-                t,
-                model: "ResNet-50".into(),
-                gen: GenId::new(1),
-                rate: 1.25,
-                samples: 3,
-            });
-        }
         // Vary the grant set (and so the width sequence) round by round.
         let granted: Vec<PackedGang> = jobs
             .iter()
@@ -90,14 +78,17 @@ fn stream() -> Stream {
             .copied()
             .collect();
         let mut user_gpus = vec![0u32; USERS as usize];
-        for (i, g) in granted.iter().enumerate() {
-            let mut g = *g;
-            // The first two-GPU gang past the batch's midpoint gets one GPU.
-            if round == PARTIAL_ROUND && partial_at == 0 && i >= granted.len() / 2 && g.gang == 2 {
-                g.width = 1;
-                partial_at = events.len();
+        for g in &granted {
+            if round == TICKET_ROUND {
+                events.push(TraceEvent::ProfileInferred {
+                    t,
+                    model: "ResNet-50".into(),
+                    gen: GenId::new(1),
+                    rate: 1.25,
+                    samples: u64::from(g.job.raw()),
+                });
             }
-            user_gpus[g.user.index()] += g.width;
+            user_gpus[g.user.index()] += g.gang;
             events.push(g.event(t, round));
         }
         let gpus_used: u32 = user_gpus.iter().sum();
@@ -129,11 +120,7 @@ fn stream() -> Stream {
                 .collect(),
         });
     }
-    Stream {
-        events,
-        partial_at,
-        ticket_at,
-    }
+    Stream { events, ticket_at }
 }
 
 /// An `Obs` with a ring, a lean and a full-fidelity JSONL sink; the two
@@ -175,8 +162,8 @@ fn emit_batched(obs: &Obs, events: &[TraceEvent]) {
 }
 
 /// The context a violation raised by `events[failing]` must carry: the
-/// lines of its round's events up to and including it, at most the last
-/// `CONTEXT_CAP`.
+/// lines of its round's non-grant events up to and including it, at most
+/// the last `CONTEXT_CAP`.
 fn expected_context(events: &[TraceEvent], failing: usize) -> Vec<String> {
     let start = events[..failing]
         .iter()
@@ -184,6 +171,7 @@ fn expected_context(events: &[TraceEvent], failing: usize) -> Vec<String> {
         .map_or(0, |i| i + 1);
     let lines: Vec<String> = events[start..=failing]
         .iter()
+        .filter(|e| !matches!(e, TraceEvent::GangPacked { .. }))
         .map(TraceEvent::to_json_line)
         .collect();
     lines[lines.len().saturating_sub(CONTEXT_CAP)..].to_vec()
@@ -191,11 +179,7 @@ fn expected_context(events: &[TraceEvent], failing: usize) -> Vec<String> {
 
 #[test]
 fn batched_grants_match_per_event_emission() {
-    let Stream {
-        events,
-        partial_at,
-        ticket_at,
-    } = stream();
+    let Stream { events, ticket_at } = stream();
 
     let (single, single_ring, single_paths) = pipeline("single");
     for event in &events {
@@ -234,19 +218,8 @@ fn batched_grants_match_per_event_emission() {
 
     let violations = batched.violations();
     assert_eq!(violations, single.violations());
-    assert_eq!(violations.len(), 2, "{violations:#?}");
-    let (partial, ticket) = (&violations[0], &violations[1]);
-    assert_eq!(partial.round, PARTIAL_ROUND);
-    assert!(matches!(
-        partial.kind,
-        ViolationKind::PartialGang {
-            width: 1,
-            gang: 2,
-            ..
-        }
-    ));
-    assert_eq!(partial.context, expected_context(&events, partial_at));
-    assert!(partial.context[0].contains("\"profile_inferred\""));
+    assert_eq!(violations.len(), 1, "{violations:#?}");
+    let ticket = &violations[0];
     assert_eq!(ticket.round, TICKET_ROUND);
     assert!(matches!(
         ticket.kind,
@@ -254,5 +227,6 @@ fn batched_grants_match_per_event_emission() {
     ));
     assert_eq!(ticket.context.len(), CONTEXT_CAP);
     assert_eq!(ticket.context, expected_context(&events, ticket_at));
+    assert!(ticket.context[0].contains("\"profile_inferred\""));
     assert!(ticket.context[CONTEXT_CAP - 1].contains("\"round_planned\""));
 }

@@ -34,7 +34,7 @@ use crate::report::{SimReport, WindowSample};
 use crate::sched::{Action, ClusterScheduler, ProfileReport, RoundPlan};
 use crate::view::SimView;
 use gfair_faults::{FaultInjector, FaultPlan, MigrationFault};
-use gfair_obs::{Obs, PackedGang, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
+use gfair_obs::{Obs, PackedGang, Phase, SharedObs, TraceEvent};
 use gfair_types::{
     ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, ModelId, ModelProfile,
     Result, ServerId, SimConfig, SimDuration, SimTime, UserSpec,
@@ -1112,10 +1112,10 @@ impl Simulation {
         self.drain_fault_notices(scheduler);
         let unknown = self.install_run_sets(plan.run, plan.changes_only);
 
-        // 4. Validate the run sets. The validated grants are emitted in
-        // batches, so the auditor independently re-checks the same
-        // invariants the inline validation enforces. Grants validated
-        // before a validation error are emitted before it returns.
+        // 4. Validate the run sets: the one check of each set, which the
+        // auditor does not repeat. The validated grants are emitted in
+        // batches for the trace and metrics; grants validated before a
+        // validation error are emitted before it returns.
         let mut grants = std::mem::take(&mut self.grants);
         grants.clear();
         let mut grant_by_user: Vec<u32> = vec![0; self.users.len()];
@@ -1166,7 +1166,7 @@ impl Simulation {
             user_gpus,
         });
         if let Some(v) = self.obs.take_fatal() {
-            return Err(violation_to_error(v));
+            return Err(GfairError::InvariantViolation(v.to_string()));
         }
         // 5. Accrue progress for this quantum, in server-id order, stamping
         // each job warm for next round's switch-overhead accounting and
@@ -1308,7 +1308,6 @@ impl Simulation {
                     server,
                     job,
                     user,
-                    width: gang,
                     gang,
                 });
                 scheduled += 1;
@@ -1636,30 +1635,4 @@ fn slot_u64(v: &mut Vec<u64>, i: usize) -> &mut u64 {
         v.resize(i + 1, 0);
     }
     &mut v[i]
-}
-
-/// Maps an auditor violation onto the workspace error type. Violations that
-/// mirror an inline engine check reuse its variant; novel checks (partial
-/// gangs, ticket conservation) surface as [`GfairError::InvariantViolation`]
-/// carrying the auditor's full report, offending-round trace included.
-fn violation_to_error(v: Violation) -> GfairError {
-    match v.kind {
-        ViolationKind::Overcommit {
-            server,
-            requested,
-            gpus,
-        } => GfairError::ServerOvercommitted {
-            server,
-            requested,
-            gpus,
-        },
-        ViolationKind::NotResident { job, server } => GfairError::JobNotResident { job, server },
-        ViolationKind::DuplicateJob { job } => GfairError::DuplicateJobInPlan(job),
-        ViolationKind::UnknownJob { job } => GfairError::UnknownJob(job),
-        ViolationKind::PackedOnDownServer { server } => GfairError::ServerDown(server),
-        ViolationKind::PartialGang { .. }
-        | ViolationKind::TicketConservation { .. }
-        | ViolationKind::MigrationLifecycle { .. }
-        | ViolationKind::HealConservation { .. } => GfairError::InvariantViolation(v.to_string()),
-    }
 }

@@ -3,7 +3,7 @@
 //! completion, migration, profiling, horizons, validation, and determinism.
 
 use gfair_faults::FaultPlan;
-use gfair_obs::{Obs, TraceEvent, ViolationKind};
+use gfair_obs::{Obs, TraceEvent};
 use gfair_sim::{
     latest_event_time, Action, ClusterScheduler, ProfileReport, RoundPlan, SimReport, SimView,
     Simulation,
@@ -438,7 +438,8 @@ fn overcommit_plan_is_rejected() {
     let err = sim.run(&mut Overcommit).unwrap_err();
     assert!(matches!(err, GfairError::ServerOvercommitted { .. }));
     // Both grants passed their own checks before the server total failed;
-    // they are emitted before the error returns, and the auditor agrees.
+    // they are emitted before the error returns. The engine's check is the
+    // only one: the auditor does not re-check grants.
     let granted = ring
         .events()
         .iter()
@@ -446,10 +447,7 @@ fn overcommit_plan_is_rejected() {
         .count();
     assert_eq!(granted, 2);
     assert_eq!(obs.counter("gangs_packed"), 2);
-    assert!(matches!(
-        obs.take_fatal().map(|v| v.kind),
-        Some(ViolationKind::Overcommit { .. })
-    ));
+    assert!(obs.take_fatal().is_none());
 }
 
 #[test]
@@ -1112,6 +1110,91 @@ fn finished_job_left_in_an_unlisted_set_is_refused() {
             server: ServerId::new(0),
         }
     );
+}
+
+#[test]
+fn each_run_set_check_ends_in_its_typed_error() {
+    // Jobs 0 and 1 sit on one-GPU servers 0 and 1. Each case breaks one
+    // fact about a run set; the engine's validation is the only check of
+    // these facts, so each must end the run with the engine's own error.
+    // The last two break a set an earlier changes-only plan left in place,
+    // which is checked again only because its server's residency changed.
+    let q = config().quantum;
+    let (j0, s0, s1) = (JobId::new(0), ServerId::new(0), ServerId::new(1));
+    type Case = (
+        &'static str,
+        Option<SimTime>,
+        fn(u64) -> RoundPlan,
+        GfairError,
+    );
+    let cases: [Case; 5] = [
+        (
+            "a job listed twice in one set",
+            None,
+            |_| plan_of(true, &[(0, &[0, 0])]),
+            GfairError::DuplicateJobInPlan(j0),
+        ),
+        (
+            "a job the trace lacks",
+            None,
+            |_| plan_of(true, &[(0, &[7])]),
+            GfairError::UnknownJob(JobId::new(7)),
+        ),
+        (
+            "a server the cluster lacks",
+            None,
+            |_| plan_of(true, &[(5, &[0])]),
+            GfairError::UnknownServer(ServerId::new(5)),
+        ),
+        (
+            "a set left on a server that failed",
+            Some(SimTime::ZERO + q * 2 + SimDuration::from_secs(1)),
+            |r| match r {
+                1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+                _ => plan_of(true, &[]),
+            },
+            GfairError::ServerDown(s1),
+        ),
+        (
+            "a set left in place after its job migrated away",
+            None,
+            |r| {
+                let mut plan = match r {
+                    1 => plan_of(true, &[(0, &[0]), (1, &[1])]),
+                    _ => plan_of(true, &[]),
+                };
+                if r == 3 {
+                    plan.actions.push(Action::Migrate {
+                        job: JobId::new(0),
+                        to: ServerId::new(1),
+                    });
+                }
+                plan
+            },
+            GfairError::JobNotResident {
+                job: j0,
+                server: s0,
+            },
+        ),
+    ];
+    for (what, fail_at, plans, want) in cases {
+        let m = mono_model();
+        let trace = vec![job(0, 0, &m, 1, 1e6, 0), job(1, 0, &m, 1, 1e6, 0)];
+        let mut sim =
+            Simulation::new(ClusterSpec::homogeneous(2, 1), users(1), trace, config()).unwrap();
+        if let Some(at) = fail_at {
+            sim = sim.with_server_failure(s1, at);
+        }
+        let mut sched = Scripted {
+            round: 0,
+            plans,
+            log: Vec::new(),
+        };
+        let err = sim
+            .run_until(&mut sched, SimTime::ZERO + q * 10)
+            .expect_err(what);
+        assert_eq!(err, want, "{what}");
+    }
 }
 
 #[test]

@@ -64,9 +64,9 @@ pub enum GfairError {
         /// Server it was granted on.
         server: ServerId,
     },
-    /// The online auditor detected a scheduler invariant violation that has
-    /// no dedicated variant (e.g. a partial gang or non-conserved tickets).
-    /// The payload carries the auditor's report, including the offending
+    /// The online auditor detected a scheduler invariant violation
+    /// (non-conserved tickets or a job lost across a migration). The
+    /// payload carries the auditor's report, including the offending
     /// round's trace.
     InvariantViolation(String),
 }

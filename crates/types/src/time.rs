@@ -37,6 +37,12 @@ impl SimTime {
         SimTime(secs * MICROS_PER_SEC)
     }
 
+    /// Creates an instant from whole seconds, or `None` if its microsecond
+    /// count does not fit in a `u64`.
+    pub fn checked_from_secs(secs: u64) -> Option<Self> {
+        secs.checked_mul(MICROS_PER_SEC).map(SimTime)
+    }
+
     /// Creates an instant from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
@@ -88,6 +94,12 @@ impl SimDuration {
     /// Creates a duration from whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * MICROS_PER_SEC)
+    }
+
+    /// Creates a duration from whole seconds, or `None` if its microsecond
+    /// count does not fit in a `u64`.
+    pub fn checked_from_secs(secs: u64) -> Option<Self> {
+        secs.checked_mul(MICROS_PER_SEC).map(SimDuration)
     }
 
     /// Creates a duration from whole minutes.
@@ -310,6 +322,21 @@ mod tests {
         let late = SimTime::from_secs(10);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(5));
+    }
+
+    #[test]
+    fn checked_seconds_refuse_what_does_not_fit() {
+        let max = u64::MAX / MICROS_PER_SEC;
+        assert_eq!(
+            SimTime::checked_from_secs(max),
+            Some(SimTime::from_secs(max))
+        );
+        assert_eq!(SimTime::checked_from_secs(max + 1), None);
+        assert_eq!(
+            SimDuration::checked_from_secs(max),
+            Some(SimDuration::from_secs(max))
+        );
+        assert_eq!(SimDuration::checked_from_secs(max + 1), None);
     }
 
     #[test]

@@ -52,11 +52,13 @@ cargo run --quiet --bin gfair -- simulate --cluster homogeneous:800x8 \
     --trace-full target/placement-smoke-full.jsonl > /dev/null
 
 echo "### debug-build faulted testbed runs (engine and policy-input oracles)"
-# Debug builds re-check every run set from scratch each round against the
-# engine's incremental check, and every policy-input refresh against its
-# from-scratch oracle. These runs put both under the fault plan's
-# partitions, flaps, failed migrations and retries, plus a server failure
-# that evicts its residents. A few seconds per policy.
+# Debug builds compare the engine's incremental run-set check
+# (validate_run_sets) with the full check (check_run_sets) every round,
+# and every policy-input refresh with its from-scratch oracle. These runs
+# and `cargo test` are the only re-check of run sets left in place between
+# plans: the auditor does not check run sets. They put both oracles under
+# the fault plan's partitions, flaps, failed migrations and retries, plus
+# a server failure that evicts its residents. A few seconds per policy.
 for policy in gfair gavel-hetero themis-ftf; do
     cargo run --quiet --bin gfair -- simulate --cluster paper --users 8 \
         --jobs 300 --seed 3 --faults examples/faults.json --fail 1@1-3 \

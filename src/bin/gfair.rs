@@ -39,9 +39,10 @@
 //! `simulate` exits 1 on an option it does not know and on a value option
 //! given without a value.
 //!
-//! The online invariant auditor is always on: every run re-derives cluster
-//! state from the decision stream and aborts on gang-atomicity, overcommit,
-//! residency, or ticket-conservation violations.
+//! The online invariant auditor is always on: every run checks ticket
+//! conservation, conservation across partition heals and the migration
+//! lifecycle from the decision stream, and aborts on a violation. The
+//! engine checks every run set itself (server up, residency, overcommit).
 
 use gfair::metrics::fairness::normalized_shares;
 use gfair::metrics::mean_slowdown;
@@ -143,8 +144,8 @@ impl Args {
 /// whose microsecond value does not fit in a `SimTime`.
 fn hours_to_time(hours: u64, key: &str) -> Result<SimTime, String> {
     hours
-        .checked_mul(SimTime::from_secs(3600).as_micros())
-        .map(SimTime::from_micros)
+        .checked_mul(3600)
+        .and_then(SimTime::checked_from_secs)
         .ok_or_else(|| format!("{key}: {hours} hours is out of range"))
 }
 
@@ -558,7 +559,7 @@ fn print_obs_summary(obs: &SharedObs) {
 
     if summary.violations == 0 {
         println!(
-            "auditor: OK ({} events checked, {} warnings)",
+            "auditor: OK ({} events, {} warnings)",
             summary.events, summary.warnings
         );
     } else {
@@ -637,8 +638,8 @@ SIMULATE OPTIONS:
 An unknown option, or a value option given without its value, is an
 error (exit 1).
 
-The invariant auditor always runs: gang atomicity, GPU overcommit,
-residency, ticket conservation, migration lifecycle, and conservation
-across partition heals are checked online and violations abort the run
-with the offending round's trace.
+The invariant auditor always runs: ticket conservation, migration
+lifecycle, and conservation across partition heals are checked online
+and violations abort the run with the offending round's trace. Run sets
+(server up, residency, no overcommit) are checked by the engine alone.
 ";

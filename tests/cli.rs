@@ -1,10 +1,10 @@
 //! Command-line input checks: an out-of-range number, an unknown option, an
 //! option missing its value, a cluster too large to count, a fault plan that
 //! names a server the cluster lacks, has an unknown key, schedules an event
-//! too late, asks for too many flap cycles or holds two windows of one kind
-//! on one server that overlap or touch, or a hostile trace given to
-//! `gfair simulate` must end the run with exit code 1 and an error that names
-//! the problem, before any simulation starts.
+//! too late or past the microsecond clock, asks for too many flap cycles or
+//! holds two windows of one kind on one server that overlap or touch, or a
+//! hostile trace given to `gfair simulate` must end the run with exit code 1
+//! and an error that names the problem, before any simulation starts.
 
 use std::process::Command;
 
@@ -164,6 +164,33 @@ fn events_after_the_latest_event_time_exit_1() {
     assert_eq!(code, Some(1), "stderr: {stderr}");
     assert!(
         stderr.starts_with("error: --fail 1@2-200000: event at 720000000 s, after"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn plan_seconds_that_overflow_the_clock_exit_1() {
+    // 18446744073710 s is past u64::MAX microseconds: the plan's times used
+    // to wrap to a partition 0.45 s into the run, and the run exited 0.
+    let path = format!("{}/wrapping_partition.json", env!("CARGO_TARGET_TMPDIR"));
+    let plan = r#"{"partitions": [{"server": 2, "from_secs": 18446744073710, "until_secs": 18446744077310}]}"#;
+    std::fs::write(&path, plan).expect("write the fault plan");
+    let (code, stderr) = simulate(&[
+        "--cluster",
+        "paper",
+        "--users",
+        "4",
+        "--jobs",
+        "20",
+        "--horizon-hours",
+        "2",
+        "--faults",
+        &path,
+    ]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: parsing fault plan")
+            && stderr.contains("field from_secs: 18446744073710 s does not fit"),
         "stderr: {stderr}"
     );
 }

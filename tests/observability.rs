@@ -2,7 +2,7 @@
 //! determinism, the always-on invariant auditor across every built-in
 //! scheduler, and end-to-end detection of a deliberately broken policy.
 
-use gfair::obs::{TraceEvent, UserShare, ViolationKind};
+use gfair::obs::{TraceEvent, UserShare};
 use gfair::prelude::*;
 use gfair::sim::{Action, ClusterScheduler, RoundPlan, SimView};
 use gfair::types::GfairError;
@@ -221,40 +221,4 @@ fn broken_scheduler_is_caught_by_the_auditor() {
         }
         other => panic!("expected InvariantViolation, got {other}"),
     }
-}
-
-#[test]
-fn partial_gang_violation_is_detected_via_public_api() {
-    let obs = Obs::new();
-    obs.emit(TraceEvent::ServerUp {
-        t: SimTime::ZERO,
-        server: ServerId::new(0),
-        gen: GenId::new(0),
-        gpus: 4,
-    });
-    obs.emit(TraceEvent::JobArrive {
-        t: SimTime::ZERO,
-        job: JobId::new(1),
-        user: UserId::new(0),
-        gang: 4,
-        service_secs: 60.0,
-    });
-    obs.emit(TraceEvent::Placement {
-        t: SimTime::ZERO,
-        job: JobId::new(1),
-        server: ServerId::new(0),
-        gang: 4,
-    });
-    obs.emit(TraceEvent::GangPacked {
-        t: SimTime::ZERO,
-        round: 1,
-        server: ServerId::new(0),
-        job: JobId::new(1),
-        user: UserId::new(0),
-        width: 2, // half the gang: atomicity broken
-        gang: 4,
-    });
-    let v = obs.take_fatal().expect("gang atomicity violation");
-    assert!(matches!(v.kind, ViolationKind::PartialGang { .. }));
-    assert!(v.to_string().contains("gang"));
 }
