@@ -6,33 +6,242 @@
 //! wall-clock readings — so two runs with the same seed serialize to
 //! byte-identical JSONL.
 //!
-//! The JSONL encoding is hand-rolled rather than derived: field order is
-//! frozen (stable across compiler and shim versions), floats are written at
-//! six decimals by integer arithmetic (see `push_f64`), and the `kind`
-//! discriminator always comes first so line-oriented tools can dispatch
-//! without a full parse.
+//! Each kind is declared in one place: its entry in the `trace_events!`
+//! table below gives its variant, its `kind` string and its fields with
+//! their docs, in wire order. The table generates the enum,
+//! [`TraceEvent::KINDS`], `kind()`, `time()`, the JSONL writer and the
+//! reader. To add a kind, add a table entry (and a line to DESIGN.md's
+//! event table), then refreeze the golden trace with
+//! `GOLDEN_REGEN=1 cargo test -p gfair-obs --test golden_trace`.
+//!
+//! Each field type writes and reads itself through the private `Codec`
+//! trait. The codecs are the number and string formats the golden trace
+//! freezes: integers and ids as bare decimals, floats at six decimals by
+//! integer arithmetic (see `push_f64`), strings JSON-escaped, absent ids as
+//! `null`. The `kind` discriminator always comes first and `t_us` second, so
+//! line-oriented tools can dispatch without a full parse.
 
 use gfair_types::{GenId, JobId, MigrationFailReason, ServerId, SimTime, UserId};
 use serde_json::JsonValue;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// One user's scheduling state inside a [`TraceEvent::RoundPlanned`] event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UserShare {
-    /// The user.
-    pub user: UserId,
-    /// Tickets backing the user this round (for Gandiva_fair: the user's
-    /// post-trade GPU entitlement summed over generations).
-    pub tickets: f64,
+/// How one field type is written to and read from a trace line.
+trait Codec: Sized {
+    /// Appends the value's JSON text to `s`.
+    fn encode(&self, s: &mut String);
+    /// Reads the value `v` of field `name` of a `kind` event.
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String>;
 }
 
-/// One user's granted GPUs in a [`TraceEvent::RoundPlanned`] round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UserGrant {
-    /// The user.
-    pub user: UserId,
-    /// GPUs granted to the user's jobs in the round.
-    pub gpus: u32,
+/// Reads field `name` of a `kind` event (or of one of its rows) from the
+/// object `v`. Every error names the kind and the field, so schema drift (a
+/// renamed or dropped field) fails tests and tooling with an actionable
+/// message instead of a silent misparse.
+fn get<T: Codec>(v: &JsonValue, kind: &str, name: &str) -> Result<T, String> {
+    let x = v
+        .get(name)
+        .ok_or_else(|| format!("{kind}: missing field `{name}`"))?;
+    T::decode(x, kind, name)
+}
+
+fn mistyped(kind: &str, name: &str, expected: &str) -> String {
+    format!("{kind}: field `{name}` must be {expected}")
+}
+
+/// Narrows a decoded integer to `u32`, refusing (not truncating) one that
+/// does not fit.
+fn narrow(x: u64, kind: &str, name: &str) -> Result<u32, String> {
+    u32::try_from(x).map_err(|_| format!("{kind}: field `{name}` is {x}, beyond u32"))
+}
+
+impl Codec for u64 {
+    fn encode(&self, s: &mut String) {
+        push_u64(s, *self);
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| mistyped(kind, name, "a non-negative integer"))
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self, s: &mut String) {
+        push_u64(s, u64::from(*self));
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        narrow(u64::decode(v, kind, name)?, kind, name)
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self, s: &mut String) {
+        push_f64(s, *self);
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| mistyped(kind, name, "a number"))
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, s: &mut String) {
+        push_escaped(s, self);
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        let x = v.as_str().ok_or_else(|| mistyped(kind, name, "a string"))?;
+        Ok(x.to_string())
+    }
+}
+
+impl Codec for Cow<'static, str> {
+    fn encode(&self, s: &mut String) {
+        push_escaped(s, self);
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        String::decode(v, kind, name).map(Cow::Owned)
+    }
+}
+
+impl Codec for MigrationFailReason {
+    fn encode(&self, s: &mut String) {
+        push_escaped(s, self.as_str());
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        let reason = String::decode(v, kind, name)?;
+        MigrationFailReason::parse(&reason)
+            .ok_or_else(|| format!("{kind}: unknown migration failure reason `{reason}`"))
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, s: &mut String) {
+        s.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            x.encode(s);
+        }
+        s.push(']');
+    }
+    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| mistyped(kind, name, "an array"))?;
+        items.iter().map(|x| T::decode(x, kind, name)).collect()
+    }
+}
+
+/// Ids travel as bare integers, and an absent id as `null`.
+macro_rules! id_codecs {
+    ($($id:ident),*) => {$(
+        impl Codec for $id {
+            fn encode(&self, s: &mut String) {
+                push_u64(s, self.index() as u64);
+            }
+            fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+                u32::decode(v, kind, name).map($id::new)
+            }
+        }
+
+        impl Codec for Option<$id> {
+            fn encode(&self, s: &mut String) {
+                match self {
+                    Some(id) => id.encode(s),
+                    None => s.push_str("null"),
+                }
+            }
+            fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+                if let JsonValue::Null = v {
+                    return Ok(None);
+                }
+                let x = v.as_u64().ok_or_else(|| mistyped(kind, name, "an integer or null"))?;
+                narrow(x, kind, name).map(|x| Some($id::new(x)))
+            }
+        }
+    )*};
+}
+
+id_codecs!(JobId, UserId, ServerId, GenId);
+
+/// Declares the row types events carry in arrays. Each row travels as a
+/// JSON object of its fields in declaration order.
+macro_rules! trace_rows {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $row:ident {
+            $(#[$meta0:meta])* pub $field0:ident: $ty0:ty,
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $row {
+            $(#[$meta0])* pub $field0: $ty0,
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl Codec for $row {
+            fn encode(&self, s: &mut String) {
+                s.push_str(concat!("{\"", stringify!($field0), "\":"));
+                self.$field0.encode(s);
+                $(
+                    s.push_str(concat!(",\"", stringify!($field), "\":"));
+                    self.$field.encode(s);
+                )*
+                s.push('}');
+            }
+            fn decode(v: &JsonValue, kind: &str, _: &str) -> Result<Self, String> {
+                Ok($row {
+                    $field0: get(v, kind, stringify!($field0))?,
+                    $( $field: get(v, kind, stringify!($field))?, )*
+                })
+            }
+        }
+    )*};
+}
+
+trace_rows! {
+    /// One user's scheduling state inside a [`TraceEvent::RoundPlanned`] event.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct UserShare {
+        /// The user.
+        pub user: UserId,
+        /// Tickets backing the user this round (for Gandiva_fair: the user's
+        /// post-trade GPU entitlement summed over generations).
+        pub tickets: f64,
+    }
+
+    /// One user's granted GPUs in a [`TraceEvent::RoundPlanned`] round.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct UserGrant {
+        /// The user.
+        pub user: UserId,
+        /// GPUs granted to the user's jobs in the round.
+        pub gpus: u32,
+    }
+
+    /// One alternative a scheduler decision evaluated, inside a
+    /// [`TraceEvent::Decision`] event. Lower scores are better (scores are
+    /// projected loads, slacks, or prices depending on the decision site).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Candidate {
+        /// Human-readable label, e.g. `server:12` or `gen:1`.
+        pub label: String,
+        /// The candidate's score under the decision's objective.
+        pub score: f64,
+    }
+
+    /// A group of alternatives a decision ruled out, with the shared reason.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Rejection {
+        /// Why the alternatives were not eligible, e.g. `unreachable` or
+        /// `does_not_fit`. A `Cow` so the (fixed) vocabulary of reason strings
+        /// can be borrowed `'static` literals — hot rejection paths then never
+        /// allocate — while deserialized traces still own their strings.
+        pub reason: Cow<'static, str>,
+        /// How many alternatives were rejected for this reason.
+        pub count: u32,
+    }
 }
 
 /// One gang grant inside a round's batch (see [`crate::Obs::emit_packed`]):
@@ -92,325 +301,311 @@ impl PackedGang {
     }
 }
 
-/// One alternative a scheduler decision evaluated, inside a
-/// [`TraceEvent::Decision`] event. Lower scores are better (scores are
-/// projected loads, slacks, or prices depending on the decision site).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Candidate {
-    /// Human-readable label, e.g. `server:12` or `gen:1`.
-    pub label: String,
-    /// The candidate's score under the decision's objective.
-    pub score: f64,
+/// Declares the event kinds. Each entry is a variant, its `kind` string
+/// and its fields in wire order; every variant also gets a leading
+/// `t: SimTime`, written as `t_us`.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    /// Simulated time.
+                    t: SimTime,
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
+            )*
+        }
+
+        impl $name {
+            /// Every `kind` discriminator, in variant declaration order. The
+            /// DESIGN.md event table and the golden-trace fixture are
+            /// cross-checked against this list by tests, so adding a variant
+            /// without documenting it fails the suite.
+            pub const KINDS: [&'static str; [$($kind),*].len()] = [$($kind),*];
+
+            /// The event's `kind` discriminator as it appears in JSONL.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// The event's simulated time.
+            pub fn time(&self) -> SimTime {
+                match self {
+                    $( $name::$variant { t, .. } )|* => *t,
+                }
+            }
+
+            /// Appends the event's JSON line (no trailing newline) to `s`:
+            /// `kind`, `t_us`, then the fields in declaration order.
+            ///
+            /// This is the zero-allocation path sinks use with a reused
+            /// buffer: integers go through a hand-rolled itoa instead of the
+            /// `core::fmt` machinery, which matters at hundreds of thousands
+            /// of events per simulated hour.
+            pub fn write_json_line(&self, s: &mut String) {
+                match self {
+                    $( $name::$variant { t, $($field,)* } => {
+                        s.push_str(concat!("{\"kind\":\"", $kind, "\",\"t_us\":"));
+                        push_u64(s, t.as_micros());
+                        $(
+                            s.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.encode(s);
+                        )*
+                    } )*
+                }
+                s.push('}');
+            }
+
+            /// Parses one JSONL trace line back into an event — the inverse
+            /// of [`to_json_line`](Self::to_json_line). This is the contract
+            /// `gfair-trace` and the golden-trace schema test are built on:
+            /// renaming or dropping a field fails here with a message naming
+            /// the event kind and the missing field.
+            ///
+            /// # Errors
+            ///
+            /// Returns a description of the first problem found: invalid
+            /// JSON, an unknown `kind`, a missing or mistyped field, or an
+            /// integer too large for its field.
+            pub fn from_json_line(line: &str) -> Result<$name, String> {
+                let v = serde_json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+                let kind = (v.get("kind").ok_or("<event>: missing field `kind`")?)
+                    .as_str()
+                    .ok_or("field `kind` must be a string")?;
+                let t = SimTime::from_micros(get(&v, kind, "t_us")?);
+                match kind {
+                    $( $kind => Ok($name::$variant {
+                        t,
+                        $( $field: get(&v, kind, stringify!($field))?, )*
+                    }), )*
+                    other => Err(format!(
+                        "unknown event kind `{other}` (known kinds: {})",
+                        $name::KINDS.join(", ")
+                    )),
+                }
+            }
+        }
+    };
 }
 
-/// A group of alternatives a decision ruled out, with the shared reason.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rejection {
-    /// Why the alternatives were not eligible, e.g. `unreachable` or
-    /// `does_not_fit`. A `Cow` so the (fixed) vocabulary of reason strings
-    /// can be borrowed `'static` literals — hot rejection paths then never
-    /// allocate — while deserialized traces still own their strings.
-    pub reason: std::borrow::Cow<'static, str>,
-    /// How many alternatives were rejected for this reason.
-    pub count: u32,
-}
-
-/// A structured record of one scheduler decision or cluster incident.
-///
-/// The `t` field is simulated time. `ServerUp` is also emitted once per
-/// server at simulation start so a trace is self-describing: the auditor
-/// reconstructs cluster capacity from the stream alone.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A server came online (or was online at simulation start).
-    ServerUp {
-        /// Simulated time.
-        t: SimTime,
-        /// The server.
-        server: ServerId,
-        /// The server's GPU generation.
-        gen: GenId,
-        /// GPUs installed.
-        gpus: u32,
-    },
-    /// A server failed; resident jobs were evicted.
-    ServerDown {
-        /// Simulated time.
-        t: SimTime,
-        /// The server.
-        server: ServerId,
-        /// Number of jobs evicted by the failure.
-        evicted: u32,
-    },
-    /// A job entered the system.
-    JobArrive {
-        /// Simulated time.
-        t: SimTime,
-        /// The job.
-        job: JobId,
-        /// Its owner.
-        user: UserId,
-        /// Gang size (GPUs required, all-or-nothing).
-        gang: u32,
-        /// Service demand in base-generation GPU-seconds.
-        service_secs: f64,
-    },
-    /// A job completed its service demand.
-    JobFinish {
-        /// Simulated time.
-        t: SimTime,
-        /// The job.
-        job: JobId,
-        /// Its owner.
-        user: UserId,
-    },
-    /// A job became resident on a server (initial placement or migration
-    /// landing).
-    Placement {
-        /// Simulated time.
-        t: SimTime,
-        /// The job.
-        job: JobId,
-        /// Where it now resides.
-        server: ServerId,
-        /// Gang size.
-        gang: u32,
-    },
-    /// A job started a checkpoint/restore move between servers.
-    Migration {
-        /// Simulated time.
-        t: SimTime,
-        /// The job.
-        job: JobId,
-        /// Source server.
-        from: ServerId,
-        /// Destination server.
-        to: ServerId,
-        /// Checkpoint/restore outage in seconds.
-        outage_secs: f64,
-    },
-    /// A migration (or undeliverable placement decision) failed; the job is
-    /// either still at its source (`checkpoint`), re-queued (`restore`,
-    /// `target_down`), or untouched because the decision never reached the
-    /// server (`unreachable`).
-    MigrationFailed {
-        /// Simulated time.
-        t: SimTime,
-        /// The job.
-        job: JobId,
-        /// Where the job was when the attempt started (equal to `to` for
-        /// failed initial placements, which have no source).
-        from: ServerId,
-        /// The intended destination.
-        to: ServerId,
-        /// What went wrong.
-        reason: MigrationFailReason,
-        /// Which attempt this was (1 = the job's first migration ever).
-        attempt: u32,
-    },
-    /// The central scheduler lost contact with a server's local scheduler.
-    /// The server keeps running its last-received stride state.
-    PartitionStart {
-        /// Simulated time.
-        t: SimTime,
-        /// The unreachable server.
-        server: ServerId,
-    },
-    /// Connectivity to a partitioned server was restored.
-    PartitionEnd {
-        /// Simulated time.
-        t: SimTime,
-        /// The healed server.
-        server: ServerId,
-    },
-    /// After a partition healed, the central scheduler re-synced state with
-    /// the server's local scheduler.
-    Reconcile {
-        /// Simulated time.
-        t: SimTime,
-        /// The healed server.
-        server: ServerId,
-        /// Users whose entitlements were re-synced cluster-wide.
-        users_resynced: u32,
-        /// Jobs found resident on the server and re-validated.
-        jobs_revalidated: u32,
-        /// Jobs whose residency diverged from the central scheduler's
-        /// last-known view during the partition.
-        drift: u32,
-    },
-    /// One job was granted its gang on a server for the coming quantum.
+trace_events! {
+    /// A structured record of one scheduler decision or cluster incident.
     ///
-    /// `width` is the allocation granted and `gang` the job's declared
-    /// requirement; the engine grants only whole gangs, so the two agree.
-    GangPacked {
-        /// Simulated time.
-        t: SimTime,
-        /// Scheduling round number (1-based).
-        round: u64,
-        /// The server.
-        server: ServerId,
-        /// The job.
-        job: JobId,
-        /// The job's owner.
-        user: UserId,
-        /// GPUs granted this quantum.
-        width: u32,
-        /// GPUs the job's gang requires.
-        gang: u32,
-    },
-    /// Summary of one scheduling round, emitted after its `GangPacked`
-    /// events.
-    RoundPlanned {
-        /// Simulated time.
-        t: SimTime,
-        /// Scheduling round number (1-based).
-        round: u64,
-        /// Jobs granted GPUs this quantum.
-        scheduled: u32,
-        /// GPUs in use this quantum.
-        gpus_used: u32,
-        /// GPUs currently online.
-        gpus_up: u32,
-        /// Jobs waiting for a placement.
-        pending: u32,
-        /// Cluster-wide ticket supply (total physical GPUs, the quantity
-        /// per-user entitlements must sum to under ticket conservation).
-        tickets_total: f64,
-        /// Per-user tickets, when the scheduler exposes them (empty for
-        /// baselines without a ticket economy).
-        users: Vec<UserShare>,
-        /// GPUs granted per user this round, ascending by user. The
-        /// fairness ledger accrues received share from this aggregate, so
-        /// traces stay replayable even when the per-gang `GangPacked`
-        /// stream is filtered out of the sink.
-        user_gpus: Vec<UserGrant>,
-    },
-    /// Structured provenance for one scheduler decision: what was chosen,
-    /// what else was considered, which rule broke ties, and why the
-    /// alternatives lost. Emitted by the central scheduler (placements,
-    /// retries), the trade matcher, the migration planner, and the engine's
-    /// failure path (evictions).
-    Decision {
-        /// Simulated time.
-        t: SimTime,
-        /// Decision site: `placement`, `retry`, `migration`, `trade`, or
-        /// `eviction`.
-        decision: String,
-        /// The job the decision concerns, if any.
-        job: Option<JobId>,
-        /// The user the decision concerns, if any.
-        user: Option<UserId>,
-        /// The selected alternative (e.g. `server:12`), or `none` when the
-        /// decision could not be satisfied.
-        chosen: String,
-        /// The rule that broke ties among equally-scored candidates.
-        tie_break: String,
-        /// Total alternatives evaluated (may exceed `candidates.len()`,
-        /// which is bounded).
-        considered: u32,
-        /// The best-scoring alternatives evaluated, winner first.
-        candidates: Vec<Candidate>,
-        /// Alternatives ruled out, grouped by reason.
-        rejected: Vec<Rejection>,
-    },
-    /// The trading market matched a seller and a buyer.
-    TradeExecuted {
-        /// Simulated time.
-        t: SimTime,
-        /// User selling fast-GPU entitlement.
-        seller: UserId,
-        /// User buying fast-GPU entitlement.
-        buyer: UserId,
-        /// The fast generation traded.
-        gen: GenId,
-        /// Fast GPUs moved from seller to buyer.
-        fast_gpus: f64,
-        /// Base GPUs moved from buyer to seller in payment.
-        base_gpus: f64,
-        /// Price in base GPUs per fast GPU.
-        price: f64,
-    },
-    /// A (model, generation) throughput estimate crossed the sample
-    /// threshold and is now trusted by the trading market.
-    ProfileInferred {
-        /// Simulated time.
-        t: SimTime,
-        /// Model name.
-        model: String,
-        /// The generation profiled.
-        gen: GenId,
-        /// Mean observed rate on that generation.
-        rate: f64,
-        /// Observations aggregated so far.
-        samples: u64,
-    },
+    /// The `t` field is simulated time. `ServerUp` is also emitted once per
+    /// server at simulation start so a trace is self-describing: the auditor
+    /// reconstructs cluster capacity from the stream alone.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A server came online (or was online at simulation start).
+        ServerUp = "server_up" {
+            /// The server.
+            server: ServerId,
+            /// The server's GPU generation.
+            gen: GenId,
+            /// GPUs installed.
+            gpus: u32,
+        },
+        /// A server failed; resident jobs were evicted.
+        ServerDown = "server_down" {
+            /// The server.
+            server: ServerId,
+            /// Number of jobs evicted by the failure.
+            evicted: u32,
+        },
+        /// A job entered the system.
+        JobArrive = "job_arrive" {
+            /// The job.
+            job: JobId,
+            /// Its owner.
+            user: UserId,
+            /// Gang size (GPUs required, all-or-nothing).
+            gang: u32,
+            /// Service demand in base-generation GPU-seconds.
+            service_secs: f64,
+        },
+        /// A job completed its service demand.
+        JobFinish = "job_finish" {
+            /// The job.
+            job: JobId,
+            /// Its owner.
+            user: UserId,
+        },
+        /// A job became resident on a server (initial placement or migration
+        /// landing).
+        Placement = "placement" {
+            /// The job.
+            job: JobId,
+            /// Where it now resides.
+            server: ServerId,
+            /// Gang size.
+            gang: u32,
+        },
+        /// A job started a checkpoint/restore move between servers.
+        Migration = "migration" {
+            /// The job.
+            job: JobId,
+            /// Source server.
+            from: ServerId,
+            /// Destination server.
+            to: ServerId,
+            /// Checkpoint/restore outage in seconds.
+            outage_secs: f64,
+        },
+        /// A migration (or undeliverable placement decision) failed; the job is
+        /// either still at its source (`checkpoint`), re-queued (`restore`,
+        /// `target_down`), or untouched because the decision never reached the
+        /// server (`unreachable`).
+        MigrationFailed = "migration_failed" {
+            /// The job.
+            job: JobId,
+            /// Where the job was when the attempt started (equal to `to` for
+            /// failed initial placements, which have no source).
+            from: ServerId,
+            /// The intended destination.
+            to: ServerId,
+            /// What went wrong.
+            reason: MigrationFailReason,
+            /// Which attempt this was (1 = the job's first migration ever).
+            attempt: u32,
+        },
+        /// The central scheduler lost contact with a server's local scheduler.
+        /// The server keeps running its last-received stride state.
+        PartitionStart = "partition_start" {
+            /// The unreachable server.
+            server: ServerId,
+        },
+        /// Connectivity to a partitioned server was restored.
+        PartitionEnd = "partition_end" {
+            /// The healed server.
+            server: ServerId,
+        },
+        /// After a partition healed, the central scheduler re-synced state with
+        /// the server's local scheduler.
+        Reconcile = "reconcile" {
+            /// The healed server.
+            server: ServerId,
+            /// Users whose entitlements were re-synced cluster-wide.
+            users_resynced: u32,
+            /// Jobs found resident on the server and re-validated.
+            jobs_revalidated: u32,
+            /// Jobs whose residency diverged from the central scheduler's
+            /// last-known view during the partition.
+            drift: u32,
+        },
+        /// One job was granted its gang on a server for the coming quantum.
+        ///
+        /// `width` is the allocation granted and `gang` the job's declared
+        /// requirement; the engine grants only whole gangs, so the two agree.
+        GangPacked = "gang_packed" {
+            /// Scheduling round number (1-based).
+            round: u64,
+            /// The server.
+            server: ServerId,
+            /// The job.
+            job: JobId,
+            /// The job's owner.
+            user: UserId,
+            /// GPUs granted this quantum.
+            width: u32,
+            /// GPUs the job's gang requires.
+            gang: u32,
+        },
+        /// Summary of one scheduling round, emitted after its `GangPacked`
+        /// events.
+        RoundPlanned = "round_planned" {
+            /// Scheduling round number (1-based).
+            round: u64,
+            /// Jobs granted GPUs this quantum.
+            scheduled: u32,
+            /// GPUs in use this quantum.
+            gpus_used: u32,
+            /// GPUs currently online.
+            gpus_up: u32,
+            /// Jobs waiting for a placement.
+            pending: u32,
+            /// Cluster-wide ticket supply (total physical GPUs, the quantity
+            /// per-user entitlements must sum to under ticket conservation).
+            tickets_total: f64,
+            /// Per-user tickets, when the scheduler exposes them (empty for
+            /// baselines without a ticket economy).
+            users: Vec<UserShare>,
+            /// GPUs granted per user this round, ascending by user. The
+            /// fairness ledger accrues received share from this aggregate, so
+            /// traces stay replayable even when the per-gang `GangPacked`
+            /// stream is filtered out of the sink.
+            user_gpus: Vec<UserGrant>,
+        },
+        /// Structured provenance for one scheduler decision: what was chosen,
+        /// what else was considered, which rule broke ties, and why the
+        /// alternatives lost. Emitted by the central scheduler (placements,
+        /// retries), the trade matcher, the migration planner, and the engine's
+        /// failure path (evictions).
+        Decision = "decision" {
+            /// Decision site: `placement`, `retry`, `migration`, `trade`, or
+            /// `eviction`.
+            decision: String,
+            /// The job the decision concerns, if any.
+            job: Option<JobId>,
+            /// The user the decision concerns, if any.
+            user: Option<UserId>,
+            /// The selected alternative (e.g. `server:12`), or `none` when the
+            /// decision could not be satisfied.
+            chosen: String,
+            /// The rule that broke ties among equally-scored candidates.
+            tie_break: String,
+            /// Total alternatives evaluated (may exceed `candidates.len()`,
+            /// which is bounded).
+            considered: u32,
+            /// The best-scoring alternatives evaluated, winner first.
+            candidates: Vec<Candidate>,
+            /// Alternatives ruled out, grouped by reason.
+            rejected: Vec<Rejection>,
+        },
+        /// The trading market matched a seller and a buyer.
+        TradeExecuted = "trade_executed" {
+            /// User selling fast-GPU entitlement.
+            seller: UserId,
+            /// User buying fast-GPU entitlement.
+            buyer: UserId,
+            /// The fast generation traded.
+            gen: GenId,
+            /// Fast GPUs moved from seller to buyer.
+            fast_gpus: f64,
+            /// Base GPUs moved from buyer to seller in payment.
+            base_gpus: f64,
+            /// Price in base GPUs per fast GPU.
+            price: f64,
+        },
+        /// A (model, generation) throughput estimate crossed the sample
+        /// threshold and is now trusted by the trading market.
+        ProfileInferred = "profile_inferred" {
+            /// Model name.
+            model: String,
+            /// The generation profiled.
+            gen: GenId,
+            /// Mean observed rate on that generation.
+            rate: f64,
+            /// Observations aggregated so far.
+            samples: u64,
+        },
+    }
 }
 
 impl TraceEvent {
-    /// Every `kind` discriminator, in variant declaration order. The
-    /// DESIGN.md event table and the golden-trace fixture are cross-checked
-    /// against this list by tests, so adding a variant without documenting
-    /// it fails the suite.
-    pub const KINDS: [&'static str; 15] = [
-        "server_up",
-        "server_down",
-        "job_arrive",
-        "job_finish",
-        "placement",
-        "migration",
-        "migration_failed",
-        "partition_start",
-        "partition_end",
-        "reconcile",
-        "gang_packed",
-        "round_planned",
-        "decision",
-        "trade_executed",
-        "profile_inferred",
-    ];
-
-    /// The event's `kind` discriminator as it appears in JSONL.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ServerUp { .. } => "server_up",
-            TraceEvent::ServerDown { .. } => "server_down",
-            TraceEvent::JobArrive { .. } => "job_arrive",
-            TraceEvent::JobFinish { .. } => "job_finish",
-            TraceEvent::Placement { .. } => "placement",
-            TraceEvent::Migration { .. } => "migration",
-            TraceEvent::MigrationFailed { .. } => "migration_failed",
-            TraceEvent::PartitionStart { .. } => "partition_start",
-            TraceEvent::PartitionEnd { .. } => "partition_end",
-            TraceEvent::Reconcile { .. } => "reconcile",
-            TraceEvent::GangPacked { .. } => "gang_packed",
-            TraceEvent::RoundPlanned { .. } => "round_planned",
-            TraceEvent::Decision { .. } => "decision",
-            TraceEvent::TradeExecuted { .. } => "trade_executed",
-            TraceEvent::ProfileInferred { .. } => "profile_inferred",
-        }
-    }
-
-    /// The event's simulated time.
-    pub fn time(&self) -> SimTime {
-        match self {
-            TraceEvent::ServerUp { t, .. }
-            | TraceEvent::ServerDown { t, .. }
-            | TraceEvent::JobArrive { t, .. }
-            | TraceEvent::JobFinish { t, .. }
-            | TraceEvent::Placement { t, .. }
-            | TraceEvent::Migration { t, .. }
-            | TraceEvent::MigrationFailed { t, .. }
-            | TraceEvent::PartitionStart { t, .. }
-            | TraceEvent::PartitionEnd { t, .. }
-            | TraceEvent::Reconcile { t, .. }
-            | TraceEvent::GangPacked { t, .. }
-            | TraceEvent::RoundPlanned { t, .. }
-            | TraceEvent::Decision { t, .. }
-            | TraceEvent::TradeExecuted { t, .. }
-            | TraceEvent::ProfileInferred { t, .. } => *t,
-        }
-    }
-
     /// Renders the event as one JSON line (no trailing newline).
     ///
     /// Times serialize as integer microseconds (`t_us`) so encoding never
@@ -420,491 +615,6 @@ impl TraceEvent {
         self.write_json_line(&mut s);
         s
     }
-
-    /// Appends the event's JSON line (no trailing newline) to `s`.
-    ///
-    /// This is the zero-allocation path sinks use with a reused buffer:
-    /// high-frequency variants format integers with a hand-rolled itoa instead of
-    /// the `core::fmt` machinery, which matters at hundreds of thousands of
-    /// events per simulated hour.
-    pub fn write_json_line(&self, s: &mut String) {
-        s.push_str("{\"kind\":\"");
-        s.push_str(self.kind());
-        s.push_str("\",\"t_us\":");
-        push_u64(s, self.time().as_micros());
-        match self {
-            TraceEvent::ServerUp {
-                server, gen, gpus, ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"server\":{},\"gen\":{},\"gpus\":{gpus}",
-                    server.index(),
-                    gen.index()
-                );
-            }
-            TraceEvent::ServerDown {
-                server, evicted, ..
-            } => {
-                let _ = write!(s, ",\"server\":{},\"evicted\":{evicted}", server.index());
-            }
-            TraceEvent::JobArrive {
-                job,
-                user,
-                gang,
-                service_secs,
-                ..
-            } => {
-                s.push_str(",\"job\":");
-                push_u64(s, job.index() as u64);
-                s.push_str(",\"user\":");
-                push_u64(s, user.index() as u64);
-                s.push_str(",\"gang\":");
-                push_u64(s, u64::from(*gang));
-                s.push_str(",\"service_secs\":");
-                push_f64(s, *service_secs);
-            }
-            TraceEvent::JobFinish { job, user, .. } => {
-                s.push_str(",\"job\":");
-                push_u64(s, job.index() as u64);
-                s.push_str(",\"user\":");
-                push_u64(s, user.index() as u64);
-            }
-            TraceEvent::Placement {
-                job, server, gang, ..
-            } => {
-                s.push_str(",\"job\":");
-                push_u64(s, job.index() as u64);
-                s.push_str(",\"server\":");
-                push_u64(s, server.index() as u64);
-                s.push_str(",\"gang\":");
-                push_u64(s, u64::from(*gang));
-            }
-            TraceEvent::Migration {
-                job,
-                from,
-                to,
-                outage_secs,
-                ..
-            } => {
-                s.push_str(",\"job\":");
-                push_u64(s, job.index() as u64);
-                s.push_str(",\"from\":");
-                push_u64(s, from.index() as u64);
-                s.push_str(",\"to\":");
-                push_u64(s, to.index() as u64);
-                s.push_str(",\"outage_secs\":");
-                push_f64(s, *outage_secs);
-            }
-            TraceEvent::MigrationFailed {
-                job,
-                from,
-                to,
-                reason,
-                attempt,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{},\"from\":{},\"to\":{},\"reason\":\"{}\",\"attempt\":{attempt}",
-                    job.index(),
-                    from.index(),
-                    to.index(),
-                    reason.as_str()
-                );
-            }
-            TraceEvent::PartitionStart { server, .. } | TraceEvent::PartitionEnd { server, .. } => {
-                let _ = write!(s, ",\"server\":{}", server.index());
-            }
-            TraceEvent::Reconcile {
-                server,
-                users_resynced,
-                jobs_revalidated,
-                drift,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"server\":{},\"users_resynced\":{users_resynced},\"jobs_revalidated\":{jobs_revalidated},\"drift\":{drift}",
-                    server.index()
-                );
-            }
-            TraceEvent::GangPacked {
-                round,
-                server,
-                job,
-                user,
-                width,
-                gang,
-                ..
-            } => {
-                s.push_str(",\"round\":");
-                push_u64(s, *round);
-                s.push_str(",\"server\":");
-                push_u64(s, server.index() as u64);
-                s.push_str(",\"job\":");
-                push_u64(s, job.index() as u64);
-                s.push_str(",\"user\":");
-                push_u64(s, user.index() as u64);
-                s.push_str(",\"width\":");
-                push_u64(s, u64::from(*width));
-                s.push_str(",\"gang\":");
-                push_u64(s, u64::from(*gang));
-            }
-            TraceEvent::RoundPlanned {
-                round,
-                scheduled,
-                gpus_used,
-                gpus_up,
-                pending,
-                tickets_total,
-                users,
-                user_gpus,
-                ..
-            } => {
-                s.push_str(",\"round\":");
-                push_u64(s, *round);
-                s.push_str(",\"scheduled\":");
-                push_u64(s, u64::from(*scheduled));
-                s.push_str(",\"gpus_used\":");
-                push_u64(s, u64::from(*gpus_used));
-                s.push_str(",\"gpus_up\":");
-                push_u64(s, u64::from(*gpus_up));
-                s.push_str(",\"pending\":");
-                push_u64(s, u64::from(*pending));
-                s.push_str(",\"tickets_total\":");
-                push_f64(s, *tickets_total);
-                s.push_str(",\"users\":[");
-                push_user_shares(s, users);
-                s.push_str("],\"user_gpus\":[");
-                push_user_grants(s, user_gpus);
-                s.push(']');
-            }
-            TraceEvent::Decision {
-                decision,
-                job,
-                user,
-                chosen,
-                tie_break,
-                considered,
-                candidates,
-                rejected,
-                ..
-            } => {
-                s.push_str(",\"decision\":\"");
-                push_escaped(s, decision);
-                s.push_str("\",\"job\":");
-                match job {
-                    Some(j) => push_u64(s, j.index() as u64),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"user\":");
-                match user {
-                    Some(u) => push_u64(s, u.index() as u64),
-                    None => s.push_str("null"),
-                }
-                s.push_str(",\"chosen\":\"");
-                push_escaped(s, chosen);
-                s.push_str("\",\"tie_break\":\"");
-                push_escaped(s, tie_break);
-                s.push_str("\",\"considered\":");
-                push_u64(s, u64::from(*considered));
-                s.push_str(",\"candidates\":[");
-                for (i, c) in candidates.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"label\":\"");
-                    push_escaped(s, &c.label);
-                    s.push_str("\",\"score\":");
-                    push_f64(s, c.score);
-                    s.push('}');
-                }
-                s.push_str("],\"rejected\":[");
-                for (i, r) in rejected.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"reason\":\"");
-                    push_escaped(s, &r.reason);
-                    s.push_str("\",\"count\":");
-                    push_u64(s, u64::from(r.count));
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            TraceEvent::TradeExecuted {
-                seller,
-                buyer,
-                gen,
-                fast_gpus,
-                base_gpus,
-                price,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"seller\":{},\"buyer\":{},\"gen\":{},\"fast_gpus\":{},\"base_gpus\":{},\"price\":{}",
-                    seller.index(),
-                    buyer.index(),
-                    gen.index(),
-                    fmt_f64(*fast_gpus),
-                    fmt_f64(*base_gpus),
-                    fmt_f64(*price)
-                );
-            }
-            TraceEvent::ProfileInferred {
-                model,
-                gen,
-                rate,
-                samples,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"model\":\"{}\",\"gen\":{},\"rate\":{},\"samples\":{samples}",
-                    escape_json(model),
-                    gen.index(),
-                    fmt_f64(*rate)
-                );
-            }
-        }
-        s.push('}');
-    }
-
-    /// Parses one JSONL trace line back into an event — the inverse of
-    /// [`to_json_line`](Self::to_json_line). This is the contract
-    /// `gfair-trace` and the golden-trace schema test are built on: renaming
-    /// or dropping a field fails here with a message naming the event kind
-    /// and the missing field.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found: invalid JSON, an
-    /// unknown `kind`, or a missing/mistyped field.
-    pub fn from_json_line(line: &str) -> Result<TraceEvent, String> {
-        let v = serde_json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = field(&v, "<event>", "kind")?
-            .as_str()
-            .ok_or_else(|| "field `kind` must be a string".to_string())?
-            .to_string();
-        let k = kind.as_str();
-        let t = SimTime::from_micros(get_u64(&v, k, "t_us")?);
-        match k {
-            "server_up" => Ok(TraceEvent::ServerUp {
-                t,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-                gen: GenId::new(get_u32(&v, k, "gen")?),
-                gpus: get_u32(&v, k, "gpus")?,
-            }),
-            "server_down" => Ok(TraceEvent::ServerDown {
-                t,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-                evicted: get_u32(&v, k, "evicted")?,
-            }),
-            "job_arrive" => Ok(TraceEvent::JobArrive {
-                t,
-                job: JobId::new(get_u32(&v, k, "job")?),
-                user: UserId::new(get_u32(&v, k, "user")?),
-                gang: get_u32(&v, k, "gang")?,
-                service_secs: get_f64(&v, k, "service_secs")?,
-            }),
-            "job_finish" => Ok(TraceEvent::JobFinish {
-                t,
-                job: JobId::new(get_u32(&v, k, "job")?),
-                user: UserId::new(get_u32(&v, k, "user")?),
-            }),
-            "placement" => Ok(TraceEvent::Placement {
-                t,
-                job: JobId::new(get_u32(&v, k, "job")?),
-                server: ServerId::new(get_u32(&v, k, "server")?),
-                gang: get_u32(&v, k, "gang")?,
-            }),
-            "migration" => Ok(TraceEvent::Migration {
-                t,
-                job: JobId::new(get_u32(&v, k, "job")?),
-                from: ServerId::new(get_u32(&v, k, "from")?),
-                to: ServerId::new(get_u32(&v, k, "to")?),
-                outage_secs: get_f64(&v, k, "outage_secs")?,
-            }),
-            "migration_failed" => {
-                let reason_str = get_str(&v, k, "reason")?;
-                let reason = MigrationFailReason::parse(&reason_str).ok_or_else(|| {
-                    format!("{k}: unknown migration failure reason `{reason_str}`")
-                })?;
-                Ok(TraceEvent::MigrationFailed {
-                    t,
-                    job: JobId::new(get_u32(&v, k, "job")?),
-                    from: ServerId::new(get_u32(&v, k, "from")?),
-                    to: ServerId::new(get_u32(&v, k, "to")?),
-                    reason,
-                    attempt: get_u32(&v, k, "attempt")?,
-                })
-            }
-            "partition_start" => Ok(TraceEvent::PartitionStart {
-                t,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-            }),
-            "partition_end" => Ok(TraceEvent::PartitionEnd {
-                t,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-            }),
-            "reconcile" => Ok(TraceEvent::Reconcile {
-                t,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-                users_resynced: get_u32(&v, k, "users_resynced")?,
-                jobs_revalidated: get_u32(&v, k, "jobs_revalidated")?,
-                drift: get_u32(&v, k, "drift")?,
-            }),
-            "gang_packed" => Ok(TraceEvent::GangPacked {
-                t,
-                round: get_u64(&v, k, "round")?,
-                server: ServerId::new(get_u32(&v, k, "server")?),
-                job: JobId::new(get_u32(&v, k, "job")?),
-                user: UserId::new(get_u32(&v, k, "user")?),
-                width: get_u32(&v, k, "width")?,
-                gang: get_u32(&v, k, "gang")?,
-            }),
-            "round_planned" => Ok(TraceEvent::RoundPlanned {
-                t,
-                round: get_u64(&v, k, "round")?,
-                scheduled: get_u32(&v, k, "scheduled")?,
-                gpus_used: get_u32(&v, k, "gpus_used")?,
-                gpus_up: get_u32(&v, k, "gpus_up")?,
-                pending: get_u32(&v, k, "pending")?,
-                tickets_total: get_f64(&v, k, "tickets_total")?,
-                users: get_user_shares(&v, k)?,
-                user_gpus: get_user_gpus(&v, k)?,
-            }),
-            "decision" => {
-                let candidates = field(&v, k, "candidates")?
-                    .as_array()
-                    .ok_or_else(|| format!("{k}: field `candidates` must be an array"))?
-                    .iter()
-                    .map(|c| {
-                        Ok(Candidate {
-                            label: get_str(c, k, "label")?,
-                            score: get_f64(c, k, "score")?,
-                        })
-                    })
-                    .collect::<Result<Vec<Candidate>, String>>()?;
-                let rejected = field(&v, k, "rejected")?
-                    .as_array()
-                    .ok_or_else(|| format!("{k}: field `rejected` must be an array"))?
-                    .iter()
-                    .map(|r| {
-                        Ok(Rejection {
-                            reason: get_str(r, k, "reason")?.into(),
-                            count: get_u32(r, k, "count")?,
-                        })
-                    })
-                    .collect::<Result<Vec<Rejection>, String>>()?;
-                Ok(TraceEvent::Decision {
-                    t,
-                    decision: get_str(&v, k, "decision")?,
-                    job: get_opt_u32(&v, k, "job")?.map(JobId::new),
-                    user: get_opt_u32(&v, k, "user")?.map(UserId::new),
-                    chosen: get_str(&v, k, "chosen")?,
-                    tie_break: get_str(&v, k, "tie_break")?,
-                    considered: get_u32(&v, k, "considered")?,
-                    candidates,
-                    rejected,
-                })
-            }
-            "trade_executed" => Ok(TraceEvent::TradeExecuted {
-                t,
-                seller: UserId::new(get_u32(&v, k, "seller")?),
-                buyer: UserId::new(get_u32(&v, k, "buyer")?),
-                gen: GenId::new(get_u32(&v, k, "gen")?),
-                fast_gpus: get_f64(&v, k, "fast_gpus")?,
-                base_gpus: get_f64(&v, k, "base_gpus")?,
-                price: get_f64(&v, k, "price")?,
-            }),
-            "profile_inferred" => Ok(TraceEvent::ProfileInferred {
-                t,
-                model: get_str(&v, k, "model")?,
-                gen: GenId::new(get_u32(&v, k, "gen")?),
-                rate: get_f64(&v, k, "rate")?,
-                samples: get_u64(&v, k, "samples")?,
-            }),
-            other => Err(format!(
-                "unknown event kind `{other}` (known kinds: {})",
-                TraceEvent::KINDS.join(", ")
-            )),
-        }
-    }
-}
-
-// --- from_json_line field accessors -----------------------------------------
-//
-// Every accessor names the event kind and the field in its error so schema
-// drift (a renamed or dropped field) fails tests and tooling with an
-// actionable message instead of a silent misparse.
-
-fn field<'v>(v: &'v JsonValue, kind: &str, name: &str) -> Result<&'v JsonValue, String> {
-    v.get(name)
-        .ok_or_else(|| format!("{kind}: missing field `{name}`"))
-}
-
-fn get_u64(v: &JsonValue, kind: &str, name: &str) -> Result<u64, String> {
-    field(v, kind, name)?
-        .as_u64()
-        .ok_or_else(|| format!("{kind}: field `{name}` must be a non-negative integer"))
-}
-
-fn get_u32(v: &JsonValue, kind: &str, name: &str) -> Result<u32, String> {
-    Ok(get_u64(v, kind, name)? as u32)
-}
-
-fn get_opt_u32(v: &JsonValue, kind: &str, name: &str) -> Result<Option<u32>, String> {
-    match field(v, kind, name)? {
-        JsonValue::Null => Ok(None),
-        val => val
-            .as_u64()
-            .map(|x| Some(x as u32))
-            .ok_or_else(|| format!("{kind}: field `{name}` must be an integer or null")),
-    }
-}
-
-fn get_f64(v: &JsonValue, kind: &str, name: &str) -> Result<f64, String> {
-    field(v, kind, name)?
-        .as_f64()
-        .ok_or_else(|| format!("{kind}: field `{name}` must be a number"))
-}
-
-fn get_str(v: &JsonValue, kind: &str, name: &str) -> Result<String, String> {
-    field(v, kind, name)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{kind}: field `{name}` must be a string"))
-}
-
-fn get_user_shares(v: &JsonValue, kind: &str) -> Result<Vec<UserShare>, String> {
-    field(v, kind, "users")?
-        .as_array()
-        .ok_or_else(|| format!("{kind}: field `users` must be an array"))?
-        .iter()
-        .map(|u| {
-            Ok(UserShare {
-                user: UserId::new(get_u32(u, kind, "user")?),
-                tickets: get_f64(u, kind, "tickets")?,
-            })
-        })
-        .collect()
-}
-
-fn get_user_gpus(v: &JsonValue, kind: &str) -> Result<Vec<UserGrant>, String> {
-    field(v, kind, "user_gpus")?
-        .as_array()
-        .ok_or_else(|| format!("{kind}: field `user_gpus` must be an array"))?
-        .iter()
-        .map(|g| {
-            Ok(UserGrant {
-                user: UserId::new(get_u32(g, kind, "user")?),
-                gpus: get_u32(g, kind, "gpus")?,
-            })
-        })
-        .collect()
 }
 
 /// Two ASCII digits for each value 0..100, so [`push_u64`] emits two
@@ -940,34 +650,6 @@ fn push_u64(s: &mut String, mut v: u64) {
         buf[i] = b'0' + v as u8;
     }
     s.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
-}
-
-/// Appends a `users` array body (no brackets) of [`UserShare`] objects.
-fn push_user_shares(s: &mut String, users: &[UserShare]) {
-    for (i, u) in users.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"user\":");
-        push_u64(s, u.user.index() as u64);
-        s.push_str(",\"tickets\":");
-        push_f64(s, u.tickets);
-        s.push('}');
-    }
-}
-
-/// Appends a `user_gpus` array body (no brackets) of [`UserGrant`] objects.
-fn push_user_grants(s: &mut String, grants: &[UserGrant]) {
-    for (i, g) in grants.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"user\":");
-        push_u64(s, g.user.index() as u64);
-        s.push_str(",\"gpus\":");
-        push_u64(s, u64::from(g.gpus));
-        s.push('}');
-    }
 }
 
 /// Appends the trace representation of `x`: integers as `N.0` via
@@ -1057,39 +739,28 @@ fn push_fixed6(s: &mut String, int: u64, mut frac: u64) {
     s.push_str(std::str::from_utf8(&digits[..end]).expect("ascii digits"));
 }
 
-fn fmt_f64(x: f64) -> String {
-    let mut s = String::with_capacity(24);
-    push_f64(&mut s, x);
-    s
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s);
-    out
-}
-
-/// Appends `input` to `out` with JSON string escaping, allocation-free for
-/// the overwhelmingly common clean case.
+/// Appends `input` as a JSON string literal, quotes included,
+/// allocation-free for the overwhelmingly common clean case.
 fn push_escaped(out: &mut String, input: &str) {
+    out.push('"');
     if !input.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
         out.push_str(input);
-        return;
-    }
-    for c in input.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    } else {
+        for c in input.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -1441,6 +1112,15 @@ mod tests {
             err.contains("`job`") && err.contains("integer"),
             "unhelpful error: {err}"
         );
+        // An id beyond u32 is refused, not truncated to job 1.
+        let err = TraceEvent::from_json_line(
+            "{\"kind\":\"job_finish\",\"t_us\":0,\"job\":4294967297,\"user\":0}",
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("job_finish") && err.contains("`job`"),
+            "unhelpful error: {err}"
+        );
         // Garbage is invalid JSON.
         assert!(TraceEvent::from_json_line("not json").is_err());
     }
@@ -1451,6 +1131,12 @@ mod tests {
         assert_eq!(fmt_f64(0.1), "0.1");
         assert_eq!(fmt_f64(-3.0), "-3.0");
         assert_eq!(fmt_f64(f64::NAN), "null");
+    }
+
+    fn fmt_f64(x: f64) -> String {
+        let mut s = String::new();
+        push_f64(&mut s, x);
+        s
     }
 
     fn fmt_u64(v: u64) -> String {

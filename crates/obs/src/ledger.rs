@@ -26,6 +26,7 @@
 
 use crate::event::TraceEvent;
 use crate::metrics::FixedHistogram;
+use gfair_types::fairness::{gini, jain_index};
 use serde::{Deserialize, Serialize};
 
 /// Bucket upper bounds for the ρ histogram. ρ clusters around 1.0 for fair
@@ -339,7 +340,7 @@ impl FairnessLedger {
         }
         LedgerSummary {
             rounds: self.rounds,
-            jain: jain(&normalized),
+            jain: jain_index(&normalized),
             gini: gini(&latest),
             rho: RhoSummary {
                 count: self.rho_hist.count(),
@@ -351,38 +352,6 @@ impl FairnessLedger {
             users,
         }
     }
-}
-
-/// Jain's fairness index; 1.0 for empty or all-zero input. (Local copy:
-/// `gfair-metrics` sits above the sim crate in the dependency graph, so the
-/// obs crate cannot use it without a cycle.)
-fn jain(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
-    if sum_sq == 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (values.len() as f64 * sum_sq)
-}
-
-/// Gini coefficient of non-negative values; 0.0 for empty or all-zero input.
-fn gini(values: &[f64]) -> f64 {
-    let sum: f64 = values.iter().sum();
-    if values.len() < 2 || sum <= 0.0 {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len() as f64;
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x)
-        .sum();
-    (2.0 * weighted) / (n * sum) - (n + 1.0) / n
 }
 
 #[cfg(test)]

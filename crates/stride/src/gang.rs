@@ -14,8 +14,8 @@
 //!   server idles GPUs that smaller jobs could use — work-non-conserving.
 //!
 //! The **gang-aware** policy ([`GangPolicy::GangAware`]) fixes both: each
-//! round, runnable jobs are scanned in pass order and packed greedily into
-//! the server's GPUs; a scheduled job's pass advances by
+//! round, jobs are scanned in pass order and packed greedily into the
+//! server's GPUs; a scheduled job's pass advances by
 //! `stride x width` (GPU-time, not job-time); a *skipped* job's pass does not
 //! advance, so it sinks to the minimum and — because the scan starts with the
 //! full server free — is guaranteed the first slot within a bounded number of
@@ -25,7 +25,7 @@
 use crate::STRIDE1;
 
 /// Pass value as a totally ordered key (`f64::total_cmp` semantics), so
-/// runnable clients can be kept sorted by `(pass, key)` — the exact order
+/// clients can be kept sorted by `(pass, key)` — the exact order
 /// [`GangScheduler::plan_round`] scans in.
 #[derive(Debug, Clone, Copy)]
 struct Pass(f64);
@@ -61,7 +61,7 @@ pub enum GangPolicy {
     /// per scheduled round regardless of gang width (job-level fairness —
     /// wide gangs hoard GPU-time).
     JobLevelStride,
-    /// Serve strictly in pass order: when the minimum-pass runnable job does
+    /// Serve strictly in pass order: when the minimum-pass job does
     /// not fit the remaining GPUs, stop and idle the rest (fair but
     /// work-non-conserving).
     StrictNoBackfill,
@@ -84,7 +84,6 @@ struct GangClient {
     tickets: f64,
     width: u32,
     pass: f64,
-    runnable: bool,
 }
 
 impl GangClient {
@@ -141,10 +140,9 @@ pub struct GangScheduler<K> {
     /// server holds a handful of jobs, so a join or leave is a memmove over
     /// a few entries rather than a walk over tree nodes.
     clients: Vec<(K, GangClient)>,
-    /// Runnable clients sorted by `(pass, key)` — the scan order of
-    /// [`plan_round`](Self::plan_round). Kept in lockstep with `clients`:
-    /// contains exactly the runnable ones, under their current pass. A round
-    /// then reads the order off this table and re-keys only the clients
+    /// Every client sorted by `(pass, key)` — the scan order of
+    /// [`plan_round`](Self::plan_round), kept in lockstep with `clients`.
+    /// A round reads the order off this table and re-keys only the clients
     /// whose pass advanced, instead of re-sorting the full client set.
     order: Vec<(Pass, K)>,
     global_pass: f64,
@@ -208,7 +206,7 @@ impl<K: Copy + Ord> GangScheduler<K> {
         self.client(k).map(|c| c.tickets)
     }
 
-    /// Inserts runnable client `k` into the scan order under `pass`.
+    /// Inserts client `k` into the scan order under `pass`.
     fn order_insert(&mut self, pass: f64, k: K) {
         let i = self
             .order
@@ -217,12 +215,12 @@ impl<K: Copy + Ord> GangScheduler<K> {
         self.order.insert(i, (Pass(pass), k));
     }
 
-    /// Removes runnable client `k`, ordered under `pass`, from the scan order.
+    /// Removes client `k`, ordered under `pass`, from the scan order.
     fn order_remove(&mut self, pass: f64, k: K) {
         let i = self
             .order
             .binary_search(&(Pass(pass), k))
-            .expect("runnable client is ordered");
+            .expect("client is ordered");
         self.order.remove(i);
     }
 
@@ -256,7 +254,6 @@ impl<K: Copy + Ord> GangScheduler<K> {
             tickets,
             width,
             pass,
-            runnable: true,
         };
         self.clients.insert(i, (k, client));
         self.order_insert(pass, k);
@@ -269,9 +266,7 @@ impl<K: Copy + Ord> GangScheduler<K> {
             return false;
         };
         let (_, c) = self.clients.remove(i);
-        if c.runnable {
-            self.order_remove(c.pass, k);
-        }
+        self.order_remove(c.pass, k);
         self.total_tickets -= c.tickets;
         if self.clients.is_empty() {
             self.total_tickets = 0.0;
@@ -303,35 +298,11 @@ impl<K: Copy + Ord> GangScheduler<K> {
         let scaled = remain * (c.tickets / tickets);
         self.total_tickets += tickets - c.tickets;
         c.tickets = tickets;
-        let (old_pass, runnable) = (c.pass, c.runnable);
+        let old_pass = c.pass;
         c.pass = global + scaled;
         let new_pass = c.pass;
-        if runnable {
-            self.order_remove(old_pass, k);
-            self.order_insert(new_pass, k);
-        }
-    }
-
-    /// Marks a client runnable or not (e.g. suspended for migration).
-    /// Non-runnable clients are skipped by [`plan_round`](Self::plan_round)
-    /// and their pass does not advance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client is unknown.
-    pub fn set_runnable(&mut self, k: K, runnable: bool) {
-        let i = slot(&self.clients, k).expect("unknown client");
-        let c = &mut self.clients[i].1;
-        if c.runnable == runnable {
-            return;
-        }
-        c.runnable = runnable;
-        let pass = c.pass;
-        if runnable {
-            self.order_insert(pass, k);
-        } else {
-            self.order_remove(pass, k);
-        }
+        self.order_remove(old_pass, k);
+        self.order_insert(new_pass, k);
     }
 
     /// Plans one quantum: selects the gangs to run and advances pass values.
@@ -386,15 +357,12 @@ impl<K: Copy + Ord> GangScheduler<K> {
         }
     }
 
-    /// Returns true when every runnable client fits the server at once.
-    /// Every round then selects all of them, whatever their passes, until
-    /// membership, tickets or runnability change; this is the precondition
-    /// of [`fast_forward`](Self::fast_forward).
+    /// Returns true when every client fits the server at once. Every round
+    /// then selects all of them, whatever their passes, until membership or
+    /// tickets change; this is the precondition of
+    /// [`fast_forward`](Self::fast_forward).
     pub fn fits_all(&self) -> bool {
-        let width: u64 = (self.clients.iter())
-            .filter(|(_, c)| c.runnable)
-            .map(|(_, c)| u64::from(c.width))
-            .sum();
+        let width: u64 = self.clients.iter().map(|(_, c)| u64::from(c.width)).sum();
         width <= u64::from(self.capacity)
     }
 
@@ -403,7 +371,7 @@ impl<K: Copy + Ord> GangScheduler<K> {
     /// The caller must have checked [`fits_all`](Self::fits_all). Under that
     /// precondition the post-call state (client passes, order index, global
     /// pass) is bit-identical to calling [`plan_round`](Self::plan_round) `j`
-    /// times: every round selects every runnable client, each client's pass
+    /// times: every round selects every client, each client's pass
     /// is an independent accumulator receiving the same `j` additions of the
     /// same delta, and the global pass receives the same `j` additions
     /// because every round dispenses the same GPU-quanta. Passes may cross
@@ -598,7 +566,7 @@ mod tests {
     #[test]
     fn packing_gap_smaller_than_any_skipped_gang() {
         // Work-conservation invariant of the packer: after planning, the
-        // free GPUs cannot fit any runnable job that was skipped.
+        // free GPUs cannot fit any job that was skipped.
         let mut g = GangScheduler::new(8, GangPolicy::GangAware);
         for (id, w) in [(0, 3), (1, 3), (2, 4), (3, 6), (4, 2)] {
             g.join(id, 100.0, w);
@@ -614,22 +582,6 @@ mod tests {
                 assert!(out.gpus_idle < minw);
             }
         }
-    }
-
-    #[test]
-    fn suspended_clients_are_not_scheduled() {
-        let mut g = GangScheduler::new(4, GangPolicy::GangAware);
-        g.join(0, 100.0, 2);
-        g.join(1, 100.0, 2);
-        g.set_runnable(0, false);
-        for _ in 0..10 {
-            let out = g.plan_round();
-            assert_eq!(out.selected, vec![1]);
-        }
-        g.set_runnable(0, true);
-        // After resuming, client 0 catches up (its pass lagged behind).
-        let out = g.plan_round();
-        assert!(out.selected.contains(&0));
     }
 
     #[test]
@@ -807,7 +759,7 @@ mod tests {
     }
 
     /// Steps `g` through `j` rounds, checking that each selects every
-    /// runnable client (compared as sets: the scan order may rotate), and
+    /// client (compared as sets: the scan order may rotate), and
     /// returns how many rounds rotated the scan order.
     fn step_selecting_all(g: &mut GangScheduler<u32>, j: u64) -> u64 {
         let scan = |g: &GangScheduler<u32>| g.order.iter().map(|&(_, k)| k).collect::<Vec<_>>();
@@ -831,20 +783,26 @@ mod tests {
             GangPolicy::JobLevelStride,
             GangPolicy::StrictNoBackfill,
         ] {
-            // All gangs fit at once (3+2+4+1+2 = 12 <= 16). Client 4 has the
-            // largest per-round delta under every policy but sits out 500
-            // rounds first, so its pass overtakes the others' hundreds to
-            // thousands of rounds after it resumes.
+            // All gangs fit at once (2+4+2+3+1 = 12 <= 16). The clients join
+            // at staggered rounds, so their passes start apart; under every
+            // policy they cross five times, from a few rounds to (under
+            // job-level stride) thousands of rounds after the last join.
             let mut a = GangScheduler::new(16, policy);
-            for (id, (t, w)) in [(130.0, 3u32), (70.0, 2), (100.0, 4), (55.5, 1), (40.0, 2)]
-                .into_iter()
-                .enumerate()
+            let mut round = 0;
+            for (id, (t, w, at)) in [
+                (40.0, 2u32, 0u64),
+                (100.0, 4, 50),
+                (70.0, 2, 200),
+                (130.0, 3, 300),
+                (55.5, 1, 300),
+            ]
+            .into_iter()
+            .enumerate()
             {
+                step_selecting_all(&mut a, at - round);
+                round = at;
                 a.join(id as u32, t, w);
             }
-            a.set_runnable(4, false);
-            step_selecting_all(&mut a, 500);
-            a.set_runnable(4, true);
             let mut b = a.clone();
             let mut rotations = 0;
             for j in [1, 2, 7, 50, 333, 2999] {
@@ -861,30 +819,22 @@ mod tests {
     }
 
     #[test]
-    fn fits_all_counts_runnable_gangs_only() {
+    fn fits_all_sums_every_gang_width() {
         let mut g = GangScheduler::new(4, GangPolicy::GangAware);
         assert!(g.fits_all(), "an empty server");
         g.join(0, 100.0, 3);
         assert!(g.fits_all());
         g.join(1, 100.0, 3);
         assert!(!g.fits_all(), "3 + 3 GPUs on a 4-GPU server");
-        g.set_runnable(1, false);
-        assert!(g.fits_all(), "a suspended gang does not compete");
-        g.set_runnable(1, true);
         assert!(g.leave(0));
         assert!(g.fits_all());
     }
 
     #[test]
-    fn fast_forward_without_runnable_clients_changes_nothing() {
+    fn fast_forward_on_an_empty_server_changes_nothing() {
         let mut g = GangScheduler::<u32>::new(4, GangPolicy::GangAware);
-        g.fast_forward(42);
-        assert!(g.plan_round().selected.is_empty());
-        // Suspended-only populations behave like empty ones.
-        g.join(0, 100.0, 1);
-        g.set_runnable(0, false);
         let before = g.clone();
-        g.fast_forward(7);
+        g.fast_forward(42);
         assert_state_eq(&g, &before);
         assert!(g.plan_round().selected.is_empty());
     }
@@ -932,7 +882,7 @@ mod proptests {
         }
 
         /// The plan never overcommits the server and never leaves a gap any
-        /// skipped runnable client could fill (gang-aware policy).
+        /// skipped client could fill (gang-aware policy).
         #[test]
         fn plan_is_feasible_and_gap_free(
             widths in proptest::collection::vec(1u32..8, 1..10),
@@ -958,7 +908,7 @@ mod proptests {
             }
         }
 
-        /// The minimum-pass runnable client is always selected (the scan
+        /// The minimum-pass client is always selected (the scan
         /// starts with the whole server free, so the head of the pass order
         /// always fits) — this is the gang-aware no-starvation guarantee.
         #[test]
@@ -1012,11 +962,11 @@ mod proptests {
             }
         }
 
-        /// Differential oracle: whenever every runnable client fits,
+        /// Differential oracle: whenever every client fits,
         /// `fast_forward(j)` must land on the bit-identical state that `j`
         /// naive rounds produce, for every policy and random population.
-        /// Clients sit out a random number of warm-up rounds first, so their
-        /// passes start apart and may cross anywhere in the span.
+        /// Clients join at random warm-up rounds, so their passes start
+        /// apart and may cross anywhere in the span.
         #[test]
         fn fast_forward_is_byte_identical_to_stepping(
             pop in proptest::collection::vec((1u32..500, 1u32..6, 0u64..400), 1..8),
@@ -1031,13 +981,12 @@ mod proptests {
             ][policy_ix];
             let capacity = pop.iter().map(|&(_, w, _)| w).sum::<u32>() + spare;
             let mut a = GangScheduler::new(capacity, policy);
-            for (i, &(t, w, _)) in pop.iter().enumerate() {
-                a.join(i as u32, t as f64 + 0.25, w);
-            }
-            let warmup = pop.iter().map(|&(_, _, idle)| idle).max().unwrap_or(0);
+            let warmup = pop.iter().map(|&(_, _, at)| at).max().unwrap_or(0);
             for round in 0..=warmup {
-                for (i, &(_, _, idle)) in pop.iter().enumerate() {
-                    a.set_runnable(i as u32, round >= idle);
+                for (i, &(t, w, at)) in pop.iter().enumerate() {
+                    if at == round {
+                        a.join(i as u32, t as f64 + 0.25, w);
+                    }
                 }
                 let _ = a.plan_round();
             }
@@ -1062,15 +1011,15 @@ mod proptests {
         }
 
         /// Differential oracle for the sorted tables: random join, leave,
-        /// ticket, runnability, planning and fast-forward sequences must
-        /// select in the same order (the same set, over a fast-forward of a
-        /// server whose runnable clients all fit), and leave bit-identical
+        /// ticket, planning and fast-forward sequences must select in the
+        /// same order (the same set, over a fast-forward of a server whose
+        /// clients all fit), and leave bit-identical
         /// passes, as a reference that re-sorts every client by
         /// `(pass, key)` each round.
         #[test]
         fn sorted_tables_match_a_resorting_reference(
             ops in proptest::collection::vec(
-                (0u32..10, 0u32..8, 1u32..500, 1u32..9, proptest::bool::ANY, 0u64..400),
+                (0u32..9, 0u32..8, 1u32..500, 1u32..9, 0u64..400),
                 1..120,
             ),
             capacity in 1u32..12,
@@ -1083,7 +1032,7 @@ mod proptests {
             ][policy_ix];
             let mut g = GangScheduler::new(capacity, policy);
             let mut r = Reference { capacity, policy, clients: Vec::new(), global_pass: 0.0, total_tickets: 0.0 };
-            for (step, &(kind, key, tickets, width, flag, k)) in ops.iter().enumerate() {
+            for (step, &(kind, key, tickets, width, k)) in ops.iter().enumerate() {
                 let known = r.clients.iter().any(|c| c.0 == key);
                 let tickets = tickets as f64 + 0.5;
                 match kind {
@@ -1097,15 +1046,11 @@ mod proptests {
                         g.set_tickets(key, tickets);
                         r.set_tickets(key, tickets);
                     }
-                    3 if known => {
-                        g.set_runnable(key, flag);
-                        r.set_runnable(key, flag);
-                    }
-                    4..=6 => {
+                    3..=5 => {
                         let got = g.plan_round().selected;
                         prop_assert_eq!(&got, &r.plan_round(), "step {}", step);
                     }
-                    7..=9 if g.fits_all() => {
+                    6..=8 if g.fits_all() => {
                         g.fast_forward(k);
                         let mut all: Vec<u32> = r.scan_order().iter().map(|&i| r.clients[i].0).collect();
                         all.sort_unstable();
@@ -1118,7 +1063,7 @@ mod proptests {
                     _ => {}
                 }
                 let got: Vec<_> = g.iter().map(|(c, t, w, p)| (c, t.to_bits(), w, p.to_bits())).collect();
-                let want: Vec<_> = r.clients.iter().map(|&(c, t, w, p, _)| (c, t.to_bits(), w, p.to_bits())).collect();
+                let want: Vec<_> = r.clients.iter().map(|&(c, t, w, p)| (c, t.to_bits(), w, p.to_bits())).collect();
                 prop_assert_eq!(got, want, "step {}", step);
                 prop_assert_eq!(g.global_pass.to_bits(), r.global_pass.to_bits(), "step {}", step);
                 prop_assert_eq!(g.total_tickets.to_bits(), r.total_tickets.to_bits(), "step {}", step);
@@ -1130,13 +1075,13 @@ mod proptests {
     }
 
     /// The gang scheduler restated without sorted tables: clients in a
-    /// key-sorted list of `(key, tickets, width, pass, runnable)`, and every
-    /// round re-sorts the runnable ones by `(pass, key)`. Float operations
+    /// key-sorted list of `(key, tickets, width, pass)`, and every round
+    /// re-sorts them by `(pass, key)`. Float operations
     /// are written out in the same sequence as [`GangScheduler`]'s.
     struct Reference {
         capacity: u32,
         policy: GangPolicy,
-        clients: Vec<(u32, f64, u32, f64, bool)>,
+        clients: Vec<(u32, f64, u32, f64)>,
         global_pass: f64,
         total_tickets: f64,
     }
@@ -1148,7 +1093,7 @@ mod proptests {
 
         fn join(&mut self, key: u32, tickets: f64, width: u32) {
             let pass = self.global_pass + STRIDE1 / tickets;
-            self.clients.push((key, tickets, width, pass, true));
+            self.clients.push((key, tickets, width, pass));
             self.clients.sort_by_key(|c| c.0);
             self.total_tickets += tickets;
         }
@@ -1178,16 +1123,9 @@ mod proptests {
             c.3 = global + scaled;
         }
 
-        fn set_runnable(&mut self, key: u32, runnable: bool) {
-            let i = self.at(key).unwrap();
-            self.clients[i].4 = runnable;
-        }
-
-        /// Indices of the runnable clients in `(pass, key)` order.
+        /// Indices of the clients in `(pass, key)` order.
         fn scan_order(&self) -> Vec<usize> {
-            let mut ix: Vec<usize> = (0..self.clients.len())
-                .filter(|&i| self.clients[i].4)
-                .collect();
+            let mut ix: Vec<usize> = (0..self.clients.len()).collect();
             ix.sort_by(|&a, &b| {
                 let (ca, cb) = (self.clients[a], self.clients[b]);
                 ca.3.total_cmp(&cb.3).then(ca.0.cmp(&cb.0))

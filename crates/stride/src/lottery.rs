@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 struct Entrant {
     tickets: f64,
     width: u32,
-    runnable: bool,
 }
 
 /// A randomized proportional-share gang scheduler.
@@ -72,14 +71,7 @@ impl<K: Copy + Ord> LotteryScheduler<K> {
             "gang width {width} exceeds capacity {}",
             self.capacity
         );
-        let prev = self.clients.insert(
-            k,
-            Entrant {
-                tickets,
-                width,
-                runnable: true,
-            },
-        );
+        let prev = self.clients.insert(k, Entrant { tickets, width });
         assert!(prev.is_none(), "client joined twice");
     }
 
@@ -88,22 +80,13 @@ impl<K: Copy + Ord> LotteryScheduler<K> {
         self.clients.remove(&k).is_some()
     }
 
-    /// Marks a client runnable or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client is unknown.
-    pub fn set_runnable(&mut self, k: K, runnable: bool) {
-        self.clients.get_mut(&k).expect("unknown client").runnable = runnable;
-    }
-
     /// Gang width of a client, if registered.
     pub fn width_of(&self, k: K) -> Option<u32> {
         self.clients.get(&k).map(|c| c.width)
     }
 
     /// Draws one round of winners: repeatedly holds a ticket lottery among
-    /// runnable, not-yet-selected clients whose gangs fit the remaining
+    /// not-yet-selected clients whose gangs fit the remaining
     /// GPUs, until nothing fits.
     pub fn draw_round<R: Rng>(&mut self, rng: &mut R) -> Vec<K> {
         let mut free = self.capacity;
@@ -112,7 +95,7 @@ impl<K: Copy + Ord> LotteryScheduler<K> {
             let pool: Vec<(K, f64, u32)> = self
                 .clients
                 .iter()
-                .filter(|(k, c)| c.runnable && c.width <= free && !selected.contains(k))
+                .filter(|(k, c)| c.width <= free && !selected.contains(k))
                 .map(|(k, c)| (*k, c.tickets, c.width))
                 .collect();
             if pool.is_empty() {
@@ -194,18 +177,6 @@ mod tests {
             let sel = l.draw_round(&mut rng);
             // Two width-3 gangs can never run together on 4 GPUs.
             assert_eq!(sel.len(), 1);
-        }
-    }
-
-    #[test]
-    fn suspended_clients_never_win() {
-        let mut l = LotteryScheduler::new(2);
-        l.join(0, 1000.0, 1);
-        l.join(1, 1.0, 1);
-        l.set_runnable(0, false);
-        let mut rng = rng();
-        for _ in 0..20 {
-            assert_eq!(l.draw_round(&mut rng), vec![1]);
         }
     }
 

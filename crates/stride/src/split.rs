@@ -175,30 +175,6 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
         true
     }
 
-    /// Removes a user and all of their jobs. Returns the number of jobs
-    /// removed.
-    pub fn remove_user(&mut self, u: U) -> usize {
-        let Ok(ui) = self.user_slot(u) else {
-            return 0;
-        };
-        let (_, entry) = self.users.remove(ui);
-        for &j in &entry.jobs {
-            self.inner.leave(j);
-            let ji = self.job_slot(j).expect("listed job is registered");
-            self.job_user.remove(ji);
-        }
-        entry.jobs.len()
-    }
-
-    /// Marks a job runnable or suspended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is unknown.
-    pub fn set_job_runnable(&mut self, j: J, runnable: bool) {
-        self.inner.set_runnable(j, runnable);
-    }
-
     /// The user owning job `j`, if registered.
     pub fn user_of(&self, j: J) -> Option<U> {
         self.job_slot(j).ok().map(|i| self.job_user[i].1)
@@ -224,7 +200,7 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
         self.inner.plan_round()
     }
 
-    /// Returns true when every runnable job fits the server at once (see
+    /// Returns true when every job fits the server at once (see
     /// [`GangScheduler::fits_all`]). The user-level currency is only touched
     /// by membership and weight changes, never by planning, so this is
     /// decided entirely by the inner gang scheduler.
@@ -388,20 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_user_drops_all_jobs() {
-        let mut s = SplitStride::new(8, GangPolicy::GangAware);
-        s.set_user_weight(0, 100.0);
-        s.set_user_weight(1, 100.0);
-        s.add_job(0, 1, 1);
-        s.add_job(0, 2, 1);
-        s.add_job(1, 3, 1);
-        assert_eq!(s.remove_user(0), 2);
-        assert_eq!(s.num_jobs(), 1);
-        assert_eq!(s.user_of(1), None);
-        assert_eq!(s.user_of(3), Some(1));
-    }
-
-    #[test]
     fn idle_user_capacity_is_redistributed() {
         // User 1 has weight but no jobs: user 0 gets everything.
         let mut s = SplitStride::new(2, GangPolicy::GangAware);
@@ -426,18 +388,6 @@ mod tests {
         // Both jobs are single-GPU on a 2-GPU server: both always run, so
         // shares only diverge under contention; check tickets instead.
         assert_eq!(s.job_tickets(2), Some(100.0));
-    }
-
-    #[test]
-    fn suspended_job_yields_to_siblings() {
-        let mut s = SplitStride::new(1, GangPolicy::GangAware);
-        s.set_user_weight(0, 100.0);
-        s.add_job(0, 1, 1);
-        s.add_job(0, 2, 1);
-        s.set_job_runnable(1, false);
-        for _ in 0..10 {
-            assert_eq!(s.plan_round().selected, vec![2]);
-        }
     }
 
     #[test]
@@ -517,7 +467,6 @@ mod tests {
     fn remove_unknown_job_returns_false() {
         let mut s = SplitStride::<u32, u32>::new(4, GangPolicy::GangAware);
         assert!(!s.remove_job(9));
-        assert_eq!(s.remove_user(9), 0);
     }
 }
 

@@ -9,7 +9,9 @@
 //! The crate is deliberately free of scheduling logic: it only captures the
 //! *nouns* of the system so that the simulator (`gfair-sim`), the scheduling
 //! primitives (`gfair-stride`) and the Gandiva_fair scheduler itself
-//! (`gfair-core`) can interoperate without depending on each other.
+//! (`gfair-core`) can interoperate without depending on each other. The one
+//! exception is [`fairness`]: the Jain and Gini indices sit here so the
+//! fairness ledger and the metrics crate share one copy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +19,7 @@
 pub mod cluster;
 pub mod config;
 pub mod error;
+pub mod fairness;
 pub mod fault;
 pub mod gpu;
 pub mod ids;

@@ -18,14 +18,18 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "### cargo build --release"
 cargo build --release
 
-echo "### full-fidelity trace smoke (faulted paper testbed)"
+echo "### full-fidelity trace smoke (faulted paper testbed, every policy)"
 # `--trace-full` writes every event, per-gang grants and placement
 # provenance included; `gfair-trace kinds` must parse every line of it.
-cargo run --release --quiet --bin gfair -- simulate --cluster paper \
-    --users 8 --jobs 300 --seed 3 --faults examples/faults.json \
-    --trace-full target/trace-full-smoke.jsonl
-cargo run --release --quiet -p gfair-tracetool --bin gfair-trace -- \
-    kinds target/trace-full-smoke.jsonl
+# Each policy builds its own decision lines (gavel-hetero's `water-fill`,
+# themis-ftf's `ftf-auction`) only for such a trace, so each one runs.
+for policy in gfair gavel-hetero themis-ftf; do
+    cargo run --release --quiet --bin gfair -- simulate --cluster paper \
+        --users 8 --jobs 300 --seed 3 --faults examples/faults.json \
+        --policy "$policy" --trace-full target/trace-full-smoke.jsonl
+    cargo run --release --quiet -p gfair-tracetool --bin gfair-trace -- \
+        kinds target/trace-full-smoke.jsonl
+done
 
 echo "### cargo test"
 cargo test --workspace -q

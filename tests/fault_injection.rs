@@ -101,11 +101,13 @@ fn full_fidelity_trace_holds_every_grant_and_reparses() {
     let (mut gang_lines, mut events, mut failures) = (0u64, 0u64, 0u64);
     for line in text.lines() {
         events += 1;
-        match TraceEvent::from_json_line(line) {
-            Ok(TraceEvent::GangPacked { .. }) => gang_lines += 1,
-            Ok(TraceEvent::MigrationFailed { .. }) => failures += 1,
-            Ok(_) => {}
-            Err(e) => panic!("trace line does not re-parse: {e}\n{line}"),
+        let event = TraceEvent::from_json_line(line)
+            .unwrap_or_else(|e| panic!("trace line does not re-parse: {e}\n{line}"));
+        assert_eq!(event.to_json_line(), line, "re-rendered line differs");
+        match event {
+            TraceEvent::GangPacked { .. } => gang_lines += 1,
+            TraceEvent::MigrationFailed { .. } => failures += 1,
+            _ => {}
         }
     }
     assert!(
