@@ -8,7 +8,8 @@
 //! (network partitions and server flapping on a fixed timeline).
 
 use gfair_types::{JobId, ServerId, SimDuration, SimTime};
-use serde::Value;
+use serde::{Deserialize as _, Value};
+use serde_json::Deserializer;
 use std::fmt::Write as _;
 
 /// Every category of fault a [`FaultPlan`] can construct.
@@ -471,38 +472,47 @@ impl FaultPlan {
     /// the key and lists the known ones: a misspelt key must not silently
     /// turn a fault off.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let value = serde_json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| format!("fault plan must be a JSON object, got {}", value.kind()))?;
+        let d = &mut Deserializer::from_slice(text.as_bytes());
+        if d.peek() != Some(b'{') {
+            let v = value(d)?;
+            d.end(Ok(())).map_err(invalid)?;
+            return Err(format!(
+                "fault plan must be a JSON object, got {}",
+                v.kind()
+            ));
+        }
         let mut plan = FaultPlan::default();
-        for (key, v) in obj {
-            match key.as_str() {
-                "seed" => plan.seed = need_u64(v, "seed")?,
+        let mut more = d.begin_object("fault plan").map_err(invalid)?;
+        while more {
+            match d.key().map_err(invalid)? {
+                "seed" => plan.seed = need_u64(&value(d)?, "seed")?,
                 "checkpoint_fail_rate" => {
-                    plan.checkpoint_fail_rate = need_f64(v, "checkpoint_fail_rate")?
+                    plan.checkpoint_fail_rate = need_f64(&value(d)?, "checkpoint_fail_rate")?
                 }
-                "restore_fail_rate" => plan.restore_fail_rate = need_f64(v, "restore_fail_rate")?,
-                "slowdown_rate" => plan.slowdown_rate = need_f64(v, "slowdown_rate")?,
-                "slowdown_factor" => plan.slowdown_factor = need_f64(v, "slowdown_factor")?,
-                "partitions" => {
-                    for (i, item) in need_array(v, "partitions")?.iter().enumerate() {
-                        plan.partitions.push(parse_partition(item, i)?);
-                    }
+                "restore_fail_rate" => {
+                    plan.restore_fail_rate = need_f64(&value(d)?, "restore_fail_rate")?
                 }
-                "flaps" => {
-                    for (i, item) in need_array(v, "flaps")?.iter().enumerate() {
-                        plan.flaps.push(parse_flap(item, i)?);
-                    }
+                "slowdown_rate" => plan.slowdown_rate = need_f64(&value(d)?, "slowdown_rate")?,
+                "slowdown_factor" => {
+                    plan.slowdown_factor = need_f64(&value(d)?, "slowdown_factor")?
                 }
-                "scripted" => {
-                    for (i, item) in need_array(v, "scripted")?.iter().enumerate() {
-                        plan.scripted.push(parse_scripted(item, i)?);
-                    }
-                }
+                "partitions" => read_entries(d, "partitions", &PARTITION_KEYS, |e| {
+                    plan.partitions.push(parse_partition(e)?);
+                    Ok(())
+                })?,
+                "flaps" => read_entries(d, "flaps", &FLAP_KEYS, |e| {
+                    plan.flaps.push(parse_flap(e)?);
+                    Ok(())
+                })?,
+                "scripted" => read_entries(d, "scripted", &SCRIPTED_KEYS, |e| {
+                    plan.scripted.push(parse_scripted(e)?);
+                    Ok(())
+                })?,
                 unknown => return Err(unknown_key(unknown, "the fault plan", &PLAN_KEYS)),
             }
+            more = d.next_entry().map_err(invalid)?;
         }
+        d.end(Ok(())).map_err(invalid)?;
         let errs = plan.validate();
         if errs.is_empty() {
             Ok(plan)
@@ -531,14 +541,83 @@ fn unknown_key(key: &str, what: &str, known: &[&str]) -> String {
     )
 }
 
-/// Rejects the first key of object `v` that is not in `known`; `what`
-/// names the object in the error.
-fn reject_unknown_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), String> {
-    let keys = v.as_object().map_or(&[][..], Vec::as_slice);
-    match keys.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-        Some((k, _)) => Err(unknown_key(k, what, known)),
-        None => Ok(()),
+const PARTITION_KEYS: [&str; 3] = ["server", "from_secs", "until_secs"];
+const FLAP_KEYS: [&str; 5] = [
+    "server",
+    "first_fail_secs",
+    "down_secs",
+    "up_secs",
+    "cycles",
+];
+const SCRIPTED_KEYS: [&str; 3] = ["job", "attempt", "kind"];
+
+fn invalid(e: serde_json::Error) -> String {
+    format!("invalid JSON: {e}")
+}
+
+/// Reads the next value of the plan.
+fn value(d: &mut Deserializer<'_>) -> Result<Value, String> {
+    Value::deserialize(d).map_err(invalid)
+}
+
+/// One entry of a plan array, `what[i]`: the values of its keys, each one
+/// of the entry's known keys.
+struct Entry {
+    what: &'static str,
+    i: usize,
+    fields: Vec<(&'static str, Value)>,
+}
+
+impl Entry {
+    fn get(&self, name: &str) -> Result<&Value, String> {
+        (self.fields.iter().find(|(k, _)| *k == name))
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("{}[{}] is missing field {name}", self.what, self.i))
     }
+}
+
+/// Reads the array field `what`, handing each entry to `each`. An entry
+/// key not in `known` is an error naming it; a repeated key keeps its first
+/// value, and an entry that is not an object has no keys.
+fn read_entries(
+    d: &mut Deserializer<'_>,
+    what: &'static str,
+    known: &[&'static str],
+    mut each: impl FnMut(&Entry) -> Result<(), String>,
+) -> Result<(), String> {
+    if d.peek() != Some(b'[') {
+        let got = value(d)?;
+        return Err(format!("field {what} must be an array, got {}", got.kind()));
+    }
+    let mut more = d.begin_array(what).map_err(invalid)?;
+    let mut i = 0;
+    while more {
+        let mut entry = Entry {
+            what,
+            i,
+            fields: Vec::new(),
+        };
+        if d.peek() == Some(b'{') {
+            let mut field = d.begin_object(what).map_err(invalid)?;
+            while field {
+                let key = d.key().map_err(invalid)?;
+                let Some(&name) = known.iter().find(|&&k| k == key) else {
+                    return Err(unknown_key(key, &format!("{what}[{i}]"), known));
+                };
+                let v = value(d)?;
+                if entry.get(name).is_err() {
+                    entry.fields.push((name, v));
+                }
+                field = d.next_entry().map_err(invalid)?;
+            }
+        } else {
+            value(d)?;
+        }
+        each(&entry)?;
+        i += 1;
+        more = d.next_element().map_err(invalid)?;
+    }
+    Ok(())
 }
 
 fn fmt_rate(x: f64) -> String {
@@ -643,56 +722,28 @@ fn need_f64(v: &Value, field: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("field {field} must be a number, got {}", v.kind()))
 }
 
-fn need_array<'a>(v: &'a Value, field: &str) -> Result<&'a [Value], String> {
-    v.as_array()
-        .map(|a| a.as_slice())
-        .ok_or_else(|| format!("field {field} must be an array, got {}", v.kind()))
-}
-
-fn field<'a>(v: &'a Value, name: &str, what: &str, i: usize) -> Result<&'a Value, String> {
-    v.get(name)
-        .ok_or_else(|| format!("{what}[{i}] is missing field {name}"))
-}
-
-fn parse_partition(v: &Value, i: usize) -> Result<PartitionWindow, String> {
-    reject_unknown_keys(
-        v,
-        &format!("partitions[{i}]"),
-        &["server", "from_secs", "until_secs"],
-    )?;
+fn parse_partition(e: &Entry) -> Result<PartitionWindow, String> {
     Ok(PartitionWindow {
-        server: ServerId::new(need_u32(field(v, "server", "partitions", i)?, "server")?),
-        from: need_time(field(v, "from_secs", "partitions", i)?, "from_secs")?,
-        until: need_time(field(v, "until_secs", "partitions", i)?, "until_secs")?,
+        server: ServerId::new(need_u32(e.get("server")?, "server")?),
+        from: need_time(e.get("from_secs")?, "from_secs")?,
+        until: need_time(e.get("until_secs")?, "until_secs")?,
     })
 }
 
-fn parse_flap(v: &Value, i: usize) -> Result<FlapSpec, String> {
-    reject_unknown_keys(
-        v,
-        &format!("flaps[{i}]"),
-        &[
-            "server",
-            "first_fail_secs",
-            "down_secs",
-            "up_secs",
-            "cycles",
-        ],
-    )?;
+fn parse_flap(e: &Entry) -> Result<FlapSpec, String> {
     Ok(FlapSpec {
-        server: ServerId::new(need_u32(field(v, "server", "flaps", i)?, "server")?),
-        first_fail: need_time(field(v, "first_fail_secs", "flaps", i)?, "first_fail_secs")?,
-        down: need_duration(field(v, "down_secs", "flaps", i)?, "down_secs")?,
-        up: need_duration(field(v, "up_secs", "flaps", i)?, "up_secs")?,
-        cycles: need_u32(field(v, "cycles", "flaps", i)?, "cycles")?,
+        server: ServerId::new(need_u32(e.get("server")?, "server")?),
+        first_fail: need_time(e.get("first_fail_secs")?, "first_fail_secs")?,
+        down: need_duration(e.get("down_secs")?, "down_secs")?,
+        up: need_duration(e.get("up_secs")?, "up_secs")?,
+        cycles: need_u32(e.get("cycles")?, "cycles")?,
     })
 }
 
-fn parse_scripted(v: &Value, i: usize) -> Result<ScriptedFault, String> {
-    reject_unknown_keys(v, &format!("scripted[{i}]"), &["job", "attempt", "kind"])?;
-    let kind_name = field(v, "kind", "scripted", i)?
-        .as_str()
-        .ok_or_else(|| format!("scripted[{i}].kind must be a string"))?;
+fn parse_scripted(e: &Entry) -> Result<ScriptedFault, String> {
+    let i = e.i;
+    let kind_name =
+        (e.get("kind")?.as_str()).ok_or_else(|| format!("scripted[{i}].kind must be a string"))?;
     let kind = FaultKind::from_name(kind_name).ok_or_else(|| {
         format!(
             "scripted[{i}].kind {kind_name:?} is not a fault kind (expected one of: {})",
@@ -700,8 +751,8 @@ fn parse_scripted(v: &Value, i: usize) -> Result<ScriptedFault, String> {
         )
     })?;
     Ok(ScriptedFault {
-        job: JobId::new(need_u32(field(v, "job", "scripted", i)?, "job")?),
-        attempt: need_u32(field(v, "attempt", "scripted", i)?, "attempt")?,
+        job: JobId::new(need_u32(e.get("job")?, "job")?),
+        attempt: need_u32(e.get("attempt")?, "attempt")?,
         kind,
     })
 }
@@ -990,6 +1041,14 @@ mod tests {
         let text = include_str!("../../../examples/faults.json");
         let plan = FaultPlan::from_json(text).expect("example plan parses");
         assert!(!plan.is_noop());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_the_example_plan_is_an_error() {
+        let text = include_str!("../../../examples/faults.json").trim_end();
+        for len in (0..text.len()).filter(|&n| text.is_char_boundary(n)) {
+            assert!(FaultPlan::from_json(&text[..len]).is_err(), "{len} bytes");
+        }
     }
 
     #[test]

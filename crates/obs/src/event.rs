@@ -19,10 +19,13 @@
 //! freezes: integers and ids as bare decimals, floats at six decimals by
 //! integer arithmetic (see `push_f64`), strings JSON-escaped, absent ids as
 //! `null`. The `kind` discriminator always comes first and `t_us` second, so
-//! line-oriented tools can dispatch without a full parse.
+//! line-oriented tools can dispatch without a full parse. The reader pulls
+//! each field straight from the `serde_json` shim's `Deserializer`, in any
+//! key order.
 
 use gfair_types::{GenId, JobId, MigrationFailReason, ServerId, SimTime, UserId};
-use serde_json::JsonValue;
+use serde::Deserialize as _;
+use serde_json::{Deserializer, JsonValue};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -30,19 +33,84 @@ use std::fmt::Write as _;
 trait Codec: Sized {
     /// Appends the value's JSON text to `s`.
     fn encode(&self, s: &mut String);
-    /// Reads the value `v` of field `name` of a `kind` event.
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String>;
+    /// Reads the value of field `name` of a `kind` event from `d`.
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String>;
 }
 
-/// Reads field `name` of a `kind` event (or of one of its rows) from the
-/// object `v`. Every error names the kind and the field, so schema drift (a
-/// renamed or dropped field) fails tests and tooling with an actionable
-/// message instead of a silent misparse.
-fn get<T: Codec>(v: &JsonValue, kind: &str, name: &str) -> Result<T, String> {
-    let x = v
-        .get(name)
-        .ok_or_else(|| format!("{kind}: missing field `{name}`"))?;
-    T::decode(x, kind, name)
+fn invalid(e: serde_json::Error) -> String {
+    format!("invalid JSON: {e}")
+}
+
+/// Reads the next value, which a scalar field's codec then checks.
+fn scalar(d: &mut Deserializer<'_>) -> Result<JsonValue, String> {
+    JsonValue::deserialize(d).map_err(invalid)
+}
+
+/// Opens the object an event or row is read from; returns whether an entry
+/// follows. A value that is not an object is skipped and reads as one with
+/// no entries, so the first field it lacks is the error.
+fn open(d: &mut Deserializer<'_>) -> Result<bool, String> {
+    if d.peek() == Some(b'{') {
+        d.begin_object("event").map_err(invalid)
+    } else {
+        d.skip_value().map_err(invalid).map(|()| false)
+    }
+}
+
+/// Reads the object at `d`, decoding each key named by a slot (an
+/// `Option` variable) into that slot and skipping every other key.
+macro_rules! decode_fields {
+    ($d:ident, $kind:expr, $($slot:ident),*) => {
+        let mut more = open($d)?;
+        while more {
+            match $d.key().map_err(invalid)? {
+                $( stringify!($slot) => decode_once(&mut $slot, $d, $kind, stringify!($slot))?, )*
+                _ => $d.skip_value().map_err(invalid)?,
+            }
+            more = $d.next_entry().map_err(invalid)?;
+        }
+    };
+}
+
+/// Decodes field `name` into `slot`; a repeated key keeps its first value.
+fn decode_once<T: Codec>(
+    slot: &mut Option<T>,
+    d: &mut Deserializer<'_>,
+    kind: &str,
+    name: &str,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return d.skip_value().map_err(invalid);
+    }
+    *slot = Some(T::decode(d, kind, name)?);
+    Ok(())
+}
+
+/// The value of field `name` of a `kind` event (or of one of its rows).
+/// Every error names the kind and the field, so schema drift (a renamed or
+/// dropped field) fails tests and tooling with an actionable message
+/// instead of a silent misparse.
+fn require<T>(slot: Option<T>, kind: &str, name: &str) -> Result<T, String> {
+    slot.ok_or_else(|| format!("{kind}: missing field `{name}`"))
+}
+
+/// The `kind` of a trace line, read ahead of its other fields. A line this
+/// module wrote has it first, so only a hand-made line costs a second pass.
+fn line_kind(line: &str) -> Result<String, String> {
+    let d = &mut Deserializer::from_slice(line.as_bytes());
+    let mut more = open(d)?;
+    while more {
+        if d.key().map_err(invalid)? == "kind" {
+            return match scalar(d)? {
+                JsonValue::Str(kind) => Ok(kind),
+                _ => Err("field `kind` must be a string".into()),
+            };
+        }
+        d.skip_value().map_err(invalid)?;
+        more = d.next_entry().map_err(invalid)?;
+    }
+    d.end(Ok(())).map_err(invalid)?;
+    Err("<event>: missing field `kind`".into())
 }
 
 fn mistyped(kind: &str, name: &str, expected: &str) -> String {
@@ -59,9 +127,8 @@ impl Codec for u64 {
     fn encode(&self, s: &mut String) {
         push_u64(s, *self);
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        v.as_u64()
-            .ok_or_else(|| mistyped(kind, name, "a non-negative integer"))
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        (scalar(d)?.as_u64()).ok_or_else(|| mistyped(kind, name, "a non-negative integer"))
     }
 }
 
@@ -69,8 +136,8 @@ impl Codec for u32 {
     fn encode(&self, s: &mut String) {
         push_u64(s, u64::from(*self));
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        narrow(u64::decode(v, kind, name)?, kind, name)
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        narrow(u64::decode(d, kind, name)?, kind, name)
     }
 }
 
@@ -78,8 +145,8 @@ impl Codec for f64 {
     fn encode(&self, s: &mut String) {
         push_f64(s, *self);
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| mistyped(kind, name, "a number"))
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        (scalar(d)?.as_f64()).ok_or_else(|| mistyped(kind, name, "a number"))
     }
 }
 
@@ -87,9 +154,11 @@ impl Codec for String {
     fn encode(&self, s: &mut String) {
         push_escaped(s, self);
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        let x = v.as_str().ok_or_else(|| mistyped(kind, name, "a string"))?;
-        Ok(x.to_string())
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        match scalar(d)? {
+            JsonValue::Str(x) => Ok(x),
+            _ => Err(mistyped(kind, name, "a string")),
+        }
     }
 }
 
@@ -97,8 +166,8 @@ impl Codec for Cow<'static, str> {
     fn encode(&self, s: &mut String) {
         push_escaped(s, self);
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        String::decode(v, kind, name).map(Cow::Owned)
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        String::decode(d, kind, name).map(Cow::Owned)
     }
 }
 
@@ -106,8 +175,8 @@ impl Codec for MigrationFailReason {
     fn encode(&self, s: &mut String) {
         push_escaped(s, self.as_str());
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        let reason = String::decode(v, kind, name)?;
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        let reason = String::decode(d, kind, name)?;
         MigrationFailReason::parse(&reason)
             .ok_or_else(|| format!("{kind}: unknown migration failure reason `{reason}`"))
     }
@@ -124,11 +193,17 @@ impl<T: Codec> Codec for Vec<T> {
         }
         s.push(']');
     }
-    fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| mistyped(kind, name, "an array"))?;
-        items.iter().map(|x| T::decode(x, kind, name)).collect()
+    fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+        if d.peek() != Some(b'[') {
+            return Err(mistyped(kind, name, "an array"));
+        }
+        let mut items = Vec::new();
+        let mut more = d.begin_array(name).map_err(invalid)?;
+        while more {
+            items.push(T::decode(d, kind, name)?);
+            more = d.next_element().map_err(invalid)?;
+        }
+        Ok(items)
     }
 }
 
@@ -139,8 +214,8 @@ macro_rules! id_codecs {
             fn encode(&self, s: &mut String) {
                 push_u64(s, self.index() as u64);
             }
-            fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
-                u32::decode(v, kind, name).map($id::new)
+            fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+                u32::decode(d, kind, name).map($id::new)
             }
         }
 
@@ -151,7 +226,8 @@ macro_rules! id_codecs {
                     None => s.push_str("null"),
                 }
             }
-            fn decode(v: &JsonValue, kind: &str, name: &str) -> Result<Self, String> {
+            fn decode(d: &mut Deserializer<'_>, kind: &str, name: &str) -> Result<Self, String> {
+                let v = scalar(d)?;
                 if let JsonValue::Null = v {
                     return Ok(None);
                 }
@@ -190,10 +266,13 @@ macro_rules! trace_rows {
                 )*
                 s.push('}');
             }
-            fn decode(v: &JsonValue, kind: &str, _: &str) -> Result<Self, String> {
+            fn decode(d: &mut Deserializer<'_>, kind: &str, _: &str) -> Result<Self, String> {
+                let mut $field0 = None;
+                $( let mut $field = None; )*
+                decode_fields!(d, kind, $field0 $(, $field)*);
                 Ok($row {
-                    $field0: get(v, kind, stringify!($field0))?,
-                    $( $field: get(v, kind, stringify!($field))?, )*
+                    $field0: require($field0, kind, stringify!($field0))?,
+                    $( $field: require($field, kind, stringify!($field))?, )*
                 })
             }
         }
@@ -382,16 +461,20 @@ macro_rules! trace_events {
             /// JSON, an unknown `kind`, a missing or mistyped field, or an
             /// integer too large for its field.
             pub fn from_json_line(line: &str) -> Result<$name, String> {
-                let v = serde_json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-                let kind = (v.get("kind").ok_or("<event>: missing field `kind`")?)
-                    .as_str()
-                    .ok_or("field `kind` must be a string")?;
-                let t = SimTime::from_micros(get(&v, kind, "t_us")?);
+                let kind = line_kind(line)?;
+                let kind = kind.as_str();
+                let d = &mut Deserializer::from_slice(line.as_bytes());
                 match kind {
-                    $( $kind => Ok($name::$variant {
-                        t,
-                        $( $field: get(&v, kind, stringify!($field))?, )*
-                    }), )*
+                    $( $kind => {
+                        let mut t_us = None;
+                        $( let mut $field = None; )*
+                        decode_fields!(d, kind, t_us $(, $field)*);
+                        d.end(Ok(())).map_err(invalid)?;
+                        Ok($name::$variant {
+                            t: SimTime::from_micros(require(t_us, kind, "t_us")?),
+                            $( $field: require($field, kind, stringify!($field))?, )*
+                        })
+                    } )*
                     other => Err(format!(
                         "unknown event kind `{other}` (known kinds: {})",
                         $name::KINDS.join(", ")

@@ -239,3 +239,25 @@ fn dropping_a_field_fails_with_an_error_naming_kind_and_field() {
         "error should name the kind and the missing field, got: {err}"
     );
 }
+
+#[test]
+fn every_strict_prefix_of_a_line_is_an_error() {
+    // A trace cut short mid-line (a full disk, a killed run) must fail to
+    // parse, never panic or yield an event.
+    for line in fixture().lines() {
+        for len in (0..line.len()).filter(|&n| line.is_char_boundary(n)) {
+            let prefix = &line[..len];
+            assert!(TraceEvent::from_json_line(prefix).is_err(), "{prefix}");
+        }
+    }
+}
+
+#[test]
+fn keys_in_any_order_read_the_same_event() {
+    let line = r#"{"gang":2,"server":0,"job":1,"t_us":5,"kind":"placement"}"#;
+    let event = TraceEvent::from_json_line(line).expect("reordered line parses");
+    assert_eq!(
+        event.to_json_line(),
+        r#"{"kind":"placement","t_us":5,"job":1,"server":0,"gang":2}"#
+    );
+}

@@ -1,4 +1,4 @@
-//! The JSON-shaped value tree all (de)serialization flows through.
+//! A JSON document as a tree, for callers that inspect a document's shape.
 
 /// A dynamically-typed JSON value.
 ///

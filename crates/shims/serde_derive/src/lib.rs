@@ -9,10 +9,13 @@
 //! * enums whose variants are all unit variants (variant-name strings)
 //! * the `#[serde(with = "module")]` field attribute: the module must
 //!   provide `serialize(&T, &mut Serializer) -> Result<(), DeError>`
-//!   (writing exactly one JSON value) and `from_value(&Value) -> Result<T>`
+//!   (writing exactly one JSON value) and
+//!   `deserialize(&mut Deserializer) -> Result<T, DeError>` (reading one)
 //!
-//! `Serialize` writes straight into the `serde::Serializer`; newtypes and
-//! unit enums also implement `write_key`, so they can key a map.
+//! `Serialize` writes straight into the `serde::Serializer` and
+//! `Deserialize` reads straight from the `serde::Deserializer`; a struct
+//! field's read error names the field. Newtypes and unit enums also
+//! implement `write_key` and `from_key`, so they can key a map.
 //!
 //! Anything else (generics, lifetimes, data-carrying enum variants) is a
 //! compile error pointing here, so unsupported shapes fail fast instead of
@@ -347,87 +350,114 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .unwrap()
 }
 
-/// Derives `serde::Deserialize` (the vendored, value-tree flavor).
+/// Derives `serde::Deserialize` (the vendored, streaming flavor).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = match parse_item(input) {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    // `body` reads the value from `d`; `key` (newtypes and unit enums only)
+    // is the `from_key` method letting the type key a map.
+    let (name, body, key) = match shape {
         Shape::Named { name, fields } => {
+            // One slot per field; a repeated key keeps its first value, and
+            // unknown keys are skipped.
+            let mut body = String::new();
+            let mut arms = String::new();
             let mut inits = String::new();
             for f in &fields {
-                let expr = match &f.with {
-                    Some(path) => format!(
-                        "match v.get(\"{0}\") {{\n\
-                             ::std::option::Option::Some(x) => {path}::from_value(x)?,\n\
-                             ::std::option::Option::None => return ::std::result::Result::Err(\n\
-                                 ::serde::DeError::msg(\"missing field `{0}` in {name}\")),\n\
-                         }}",
-                        f.name
-                    ),
-                    None => format!("::serde::field(obj, \"{}\", \"{name}\")?", f.name),
+                let (field, slot) = (&f.name, format!("field_{}", f.name));
+                body.push_str(&format!("let mut {slot} = ::std::option::Option::None;\n"));
+                let read = match &f.with {
+                    Some(path) => format!("{path}::deserialize(d)"),
+                    None => "::serde::Deserialize::deserialize(d)".to_string(),
                 };
-                inits.push_str(&format!("{}: {expr},\n", f.name));
+                arms.push_str(&format!(
+                    "\"{field}\" if {slot}.is_none() => {slot} = ::std::option::Option::Some(\n\
+                         {read}.map_err(|e| e.in_field(\"{field}\", \"{name}\"))?),\n"
+                ));
+                let missing = match &f.with {
+                    Some(_) => "::std::option::Option::None",
+                    None => "::serde::Deserialize::missing()",
+                };
+                inits.push_str(&format!(
+                    "{field}: match {slot} {{\n\
+                         ::std::option::Option::Some(v) => v,\n\
+                         ::std::option::Option::None => {missing}.ok_or_else(||\n\
+                             ::serde::DeError::msg(\"missing field `{field}` in {name}\"))?,\n\
+                     }},\n"
+                ));
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let obj = v.as_object().ok_or_else(||\n\
-                             ::serde::DeError::expected(\"object\", \"{name}\", v))?;\n\
-                         let _ = &obj;\n\
-                         ::std::result::Result::Ok({name} {{ {inits} }})\n\
+            body.push_str(&format!(
+                "let mut more = d.begin_object(\"{name}\")?;\n\
+                 while more {{\n\
+                     match d.key()? {{\n\
+                         {arms}\
+                         _ => d.skip_value()?,\n\
                      }}\n\
-                 }}"
-            )
+                     more = d.next_entry()?;\n\
+                 }}\n\
+                 ::std::result::Result::Ok({name} {{ {inits} }})"
+            ));
+            (name, body, String::new())
         }
-        Shape::Tuple { name, arity } => {
-            let body = if arity == 1 {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-            } else {
-                let items: Vec<String> = (0..arity)
-                    .map(|i| format!("::serde::Deserialize::from_value(&arr[{i}])?"))
-                    .collect();
-                format!(
-                    "let arr = v.as_array().ok_or_else(||\n\
-                         ::serde::DeError::expected(\"array\", \"{name}\", v))?;\n\
-                     if arr.len() != {arity} {{\n\
-                         return ::std::result::Result::Err(::serde::DeError::msg(\n\
-                             \"wrong tuple-struct arity for {name}\"));\n\
-                     }}\n\
-                     ::std::result::Result::Ok({name}({}))",
-                    items.join(",")
-                )
-            };
+        Shape::Tuple { name, arity: 1 } => (
+            name.clone(),
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(d)?))"),
             format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         {body}\n\
-                     }}\n\
+                "fn from_key(key: &str) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                     ::std::result::Result::Ok({name}(::serde::Deserialize::from_key(key)?))\n\
                  }}"
-            )
+            ),
+        ),
+        Shape::Tuple { name, arity } => {
+            let items = vec![format!("::serde::element(d, &mut more, {arity})?"); arity];
+            let body = format!(
+                "let mut more = d.begin_array(\"{name}\")?;\n\
+                 let v = {name}({});\n\
+                 ::serde::end_elements(more, {arity})?;\n\
+                 ::std::result::Result::Ok(v)",
+                items.join(", ")
+            );
+            (name, body, String::new())
         }
         Shape::UnitEnum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v})"))
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let s = v.as_str().ok_or_else(||\n\
-                             ::serde::DeError::expected(\"string\", \"{name}\", v))?;\n\
-                         match s {{\n\
-                             {},\n\
+            let arms = arms.join(",\n");
+            (
+                name.clone(),
+                format!(
+                    "match <::serde::Value as ::serde::Deserialize>::deserialize(d)? {{\n\
+                         ::serde::Value::Str(s) => <Self as ::serde::Deserialize>::from_key(&s),\n\
+                         v => ::std::result::Result::Err(\n\
+                             ::serde::DeError::expected(\"string\", \"{name}\", &v)),\n\
+                     }}"
+                ),
+                format!(
+                    "fn from_key(key: &str) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                         match key {{\n\
+                             {arms},\n\
                              other => ::std::result::Result::Err(::serde::DeError::msg(\n\
                                  ::std::format!(\"unknown {name} variant `{{other}}`\"))),\n\
                          }}\n\
-                     }}\n\
-                 }}",
-                arms.join(",\n")
+                     }}"
+                ),
             )
         }
     };
-    code.parse().unwrap()
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize(d: &mut ::serde::Deserializer<'_>)\n\
+                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                 {body}\n\
+             }}\n\
+             {key}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
 }

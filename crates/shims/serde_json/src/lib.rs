@@ -1,23 +1,23 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
 //! Serialization streams through the vendored serde shim's [`Serializer`];
-//! parsing builds its [`Value`] tree. Numbers round-trip exactly: integers
-//! are emitted verbatim and floats use Rust's shortest round-trippable
-//! `Display` form. Both directions are linear in the document size.
+//! parsing pulls tokens from its [`Deserializer`], the one lexer and the
+//! one nesting rule ([`MAX_DEPTH`]) every reader shares. [`from_str`]
+//! builds the target type directly; [`parse`] builds a [`Value`] tree for
+//! callers that want one. Numbers round-trip exactly: integers are emitted
+//! verbatim and floats use Rust's shortest round-trippable `Display` form.
+//! Both directions are linear in the document size.
 
 use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 pub use serde::Value as JsonValue;
+pub use serde::{Deserializer, MAX_DEPTH};
 
 /// Errors from serialization or deserialization.
 pub type Error = DeError;
 
 /// A `Result` alias matching upstream's shape.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Deepest nesting of arrays and objects [`parse`] accepts, as in upstream
-/// `serde_json`; deeper input is an error rather than a stack overflow.
-pub const MAX_DEPTH: usize = 128;
 
 /// Serializes `value` to a compact JSON string.
 ///
@@ -48,8 +48,9 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// Returns an error on malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let value = parse(s)?;
-    T::from_value(&value)
+    let mut d = Deserializer::from_slice(s.as_bytes());
+    let value = T::deserialize(&mut d);
+    d.end(value)
 }
 
 /// Parses a JSON document into a [`Value`].
@@ -59,262 +60,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
 /// Returns an error describing the first syntax problem encountered,
 /// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value> {
-    let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(DeError::msg(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(DeError::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Parses one value nested inside `depth` arrays and objects.
-    fn value(&mut self, depth: usize) -> Result<Value> {
-        match self.peek() {
-            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(DeError::msg(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.pos
-            ))),
-            Some(b'{') => self.object(depth + 1),
-            Some(b'[') => self.array(depth + 1),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(DeError::msg(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth)?;
-            entries.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => {
-                    return Err(DeError::msg(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(DeError::msg(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next quote or backslash in one step.
-            let rest = &self.bytes[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(rest.len());
-            let s = std::str::from_utf8(&rest[..run])
-                .map_err(|_| DeError::msg("invalid UTF-8 in string"))?;
-            out.push_str(s);
-            self.pos += run;
-            match self.peek() {
-                None => return Err(DeError::msg("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(_) => {
-                    // The run stopped at a backslash: an escape.
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.eat_literal("\\u") {
-                                    return Err(DeError::msg("lone leading surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(DeError::msg("invalid trailing surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| DeError::msg("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| DeError::msg("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 consumed pos already
-                        }
-                        other => {
-                            return Err(DeError::msg(format!(
-                                "invalid escape {:?}",
-                                other.map(|b| b as char)
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(DeError::msg("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| DeError::msg("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| DeError::msg("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| DeError::msg("invalid number"))?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| DeError::msg(format!("invalid number `{text}`")))
-    }
+    from_str(s)
 }
 
 #[cfg(test)]
@@ -443,6 +189,134 @@ mod tests {
             v.as_array().unwrap()[0].as_str(),
             Some(&*decoded.repeat(reps))
         );
+    }
+
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+    struct Id(u32);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Tier {
+        Gold,
+        Tin,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Pair(u32, String);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Row {
+        id: Id,
+        tier: Tier,
+        note: Option<String>,
+        by_id: BTreeMap<Id, Tier>,
+        pair: Pair,
+    }
+
+    #[test]
+    fn derived_types_read_what_they_write() {
+        let row = Row {
+            id: Id(7),
+            tier: Tier::Tin,
+            note: None,
+            by_id: BTreeMap::from([(Id(2), Tier::Gold)]),
+            pair: Pair(1, "a".into()),
+        };
+        let json = to_string(&row).unwrap();
+        assert_eq!(from_str::<Row>(&json).unwrap(), row);
+        // Keys in any order, unknown keys skipped, a repeated key keeps its
+        // first value, and an absent `Option` field reads as `None`.
+        let text = r#"{"pair": [1, "a"], "extra": {"x": [1]}, "by_id": {"2": "Gold"},
+            "tier": "Tin", "id": 7, "tier": "Gold"}"#;
+        assert_eq!(from_str::<Row>(text).unwrap(), row);
+    }
+
+    #[test]
+    fn derived_read_errors_name_the_field() {
+        let err = |text: &str| from_str::<Row>(text).unwrap_err().to_string();
+        let row = |id: &str, pair: &str| {
+            format!(r#"{{"id": {id}, "tier": "Tin", "by_id": {{}}, "pair": {pair}}}"#)
+        };
+        assert_eq!(
+            err(&row("4294967296", "[1, \"a\"]")),
+            "field `id` of Row: 4294967296 out of range for u32"
+        );
+        assert_eq!(
+            err(&row("1", "[1]")),
+            "field `pair` of Row: expected a 2-element array"
+        );
+        assert_eq!(
+            err(&row("1", "[1, \"a\", 2]")),
+            "field `pair` of Row: expected a 2-element array"
+        );
+        assert_eq!(
+            err(r#"{"id": 1, "tier": "Lead"}"#),
+            "field `tier` of Row: unknown Tier variant `Lead`"
+        );
+        assert_eq!(err(r#"{"id": 1}"#), "missing field `tier` in Row");
+        assert_eq!(err("[]"), "expected object while reading Row, found array");
+    }
+
+    /// A stream that hands out one byte per read, so every token of a
+    /// document crosses a read boundary.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    fn parse_stream(doc: &str) -> Result<Value> {
+        let mut d = Deserializer::from_reader(Trickle(doc.as_bytes()));
+        let value = Value::deserialize(&mut d);
+        d.end(value)
+    }
+
+    #[test]
+    fn a_stream_read_byte_by_byte_parses_like_a_string() {
+        let doc = r#" {"a": [1, -2, 3.5, 1e3, -0.0, 18446744073709551615, 1E-7, 2.5E+2],
+            "é\u00e9😀\ud83d\ude00\n": "x\"y\\z\/", "t": [true, false, null, {}, [[]]]} "#;
+        assert!(parse(doc).is_ok());
+        let malformed = [
+            "[1,]",
+            "[1 2]",
+            "{\"a\" 1}",
+            "{,}",
+            "tru",
+            "nul",
+            "1.5e",
+            "-",
+            "[\"ab\\",
+            "\"\\ud83dx\"",
+            "\"\\u12g4\"",
+            "[1] x",
+            "",
+        ];
+        let prefixes = (0..doc.len()).filter(|&n| doc.is_char_boundary(n));
+        for text in malformed.into_iter().chain(prefixes.map(|n| &doc[..n])) {
+            assert_eq!(parse_stream(text), parse(text), "{text:?}");
+        }
+        assert_eq!(parse_stream(doc), parse(doc));
+    }
+
+    #[test]
+    fn a_read_error_is_reported_over_the_syntax_error_it_causes() {
+        struct Failing;
+        impl std::io::Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk gone"))
+            }
+        }
+        let mut d = Deserializer::from_reader(std::io::Read::chain(&b"[1, 2"[..], Failing));
+        let value = Value::deserialize(&mut d);
+        assert_eq!(d.end(value), Err(DeError::msg("read error: disk gone")));
     }
 
     #[test]

@@ -499,11 +499,14 @@ impl Simulation {
     ///
     /// Panics if the plan fails [`FaultPlan::validate`], references a
     /// server the cluster does not have, or ends a partition or a flap after
-    /// [`latest_event_time`]. The run panics when it starts if a failure or
-    /// recovery scheduled with [`with_server_failure`](Self::with_server_failure)
-    /// or [`with_server_recovery`](Self::with_server_recovery) overlaps or
-    /// touches a flap outage ([`FaultPlan::outage_clashes`]): the first
-    /// recovery would end both outages.
+    /// [`latest_event_time`].
+    ///
+    /// A failure or recovery scheduled with
+    /// [`with_server_failure`](Self::with_server_failure) or
+    /// [`with_server_recovery`](Self::with_server_recovery) that overlaps or
+    /// touches a flap outage ([`FaultPlan::outage_clashes`]) does not panic:
+    /// the run refuses to start with [`GfairError::InvalidConfig`], since
+    /// the first recovery would end both outages.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         let errs = plan.validate();
         assert!(errs.is_empty(), "invalid fault plan: {}", errs.join("; "));
@@ -544,6 +547,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Propagates any invalid scheduler decision; see [`crate::sched`].
+    /// Refuses to start with [`GfairError::InvalidConfig`] if a scheduled
+    /// server failure clashes with the fault plan (see
+    /// [`with_faults`](Self::with_faults)).
     pub fn run(self, scheduler: &mut dyn ClusterScheduler) -> Result<SimReport> {
         self.run_inner(scheduler, None)
     }
@@ -554,6 +560,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Propagates any invalid scheduler decision; see [`crate::sched`].
+    /// Refuses to start with [`GfairError::InvalidConfig`] if a scheduled
+    /// server failure clashes with the fault plan (see
+    /// [`with_faults`](Self::with_faults)).
     pub fn run_until(
         self,
         scheduler: &mut dyn ClusterScheduler,
@@ -569,11 +578,12 @@ impl Simulation {
     ) -> Result<SimReport> {
         if let Some(faults) = &self.faults {
             let errs = faults.plan().outage_clashes(&self.server_events);
-            assert!(
-                errs.is_empty(),
-                "server failures clash with the fault plan: {}",
-                errs.join("; ")
-            );
+            if !errs.is_empty() {
+                return Err(GfairError::InvalidConfig(format!(
+                    "server failures clash with the fault plan: {}",
+                    errs.join("; ")
+                )));
+            }
         }
         // Announce every server up front so a trace is self-describing: the
         // auditor (and any consumer) learns capacities from the stream alone.

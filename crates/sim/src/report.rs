@@ -133,7 +133,7 @@ impl SimReport {
 /// be strings, so the map round-trips through a sequence of triples.
 mod tuple_key_map {
     use gfair_types::{GenId, UserId};
-    use serde::{DeError, Deserialize, Serializer, Value};
+    use serde::{DeError, Deserialize, Deserializer, Serializer};
     use std::collections::BTreeMap;
 
     pub fn serialize(
@@ -148,8 +148,10 @@ mod tuple_key_map {
         Ok(())
     }
 
-    pub fn from_value(v: &Value) -> Result<BTreeMap<(UserId, GenId), f64>, DeError> {
-        let entries = Vec::<(UserId, GenId, f64)>::from_value(v)?;
+    pub fn deserialize(
+        d: &mut Deserializer<'_>,
+    ) -> Result<BTreeMap<(UserId, GenId), f64>, DeError> {
+        let entries = Vec::<(UserId, GenId, f64)>::deserialize(d)?;
         Ok(entries.into_iter().map(|(u, g, v)| ((u, g), v)).collect())
     }
 }

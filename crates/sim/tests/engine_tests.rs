@@ -878,12 +878,10 @@ fn a_failure_touching_a_plan_flap_outage_is_refused_when_the_run_starts() {
     let (t, d) = (SimTime::from_secs, SimDuration::from_secs);
     let flap = || FaultPlan::none().with_flap(s1, t(600), d(300), d(60), 1);
     let sim = || Simulation::new(ClusterSpec::homogeneous(2, 2), users(1), vec![], config());
-    let run = |sim: Simulation| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_until(&mut Greedy, t(1800)).unwrap();
-        }))
-        .err()
-        .map(|err| err.downcast_ref::<String>().cloned().unwrap_or_default())
+    let run = |sim: Simulation| match sim.run_until(&mut Greedy, t(1800)) {
+        Ok(_) => None,
+        Err(GfairError::InvalidConfig(msg)) => Some(msg),
+        Err(e) => panic!("a clash must be an InvalidConfig error, got {e}"),
     };
     let refused = [
         (

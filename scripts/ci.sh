@@ -31,6 +31,23 @@ for policy in gfair gavel-hetero themis-ftf; do
         kinds target/trace-full-smoke.jsonl
 done
 
+echo "### trace replay smoke (faulted paper testbed, every policy)"
+# A trace saved with --save-trace and replayed with --load-trace must
+# report the same bytes as the run that generated it: the streaming loader
+# reads back exactly what was written, and jobs of one model share one
+# profile as generated jobs do.
+for policy in gfair gavel-hetero themis-ftf; do
+    cargo run --release --quiet --bin gfair -- simulate --cluster paper \
+        --users 8 --jobs 300 --seed 3 --faults examples/faults.json \
+        --policy "$policy" --save-trace target/replay-smoke-trace.json \
+        --json target/replay-smoke-generated.json > /dev/null
+    cargo run --release --quiet --bin gfair -- simulate --cluster paper \
+        --users 8 --seed 3 --faults examples/faults.json --policy "$policy" \
+        --load-trace target/replay-smoke-trace.json \
+        --json target/replay-smoke-replayed.json > /dev/null
+    cmp target/replay-smoke-generated.json target/replay-smoke-replayed.json
+done
+
 echo "### cargo test"
 cargo test --workspace -q
 
